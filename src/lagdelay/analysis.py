@@ -19,7 +19,7 @@ from scipy.linalg import solve_triangular
 from .basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi
 from .delay_ops import (
     BTB_TOLERANCE,
-    build_omega,
+    assemble_ab,
     build_toeplitz,
     markov_params,
 )
@@ -156,8 +156,7 @@ def markov_mse(
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
     bias_vec = h_hat - h_true
 
-    r = np.linalg.qr(phi.matrix, mode="r")
-    r_inv = solve_triangular(r, np.eye(k_model + 1), lower=False)
+    r_inv = solve_triangular(phi.r, np.eye(k_model + 1), lower=False)
     g = solve_triangular(t_u, r_inv, lower=True)
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
@@ -195,13 +194,11 @@ def predict_bias_tau(
     if not 3 <= m <= k_model + 1:
         raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
-    vec_b = h_true[: m - 1]
+    system = assemble_ab(h_true[:m])
+    omega, vec_a, vec_b = system.omega, system.vec_a, system.vec_b
     btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
-    omega = build_omega(m)
-    vec_a = omega @ vec_b
-    vec_a[-1] -= (m - 1.0) * h_true[m - 1]
 
     acc = markov_mse(design, k_model, noise_var, tau_check, n_samples=n_samples)
     mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)

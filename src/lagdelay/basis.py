@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, qr
 
 from .errors import IllConditionedWarning
 
@@ -68,6 +68,8 @@ class SampledBasis:
     """Basis functions tabulated at the sample instants t_n = n*delta.
 
     matrix[n, j] = ell_j(n*delta); row 0 equals b_c (all sqrt(2p)).
+    ``q`` and ``r`` are the thin QR factors of ``matrix``; every least-squares
+    solve against this basis reuses them.
     """
 
     p: float
@@ -78,8 +80,8 @@ class SampledBasis:
     cond: float
     ill_conditioned: bool
     cond_threshold: float
-    a_d: np.ndarray = field(repr=False)
-    b_d: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
 
 
 def assoc_laguerre_poly(m: int, xi: float) -> float:
@@ -220,9 +222,11 @@ def build_phi(
     n_samples: int,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> SampledBasis:
-    """Sampled basis matrix Phi with rows ell(t_n) = A_d^n B_c.
+    """Sampled basis matrix Phi with rows ell(t_n) = A_d^n B_c, and its thin
+    QR factorization.
 
-    A condition number above ``cond_threshold`` flags the basis and emits
+    cond(Phi) is read from R, which has the same singular values.  A
+    condition number above ``cond_threshold`` flags the basis and emits
     an IllConditionedWarning; downstream least squares refuses flagged
     bases, signalling that delta, n_samples or p must be revised.
     """
@@ -233,9 +237,10 @@ def build_phi(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"
         )
     real = build_continuous_ss(cfg)
-    a_d, b_d = discretize_impulse_invariant(real, delta)
+    a_d, _ = discretize_impulse_invariant(real, delta)
     matrix = _impulse_state_sequence(a_d, real.b_c, n_samples)
-    cond = float(np.linalg.cond(matrix))
+    q, r = qr(matrix, mode="economic", check_finite=False)
+    cond = float(np.linalg.cond(r))
     flagged = not np.isfinite(cond) or cond > cond_threshold
     if flagged:
         warnings.warn(
@@ -253,6 +258,6 @@ def build_phi(
         cond=cond,
         ill_conditioned=flagged,
         cond_threshold=cond_threshold,
-        a_d=a_d,
-        b_d=b_d,
+        q=q,
+        r=r,
     )

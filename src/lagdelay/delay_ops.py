@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .basis import assoc_laguerre_sequence
 from .errors import DegenerateBError, SingularInputError
@@ -89,25 +88,57 @@ def delay_spectrum(input_spec: Spectrum, kappa: float, out_len: int) -> Spectrum
     return Spectrum(coeffs=y, p=input_spec.p)
 
 
-def build_toeplitz(input_spec: Spectrum, size: int) -> np.ndarray:
+def _leading_coefficients(u: Spectrum | np.ndarray) -> np.ndarray:
+    """Coefficient array of a spectrum or of a (batch of) coefficient rows,
+    after checking every leading coefficient against U0_TOLERANCE."""
+    coeffs = u.coeffs if isinstance(u, Spectrum) else np.asarray(u, dtype=float)
+    u0 = np.asarray(coeffs[..., 0])
+    small = np.abs(u0) < U0_TOLERANCE
+    if np.any(small):
+        raise SingularInputError(
+            f"leading input coefficient u_0 = {u0[small].flat[0]:.3e} is below "
+            f"{U0_TOLERANCE:.0e}; the input design must satisfy u_0 != 0"
+        )
+    return coeffs
+
+
+def build_toeplitz(input_spec: Spectrum | np.ndarray, size: int) -> np.ndarray:
     """Lower-triangular Toeplitz operator T(U) with (j, k) entry u_{j-k}.
 
-    Coefficients beyond the stored spectrum are zero.  Raises
-    SingularInputError when u_0 is numerically zero.
+    ``input_spec`` is a Spectrum or an array whose last axis holds the
+    coefficients; leading axes are a batch and give a stack of operators of
+    shape (..., size, size).  Coefficients beyond the stored spectrum are
+    zero.  Raises SingularInputError when any u_0 is numerically zero.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    u = input_spec.coeffs
-    if abs(u[0]) < U0_TOLERANCE:
-        raise SingularInputError(
-            f"leading input coefficient u_0 = {u[0]:.3e} is below {U0_TOLERANCE:.0e}; "
-            "the input design must satisfy u_0 != 0"
-        )
-    col = np.zeros(size)
-    col[: min(size, u.size)] = u[:size]
-    row = np.zeros(size)
-    row[0] = col[0]
-    return toeplitz(col, row)
+    u = _leading_coefficients(input_spec)
+    col = np.zeros(u.shape[:-1] + (size,))
+    n = min(size, u.shape[-1])
+    col[..., :n] = u[..., :n]
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    return np.where(lag >= 0, col[..., np.maximum(lag, 0)], 0.0)
+
+
+def reciprocal_series(input_spec: Spectrum | np.ndarray, size: int) -> np.ndarray:
+    """First ``size`` coefficients v of the power series 1 / u(z), per row.
+
+    The inverse of a lower-triangular Toeplitz matrix is lower-triangular
+    Toeplitz, so T(v) = T(U)^{-1} (Commenges & Monsion, IEEE TAC 1984).
+    v solves T(U) v = e_0 by forward substitution.  Accepts the same
+    shapes as build_toeplitz and raises SingularInputError under the same
+    u_0 rule.
+    """
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    u = _leading_coefficients(input_spec)
+    v = np.zeros(u.shape[:-1] + (size,))
+    v[..., 0] = 1.0 / u[..., 0]
+    for n in range(1, size):
+        k = min(n, u.shape[-1] - 1)
+        acc = np.sum(u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1], axis=-1)
+        v[..., n] = -acc / u[..., 0]
+    return v
 
 
 def build_omega(m_count: int) -> np.ndarray:
@@ -120,13 +151,12 @@ def build_omega(m_count: int) -> np.ndarray:
     if m_count < 3:
         raise ValueError("need at least three Markov parameters")
     n = m_count - 1
+    m = np.arange(n, dtype=float)
+    i = np.arange(n)
     omega = np.zeros((n, n))
-    for m in range(n):
-        omega[m, m] = 2.0 * m
-        if m >= 1:
-            omega[m, m - 1] = -(m - 1.0)
-        if m + 1 <= n - 1:
-            omega[m, m + 1] = -(m + 1.0)
+    omega[i, i] = 2.0 * m
+    omega[i[1:], i[:-1]] = -(m[1:] - 1.0)
+    omega[i[:-1], i[1:]] = -(m[:-1] + 1.0)
     return omega
 
 

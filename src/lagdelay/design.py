@@ -23,7 +23,7 @@ from .basis import (
     build_phi,
     eval_basis_matrix,
 )
-from .delay_ops import Spectrum, build_toeplitz, markov_params
+from .delay_ops import Spectrum, build_toeplitz, markov_params, reciprocal_series
 from .errors import InfeasibleDesignError
 from .simulate import InputDesign
 
@@ -105,7 +105,13 @@ def _assemble_coefficients(u0: float, odds: np.ndarray, i_order: int) -> np.ndar
 
 
 class _ObjectiveContext:
-    """Per-p precomputation making each candidate evaluation O((K+1)^2)."""
+    """Per-p precomputation; scores a whole batch of candidates at once.
+
+    With the basis factors Phi = QR stored on the sampled basis, the
+    noise-free spectrum estimate is linear in u (``projector``) and the
+    estimate covariance is noise_var T^{-1}(U) R^{-1} R^{-T} T^{-T}(U).
+    T^{-1}(U) is applied as T(v), v the reciprocal power series of u.
+    """
 
     def __init__(self, p: float, problem: DesignProblem):
         self.p = p
@@ -114,25 +120,28 @@ class _ObjectiveContext:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             phi = build_phi(cfg, problem.delta, problem.n_samples, problem.cond_threshold)
+        self.cond = phi.cond
         self.usable = not phi.ill_conditioned
         if not self.usable:
             return
         t = np.arange(problem.n_samples) * problem.delta
         cfg_in = BasisConfig(p=p, num_funcs=problem.i_order + 1)
         delayed = eval_basis_matrix(cfg_in, t - problem.tau_guess)
-        q, r = np.linalg.qr(phi.matrix)
         # spectrum of the noise-free delayed input is linear in u
-        self.projector = solve_triangular(r, q.T @ delayed, lower=False)
-        self.r_inv = solve_triangular(r, np.eye(k1), lower=False)
+        self.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
+        self.r_inv = solve_triangular(phi.r, np.eye(k1), lower=False)
         self.h_true = markov_params(2.0 * p * problem.tau_guess, k1).values
         self.noise_var = problem.noise_var
         self.k1 = k1
 
-    def mse(self, u: np.ndarray) -> float:
-        t_u = build_toeplitz(Spectrum(u, self.p), self.k1)
-        bias = solve_triangular(t_u, self.projector @ u, lower=True) - self.h_true
-        g = solve_triangular(t_u, self.r_inv, lower=True)
-        return float(bias @ bias + self.noise_var * np.sum(g * g))
+    def mse(self, u: np.ndarray) -> np.ndarray:
+        """Markov-estimate MSE of each candidate; u has shape (..., I + 1)."""
+        t_inv = build_toeplitz(reciprocal_series(u, self.k1), self.k1)
+        bias = np.einsum("...ij,...j->...i", t_inv, u @ self.projector.T) - self.h_true
+        g = t_inv @ self.r_inv
+        return np.einsum("...i,...i->...", bias, bias) + self.noise_var * np.einsum(
+            "...ij,...ij->...", g, g
+        )
 
 
 def _candidate_free_vars(problem: DesignProblem):
@@ -189,29 +198,48 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     infeasible (the design is free to move p, unlike the estimator).
     """
     candidates = _candidate_free_vars(problem)
-    best = None  # (objective, p_index, cand_index, p, u0, odds)
-    contexts = {}
-    for pi, p in enumerate(problem.p_grid):
+    if not candidates:
+        raise InfeasibleDesignError(
+            "the coefficient grid has no candidate with u_0 > 0; raise u_grid_points"
+        )
+    cand_u = np.array(
+        [_assemble_coefficients(u0, odds, problem.i_order) for u0, odds in candidates]
+    )
+    best = None  # (objective, cand_index, p, u0, odds)
+    unusable = 0
+    for p in problem.p_grid:
         ctx = _ObjectiveContext(float(p), problem)
         if not ctx.usable:
+            unusable += 1
+            log.debug("p=%.6g cond(R)=%.4e usable=False", p, ctx.cond)
             continue
-        contexts[pi] = ctx
-        for ci, (u0, odds) in enumerate(candidates):
-            u = _assemble_coefficients(u0, odds, problem.i_order)
-            obj = ctx.mse(u)
-            if best is None or obj < best[0]:
-                best = (obj, pi, ci, float(p), u0, odds)
+        objs = ctx.mse(cand_u)
+        ci = int(np.argmin(objs))
+        log.debug(
+            "p=%.6g cond(R)=%.4e usable=True best_objective=%.6e candidate=%d",
+            p, ctx.cond, objs[ci], ci,
+        )
+        if best is None or objs[ci] < best[0]:
+            u0, odds = candidates[ci]
+            best = (float(objs[ci]), ci, float(p), u0, odds)
     if best is None:
         raise InfeasibleDesignError(
             "no grid point satisfies the constraints with a usable basis; "
             "revise the grids, energy bound or conditioning threshold"
         )
 
-    obj, pi, _, p_star, u0_star, odds_star = best
+    obj, ci, p_star, u0_star, odds_star = best
+    grid_obj, grid_p, refine_contexts = obj, p_star, 0
     if problem.refine:
-        p_star, u0_star, odds_star, obj = _refine(
+        p_star, u0_star, odds_star, obj, refine_contexts = _refine(
             problem, p_star, u0_star, odds_star, obj
         )
+    log.info(
+        "design grid: %d of %d p unusable; best grid point p=%.6g candidate=%d "
+        "objective=%.6e; refined p=%.6g objective=%.6e with %d refinement contexts",
+        unusable, len(problem.p_grid), grid_p, ci, grid_obj,
+        p_star, obj, refine_contexts,
+    )
 
     u = _assemble_coefficients(u0_star, odds_star, problem.i_order)
     energy = u @ u
@@ -232,7 +260,8 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
 
 def _refine(problem, p, u0, odds, obj):
     """Coordinate descent around the best grid point; each coordinate is
-    minimized by golden section within one grid spacing."""
+    minimized by golden section within one grid spacing.  Also returns the
+    number of per-p contexts the descent built."""
     p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
@@ -250,7 +279,7 @@ def _refine(problem, p, u0, odds, obj):
         energy = u @ u
         if energy > problem.energy_bound:
             u = u * np.sqrt(problem.energy_bound / energy)
-        return ctx.mse(u)
+        return float(ctx.mse(u))
 
     for _ in range(20):
         prev = obj
@@ -274,4 +303,4 @@ def _refine(problem, p, u0, odds, obj):
             )
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
             break
-    return p, u0, odds, obj
+    return p, u0, odds, obj, len(contexts)

@@ -78,7 +78,7 @@ class CrlbReport:
 def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
     """Least-squares output spectrum: argmin_Y ||Z - Phi Y||_2.
 
-    Solved through an orthogonal factorization of Phi (never the normal
+    Solved with the thin QR factors stored on the basis (never the normal
     equations).  Refuses a basis flagged as ill-conditioned.
     """
     if data.n_samples != phi.n_samples:
@@ -87,7 +87,7 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
         )
     if phi.ill_conditioned:
         raise IllConditionedError(phi.cond, phi.cond_threshold)
-    coeffs, *_ = np.linalg.lstsq(phi.matrix, data.z, rcond=None)
+    coeffs = solve_triangular(phi.r, phi.q.T @ data.z, lower=False)
     return Spectrum(coeffs=coeffs, p=phi.p)
 
 

@@ -1,10 +1,13 @@
 """Basis-layer tests: polynomials, closed forms, state space, sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lagdelay.basis import (
+    DEFAULT_COND_THRESHOLD,
     BasisConfig,
     assoc_laguerre_poly,
     assoc_laguerre_recurrence,
@@ -204,6 +207,44 @@ class TestBuildPhi:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             build_phi(BasisConfig(p=1.0, num_funcs=4), 0.1, 3)
+
+
+# (delta, n_samples, num_funcs) of the section 7.2 and 7.1 design problems,
+# scanned over the design optimizer's default p grid
+SECTION7_SAMPLINGS = [(3e-4, 1667, 13), (1e-4, 5001, 7)]
+SECTION7_P_GRID = np.geomspace(1.0, 200.0, 40)
+
+
+class TestBasisFactors:
+    @pytest.mark.parametrize("delta,n,k1", SECTION7_SAMPLINGS)
+    def test_thin_qr_reproduces_phi(self, delta, n, k1):
+        for p in [20.0, 37.3, 150.0]:
+            phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n)
+            assert phi.q.shape == (n, k1) and phi.r.shape == (k1, k1)
+            assert_allclose(phi.q.T @ phi.q, np.eye(k1), rtol=0, atol=1e-13)
+            assert np.array_equal(phi.r, np.triu(phi.r))
+            scale = np.abs(phi.matrix).max()
+            assert_allclose(phi.q @ phi.r, phi.matrix, rtol=0, atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("delta,n,k1", SECTION7_SAMPLINGS)
+    def test_cond_and_flag_match_svd(self, delta, n, k1):
+        for p in SECTION7_P_GRID:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                phi = build_phi(BasisConfig(p=float(p), num_funcs=k1), delta, n)
+            svd_cond = np.linalg.cond(phi.matrix)
+            assert phi.cond == pytest.approx(svd_cond, rel=1e-12)
+            assert phi.ill_conditioned == (svd_cond > DEFAULT_COND_THRESHOLD)
+
+    def test_flag_just_above_threshold(self):
+        # section 7.2 grid point p ~ 7.674 has cond(Phi) ~ 1.0106e8, about 1%
+        # above the default threshold
+        p = float(SECTION7_P_GRID[15])
+        assert p == pytest.approx(7.674, rel=1e-4)
+        with pytest.warns(IllConditionedWarning):
+            phi = build_phi(BasisConfig(p=p, num_funcs=13), 3e-4, 1667)
+        assert phi.ill_conditioned
+        assert phi.cond == pytest.approx(1.0106e8, rel=1e-4)
 
 
 class TestConfigValidation:

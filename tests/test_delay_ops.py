@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import toeplitz
 
 from lagdelay.delay_ops import (
+    U0_TOLERANCE,
     MarkovSequence,
     Spectrum,
     assemble_ab,
@@ -13,6 +17,7 @@ from lagdelay.delay_ops import (
     closed_form_delay,
     delay_spectrum,
     markov_params,
+    reciprocal_series,
 )
 from lagdelay.errors import DegenerateBError, SingularInputError
 
@@ -110,6 +115,66 @@ class TestToeplitz:
         with pytest.raises(SingularInputError):
             build_toeplitz(Spectrum(np.array([0.0, 1.0]), 1.0), 2)
 
+    def test_matches_scipy_toeplitz(self):
+        u = np.array([0.9, -0.3, 0.3, -0.9])
+        for size in [1, 3, 4, 13]:
+            col = np.zeros(size)
+            col[: min(size, u.size)] = u[:size]
+            expected = toeplitz(col, np.r_[col[0], np.zeros(size - 1)])
+            assert np.array_equal(build_toeplitz(Spectrum(u, 1.0), size), expected)
+
+    def test_batch_stacks_single_operators(self):
+        rows = np.random.default_rng(3).uniform(0.2, 1.0, size=(2, 3, 4))
+        stack = build_toeplitz(rows, 6)
+        assert stack.shape == (2, 3, 6, 6)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(stack[idx], build_toeplitz(Spectrum(rows[idx], 1.0), 6))
+
+    def test_singular_row_in_batch_raises(self):
+        rows = np.array([[1.0, 0.5], [0.1 * U0_TOLERANCE, 0.5], [2.0, -1.0]])
+        with pytest.raises(SingularInputError):
+            build_toeplitz(rows, 3)
+
+
+class TestReciprocalSeries:
+    def test_geometric_series(self):
+        # 1 / (2 - 3z) = sum (1/2) (3/2)^n z^n
+        v = reciprocal_series(Spectrum(np.array([2.0, -3.0]), 1.0), 5)
+        assert_allclose(v, 0.5 * 1.5 ** np.arange(5), rtol=1e-15)
+
+    def test_scalar_input(self):
+        assert_allclose(reciprocal_series(np.array([4.0]), 3), [0.25, 0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u0=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
+        tail=st.lists(st.floats(-10.0, 10.0), max_size=7),
+        size=st.integers(1, 16),
+    )
+    @example(u0=4.0, tail=[3.7049321676788305e-78], size=5)
+    def test_inverts_toeplitz(self, u0, tail, size):
+        u = np.array([u0, *tail])
+        t_u = build_toeplitz(u, size)
+        t_v = build_toeplitz(reciprocal_series(u, size), size)
+        # forward substitution is componentwise backward stable, so the
+        # residual is bounded relative to |T(v)| |T(u)|, which is 1 on the
+        # diagonal and grows with the series when |u_0| is small; the floor
+        # covers products that underflow into the subnormal range
+        scale = np.abs(t_v) @ np.abs(t_u) + np.finfo(float).tiny
+        assert np.all(np.abs(t_v @ t_u - np.eye(size)) <= 1e-12 * scale)
+
+    def test_batch_rows_match_single_rows(self):
+        rows = np.random.default_rng(5).uniform(0.1, 1.0, size=(7, 4))
+        batch = reciprocal_series(rows, 13)
+        for row, v in zip(rows, batch):
+            assert np.array_equal(v, reciprocal_series(row, 13))
+
+    def test_singular_row_in_batch_raises(self):
+        rows = np.array([[1.0, 0.5], [2.0, -1.0], [-0.5 * U0_TOLERANCE, 1.0]])
+        with pytest.raises(SingularInputError):
+            reciprocal_series(rows, 4)
+        reciprocal_series(rows[:2], 4)  # the regular rows alone are fine
+
 
 class TestOmegaSystem:
     def test_m3_matrix(self):
@@ -142,6 +207,20 @@ class TestOmegaSystem:
             assemble_ab(markov_params(1.0, 2))
         with pytest.raises(ValueError):
             build_omega(2)
+
+    def test_stencil_matches_loop_reference(self):
+        for m_count in range(3, 21):
+            n = m_count - 1
+            reference = np.zeros((n, n))
+            for m in range(n):
+                reference[m, m] = 2.0 * m
+                if m >= 1:
+                    reference[m, m - 1] = -(m - 1.0)
+                if m + 1 <= n - 1:
+                    reference[m, m + 1] = -(m + 1.0)
+            omega = build_omega(m_count)
+            assert np.array_equal(omega, reference)
+            assert np.array_equal(np.signbit(omega), np.signbit(reference))
 
 
 class TestClosedFormDelay:

@@ -1,9 +1,15 @@
 """Design-module tests: constraint checks, grid optimizer contracts."""
 
+import logging
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from lagdelay.analysis import markov_mse
+from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
 from lagdelay.design import (
     DesignProblem,
     _ObjectiveContext,
@@ -30,6 +36,49 @@ def tiny_problem(**overrides):
     )
     base.update(overrides)
     return DesignProblem(**base)
+
+
+# the section 7.2 and 7.1 (delta = 1e-4) design problems, with the number
+# of default grid points whose basis passes the conditioning screen
+SECTION7_PROBLEMS = {
+    "7.2": (dict(delta=3e-4, n_samples=1667, k_model=12, tau_guess=3e-4), 24),
+    "7.1": (dict(delta=1e-4, n_samples=5001, k_model=6, tau_guess=1e-4), 40),
+}
+
+
+def candidate_matrix(problem: DesignProblem) -> np.ndarray:
+    return np.array([
+        _assemble_coefficients(u0, odds, problem.i_order)
+        for u0, odds in _candidate_free_vars(problem)
+    ])
+
+
+class ScalarObjective:
+    """The candidate-at-a-time objective: its own QR of Phi, forward
+    substitution with T(U) for the bias and for T^{-1}(U) R^{-1}."""
+
+    def __init__(self, p: float, problem: DesignProblem):
+        self.p = p
+        k1 = problem.k_model + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            phi = build_phi(BasisConfig(p=p, num_funcs=k1), problem.delta,
+                            problem.n_samples, problem.cond_threshold)
+        t = np.arange(problem.n_samples) * problem.delta
+        cfg_in = BasisConfig(p=p, num_funcs=problem.i_order + 1)
+        delayed = eval_basis_matrix(cfg_in, t - problem.tau_guess)
+        q, r = np.linalg.qr(phi.matrix)
+        self.projector = solve_triangular(r, q.T @ delayed, lower=False)
+        self.r_inv = solve_triangular(r, np.eye(k1), lower=False)
+        self.h_true = markov_params(2.0 * p * problem.tau_guess, k1).values
+        self.noise_var = problem.noise_var
+        self.k1 = k1
+
+    def mse(self, u: np.ndarray) -> float:
+        t_u = build_toeplitz(Spectrum(u, self.p), self.k1)
+        bias = solve_triangular(t_u, self.projector @ u, lower=True) - self.h_true
+        g = solve_triangular(t_u, self.r_inv, lower=True)
+        return float(bias @ bias + self.noise_var * np.sum(g * g))
 
 
 class TestValidateConstraints:
@@ -120,6 +169,11 @@ class TestOptimizeDesign:
         ).mse
         assert fast == pytest.approx(slow, rel=1e-9)
 
+    def test_infeasible_when_coefficient_grid_is_empty(self):
+        # one grid point per axis leaves only u_0 = 0, which the grid drops
+        with pytest.raises(InfeasibleDesignError):
+            optimize_design(tiny_problem(u_grid_points=1))
+
     def test_infeasible_when_every_p_ill_conditioned(self):
         problem = tiny_problem(p_grid=np.array([0.05]), k_model=12, n_samples=200)
         with pytest.raises(InfeasibleDesignError):
@@ -142,3 +196,52 @@ class TestOptimizeDesign:
             tiny_problem(energy_bound=0.0)
         with pytest.raises(ValueError):
             tiny_problem(tau_guess=-1e-4)
+
+
+class TestBatchedObjective:
+    @pytest.mark.parametrize("section", sorted(SECTION7_PROBLEMS))
+    def test_matches_scalar_oracle(self, section):
+        sampling, usable_expected = SECTION7_PROBLEMS[section]
+        problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
+        cand_u = candidate_matrix(problem)
+        assert len(cand_u) == 576
+        usable = 0
+        for p in problem.p_grid:
+            ctx = _ObjectiveContext(float(p), problem)
+            if not ctx.usable:
+                continue
+            usable += 1
+            batched = ctx.mse(cand_u)
+            oracle = ScalarObjective(float(p), problem)
+            scalar = np.array([oracle.mse(u) for u in cand_u])
+            rel = np.abs(batched - scalar) / np.abs(scalar)
+            assert rel.max() <= 1e-10, (p, rel.max())
+            assert np.argmin(batched) == np.argmin(scalar)
+        assert usable == usable_expected
+
+    def test_single_candidate_matches_its_batch_row(self):
+        problem = tiny_problem()
+        ctx = _ObjectiveContext(35.0, problem)
+        cand_u = candidate_matrix(problem)
+        batched = ctx.mse(cand_u)
+        for i, u in enumerate(cand_u):
+            assert ctx.mse(u) == pytest.approx(batched[i], rel=1e-14)
+
+
+class TestDesignLogging:
+    def test_per_p_debug_and_summary_info(self, caplog):
+        problem = tiny_problem(p_grid=np.array([0.05, 20.0, 35.0, 50.0, 80.0]), refine=True)
+        with caplog.at_level(logging.DEBUG, logger="lagdelay.design"):
+            design = optimize_design(problem)
+        records = [r for r in caplog.records if r.name == "lagdelay.design"]
+        debug = [r.getMessage() for r in records if r.levelno == logging.DEBUG]
+        info = [r.getMessage() for r in records if r.levelno == logging.INFO]
+        assert len(debug) == len(problem.p_grid)
+        assert debug[0].startswith("p=0.05 ") and "usable=False" in debug[0]
+        for msg in debug[1:]:
+            assert "usable=True" in msg and "best_objective=" in msg and "candidate=" in msg
+        assert len(info) == 1
+        assert "1 of 5 p unusable" in info[0]
+        assert f"refined p={design.p:.6g}" in info[0]
+        contexts = int(info[0].rsplit("with ", 1)[1].split()[0])
+        assert contexts > 0

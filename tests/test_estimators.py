@@ -61,6 +61,19 @@ class TestSpectrumLS:
         oracle = np.linalg.solve(phi.T @ phi, phi.T @ ds.z)
         assert_allclose(y_hat, oracle, rtol=1e-9, atol=1e-12)
 
+    def test_matches_lstsq_oracle(self, bench_design):
+        for p in [20.0, 50.0, 120.0]:
+            design = InputDesign(
+                p=p, u=Spectrum(bench_design.u.coeffs, p), energy_bound=2.0,
+                horizon=bench_design.horizon, delta=bench_design.delta, tau_guess=3e-4,
+            )
+            phi = build_phi(BasisConfig(p, 13), design.delta, design.n_samples)
+            for seed in range(3):
+                ds = make_dataset(design, TAU, 0.01, (seed, 0))
+                y_hat = estimate_spectrum_ls(ds, phi).coeffs
+                oracle, *_ = np.linalg.lstsq(phi.matrix, ds.z, rcond=None)
+                assert np.linalg.norm(y_hat - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_perturbation_strictly_increases_residual(self, bench_design, bench_phi):
         ds = make_dataset(bench_design, TAU, 0.01, (9, 0))
         y_hat = estimate_spectrum_ls(ds, bench_phi).coeffs
