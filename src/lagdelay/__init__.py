@@ -17,12 +17,10 @@ from .basis import (
     BasisConfig,
     ContinuousRealization,
     SampledBasis,
-    assoc_laguerre_poly,
     assoc_laguerre_recurrence,
     build_continuous_ss,
     build_phi,
     discretize_impulse_invariant,
-    eval_basis_time,
 )
 from .delay_ops import (
     DelayLinearSystem,
@@ -42,6 +40,7 @@ from .errors import (
     IllConditionedError,
     IllConditionedWarning,
     InfeasibleDesignError,
+    InvalidDatasetError,
     LagDelayError,
     NoImprovementWarning,
     SingularInputError,
@@ -51,6 +50,7 @@ from .estimators import (
     CrlbReport,
     DelayEstimate,
     crlb,
+    estimate_delay,
     estimate_delay_freq_interp,
     estimate_delay_lag_spline,
     estimate_delay_ml,

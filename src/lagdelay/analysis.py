@@ -16,21 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi
-from .delay_ops import (
-    BTB_TOLERANCE,
-    assemble_ab,
-    build_toeplitz,
-    markov_params,
-)
+from .basis import BasisConfig, build_phi
+from .delay_ops import BTB_TOLERANCE, assemble_ab, build_toeplitz, markov_params
 from .errors import DegenerateBError, LagDelayError
-from .estimators import (
-    estimate_delay_freq_interp,
-    estimate_delay_lag_spline,
-    estimate_delay_ml,
-    estimate_delay_proposed,
-    estimate_spectrum_ls,
-)
+from .estimators import ESTIMATORS, estimate_delay, estimate_spectrum_ls, markov_order
 from .simulate import Dataset, InputDesign, add_noise, default_tau_max, sample_delayed
 
 
@@ -128,7 +117,6 @@ def markov_mse(
     noise_var: float,
     tau_check: float,
     n_samples: int | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> MarkovAccuracy:
     """Mean-square error of the Markov-parameter estimate.
 
@@ -142,7 +130,7 @@ def markov_mse(
         raise ValueError("tau_check must be nonnegative")
     n = design.n_samples if n_samples is None else n_samples
     cfg = BasisConfig(p=design.p, num_funcs=k_model + 1)
-    phi = build_phi(cfg, design.delta, n, cond_threshold)
+    phi = build_phi(cfg, design.delta, n)
     clean = Dataset(
         z=sample_delayed(design, tau_check, n),
         delta=design.delta,
@@ -190,9 +178,7 @@ def predict_bias_tau(
     """
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
-    m = k_model + 1 if m_markov is None else m_markov
-    if not 3 <= m <= k_model + 1:
-        raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
+    m = markov_order(k_model, m_markov)
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
     system = assemble_ab(h_true[:m])
     omega, vec_a, vec_b = system.omega, system.vec_a, system.vec_b
@@ -238,19 +224,10 @@ def _run_single_replicate(context, replicate: int) -> dict:
     out = {}
     for method in context["methods"]:
         try:
-            if method == "proposed":
-                est = estimate_delay_proposed(
-                    ds, cfg.design, cfg.k_model, cfg.m_markov, phi=context["phi"]
-                )
-            elif method == "ml":
-                est = estimate_delay_ml(ds, cfg.design, context["tau_max"])
-            elif method == "lag_spline":
-                est = estimate_delay_lag_spline(ds, cfg.design, cfg.k_model, cfg.m_markov)
-            elif method == "freq_interp":
-                est = estimate_delay_freq_interp(ds, cfg.design)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            out[method] = est.tau_hat
+            out[method] = estimate_delay(
+                method, ds, cfg.design, k_model=cfg.k_model, m_markov=cfg.m_markov,
+                tau_max=context["tau_max"], phi=context["phi"],
+            ).tau_hat
         except LagDelayError:
             out[method] = None
     return out
@@ -283,7 +260,7 @@ def _worker(payload) -> list[tuple[int, dict]]:
 
 def run_monte_carlo(
     config: BenchmarkConfig,
-    methods=("proposed", "ml", "lag_spline", "freq_interp"),
+    methods=ESTIMATORS,
     replicates: int = 1000,
     seed: int = 0,
     workers: int = 1,

@@ -5,11 +5,14 @@ shifted-index Laguerre polynomials used by the delay operator, the
 continuous LTI state-space realization of the basis, its impulse-invariant
 discretization, and the sampled basis matrix Phi used for spectrum
 estimation.
+
+Sign convention used throughout the package: every basis function starts
+positive, ell_j(0) = +sqrt(2p) for all j.  Closed forms, state-space
+matrices and delay Markov parameters are mutually consistent under it.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,15 +20,6 @@ import numpy as np
 from scipy.linalg import expm, qr
 
 from .errors import IllConditionedWarning
-
-# Sign convention used throughout the package: every basis function starts
-# positive, ell_j(0) = +sqrt(2p) for all j.  Closed forms, state-space
-# matrices and delay Markov parameters are mutually consistent under it.
-SIGN_CONVENTION = "ell_j(0) = +sqrt(2p) for all j"
-
-# Largest polynomial order evaluated by the explicit finite sum with exact
-# binomials; above it the three-term recurrence takes over.
-DIRECT_SUM_MAX_ORDER = 12
 
 # Default ceiling on cond(Phi) before the basis is flagged as unusable for
 # least squares.
@@ -38,7 +32,6 @@ class BasisConfig:
 
     p: float
     num_funcs: int
-    sign_convention: str = SIGN_CONVENTION
 
     def __post_init__(self):
         if not self.p > 0:
@@ -84,32 +77,6 @@ class SampledBasis:
     r: np.ndarray = field(repr=False)
 
 
-def assoc_laguerre_poly(m: int, xi: float) -> float:
-    """Shifted-index associated Laguerre polynomial L_m(xi).
-
-    These are the alpha = -1 members of the generalized Laguerre family:
-    L_0 = 1, L_1 = -xi, L_2 = xi^2/2 - xi, ...  Orders up to
-    DIRECT_SUM_MAX_ORDER use the explicit finite sum with exact binomial
-    coefficients; higher orders use the three-term recurrence.
-    """
-    if m < 0:
-        raise ValueError("polynomial order must be nonnegative")
-    if m == 0:
-        return 1.0
-    if m <= DIRECT_SUM_MAX_ORDER:
-        # sum_{n=1}^{m} binom(m-1, n-1) (-xi)^n / n! ; the n = 0 term
-        # vanishes for m >= 1.
-        acc = 0.0
-        for n in range(1, m + 1):
-            acc += math.comb(m - 1, n - 1) * (-xi) ** n / math.factorial(n)
-        return acc
-    l_prev = 1.0
-    l_curr = -xi
-    for mm in range(1, m):
-        l_prev, l_curr = l_curr, assoc_laguerre_recurrence(l_prev, l_curr, mm, xi)
-    return l_curr
-
-
 def assoc_laguerre_recurrence(l_prev: float, l_curr: float, m: int, xi: float) -> float:
     """Advance the shifted-index polynomials one order: given L_{m-1} and
     L_m at xi, return L_{m+1}(xi) = ((2m - xi) L_m - (m - 1) L_{m-1}) / (m + 1).
@@ -120,7 +87,12 @@ def assoc_laguerre_recurrence(l_prev: float, l_curr: float, m: int, xi: float) -
 
 
 def assoc_laguerre_sequence(xi: float, count: int) -> np.ndarray:
-    """L_0(xi) ... L_{count-1}(xi) by the stable upward recurrence."""
+    """Shifted-index associated Laguerre polynomials L_0(xi) ... L_{count-1}(xi)
+    by the stable upward recurrence.
+
+    These are the alpha = -1 members of the generalized Laguerre family:
+    L_0 = 1, L_1 = -xi, L_2 = xi^2/2 - xi, ...
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     out = np.empty(count)
@@ -160,14 +132,6 @@ def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     table = _std_laguerre_table(x, cfg.k_max)
     envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
     return envelope[..., None] * table
-
-
-def eval_basis_time(cfg: BasisConfig, j: int, t) -> float | np.ndarray:
-    """Single analytic basis function ell_j at time(s) t."""
-    if not 0 <= j <= cfg.k_max:
-        raise ValueError(f"basis index {j} outside 0..{cfg.k_max}")
-    vals = eval_basis_matrix(cfg, np.atleast_1d(t))[:, j]
-    return float(vals[0]) if np.isscalar(t) else vals
 
 
 def eval_basis_derivative_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:

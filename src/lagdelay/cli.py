@@ -29,14 +29,7 @@ from .basis import (
 )
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
-from .estimators import (
-    ESTIMATORS,
-    crlb,
-    estimate_delay_freq_interp,
-    estimate_delay_lag_spline,
-    estimate_delay_ml,
-    estimate_delay_proposed,
-)
+from .estimators import ESTIMATORS, crlb, estimate_delay
 from .simulate import InputDesign, default_tau_max, load_dataset, make_dataset, save_dataset
 
 log = logging.getLogger("lagdelay")
@@ -82,10 +75,14 @@ def _load_json(path) -> dict:
         return json.load(f)
 
 
-def _parse_methods(raw: str) -> tuple:
-    if raw.strip().lower() == "all":
-        return ESTIMATORS
-    methods = tuple(m.strip() for m in raw.split(",") if m.strip())
+def _parse_methods(raw: str | list) -> tuple:
+    """Estimator names from a comma-separated ``--methods`` value or a
+    config list; 'all' selects every estimator."""
+    if isinstance(raw, str):
+        if raw.strip().lower() == "all":
+            return ESTIMATORS
+        raw = raw.split(",")
+    methods = tuple(str(m).strip() for m in raw if str(m).strip())
     for m in methods:
         if m not in ESTIMATORS:
             raise ValueError(f"unknown method {m!r}; choose from {ESTIMATORS} or 'all'")
@@ -190,15 +187,9 @@ def cmd_estimate(args) -> int:
     estimates, errors = {}, {}
     for method in methods:
         try:
-            if method == "proposed":
-                est = estimate_delay_proposed(ds, design, k_model, args.m_markov)
-            elif method == "ml":
-                est = estimate_delay_ml(ds, design, tau_max)
-            elif method == "lag_spline":
-                est = estimate_delay_lag_spline(ds, design, k_model, args.m_markov)
-            else:
-                est = estimate_delay_freq_interp(ds, design)
-            estimates[method] = est.to_dict()
+            estimates[method] = estimate_delay(
+                method, ds, design, k_model=k_model, m_markov=args.m_markov, tau_max=tau_max
+            ).to_dict()
         except LagDelayError as exc:
             errors[method] = f"{type(exc).__name__}: {exc}"
     crlb_payload = None
@@ -229,26 +220,15 @@ def cmd_estimate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load_json(args.config)
-    if "design" in cfg:
-        design = InputDesign.from_dict(cfg["design"])
-    else:
-        design = InputDesign.from_dict(_load_json(cfg["design_path"]))
+    if "design" not in cfg:
+        cfg["design"] = _load_json(cfg["design_path"])
+    bench = BenchmarkConfig.from_dict(cfg)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         print("error: benchmark seed is mandatory (config 'seed' or --seed)", file=sys.stderr)
         return EXIT_ERROR
     replicates = args.replicates if args.replicates is not None else int(cfg.get("replicates", 1000))
-    methods = _parse_methods(args.methods) if args.methods else tuple(cfg.get("methods", ESTIMATORS))
-    bench = BenchmarkConfig(
-        design=design,
-        true_tau=float(cfg["true_tau"]),
-        noise_var=float(cfg["noise_var"]),
-        k_model=int(cfg["k_model"]),
-        m_markov=None if cfg.get("m_markov") is None else int(cfg["m_markov"]),
-        tau_max=None if cfg.get("tau_max") is None else float(cfg["tau_max"]),
-        n_samples=None if cfg.get("n_samples") is None else int(cfg["n_samples"]),
-        hist_bins=int(cfg.get("hist_bins", 40)),
-    )
+    methods = _parse_methods(args.methods or cfg.get("methods", "all"))
     resolved = {"benchmark": bench.to_dict(), "methods": list(methods),
                 "replicates": replicates, "seed": int(seed)}
     started = time.perf_counter()
@@ -258,7 +238,7 @@ def cmd_benchmark(args) -> int:
     crlb_value = None
     if bench.noise_var > 0:
         crlb_value = crlb(
-            design, bench.true_tau, bench.noise_var, n_samples=bench.resolved_n_samples()
+            bench.design, bench.true_tau, bench.noise_var, n_samples=bench.resolved_n_samples()
         ).bound
     per_method = {
         m: {

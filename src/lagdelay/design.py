@@ -17,14 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import (
-    DEFAULT_COND_THRESHOLD,
-    BasisConfig,
-    build_phi,
-    eval_basis_matrix,
-)
+from .basis import BasisConfig, build_phi, eval_basis_matrix
 from .delay_ops import Spectrum, build_toeplitz, markov_params, reciprocal_series
 from .errors import InfeasibleDesignError
+from .estimators import golden_section
 from .simulate import InputDesign
 
 log = logging.getLogger("lagdelay.design")
@@ -47,7 +43,6 @@ class DesignProblem:
     p_grid: np.ndarray = field(default=None)
     u_grid_points: int = 25
     refine: bool = True
-    cond_threshold: float = DEFAULT_COND_THRESHOLD
 
     def __post_init__(self):
         if self.i_order < 1 or self.i_order % 2 == 0:
@@ -119,7 +114,7 @@ class _ObjectiveContext:
         cfg = BasisConfig(p=p, num_funcs=k1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            phi = build_phi(cfg, problem.delta, problem.n_samples, problem.cond_threshold)
+            phi = build_phi(cfg, problem.delta, problem.n_samples)
         self.cond = phi.cond
         self.usable = not phi.ill_conditioned
         if not self.usable:
@@ -172,24 +167,6 @@ def _candidate_free_vars(problem: DesignProblem):
     return out
 
 
-def _golden_scalar(fn, lo: float, hi: float, rel_tol: float):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-12):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def optimize_design(problem: DesignProblem) -> InputDesign:
     """Exhaustive grid search over (p, free coefficients), optionally
     refined by coordinate descent; deterministic first-minimum tie-break.
@@ -225,7 +202,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     if best is None:
         raise InfeasibleDesignError(
             "no grid point satisfies the constraints with a usable basis; "
-            "revise the grids, energy bound or conditioning threshold"
+            "revise the grids or the energy bound"
         )
 
     obj, ci, p_star, u0_star, odds_star = best
@@ -283,14 +260,14 @@ def _refine(problem, p, u0, odds, obj):
 
     for _ in range(20):
         prev = obj
-        p, obj = _golden_scalar(
-            lambda x: objective(x, u0, odds), p / p_ratio, p * p_ratio, 1e-3
+        p, obj, _ = golden_section(
+            lambda x: objective(x, u0, odds), p / p_ratio, p * p_ratio, rtol=1e-3
         )
-        u0, obj = _golden_scalar(
+        u0, obj, _ = golden_section(
             lambda x: objective(p, x, odds),
             max(u0 - step, 1e-6 * root),
             min(u0 + step, root),
-            1e-4,
+            rtol=1e-4,
         )
         for j in range(odds.size):
             def fn(x, j=j):
@@ -298,8 +275,8 @@ def _refine(problem, p, u0, odds, obj):
                 trial[j] = x
                 return objective(p, u0, trial)
 
-            odds[j], obj = _golden_scalar(
-                fn, max(odds[j] - step, 0.0), min(odds[j] + step, root), 1e-4
+            odds[j], obj, _ = golden_section(
+                fn, max(odds[j] - step, 0.0), min(odds[j] + step, root), rtol=1e-4
             )
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
             break

@@ -46,6 +46,11 @@ class FlatCorrelationError(LagDelayError):
     the data carry no alignment information."""
 
 
+class InvalidDatasetError(LagDelayError):
+    """Measurements are unusable: a sample is not finite, or a stored time
+    stamp is off the sampling grid n * delta."""
+
+
 class InfeasibleDesignError(LagDelayError):
     """No candidate in the design grid satisfies every constraint."""
 

@@ -23,13 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
 
-from .basis import (
-    DEFAULT_COND_THRESHOLD,
-    BasisConfig,
-    SampledBasis,
-    build_phi,
-    eval_basis_matrix,
-)
+from .basis import BasisConfig, SampledBasis, build_phi, eval_basis_matrix
 from .delay_ops import Spectrum, assemble_ab, build_toeplitz, closed_form_delay
 from .errors import (
     FlatCorrelationError,
@@ -97,13 +91,36 @@ def estimate_markov(y_hat: Spectrum, input_spec: Spectrum) -> np.ndarray:
     return solve_triangular(t_u, y_hat.coeffs, lower=True)
 
 
+def markov_order(k_model: int, m_markov: int | None) -> int:
+    """Number M of Markov parameters entering the delay ratio: K + 1 unless
+    ``m_markov`` is given, and always within [3, K + 1]."""
+    m = k_model + 1 if m_markov is None else m_markov
+    if not 3 <= m <= k_model + 1:
+        raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
+    return m
+
+
+def _delay_step_order(design: InputDesign, k_model: int, m_markov: int | None) -> int:
+    """Check K >= I and return M for the Laguerre-domain delay step."""
+    if k_model < len(design.u) - 1:
+        raise ValueError("model order must cover the input spectrum length")
+    return markov_order(k_model, m_markov)
+
+
+def _laguerre_delay(y_hat: Spectrum, design: InputDesign, m: int) -> tuple[np.ndarray, float]:
+    """Laguerre-domain delay step shared by ``proposed`` and ``lag_spline``:
+    Markov parameters from the output spectrum, then the closed-form ratio
+    on the first m of them.  Returns (h_hat, tau_hat)."""
+    h_hat = estimate_markov(y_hat, design.u)
+    return h_hat, closed_form_delay(assemble_ab(h_hat[:m]), design.p)
+
+
 def estimate_delay_proposed(
     data: Dataset,
     design: InputDesign,
     k_model: int,
     m_markov: int | None = None,
     phi: SampledBasis | None = None,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> DelayEstimate:
     """Two-step Laguerre-domain delay estimate.
 
@@ -111,18 +128,12 @@ def estimate_delay_proposed(
     Markov solve and the closed-form ratio.  ``m_markov`` defaults to using
     every estimated Markov parameter (K + 1).
     """
-    if k_model < len(design.u) - 1:
-        raise ValueError("model order must cover the input spectrum length")
-    m = k_model + 1 if m_markov is None else m_markov
-    if not 3 <= m <= k_model + 1:
-        raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
+    m = _delay_step_order(design, k_model, m_markov)
     if phi is None:
         cfg = BasisConfig(p=design.p, num_funcs=k_model + 1)
-        phi = build_phi(cfg, data.delta, data.n_samples, cond_threshold)
+        phi = build_phi(cfg, data.delta, data.n_samples)
     y_hat = estimate_spectrum_ls(data, phi)
-    h_hat = estimate_markov(y_hat, design.u)
-    system = assemble_ab(h_hat[:m])
-    tau_hat = closed_form_delay(system, design.p)
+    h_hat, tau_hat = _laguerre_delay(y_hat, design, m)
     residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat.coeffs))
     return DelayEstimate(
         tau_hat=tau_hat,
@@ -155,14 +166,17 @@ def ml_gradient(data: Dataset, design: InputDesign, tau: float) -> float:
     return float(2.0 * data.delta * ((data.z - model) @ slope))
 
 
-def _golden_minimize(fn, a: float, b: float, xtol: float):
-    """Golden-section minimum of fn on [a, b]; returns (x, fn(x), evals)."""
+def golden_section(fn, a: float, b: float, xtol: float = 0.0, rtol: float = 0.0):
+    """Golden-section minimum of fn on [a, b]; returns (x, fn(x), evals).
+
+    Stops once b - a <= xtol + rtol * max(|a|, |b|, 1e-12).
+    """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = fn(x1), fn(x2)
     evals = 2
-    while b - a > xtol:
+    while b - a > xtol + rtol * max(abs(a), abs(b), 1e-12):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -172,26 +186,23 @@ def _golden_minimize(fn, a: float, b: float, xtol: float):
             x2 = a + invphi * (b - a)
             f2 = fn(x2)
         evals += 1
-    x = x1 if f1 <= f2 else x2
-    return x, min(f1, f2), evals
+    return (x1, f1, evals) if f1 <= f2 else (x2, f2, evals)
 
 
 def estimate_delay_ml(
     data: Dataset,
     design: InputDesign,
     tau_max: float,
-    grid_step: float | None = None,
-    xtol: float = GOLDEN_XTOL,
 ) -> DelayEstimate:
     """Time-domain maximum likelihood.
 
-    The objective is non-convex, so a coarse scan at ``grid_step`` (default
-    delta / 4) brackets the global minimum before golden-section refinement
-    down to ``xtol`` seconds.
+    The objective is non-convex, so a coarse scan at delta / 4 brackets the
+    global minimum before golden-section refinement down to GOLDEN_XTOL
+    seconds.
     """
     if tau_max <= 0:
         raise ValueError("tau_max must be positive")
-    step = data.delta / 4.0 if grid_step is None else grid_step
+    step = data.delta / 4.0
     grid = np.arange(0.0, tau_max + step / 2.0, step)
     grid[-1] = min(grid[-1], tau_max)
     shifted = data.t[None, :] - grid[:, None]
@@ -202,7 +213,7 @@ def estimate_delay_ml(
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     fn = lambda tau: ml_negloglik(data, design, tau)
-    tau_ref, f_ref, evals = _golden_minimize(fn, lo, hi, xtol)
+    tau_ref, f_ref, evals = golden_section(fn, lo, hi, xtol=GOLDEN_XTOL)
     converged = True
     if f_ref > objective[best]:
         warnings.warn(
@@ -279,15 +290,9 @@ def estimate_delay_lag_spline(
 ) -> DelayEstimate:
     """Interpolation baseline: spline-projected output spectrum, then the
     Laguerre-domain Markov solve and closed-form delay ratio."""
-    if k_model < len(design.u) - 1:
-        raise ValueError("model order must cover the input spectrum length")
-    m = k_model + 1 if m_markov is None else m_markov
-    if not 3 <= m <= k_model + 1:
-        raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
+    m = _delay_step_order(design, k_model, m_markov)
     y_hat = project_spectrum_spline(data, design.p, k_model + 1)
-    h_hat = estimate_markov(y_hat, design.u)
-    system = assemble_ab(h_hat[:m])
-    tau_hat = closed_form_delay(system, design.p)
+    h_hat, tau_hat = _laguerre_delay(y_hat, design, m)
     return DelayEstimate(
         tau_hat=tau_hat,
         method="lag_spline",
@@ -295,11 +300,7 @@ def estimate_delay_lag_spline(
     )
 
 
-def estimate_delay_freq_interp(
-    data: Dataset,
-    design: InputDesign,
-    amp_threshold: float = FREQ_AMP_THRESHOLD,
-) -> DelayEstimate:
+def estimate_delay_freq_interp(data: Dataset, design: InputDesign) -> DelayEstimate:
     """Cross-correlation baseline with frequency-domain interpolation.
 
     The integer part is the first maximizer of the linear cross-correlation
@@ -327,7 +328,7 @@ def estimate_delay_freq_interp(
     usable = np.zeros(spectrum.size, dtype=bool)
     usable[1 : (n - 1) // 2 + 1] = True
     if usable.any():
-        usable &= amp >= amp_threshold * amp[usable].max()
+        usable &= amp >= FREQ_AMP_THRESHOLD * amp[usable].max()
     if not usable.any():
         raise FlatCorrelationError("no spectral bins above the amplitude threshold")
     omega = 2.0 * np.pi * m[usable] / (n * data.delta)
@@ -348,3 +349,31 @@ def estimate_delay_freq_interp(
 
 
 ESTIMATORS = ("proposed", "ml", "lag_spline", "freq_interp")
+
+
+def estimate_delay(
+    method: str,
+    data: Dataset,
+    design: InputDesign,
+    *,
+    k_model: int,
+    m_markov: int | None,
+    tau_max: float,
+    phi: SampledBasis | None = None,
+) -> DelayEstimate:
+    """Run the estimator named ``method`` (one of ESTIMATORS).
+
+    ``phi`` is a prebuilt basis for ``proposed``; each estimator takes only
+    the arguments it needs.  The estimators are looked up by their
+    module-global names at call time, so a patched estimator is the one
+    that runs.
+    """
+    if method == "proposed":
+        return estimate_delay_proposed(data, design, k_model, m_markov, phi=phi)
+    if method == "ml":
+        return estimate_delay_ml(data, design, tau_max)
+    if method == "lag_spline":
+        return estimate_delay_lag_spline(data, design, k_model, m_markov)
+    if method == "freq_interp":
+        return estimate_delay_freq_interp(data, design)
+    raise ValueError(f"unknown method {method!r}; choose from {ESTIMATORS}")

@@ -17,11 +17,19 @@ import numpy as np
 
 from .basis import BasisConfig, eval_basis_derivative_matrix, eval_basis_matrix
 from .delay_ops import Spectrum
+from .errors import InvalidDatasetError
 
 # |u(0)| above this (relative to the coefficient norm) triggers the
 # discontinuity warning: a jump at t = tau in the delayed output produces a
 # slowly decaying spectrum tail and inflates truncation bias.
 CONTINUITY_TOLERANCE = 1e-9
+
+# Fraction of the input energy that defines its effective support T_u.
+SUPPORT_ENERGY_FRACTION = 0.999
+
+# A CSV time stamp t_n may differ from n * delta by this much, relative to
+# max(|t_n|, delta).
+T_GRID_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +107,9 @@ class Dataset:
             raise ValueError("sample count does not match data length")
         if self.noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
+        bad = np.flatnonzero(~np.isfinite(self.z))
+        if bad.size:
+            raise InvalidDatasetError(f"sample z[{bad[0]}] = {self.z[bad[0]]} is not finite")
 
     @property
     def t(self) -> np.ndarray:
@@ -174,14 +185,13 @@ def make_dataset(
     return add_noise(y, noise_var, seed, delta=design.delta, true_tau=tau)
 
 
-def support_time(design: InputDesign, energy_fraction: float = 0.999) -> float:
-    """Time by which the input has delivered the given fraction of its energy.
+def support_time(design: InputDesign) -> float:
+    """Time by which the input has delivered SUPPORT_ENERGY_FRACTION of its
+    energy.
 
     Used as the effective end T_u of the excitation when splitting the
     measurement interval into signal support and delay headroom.
     """
-    if not 0 < energy_fraction < 1:
-        raise ValueError("energy fraction must lie in (0, 1)")
     step = min(design.delta, 0.02 / design.p)
     t = np.arange(0.0, design.horizon + step, step)
     u = synthesize_input(design, t)
@@ -189,7 +199,7 @@ def support_time(design: InputDesign, energy_fraction: float = 0.999) -> float:
     total = cum[-1]
     if total == 0:
         return 0.0
-    idx = int(np.searchsorted(cum, energy_fraction * total))
+    idx = int(np.searchsorted(cum, SUPPORT_ENERGY_FRACTION * total))
     return float(t[min(idx, t.size - 1)])
 
 
@@ -201,10 +211,11 @@ def default_tau_max(design: InputDesign) -> float:
     return float(min(max(design.horizon - t_u, lo), hi))
 
 
-def save_dataset(ds: Dataset, csv_path, meta_path=None, extra_meta: dict | None = None) -> None:
-    """Write samples as CSV (t, z at 17 significant digits) plus JSON sidecar."""
+def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:
+    """Write samples as CSV (t, z at 17 significant digits) plus a JSON
+    sidecar next to it with the same stem."""
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
+    meta_path = csv_path.with_suffix(".json")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["t", "z"])
@@ -225,26 +236,40 @@ def save_dataset(ds: Dataset, csv_path, meta_path=None, extra_meta: dict | None 
         f.write("\n")
 
 
-def load_dataset(csv_path, meta_path=None) -> Dataset:
-    """Round-trip counterpart of save_dataset."""
+def load_dataset(csv_path) -> Dataset:
+    """Round-trip counterpart of save_dataset.
+
+    Raises InvalidDatasetError when a time stamp is off the grid n * delta
+    or a sample is not finite.
+    """
     csv_path = Path(csv_path)
-    meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
-    with open(meta_path) as f:
+    with open(csv_path.with_suffix(".json")) as f:
         meta = json.load(f)
-    z = []
+    t, z = [], []
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
         if header[:2] != ["t", "z"]:
             raise ValueError(f"unexpected CSV header {header!r}")
         for row in reader:
+            t.append(float(row[0]))
             z.append(float(row[1]))
+    delta = float(meta["delta"])
+    t = np.asarray(t)
+    grid = np.arange(t.size) * delta
+    # written as "not within" so that a NaN time stamp is off the grid too
+    off = np.flatnonzero(~(np.abs(t - grid) <= T_GRID_RTOL * np.maximum(np.abs(t), delta)))
+    if off.size:
+        n = off[0]
+        raise InvalidDatasetError(
+            f"time stamp t[{n}] = {t[n]:.17g} is not n * delta = {grid[n]:.17g}"
+        )
     seed = meta.get("seed")
     if isinstance(seed, list):
         seed = tuple(seed)
     return Dataset(
         z=np.asarray(z),
-        delta=float(meta["delta"]),
+        delta=delta,
         n_samples=int(meta["n_samples"]),
         noise_var=float(meta["noise_var"]),
         seed=seed,

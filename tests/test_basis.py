@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from lagdelay.basis import (
     DEFAULT_COND_THRESHOLD,
     BasisConfig,
-    assoc_laguerre_poly,
     assoc_laguerre_recurrence,
     assoc_laguerre_sequence,
     build_continuous_ss,
@@ -17,43 +16,48 @@ from lagdelay.basis import (
     discretize_impulse_invariant,
     eval_basis_derivative_matrix,
     eval_basis_matrix,
-    eval_basis_time,
 )
 from lagdelay.errors import IllConditionedWarning
 
 from conftest import exact_assoc_laguerre
 
 
+def _poly(m: int, xi: float) -> float:
+    """L_m(xi) read off the recurrence-generated sequence."""
+    return assoc_laguerre_sequence(xi, m + 1)[m]
+
+
 class TestAssocLaguerrePoly:
     def test_order_zero_is_one(self):
         for xi in [-3.0, 0.0, 1.7, 50.0]:
-            assert assoc_laguerre_poly(0, xi) == 1.0
+            assert _poly(0, xi) == 1.0
 
     def test_order_one(self):
         for xi in [0.0, 0.3, 11.0]:
-            assert_allclose(assoc_laguerre_poly(1, xi), -xi, rtol=1e-15)
+            assert_allclose(_poly(1, xi), -xi, rtol=1e-15)
 
     def test_order_two_root_at_two(self):
         # L_2 = xi^2/2 - xi vanishes at xi = 2
-        assert assoc_laguerre_poly(2, 2.0) == pytest.approx(0.0, abs=1e-15)
+        assert _poly(2, 2.0) == pytest.approx(0.0, abs=1e-15)
         for xi in [0.5, 4.0]:
-            assert_allclose(assoc_laguerre_poly(2, xi), xi**2 / 2 - xi, rtol=1e-14)
+            assert_allclose(_poly(2, xi), xi**2 / 2 - xi, rtol=1e-14)
 
     def test_order_three_hand_expansion(self):
         for xi in [0.25, 1.0, 6.0]:
             expected = -(xi**3) / 6 + xi**2 - xi
-            assert_allclose(assoc_laguerre_poly(3, xi), expected, rtol=1e-13)
+            assert_allclose(_poly(3, xi), expected, rtol=1e-13)
 
     def test_against_exact_rational_sum(self):
         for m in range(0, 31):
             for xi in [0.1, 1.0, 5.0, 20.0, 50.0]:
                 exact = exact_assoc_laguerre(m, xi)
-                got = assoc_laguerre_poly(m, xi)
+                got = _poly(m, xi)
                 assert got == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
     def test_negative_order_rejected(self):
+        # L_{-1} is requested as an empty sequence
         with pytest.raises(ValueError):
-            assoc_laguerre_poly(-1, 1.0)
+            assoc_laguerre_sequence(1.0, 0)
 
 
 class TestRecurrence:
@@ -84,7 +88,7 @@ class TestClosedForms:
         cfg = BasisConfig(p=3.0, num_funcs=1)
         t = np.linspace(0, 2, 57)
         assert_allclose(
-            eval_basis_time(cfg, 0, t), np.sqrt(6.0) * np.exp(-3.0 * t), rtol=1e-14
+            eval_basis_matrix(cfg, t)[:, 0], np.sqrt(6.0) * np.exp(-3.0 * t), rtol=1e-14
         )
 
     def test_value_at_zero_is_sqrt_2p(self):
@@ -94,13 +98,13 @@ class TestClosedForms:
 
     def test_scalar_p_half(self):
         cfg = BasisConfig(p=0.5, num_funcs=1)
-        assert eval_basis_time(cfg, 0, 0.0) == pytest.approx(1.0)
+        assert eval_basis_matrix(cfg, 0.0)[0, 0] == pytest.approx(1.0)
 
     def test_first_function_form(self):
         cfg = BasisConfig(p=2.0, num_funcs=2)
         t = np.linspace(0, 3, 40)
         expected = 2.0 * np.exp(-2.0 * t) * (1 - 4.0 * t)
-        assert_allclose(eval_basis_time(cfg, 1, t), expected, rtol=1e-13, atol=1e-15)
+        assert_allclose(eval_basis_matrix(cfg, t)[:, 1], expected, rtol=1e-13, atol=1e-15)
 
     def test_zero_before_time_origin(self):
         cfg = BasisConfig(p=2.0, num_funcs=3)

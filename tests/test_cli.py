@@ -175,6 +175,21 @@ class TestEstimateCommand:
         ])
         assert rc == 1
 
+    def test_non_finite_sample_exit_1(self, design_file, dataset_dir, tmp_path, capsys):
+        rows = (dataset_dir / "dataset.csv").read_text().splitlines()
+        t, _ = rows[500].split(",")
+        rows[500] = f"{t},nan"
+        (tmp_path / "dataset.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "dataset.json").write_bytes((dataset_dir / "dataset.json").read_bytes())
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--out", str(report),
+        ])
+        assert rc == 1
+        assert "InvalidDatasetError" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_every_method_failing_exit_3(self, design_file, tmp_path):
         # zero data: the Laguerre-domain ratio degenerates
         out = tmp_path / "zero"
@@ -234,6 +249,17 @@ class TestBenchmarkCommand:
         path.write_text(json.dumps(cfg))
         assert main(["benchmark", "--config", str(path), "--replicates", "4",
                      "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("methods", [[], ["proposed", "nope"]])
+    def test_config_methods_checked_like_flag(self, bench_config, tmp_path, methods):
+        cfg = json.loads(bench_config.read_text())
+        cfg["methods"] = methods
+        path = tmp_path / "methods.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["benchmark", "--config", str(path), "--replicates", "2", "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
 
     def test_zero_noise_zero_variance(self, bench_config, tmp_path):
         out = tmp_path / "clean"

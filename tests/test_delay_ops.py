@@ -21,7 +21,7 @@ from lagdelay.delay_ops import (
 )
 from lagdelay.errors import DegenerateBError, SingularInputError
 
-from conftest import convolution_oracle, quadrature_delay_projection
+from conftest import convolution_oracle, exact_assoc_laguerre, quadrature_delay_projection
 
 
 class TestMarkovParams:
@@ -254,11 +254,10 @@ class TestSpectrumType:
         assert len(s) == 2
 
     def test_markov_consistency_invariant(self):
-        # h_m = exp(-kappa/2) L_m(kappa), cross-checked with the polynomial op
-        from lagdelay.basis import assoc_laguerre_poly
-
+        # h_m = exp(-kappa/2) L_m(kappa), cross-checked with the exact
+        # rational-arithmetic polynomial
         kappa = 2.7
         h = markov_params(kappa, 10)
         for m in range(10):
-            expected = np.exp(-kappa / 2) * assoc_laguerre_poly(m, kappa)
+            expected = np.exp(-kappa / 2) * exact_assoc_laguerre(m, kappa)
             assert h.values[m] == pytest.approx(expected, rel=1e-12, abs=1e-15)

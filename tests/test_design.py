@@ -62,8 +62,7 @@ class ScalarObjective:
         k1 = problem.k_model + 1
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            phi = build_phi(BasisConfig(p=p, num_funcs=k1), problem.delta,
-                            problem.n_samples, problem.cond_threshold)
+            phi = build_phi(BasisConfig(p=p, num_funcs=k1), problem.delta, problem.n_samples)
         t = np.arange(problem.n_samples) * problem.delta
         cfg_in = BasisConfig(p=p, num_funcs=problem.i_order + 1)
         delayed = eval_basis_matrix(cfg_in, t - problem.tau_guess)

@@ -7,9 +7,16 @@ from scipy.interpolate import CubicSpline
 
 from lagdelay.basis import BasisConfig, build_phi
 from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
-from lagdelay.errors import FlatCorrelationError, IllConditionedError, ZeroInformationError
+from lagdelay.errors import (
+    FlatCorrelationError,
+    IllConditionedError,
+    InvalidDatasetError,
+    ZeroInformationError,
+)
 from lagdelay.estimators import (
+    ESTIMATORS,
     crlb,
+    estimate_delay,
     estimate_delay_freq_interp,
     estimate_delay_lag_spline,
     estimate_delay_ml,
@@ -374,3 +381,47 @@ class TestCrossMethod:
         assert d["method"] == "proposed"
         assert isinstance(d["diagnostics"]["y_hat"], list)
         assert isinstance(d["tau_hat"], float)
+
+
+class TestRegistry:
+    def test_dispatch_matches_direct_call(self, bench_design, bench_phi):
+        ds = make_dataset(bench_design, TAU, 0.01, (4, 2))
+        direct = {
+            "proposed": estimate_delay_proposed(ds, bench_design, 12, 9, phi=bench_phi),
+            "ml": estimate_delay_ml(ds, bench_design, 0.01),
+            "lag_spline": estimate_delay_lag_spline(ds, bench_design, 12, 9),
+            "freq_interp": estimate_delay_freq_interp(ds, bench_design),
+        }
+        assert set(direct) == set(ESTIMATORS)
+        for method in ESTIMATORS:
+            est = estimate_delay(
+                method, ds, bench_design, k_model=12, m_markov=9, tau_max=0.01, phi=bench_phi
+            )
+            assert est.method == method
+            assert est.tau_hat == direct[method].tau_hat, method
+
+    def test_unknown_method_rejected(self, bench_design):
+        ds = make_dataset(bench_design, TAU, 0.0, 0)
+        with pytest.raises(ValueError):
+            estimate_delay("nope", ds, bench_design, k_model=12, m_markov=None, tau_max=0.01)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("method", ["ml", "proposed", "lag_spline"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_one_bad_sample_is_rejected(self, bench_design, method, bad):
+        # without the check, ml returns a finite wrong delay and the
+        # Laguerre-domain methods a bare ValueError that the Monte-Carlo
+        # harness does not catch
+        z = make_dataset(bench_design, TAU, 0.01, (6, 0)).z.copy()
+        z[500] = bad
+        with pytest.raises(InvalidDatasetError):
+            estimate_delay(
+                method,
+                Dataset(z=z, delta=bench_design.delta, n_samples=z.size, noise_var=0.01, seed=0),
+                bench_design, k_model=12, m_markov=None, tau_max=0.01,
+            )
+
+    def test_add_noise_rejects_non_finite_signal(self):
+        with pytest.raises(InvalidDatasetError):
+            add_noise(np.array([0.0, np.nan, 1.0]), 0.1, 0, delta=0.1)

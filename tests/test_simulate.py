@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 from lagdelay.basis import BasisConfig, eval_basis_matrix
 from lagdelay.delay_ops import Spectrum
+from lagdelay.errors import InvalidDatasetError
 from lagdelay.simulate import (
     Dataset,
     InputDesign,
@@ -153,6 +154,20 @@ class TestDatasetIO:
         save_dataset(ds, tmp_path / "d.csv")
         back = load_dataset(tmp_path / "d.csv")
         assert back.true_tau is None
+
+    def test_off_grid_time_column_rejected(self, tmp_path, bench_design):
+        ds = make_dataset(bench_design, 1.33e-3, 0.01, 4)
+        save_dataset(ds, tmp_path / "good.csv")
+        assert np.array_equal(load_dataset(tmp_path / "good.csv").z, ds.z)
+        # the same samples with every time stamp doubled
+        rows = (tmp_path / "good.csv").read_text().splitlines()
+        doubled = [rows[0]] + [
+            f"{2 * float(t):.17g},{z}" for t, z in (row.split(",") for row in rows[1:])
+        ]
+        (tmp_path / "bad.csv").write_text("\n".join(doubled) + "\n")
+        (tmp_path / "bad.json").write_bytes((tmp_path / "good.json").read_bytes())
+        with pytest.raises(InvalidDatasetError, match=r"t\[1\]"):
+            load_dataset(tmp_path / "bad.csv")
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
