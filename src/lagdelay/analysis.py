@@ -19,7 +19,13 @@ from scipy.linalg import solve_triangular
 from .basis import BasisConfig, build_phi
 from .delay_ops import BTB_TOLERANCE, assemble_ab, build_toeplitz, markov_params
 from .errors import DegenerateBError, LagDelayError
-from .estimators import ESTIMATORS, estimate_delay, estimate_spectrum_ls, markov_order
+from .estimators import (
+    ESTIMATORS,
+    build_replicate_tables,
+    estimate_delay,
+    estimate_spectrum_ls,
+    markov_order,
+)
 from .simulate import Dataset, InputDesign, add_noise, default_tau_max, sample_delayed
 
 
@@ -226,7 +232,7 @@ def _run_single_replicate(context, replicate: int) -> dict:
         try:
             out[method] = estimate_delay(
                 method, ds, cfg.design, k_model=cfg.k_model, m_markov=cfg.m_markov,
-                tau_max=context["tau_max"], phi=context["phi"],
+                tau_max=context["tau_max"], tables=context["tables"],
             ).tau_hat
         except LagDelayError:
             out[method] = None
@@ -234,21 +240,19 @@ def _run_single_replicate(context, replicate: int) -> dict:
 
 
 def _build_context(config: BenchmarkConfig, methods, seed) -> dict:
+    """Everything the replicates share: the clean signal and the estimator
+    tables, built once per run (or once per chunk in a worker)."""
     n = config.resolved_n_samples()
-    phi = None
-    if "proposed" in methods:
-        phi = build_phi(
-            BasisConfig(p=config.design.p, num_funcs=config.k_model + 1),
-            config.design.delta,
-            n,
-        )
+    tau_max = config.resolved_tau_max()
     return {
         "config": config,
         "methods": tuple(methods),
         "seed": seed,
         "clean": sample_delayed(config.design, config.true_tau, n),
-        "phi": phi,
-        "tau_max": config.resolved_tau_max(),
+        "tables": build_replicate_tables(
+            methods, config.design, n_samples=n, k_model=config.k_model, tau_max=tau_max
+        ),
+        "tau_max": tau_max,
     }
 
 

@@ -104,7 +104,9 @@ class Dataset:
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         if self.z.size != self.n_samples:
-            raise ValueError("sample count does not match data length")
+            raise InvalidDatasetError(
+                f"{self.z.size} samples given but n_samples is {self.n_samples}"
+            )
         if self.noise_var < 0:
             raise ValueError("noise variance must be nonnegative")
         bad = np.flatnonzero(~np.isfinite(self.z))
@@ -239,8 +241,9 @@ def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
-    Raises InvalidDatasetError when a time stamp is off the grid n * delta
-    or a sample is not finite.
+    Raises InvalidDatasetError when a time stamp is off the grid n * delta,
+    a sample is not finite or the CSV has another number of rows than the
+    sidecar's n_samples.
     """
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:

@@ -9,6 +9,7 @@ from scipy.integrate import quad_vec
 
 from lagdelay.basis import BasisConfig, eval_basis_matrix
 from lagdelay.delay_ops import Spectrum
+from lagdelay.design import DesignProblem, optimize_design
 from lagdelay.simulate import InputDesign
 
 
@@ -68,3 +69,13 @@ def slow_design() -> InputDesign:
     return InputDesign(
         p=p, u=u, energy_bound=4.0, horizon=0.5, delta=1e-4, tau_guess=1e-4
     )
+
+
+@pytest.fixture(scope="session")
+def sec72_design() -> InputDesign:
+    """Benchmark design: delta 3e-4, horizon 0.5, 13 model functions."""
+    problem = DesignProblem(
+        delta=3e-4, n_samples=1667, i_order=3, energy_bound=2.0,
+        tau_guess=3e-4, noise_var=0.01, k_model=12,
+    )
+    return optimize_design(problem)

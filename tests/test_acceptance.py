@@ -61,16 +61,6 @@ def sec71_designs():
 
 
 @pytest.fixture(scope="session")
-def sec72_design():
-    """Benchmark design: delta 3e-4, horizon 0.5, 13 model functions."""
-    problem = DesignProblem(
-        delta=3e-4, n_samples=1667, i_order=3, energy_bound=2.0,
-        tau_guess=3e-4, noise_var=0.01, k_model=12,
-    )
-    return optimize_design(problem)
-
-
-@pytest.fixture(scope="session")
 def sec72_benchmark(sec72_design):
     config = BenchmarkConfig(
         design=sec72_design, true_tau=0.00133, noise_var=0.01,

@@ -190,6 +190,19 @@ class TestEstimateCommand:
         assert "InvalidDatasetError" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_truncated_csv_exit_1(self, design_file, dataset_dir, tmp_path, capsys):
+        rows = (dataset_dir / "dataset.csv").read_text().splitlines()
+        (tmp_path / "dataset.csv").write_text("\n".join(rows[:-10]) + "\n")
+        (tmp_path / "dataset.json").write_bytes((dataset_dir / "dataset.json").read_bytes())
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--out", str(report),
+        ])
+        assert rc == 1
+        assert "InvalidDatasetError" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_every_method_failing_exit_3(self, design_file, tmp_path):
         # zero data: the Laguerre-domain ratio degenerates
         out = tmp_path / "zero"

@@ -11,10 +11,12 @@ from lagdelay.errors import (
     FlatCorrelationError,
     IllConditionedError,
     InvalidDatasetError,
+    NoImprovementWarning,
     ZeroInformationError,
 )
 from lagdelay.estimators import (
     ESTIMATORS,
+    ReplicateTables,
     crlb,
     estimate_delay,
     estimate_delay_freq_interp,
@@ -239,6 +241,20 @@ class TestML:
         with pytest.raises(ValueError):
             estimate_delay_ml(ds, bench_design, tau_max=0.0)
 
+    def test_boundary_hit_when_delay_beyond_tau_max(self, sec72_design):
+        # without the flag the grid edge reads as a valid estimate
+        ds = make_dataset(sec72_design, 5e-3, 0.01, 3)
+        with pytest.warns(NoImprovementWarning):
+            est = estimate_delay_ml(ds, sec72_design, tau_max=2e-3)
+        assert est.tau_hat == 2e-3
+        assert est.diagnostics["boundary_hit"] is True
+
+    def test_no_boundary_hit_in_range(self, sec72_design):
+        ds = make_dataset(sec72_design, TAU, 0.01, 3)
+        est = estimate_delay_ml(ds, sec72_design, tau_max=0.01)
+        assert est.diagnostics["boundary_hit"] is False
+        assert est.diagnostics["converged"]
+
 
 class TestCrlb:
     def test_linear_in_noise_variance(self, bench_design):
@@ -395,7 +411,8 @@ class TestRegistry:
         assert set(direct) == set(ESTIMATORS)
         for method in ESTIMATORS:
             est = estimate_delay(
-                method, ds, bench_design, k_model=12, m_markov=9, tau_max=0.01, phi=bench_phi
+                method, ds, bench_design, k_model=12, m_markov=9, tau_max=0.01,
+                tables=ReplicateTables(phi=bench_phi),
             )
             assert est.method == method
             assert est.tau_hat == direct[method].tau_hat, method

@@ -170,8 +170,15 @@ class TestDatasetIO:
             load_dataset(tmp_path / "bad.csv")
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(z=np.zeros(3), delta=0.1, n_samples=4, noise_var=0.0, seed=1)
+        with pytest.raises(InvalidDatasetError, match="3 samples"):
+            Dataset(z=[0.0] * 3, delta=0.1, n_samples=4, noise_var=0.0, seed=1)
+
+    def test_csv_truncated_against_sidecar_rejected(self, tmp_path, bench_design):
+        save_dataset(make_dataset(bench_design, 1.33e-3, 0.01, 4), tmp_path / "d.csv")
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        (tmp_path / "d.csv").write_text("\n".join(rows[:-10]) + "\n")
+        with pytest.raises(InvalidDatasetError, match="n_samples"):
+            load_dataset(tmp_path / "d.csv")
 
 
 class TestSupport:
