@@ -10,23 +10,24 @@ is predicted by Monte-Carlo averaging of the ratio perturbation terms.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .basis import BasisConfig, build_phi
-from .delay_ops import BTB_TOLERANCE, assemble_ab, build_toeplitz, markov_params
-from .errors import DegenerateBError, LagDelayError
-from .estimators import (
-    ESTIMATORS,
-    build_replicate_tables,
-    estimate_delay,
-    estimate_spectrum_ls,
-    markov_order,
+from .basis import BasisConfig, build_phi, eval_basis_matrix
+from .delay_ops import (
+    BTB_TOLERANCE,
+    assemble_ab,
+    build_toeplitz,
+    markov_params,
+    reciprocal_series,
 )
-from .simulate import Dataset, InputDesign, add_noise, default_tau_max, sample_delayed
+from .errors import DegenerateBError, IllConditionedError, LagDelayError
+from .estimators import ESTIMATORS, build_replicate_tables, estimate_delay, markov_order
+from .simulate import InputDesign, add_noise, default_tau_max, sample_delayed
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +118,51 @@ class BenchmarkConfig:
         )
 
 
+class MarkovErrorModel:
+    """Error budget of the Markov-parameter estimate at one (p, K, delta, N,
+    tau) for inputs of order I; scores a whole batch of inputs at once.
+
+    With the basis factors Phi = QR, the noise-free spectrum estimate of the
+    delayed input is linear in u: P u with the projector P = R^{-1} Q^T D, D
+    the order-I basis sampled at t_n - tau.  The Markov estimate is
+    T^{-1}(U) P u, with covariance noise_var G G^T for G = T^{-1}(U) R^{-1}.
+    T^{-1}(U) is applied as T(v), v the reciprocal power series of u.  Only
+    cond(Phi) and its threshold are kept from the basis, not the basis.
+    """
+
+    def __init__(self, p: float, k_model: int, delta: float, n_samples: int,
+                 tau: float, i_order: int):
+        k1 = k_model + 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n_samples)
+        self.cond = phi.cond
+        self.cond_threshold = phi.cond_threshold
+        self.usable = not phi.ill_conditioned
+        if not self.usable:
+            return
+        t = np.arange(n_samples) * delta
+        delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
+        self.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
+        self.r_inv = solve_triangular(phi.r, np.eye(k1), lower=False)
+        self.h_true = markov_params(2.0 * p * tau, k1).values
+        self.k1 = k1
+
+    def errors(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bias of the Markov estimate and the covariance factor
+        G = T(v) R^{-1} of each input; u has shape (..., I + 1)."""
+        t_inv = build_toeplitz(reciprocal_series(u, self.k1), self.k1)
+        bias = np.einsum("...ij,...j->...i", t_inv, u @ self.projector.T) - self.h_true
+        return bias, t_inv @ self.r_inv
+
+    def mse(self, u: np.ndarray, noise_var: float) -> np.ndarray:
+        """Markov-estimate MSE of each input; u has shape (..., I + 1)."""
+        bias, g = self.errors(u)
+        return np.einsum("...i,...i->...", bias, bias) + noise_var * np.einsum(
+            "...ij,...ij->...", g, g
+        )
+
+
 def markov_mse(
     design: InputDesign,
     k_model: int,
@@ -127,31 +173,21 @@ def markov_mse(
     """Mean-square error of the Markov-parameter estimate.
 
     The variance term is the closed-form covariance
-    noise_var * T^{-1}(U) (Phi^T Phi)^{-1} T^{-T}(U).  The bias term cannot
-    be evaluated in closed form (the spectrum tail is infinite), so it is
-    obtained by simulating a noise-free output at ``tau_check``, projecting
-    it, solving for the Markov parameters and subtracting the exact ones.
+    noise_var * T^{-1}(U) (Phi^T Phi)^{-1} T^{-T}(U).  The bias term is the
+    Markov estimate from the noise-free output at ``tau_check`` minus the
+    exact Markov parameters; the spectrum tail beyond K makes it nonzero.
+    Both come from one ``MarkovErrorModel``.  Raises IllConditionedError
+    when the sampled basis is flagged.
     """
     if tau_check < 0:
         raise ValueError("tau_check must be nonnegative")
+    if not noise_var >= 0:  # NaN too
+        raise ValueError(f"noise variance must be nonnegative, got {noise_var}")
     n = design.n_samples if n_samples is None else n_samples
-    cfg = BasisConfig(p=design.p, num_funcs=k_model + 1)
-    phi = build_phi(cfg, design.delta, n)
-    clean = Dataset(
-        z=sample_delayed(design, tau_check, n),
-        delta=design.delta,
-        n_samples=n,
-        noise_var=0.0,
-        seed=None,
-    )
-    y_hat = estimate_spectrum_ls(clean, phi)
-    t_u = build_toeplitz(design.u, k_model + 1)
-    h_hat = solve_triangular(t_u, y_hat.coeffs, lower=True)
-    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
-    bias_vec = h_hat - h_true
-
-    r_inv = solve_triangular(phi.r, np.eye(k_model + 1), lower=False)
-    g = solve_triangular(t_u, r_inv, lower=True)
+    model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
+    if not model.usable:
+        raise IllConditionedError(model.cond, model.cond_threshold)
+    bias_vec, g = model.errors(design.u.coeffs)
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
     mse = float(bias_vec @ bias_vec + np.trace(covariance))
@@ -169,7 +205,6 @@ def predict_bias_tau(
     mc_samples: int = 100_000,
     seed=0,
     include_truncation_bias: bool = True,
-    n_samples: int | None = None,
 ) -> BiasPrediction:
     """Predict the delay estimator's bias at a known delay ``tau_check``.
 
@@ -192,7 +227,7 @@ def predict_bias_tau(
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
 
-    acc = markov_mse(design, k_model, noise_var, tau_check, n_samples=n_samples)
+    acc = markov_mse(design, k_model, noise_var, tau_check)
     mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((mc_samples, k_model + 1))

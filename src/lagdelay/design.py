@@ -11,14 +11,12 @@ paired structure u_{2j} = -u_{2j-1} this pins the final odd coefficient to
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .basis import BasisConfig, build_phi, eval_basis_matrix
-from .delay_ops import Spectrum, build_toeplitz, markov_params, reciprocal_series
+from .analysis import MarkovErrorModel
+from .delay_ops import Spectrum
 from .errors import InfeasibleDesignError
 from .estimators import golden_section
 from .simulate import InputDesign
@@ -51,8 +49,8 @@ class DesignProblem:
             raise ValueError("energy bound must be positive")
         if self.tau_guess < 0:
             raise ValueError("tau_guess must be nonnegative")
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not self.noise_var >= 0:  # NaN too
+            raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
         if self.k_model < max(2, self.i_order):
             raise ValueError("k_model must cover the input order and allow M >= 3")
         if self.p_grid is None:
@@ -61,13 +59,13 @@ class DesignProblem:
             object.__setattr__(self, "p_grid", np.asarray(self.p_grid, dtype=float))
 
 
-def validate_constraints(u, eta: float, atol: float = CONSTRAINT_ATOL):
+def validate_constraints(u, eta: float):
     """Check the design constraints; returns (ok, violation list).
 
     Checks: u_0 > 0; u_k >= 0 for paired odd k (< I); u_k = -u_{k-1} for
     even k >= 2; total energy <= eta; continuity sum_k u_k = 0 (the final
     odd coefficient is exempt from the sign check because continuity pins
-    it to -u_0).
+    it to -u_0).  Equalities and signs hold to CONSTRAINT_ATOL.
     """
     coeffs = u.coeffs if isinstance(u, Spectrum) else np.asarray(u, dtype=float)
     i_last = coeffs.size - 1
@@ -76,95 +74,52 @@ def validate_constraints(u, eta: float, atol: float = CONSTRAINT_ATOL):
     if coeffs[0] <= 0:
         violations.append("u0_nonpositive")
     for k in range(1, i_last, 2):
-        if coeffs[k] < -atol:
+        if coeffs[k] < -CONSTRAINT_ATOL:
             violations.append(f"odd_sign(k={k})")
     for k in range(2, i_last + 1, 2):
-        if abs(coeffs[k] + coeffs[k - 1]) > atol * scale:
+        if abs(coeffs[k] + coeffs[k - 1]) > CONSTRAINT_ATOL * scale:
             violations.append(f"even_pairing(k={k})")
-    if coeffs @ coeffs > eta * (1 + 1e-12) + atol:
+    if coeffs @ coeffs > eta * (1 + 1e-12) + CONSTRAINT_ATOL:
         violations.append("energy")
-    if abs(coeffs.sum()) > atol * scale:
+    if abs(coeffs.sum()) > CONSTRAINT_ATOL * scale:
         violations.append("continuity")
     return (not violations, violations)
 
 
-def _assemble_coefficients(u0: float, odds: np.ndarray, i_order: int) -> np.ndarray:
-    """Full coefficient vector from the free variables (continuity built in)."""
-    u = np.zeros(i_order + 1)
-    u[0] = u0
-    for j, val in enumerate(odds):
-        u[2 * j + 1] = val
-        u[2 * j + 2] = -val
-    u[i_order] = -u0
-    return u
+def _coefficients(u0, odds, problem: DesignProblem) -> np.ndarray:
+    """Coefficient rows from the free variables, continuity built in, scaled
+    back onto the energy ball; u0 has shape (...) and odds (..., (I-1)/2)."""
+    u0 = np.asarray(u0, dtype=float)
+    odds = np.asarray(odds, dtype=float)
+    u = np.zeros(u0.shape + (problem.i_order + 1,))
+    u[..., 0] = u0
+    u[..., 1:-1:2] = odds
+    u[..., 2:-1:2] = -odds
+    u[..., -1] = -u0
+    # the matmul form rounds each row's energy exactly as u @ u does
+    energy = (u[..., None, :] @ u[..., :, None])[..., 0, 0]
+    over = energy > problem.energy_bound
+    return np.where(over[..., None], u * np.sqrt(problem.energy_bound / energy)[..., None], u)
 
 
-class _ObjectiveContext:
-    """Per-p precomputation; scores a whole batch of candidates at once.
-
-    With the basis factors Phi = QR stored on the sampled basis, the
-    noise-free spectrum estimate is linear in u (``projector``) and the
-    estimate covariance is noise_var T^{-1}(U) R^{-1} R^{-T} T^{-T}(U).
-    T^{-1}(U) is applied as T(v), v the reciprocal power series of u.
-    """
-
-    def __init__(self, p: float, problem: DesignProblem):
-        self.p = p
-        k1 = problem.k_model + 1
-        cfg = BasisConfig(p=p, num_funcs=k1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            phi = build_phi(cfg, problem.delta, problem.n_samples)
-        self.cond = phi.cond
-        self.usable = not phi.ill_conditioned
-        if not self.usable:
-            return
-        t = np.arange(problem.n_samples) * problem.delta
-        cfg_in = BasisConfig(p=p, num_funcs=problem.i_order + 1)
-        delayed = eval_basis_matrix(cfg_in, t - problem.tau_guess)
-        # spectrum of the noise-free delayed input is linear in u
-        self.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
-        self.r_inv = solve_triangular(phi.r, np.eye(k1), lower=False)
-        self.h_true = markov_params(2.0 * p * problem.tau_guess, k1).values
-        self.noise_var = problem.noise_var
-        self.k1 = k1
-
-    def mse(self, u: np.ndarray) -> np.ndarray:
-        """Markov-estimate MSE of each candidate; u has shape (..., I + 1)."""
-        t_inv = build_toeplitz(reciprocal_series(u, self.k1), self.k1)
-        bias = np.einsum("...ij,...j->...i", t_inv, u @ self.projector.T) - self.h_true
-        g = t_inv @ self.r_inv
-        return np.einsum("...i,...i->...", bias, bias) + self.noise_var * np.einsum(
-            "...ij,...ij->...", g, g
-        )
+def _candidates(problem: DesignProblem) -> np.ndarray:
+    """Candidate coefficient rows: every grid point of (u_0 raw, u_I raw,
+    interior odds) with u_0 > 0 after the continuity projection, put on the
+    energy ball, duplicates removed in first-occurrence grid order."""
+    axis = np.linspace(0.0, np.sqrt(problem.energy_bound), problem.u_grid_points)
+    n_free = 2 + (problem.i_order - 1) // 2  # u0 raw, uI raw, interior odds
+    raw = np.stack(np.meshgrid(*[axis] * n_free, indexing="ij"), axis=-1).reshape(-1, n_free)
+    u0 = (raw[:, 0] - raw[:, 1]) / 2.0  # continuity projection of (u0, uI)
+    keep = u0 > 0
+    u = _coefficients(u0[keep], raw[keep, 2:], problem)
+    _, first = np.unique(np.round(u, 12), axis=0, return_index=True)
+    return u[np.sort(first)]
 
 
-def _candidate_free_vars(problem: DesignProblem):
-    """Deterministic list of (u0, odds) free-variable tuples after the
-    continuity and energy-ball projections, duplicates removed."""
-    root = np.sqrt(problem.energy_bound)
-    axis = np.linspace(0.0, root, problem.u_grid_points)
-    n_pairs = (problem.i_order - 1) // 2
-    seen = set()
-    out = []
-    grids = [axis] * (2 + n_pairs)  # u0 raw, uI raw, interior odds
-    mesh = np.meshgrid(*grids, indexing="ij")
-    flat = np.stack([m.ravel() for m in mesh], axis=-1)
-    for row in flat:
-        u0 = (row[0] - row[1]) / 2.0  # continuity projection of (u0, uI)
-        if u0 <= 0:
-            continue
-        odds = row[2:]
-        u = _assemble_coefficients(u0, odds, problem.i_order)
-        energy = u @ u
-        if energy > problem.energy_bound:
-            u = u * np.sqrt(problem.energy_bound / energy)
-        key = tuple(np.round(u, 12))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((u[0], u[1 : problem.i_order : 2].copy()))
-    return out
+def _model(p: float, problem: DesignProblem) -> MarkovErrorModel:
+    return MarkovErrorModel(
+        p, problem.k_model, problem.delta, problem.n_samples, problem.tau_guess, problem.i_order
+    )
 
 
 def optimize_design(problem: DesignProblem) -> InputDesign:
@@ -174,38 +129,35 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     Grid points whose sampled basis fails the conditioning screen are
     infeasible (the design is free to move p, unlike the estimator).
     """
-    candidates = _candidate_free_vars(problem)
-    if not candidates:
+    cand_u = _candidates(problem)
+    if not len(cand_u):
         raise InfeasibleDesignError(
             "the coefficient grid has no candidate with u_0 > 0; raise u_grid_points"
         )
-    cand_u = np.array(
-        [_assemble_coefficients(u0, odds, problem.i_order) for u0, odds in candidates]
-    )
-    best = None  # (objective, cand_index, p, u0, odds)
+    best = None  # (objective, cand_index, p)
     unusable = 0
     for p in problem.p_grid:
-        ctx = _ObjectiveContext(float(p), problem)
-        if not ctx.usable:
+        model = _model(float(p), problem)
+        if not model.usable:
             unusable += 1
-            log.debug("p=%.6g cond(R)=%.4e usable=False", p, ctx.cond)
+            log.debug("p=%.6g cond(R)=%.4e usable=False", p, model.cond)
             continue
-        objs = ctx.mse(cand_u)
+        objs = model.mse(cand_u, problem.noise_var)
         ci = int(np.argmin(objs))
         log.debug(
             "p=%.6g cond(R)=%.4e usable=True best_objective=%.6e candidate=%d",
-            p, ctx.cond, objs[ci], ci,
+            p, model.cond, objs[ci], ci,
         )
         if best is None or objs[ci] < best[0]:
-            u0, odds = candidates[ci]
-            best = (float(objs[ci]), ci, float(p), u0, odds)
+            best = (float(objs[ci]), ci, float(p))
     if best is None:
         raise InfeasibleDesignError(
             "no grid point satisfies the constraints with a usable basis; "
             "revise the grids or the energy bound"
         )
 
-    obj, ci, p_star, u0_star, odds_star = best
+    obj, ci, p_star = best
+    u0_star, odds_star = cand_u[ci, 0], cand_u[ci, 1 : problem.i_order : 2]
     grid_obj, grid_p, refine_contexts = obj, p_star, 0
     if problem.refine:
         p_star, u0_star, odds_star, obj, refine_contexts = _refine(
@@ -218,10 +170,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         p_star, obj, refine_contexts,
     )
 
-    u = _assemble_coefficients(u0_star, odds_star, problem.i_order)
-    energy = u @ u
-    if energy > problem.energy_bound:
-        u = u * np.sqrt(problem.energy_bound / energy)
+    u = _coefficients(u0_star, odds_star, problem)
     ok, violations = validate_constraints(u, problem.energy_bound)
     if not ok:
         raise InfeasibleDesignError(f"optimizer produced invalid design: {violations}")
@@ -238,25 +187,20 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
 def _refine(problem, p, u0, odds, obj):
     """Coordinate descent around the best grid point; each coordinate is
     minimized by golden section within one grid spacing.  Also returns the
-    number of per-p contexts the descent built."""
+    number of per-p error models the descent built."""
     p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
     odds = np.asarray(odds, dtype=float).copy()
-    contexts: dict[float, _ObjectiveContext] = {}
+    models: dict[float, MarkovErrorModel] = {}
 
     def objective(p_val, u0_val, odds_val):
-        ctx = contexts.get(p_val)
-        if ctx is None:
-            ctx = _ObjectiveContext(p_val, problem)
-            contexts[p_val] = ctx
-        if not ctx.usable:
+        model = models.get(p_val)
+        if model is None:
+            model = models[p_val] = _model(p_val, problem)
+        if not model.usable:
             return np.inf
-        u = _assemble_coefficients(u0_val, odds_val, problem.i_order)
-        energy = u @ u
-        if energy > problem.energy_bound:
-            u = u * np.sqrt(problem.energy_bound / energy)
-        return float(ctx.mse(u))
+        return float(model.mse(_coefficients(u0_val, odds_val, problem), problem.noise_var))
 
     for _ in range(20):
         prev = obj
@@ -280,4 +224,4 @@ def _refine(problem, p, u0, odds, obj):
             )
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
             break
-    return p, u0, odds, obj, len(contexts)
+    return p, u0, odds, obj, len(models)

@@ -11,6 +11,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +114,12 @@ class Dataset:
         if bad.size:
             raise InvalidDatasetError(f"sample z[{bad[0]}] = {self.z[bad[0]]} is not finite")
 
-    @property
+    @cached_property
     def t(self) -> np.ndarray:
-        return np.arange(self.n_samples) * self.delta
+        """Sample times n * delta, computed once and read-only."""
+        t = np.arange(self.n_samples) * self.delta
+        t.flags.writeable = False
+        return t
 
 
 def continuity_defect(design: InputDesign) -> float:
@@ -241,9 +245,9 @@ def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
-    Raises InvalidDatasetError when a time stamp is off the grid n * delta,
-    a sample is not finite or the CSV has another number of rows than the
-    sidecar's n_samples.
+    Raises InvalidDatasetError when a CSV row lacks its t or z field, a time
+    stamp is off the grid n * delta, a sample is not finite or the CSV has
+    another number of rows than the sidecar's n_samples.
     """
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
@@ -255,6 +259,10 @@ def load_dataset(csv_path) -> Dataset:
         if header[:2] != ["t", "z"]:
             raise ValueError(f"unexpected CSV header {header!r}")
         for row in reader:
+            if len(row) < 2:
+                raise InvalidDatasetError(
+                    f"CSV line {reader.line_num} has {len(row)} field(s), expected t and z"
+                )
             t.append(float(row[0]))
             z.append(float(row[1]))
     delta = float(meta["delta"])

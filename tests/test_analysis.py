@@ -12,11 +12,32 @@ from lagdelay.analysis import (
     run_monte_carlo,
 )
 from lagdelay.basis import BasisConfig, build_phi
-from lagdelay.delay_ops import Spectrum, build_toeplitz
-from lagdelay.errors import DegenerateBError
-from lagdelay.simulate import InputDesign
+from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
+from lagdelay.errors import DegenerateBError, IllConditionedError
+from lagdelay.estimators import estimate_spectrum_ls
+from lagdelay.simulate import Dataset, InputDesign, sample_delayed
 
 TAU = 1.33e-3
+
+
+def substitution_markov_mse(design, k_model, noise_var, tau_check):
+    """The error budget by forward substitution with T(U): the Markov
+    estimate of a simulated noise-free output for the bias, T^{-1}(U) R^{-1}
+    for the covariance factor.  Returns (bias, cov_factor, covariance, mse)."""
+    n = design.n_samples
+    phi = build_phi(BasisConfig(p=design.p, num_funcs=k_model + 1), design.delta, n)
+    clean = Dataset(
+        z=sample_delayed(design, tau_check, n), delta=design.delta, n_samples=n,
+        noise_var=0.0, seed=None,
+    )
+    y_hat = estimate_spectrum_ls(clean, phi)
+    t_u = build_toeplitz(design.u, k_model + 1)
+    h_hat = solve_triangular(t_u, y_hat.coeffs, lower=True)
+    bias = h_hat - markov_params(2.0 * design.p * tau_check, k_model + 1).values
+    r_inv = solve_triangular(phi.r, np.eye(k_model + 1), lower=False)
+    cov_factor = np.sqrt(noise_var) * solve_triangular(t_u, r_inv, lower=True)
+    covariance = cov_factor @ cov_factor.T
+    return bias, cov_factor, covariance, float(bias @ bias + np.trace(covariance))
 
 
 class TestMarkovMse:
@@ -84,6 +105,38 @@ class TestMarkovMse:
         scaled = markov_mse(half, 12, 0.01, TAU)
         assert np.trace(scaled.covariance) == pytest.approx(4 * np.trace(full.covariance), rel=1e-9)
         assert_allclose(scaled.bias_vec, full.bias_vec, rtol=1e-8, atol=1e-12)
+
+
+    @pytest.mark.parametrize("k_model", [3, 6, 12])
+    @pytest.mark.parametrize("tau", [1e-4, 3e-4, TAU, 5e-3])
+    @pytest.mark.parametrize("noise_var", [0.0, 0.01, 1.0])
+    def test_matches_substitution_route(self, bench_design, sec72_design, k_model, tau, noise_var):
+        for design in (bench_design, sec72_design):
+            acc = markov_mse(design, k_model, noise_var, tau)
+            bias, cov_factor, covariance, mse = substitution_markov_mse(
+                design, k_model, noise_var, tau
+            )
+            assert np.max(np.abs(acc.bias_vec - bias)) <= 1e-14
+            for got, want in ((acc.covariance, covariance), (acc.cov_factor, cov_factor)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # plus the first-order effect of the bias tolerance on |bias|^2,
+            # which dominates where the mse is small (tau = 1e-4, no noise)
+            assert abs(acc.mse - mse) <= 1e-12 * mse + 2e-14 * np.sum(np.abs(bias))
+
+    @pytest.mark.parametrize("noise_var", [-0.01, float("nan")])
+    def test_negative_noise_variance_rejected(self, bench_design, noise_var):
+        with pytest.raises(ValueError, match="noise variance"):
+            markov_mse(bench_design, 12, noise_var, TAU)
+
+    def test_flagged_basis_raises(self):
+        # p = 0.05 cannot separate 13 functions over 200 samples
+        p = 0.05
+        design = InputDesign(
+            p=p, u=Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p), energy_bound=2.0,
+            horizon=199 * 3e-4, delta=3e-4, tau_guess=3e-4,
+        )
+        with pytest.raises(IllConditionedError):
+            markov_mse(design, 12, 0.01, TAU)
 
 
 class TestPredictBias:

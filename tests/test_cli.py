@@ -203,6 +203,22 @@ class TestEstimateCommand:
         assert "InvalidDatasetError" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("bad_row", ["", "0.0003"])
+    def test_malformed_csv_row_exit_1(self, design_file, dataset_dir, tmp_path, capsys, bad_row):
+        rows = (dataset_dir / "dataset.csv").read_text().splitlines()
+        rows[7] = bad_row
+        (tmp_path / "dataset.csv").write_text("\n".join(rows) + "\n")
+        (tmp_path / "dataset.json").write_bytes((dataset_dir / "dataset.json").read_bytes())
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--out", str(report),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InvalidDatasetError" in err and "line 8" in err
+        assert not report.exists()
+
     def test_every_method_failing_exit_3(self, design_file, tmp_path):
         # zero data: the Laguerre-domain ratio degenerates
         out = tmp_path / "zero"
@@ -322,6 +338,17 @@ class TestBiasPredictCommand:
             "--out", str(tmp_path / "b.json"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("noise_var", ["-0.01", "nan"])
+    def test_negative_noise_variance_exit_1(self, design_file, tmp_path, capsys, noise_var):
+        out = tmp_path / "b.json"
+        rc = main([
+            "bias-predict", "--design", str(design_file), "--tau-check", "3e-4",
+            "--noise-var", noise_var, "--mc-samples", "2000", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "ValueError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_fixed_seed_reproducible(self, design_file, tmp_path):
         payloads = []

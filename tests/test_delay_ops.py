@@ -224,12 +224,28 @@ class TestOmegaSystem:
 
 
 class TestClosedFormDelay:
-    def test_recovers_tau_exactly(self):
-        for p in [1.0, 20.0, 50.0]:
-            for tau in [0.0, 1e-5, 1e-3, 0.1]:
-                h = markov_params(2 * p * tau, 8)
-                got = closed_form_delay(assemble_ab(h), p)
-                assert got == pytest.approx(tau, rel=1e-10, abs=1e-16)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kappa=st.floats(0.0, 40.0),
+        m_count=st.integers(3, 25),
+        p=st.floats(1.0, 1e3),
+    )
+    @example(kappa=2 * 1.0 * 0.0, m_count=8, p=1.0)
+    @example(kappa=2 * 1.0 * 1e-5, m_count=8, p=1.0)
+    @example(kappa=2 * 1.0 * 1e-3, m_count=8, p=1.0)
+    @example(kappa=2 * 1.0 * 0.1, m_count=8, p=1.0)
+    @example(kappa=2 * 20.0 * 0.0, m_count=8, p=20.0)
+    @example(kappa=2 * 20.0 * 1e-5, m_count=8, p=20.0)
+    @example(kappa=2 * 20.0 * 1e-3, m_count=8, p=20.0)
+    @example(kappa=2 * 20.0 * 0.1, m_count=8, p=20.0)
+    @example(kappa=2 * 50.0 * 0.0, m_count=8, p=50.0)
+    @example(kappa=2 * 50.0 * 1e-5, m_count=8, p=50.0)
+    @example(kappa=2 * 50.0 * 1e-3, m_count=8, p=50.0)
+    @example(kappa=2 * 50.0 * 0.1, m_count=8, p=50.0)
+    def test_recovers_tau_exactly(self, kappa, m_count, p):
+        got = closed_form_delay(assemble_ab(markov_params(kappa, m_count)), p)
+        assert abs(2 * p * got - kappa) <= 1e-13 * max(kappa, 1.0)
+        assert got == pytest.approx(kappa / (2 * p), rel=1e-10, abs=1e-16)
 
     def test_specific_case(self):
         h = markov_params(2 * 1.0 * 0.5, 8)

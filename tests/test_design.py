@@ -12,9 +12,9 @@ from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
 from lagdelay.design import (
     DesignProblem,
-    _ObjectiveContext,
-    _assemble_coefficients,
-    _candidate_free_vars,
+    _candidates,
+    _coefficients,
+    _model,
     optimize_design,
     validate_constraints,
 )
@@ -46,11 +46,32 @@ SECTION7_PROBLEMS = {
 }
 
 
-def candidate_matrix(problem: DesignProblem) -> np.ndarray:
-    return np.array([
-        _assemble_coefficients(u0, odds, problem.i_order)
-        for u0, odds in _candidate_free_vars(problem)
-    ])
+def loop_candidates(problem: DesignProblem) -> np.ndarray:
+    """The candidate-at-a-time grid walk: one row per grid point, energy
+    from u @ u, duplicates dropped through a set of rounded tuples."""
+    root = np.sqrt(problem.energy_bound)
+    axis = np.linspace(0.0, root, problem.u_grid_points)
+    n_pairs = (problem.i_order - 1) // 2
+    mesh = np.meshgrid(*[axis] * (2 + n_pairs), indexing="ij")
+    seen, rows = set(), []
+    for row in np.stack([m.ravel() for m in mesh], axis=-1):
+        u0 = (row[0] - row[1]) / 2.0
+        if u0 <= 0:
+            continue
+        u = np.zeros(problem.i_order + 1)
+        u[0] = u0
+        for j, val in enumerate(row[2:]):
+            u[2 * j + 1] = val
+            u[2 * j + 2] = -val
+        u[problem.i_order] = -u0
+        energy = u @ u
+        if energy > problem.energy_bound:
+            u = u * np.sqrt(problem.energy_bound / energy)
+        key = tuple(np.round(u, 12))
+        if key not in seen:
+            seen.add(key)
+            rows.append(u)
+    return np.array(rows).reshape(-1, problem.i_order + 1)
 
 
 class ScalarObjective:
@@ -133,12 +154,11 @@ class TestOptimizeDesign:
         ).mse
         # returned objective beats every evaluated grid candidate
         for p in problem.p_grid:
-            ctx = _ObjectiveContext(float(p), problem)
-            if not ctx.usable:
+            model = _model(float(p), problem)
+            if not model.usable:
                 continue
-            for u0, odds in _candidate_free_vars(problem):
-                u = _assemble_coefficients(u0, odds, problem.i_order)
-                assert best <= ctx.mse(u) * (1 + 1e-9)
+            for u in _candidates(problem):
+                assert best <= model.mse(u, problem.noise_var) * (1 + 1e-9)
 
     def test_deterministic(self):
         a = optimize_design(tiny_problem())
@@ -148,9 +168,9 @@ class TestOptimizeDesign:
 
     def test_fast_objective_matches_public_op(self):
         problem = tiny_problem()
-        ctx = _ObjectiveContext(35.0, problem)
-        u = _assemble_coefficients(0.9, np.array([0.3]), 3)
-        fast = ctx.mse(u)
+        model = _model(35.0, problem)
+        u = _coefficients(0.9, np.array([0.3]), problem)
+        fast = model.mse(u, problem.noise_var)
         from lagdelay.delay_ops import Spectrum
         from lagdelay.simulate import InputDesign
 
@@ -195,6 +215,9 @@ class TestOptimizeDesign:
             tiny_problem(energy_bound=0.0)
         with pytest.raises(ValueError):
             tiny_problem(tau_guess=-1e-4)
+        for noise_var in (-0.01, float("nan")):
+            with pytest.raises(ValueError, match="noise variance"):
+                tiny_problem(noise_var=noise_var)
 
 
 class TestBatchedObjective:
@@ -202,15 +225,15 @@ class TestBatchedObjective:
     def test_matches_scalar_oracle(self, section):
         sampling, usable_expected = SECTION7_PROBLEMS[section]
         problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
-        cand_u = candidate_matrix(problem)
+        cand_u = _candidates(problem)
         assert len(cand_u) == 576
         usable = 0
         for p in problem.p_grid:
-            ctx = _ObjectiveContext(float(p), problem)
-            if not ctx.usable:
+            model = _model(float(p), problem)
+            if not model.usable:
                 continue
             usable += 1
-            batched = ctx.mse(cand_u)
+            batched = model.mse(cand_u, problem.noise_var)
             oracle = ScalarObjective(float(p), problem)
             scalar = np.array([oracle.mse(u) for u in cand_u])
             rel = np.abs(batched - scalar) / np.abs(scalar)
@@ -220,11 +243,33 @@ class TestBatchedObjective:
 
     def test_single_candidate_matches_its_batch_row(self):
         problem = tiny_problem()
-        ctx = _ObjectiveContext(35.0, problem)
-        cand_u = candidate_matrix(problem)
-        batched = ctx.mse(cand_u)
+        model = _model(35.0, problem)
+        cand_u = _candidates(problem)
+        batched = model.mse(cand_u, problem.noise_var)
         for i, u in enumerate(cand_u):
-            assert ctx.mse(u) == pytest.approx(batched[i], rel=1e-14)
+            assert model.mse(u, problem.noise_var) == pytest.approx(batched[i], rel=1e-14)
+
+
+class TestCandidates:
+    @pytest.mark.parametrize("i_order", [1, 3, 5])
+    @pytest.mark.parametrize("grid_points", [1, 2, 5, 9, 25])
+    @pytest.mark.parametrize("eta", [0.37, 2.0, 11.0])
+    def test_equal_to_grid_walk(self, i_order, grid_points, eta):
+        problem = tiny_problem(i_order=i_order, u_grid_points=grid_points, energy_bound=eta)
+        got = _candidates(problem)
+        want = loop_candidates(problem)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_coefficients_batch_rows_equal_single_rows(self):
+        problem = tiny_problem(i_order=5, energy_bound=0.5)
+        rng = np.random.default_rng(8)
+        u0 = rng.uniform(0.01, 1.0, size=40)
+        odds = rng.uniform(0.0, 1.0, size=(40, 2))
+        batch = _coefficients(u0, odds, problem)
+        for i in range(40):
+            assert np.array_equal(batch[i], _coefficients(u0[i], odds[i], problem))
 
 
 class TestDesignLogging:

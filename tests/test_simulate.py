@@ -1,7 +1,12 @@
 """Signal synthesis tests: closed-form input, exact delay, noise, file I/O."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -137,17 +142,48 @@ class TestNoise:
 
 
 class TestDatasetIO:
-    def test_round_trip_bit_exact(self, tmp_path, bench_design):
-        ds = make_dataset(bench_design, 1.33e-3, 0.01, (5, 3))
-        csv_path = tmp_path / "data.csv"
-        save_dataset(ds, csv_path)
-        back = load_dataset(csv_path)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z=st.integers(1, 50).flatmap(
+            lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n)
+        ),
+        delta=st.floats(1e-9, 1e2),
+        seed=st.integers() | st.tuples(st.integers(), st.integers()),
+        true_tau=st.none() | st.floats(0.0, 1e3),
+    )
+    @example(z=[0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308],
+             delta=3e-4, seed=(5, 3), true_tau=1.33e-3)
+    def test_round_trip_bit_exact(self, z, delta, seed, true_tau):
+        ds = Dataset(z=z, delta=delta, n_samples=len(z), noise_var=0.01, seed=seed,
+                     true_tau=true_tau)
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp) / "data.csv"
+            save_dataset(ds, csv_path)
+            back = load_dataset(csv_path)
         assert np.array_equal(back.z, ds.z)
+        assert np.array_equal(np.signbit(back.z), np.signbit(ds.z))
         assert back.delta == ds.delta
         assert back.n_samples == ds.n_samples
         assert back.noise_var == ds.noise_var
-        assert back.seed == (5, 3)
-        assert back.true_tau == ds.true_tau
+        assert back.seed == seed
+        assert back.true_tau == true_tau
+
+    def test_sample_times_computed_once(self):
+        ds = Dataset(z=np.zeros(1667), delta=3e-4, n_samples=1667, noise_var=0.0, seed=1)
+        assert ds.t is ds.t
+        assert np.array_equal(ds.t, np.arange(1667) * 3e-4)
+        assert not ds.t.flags.writeable
+
+    @pytest.mark.parametrize("bad_row", ["", "0.0003"])
+    def test_malformed_row_rejected(self, tmp_path, bad_row):
+        ds = Dataset(z=np.arange(10.0), delta=1e-4, n_samples=10, noise_var=0.0, seed=1)
+        save_dataset(ds, tmp_path / "d.csv")
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        rows[4] = bad_row
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(InvalidDatasetError, match="CSV line 5"):
+            load_dataset(tmp_path / "d.csv")
 
     def test_true_tau_optional(self, tmp_path):
         ds = Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=0.0, seed=1)
