@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import MarkovErrorModel
 from .delay_ops import Spectrum
 from .errors import InfeasibleDesignError
-from .estimators import golden_section
+from .estimators import minimize_bounded
 from .simulate import InputDesign
 
 log = logging.getLogger("lagdelay.design")
@@ -186,8 +186,9 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
 
 def _refine(problem, p, u0, odds, obj):
     """Coordinate descent around the best grid point; each coordinate is
-    minimized by golden section within one grid spacing.  Also returns the
-    number of per-p error models the descent built."""
+    minimized by bounded Brent within one grid spacing and moves only when
+    that beats the current objective.  Also returns the number of per-p
+    error models the descent built."""
     p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
@@ -202,16 +203,20 @@ def _refine(problem, p, u0, odds, obj):
             return np.inf
         return float(model.mse(_coefficients(u0_val, odds_val, problem), problem.noise_var))
 
+    def descend(fn, x, f_x, lo, hi, rtol):
+        # x lies in [lo, hi] and fn(x) = f_x is known, so keeping x costs no
+        # evaluation; it may sit on a bound, which Brent never evaluates
+        x_new, f_new, _ = minimize_bounded(fn, lo, hi, rtol * max(abs(lo), abs(hi)))
+        return (x_new, f_new) if f_new < f_x else (x, f_x)
+
     for _ in range(20):
         prev = obj
-        p, obj, _ = golden_section(
-            lambda x: objective(x, u0, odds), p / p_ratio, p * p_ratio, rtol=1e-3
+        p, obj = descend(
+            lambda x: objective(x, u0, odds), p, obj, p / p_ratio, p * p_ratio, 1e-3
         )
-        u0, obj, _ = golden_section(
+        u0, obj = descend(
             lambda x: objective(p, x, odds),
-            max(u0 - step, 1e-6 * root),
-            min(u0 + step, root),
-            rtol=1e-4,
+            u0, obj, max(u0 - step, 1e-6 * root), min(u0 + step, root), 1e-4,
         )
         for j in range(odds.size):
             def fn(x, j=j):
@@ -219,8 +224,8 @@ def _refine(problem, p, u0, odds, obj):
                 trial[j] = x
                 return objective(p, u0, trial)
 
-            odds[j], obj, _ = golden_section(
-                fn, max(odds[j] - step, 0.0), min(odds[j] + step, root), rtol=1e-4
+            odds[j], obj = descend(
+                fn, odds[j], obj, max(odds[j] - step, 0.0), min(odds[j] + step, root), 1e-4
             )
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
             break

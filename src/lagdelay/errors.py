@@ -47,9 +47,10 @@ class FlatCorrelationError(LagDelayError):
 
 
 class InvalidDatasetError(LagDelayError):
-    """Measurements are unusable: a sample is not finite, the sample count
-    does not match the data length, or a stored time stamp is off the
-    sampling grid n * delta."""
+    """Measurements are unusable: the CSV is empty, lacks its header or has
+    a malformed row, a sample is not finite, the sample count does not match
+    the data length, or a stored time stamp is off the sampling grid
+    n * delta."""
 
 
 class InfeasibleDesignError(LagDelayError):

@@ -6,7 +6,7 @@ Four estimators share the Dataset/InputDesign interface:
                      spectrum, triangular Markov-parameter solve, closed-form
                      delay ratio.
 * ``ml``          -- time-domain maximum likelihood by grid scan plus
-                     golden-section refinement.
+                     bounded-Brent refinement.
 * ``lag_spline``  -- baseline: cubic-spline interpolation of the samples,
                      quadrature projection onto the basis, then the same
                      Laguerre-domain delay step.
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
+from scipy.optimize import minimize_scalar
 
 from .basis import BasisConfig, SampledBasis, build_phi, eval_basis_matrix
 from .delay_ops import Spectrum, assemble_ab, build_toeplitz, closed_form_delay
@@ -40,7 +41,8 @@ from .errors import (
 )
 from .simulate import Dataset, InputDesign, input_derivative, synthesize_input
 
-GOLDEN_XTOL = 1e-10
+# Absolute tolerance, in seconds, of the ML refinement of tau.
+ML_TAU_XATOL = 5e-11
 
 # Cross-correlation bins participating in the phase fit must carry at least
 # this fraction of the peak spectral amplitude; weaker bins are treated as
@@ -184,27 +186,15 @@ def ml_gradient(data: Dataset, design: InputDesign, tau: float) -> float:
     return float(2.0 * data.delta * ((data.z - model) @ slope))
 
 
-def golden_section(fn, a: float, b: float, xtol: float = 0.0, rtol: float = 0.0):
-    """Golden-section minimum of fn on [a, b]; returns (x, fn(x), evals).
+def minimize_bounded(fn, a: float, b: float, xatol: float):
+    """Minimum of fn inside [a, b] by bounded Brent: parabolic interpolation,
+    safeguarded by golden-mean steps.  Returns (x, fn(x), evals).
 
-    Stops once b - a <= xtol + rtol * max(|a|, |b|, 1e-12).
+    Brent never evaluates fn at a or b.  Stops once x is known to within
+    about xatol plus sqrt(eps) |x|.
     """
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    evals = 2
-    while b - a > xtol + rtol * max(abs(a), abs(b), 1e-12):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = fn(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = fn(x2)
-        evals += 1
-    return (x1, f1, evals) if f1 <= f2 else (x2, f2, evals)
+    res = minimize_scalar(fn, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +235,7 @@ def estimate_delay_ml(
     """Time-domain maximum likelihood.
 
     The objective is non-convex, so a coarse scan at delta / 4 brackets the
-    global minimum before golden-section refinement down to GOLDEN_XTOL
+    global minimum before ``minimize_bounded`` refines it to ML_TAU_XATOL
     seconds.  ``table`` is a prebuilt ``ml_table`` for this design, sampling
     and tau_max; without it the table is built here.  ``boundary_hit`` is
     true when the scan minimum is the last grid point, tau_max: the true
@@ -265,13 +255,11 @@ def estimate_delay_ml(
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     fn = lambda tau: ml_negloglik(data, design, tau)
-    tau_ref, f_ref, evals = golden_section(fn, lo, hi, xtol=GOLDEN_XTOL)
+    tau_ref, f_ref, evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
     converged = True
     if f_ref > objective[best]:
         warnings.warn(
-            NoImprovementWarning(
-                "golden-section refinement did not improve on the grid minimum"
-            )
+            NoImprovementWarning("refinement did not improve on the grid minimum")
         )
         tau_ref, f_ref = grid[best], float(objective[best])
         converged = False

@@ -108,8 +108,8 @@ class Dataset:
             raise InvalidDatasetError(
                 f"{self.z.size} samples given but n_samples is {self.n_samples}"
             )
-        if self.noise_var < 0:
-            raise ValueError("noise variance must be nonnegative")
+        if not self.noise_var >= 0:  # NaN too
+            raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
         bad = np.flatnonzero(~np.isfinite(self.z))
         if bad.size:
             raise InvalidDatasetError(f"sample z[{bad[0]}] = {self.z[bad[0]]} is not finite")
@@ -160,8 +160,8 @@ def add_noise(
     ``seed`` may be an int or a tuple (base_seed, replicate) for
     parallel-safe per-replicate streams.
     """
-    if noise_var < 0:
-        raise ValueError("noise variance must be nonnegative")
+    if not noise_var >= 0:  # NaN too
+        raise ValueError(f"noise variance must be nonnegative, got {noise_var}")
     y = np.asarray(y, dtype=float)
     if noise_var == 0:
         z = y.copy()
@@ -245,9 +245,10 @@ def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:
 def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
-    Raises InvalidDatasetError when a CSV row lacks its t or z field, a time
-    stamp is off the grid n * delta, a sample is not finite or the CSV has
-    another number of rows than the sidecar's n_samples.
+    Raises InvalidDatasetError when the CSV is empty or lacks the t,z
+    header, a CSV row lacks its t or z field or has one that is not a
+    number, a time stamp is off the grid n * delta, a sample is not finite
+    or the CSV has another number of rows than the sidecar's n_samples.
     """
     csv_path = Path(csv_path)
     with open(csv_path.with_suffix(".json")) as f:
@@ -255,16 +256,27 @@ def load_dataset(csv_path) -> Dataset:
     t, z = [], []
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidDatasetError(f"{csv_path}: CSV line 1 is missing, expected the header t,z")
         if header[:2] != ["t", "z"]:
-            raise ValueError(f"unexpected CSV header {header!r}")
+            raise InvalidDatasetError(
+                f"{csv_path}: CSV line 1 is {header!r}, expected the header t,z"
+            )
         for row in reader:
             if len(row) < 2:
                 raise InvalidDatasetError(
-                    f"CSV line {reader.line_num} has {len(row)} field(s), expected t and z"
+                    f"{csv_path}: CSV line {reader.line_num} has {len(row)} field(s), "
+                    "expected t and z"
                 )
-            t.append(float(row[0]))
-            z.append(float(row[1]))
+            try:
+                t.append(float(row[0]))
+                z.append(float(row[1]))
+            except ValueError:
+                raise InvalidDatasetError(
+                    f"{csv_path}: CSV line {reader.line_num} has a field that is not a "
+                    f"number: {row[:2]!r}"
+                ) from None
     delta = float(meta["delta"])
     t = np.asarray(t)
     grid = np.arange(t.size) * delta

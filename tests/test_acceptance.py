@@ -2,10 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines and timings.  Criteria 7a and 7c are marked xfail; their
-docstrings and xfail reasons carry the blocking analysis (a bias quantity
-below the Monte-Carlo noise floor at the pinned replicate count, and a
-baseline bias gap that depends on unpublished reference implementation
-choices).
+xfail reasons carry the blocking analysis (for 7c, a deterministic
+truncation bias of the two-step estimator, far above the Monte-Carlo noise
+floor, that keeps it from being 50x below the spline baseline's bias).
 """
 
 import json
@@ -292,11 +291,12 @@ def test_criterion_7a_mse_ordering(sec72_benchmark):
 @pytest.mark.xfail(
     strict=False,
     reason=(
-        "the 50x bias ratio is below the Monte-Carlo noise floor at R=1000 "
-        "(the standard error of the bias estimate, sqrt(var/R) ~ 2.6e-6, "
-        "exceeds the pass threshold |bias_lag|/50 ~ 3e-7) and the targeted "
-        "bias gap relies on unpublished implementation choices in the "
-        "reference comparison"
+        "the proposed estimator carries a deterministic bias that Monte-Carlo "
+        "noise does not explain: at R=1000 |bias_proposed| ~ 1.8e-4 is about "
+        "11x |bias_lag| ~ 1.6e-5, some 69 standard errors (sqrt(var/R) ~ "
+        "2.6e-6) from zero, where the criterion wants it 50x below "
+        "|bias_lag|; predict_bias_tau gives +1.77e-4 at this design, and "
+        "+2.1e-5 without its spectrum-truncation term"
     ),
 )
 def test_criterion_7c_bias_ratio(sec72_benchmark):

@@ -109,6 +109,16 @@ class TestSimulateCommand:
             contents.append((out / "dataset.csv").read_bytes())
         assert contents[0] == contents[1]
 
+    def test_nan_noise_variance_exit_1(self, design_file, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--design", str(design_file), "--tau", "1e-3",
+            "--noise-var", "nan", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "noise variance" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(design_file, tmp_path_factory):
@@ -203,7 +213,7 @@ class TestEstimateCommand:
         assert "InvalidDatasetError" in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("bad_row", ["", "0.0003"])
+    @pytest.mark.parametrize("bad_row", ["", "0.0003", "0.0021,abc"])
     def test_malformed_csv_row_exit_1(self, design_file, dataset_dir, tmp_path, capsys, bad_row):
         rows = (dataset_dir / "dataset.csv").read_text().splitlines()
         rows[7] = bad_row
@@ -217,6 +227,24 @@ class TestEstimateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "InvalidDatasetError" in err and "line 8" in err
+        assert str(tmp_path / "dataset.csv") in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("header", ["time,value", None], ids=["wrong", "empty"])
+    def test_csv_header_checked_exit_1(self, design_file, dataset_dir, tmp_path, capsys, header):
+        rows = (dataset_dir / "dataset.csv").read_text().splitlines()
+        text = "" if header is None else "\n".join([header] + rows[1:]) + "\n"
+        (tmp_path / "dataset.csv").write_text(text)
+        (tmp_path / "dataset.json").write_bytes((dataset_dir / "dataset.json").read_bytes())
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--out", str(report),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InvalidDatasetError" in err and "line 1 " in err
+        assert str(tmp_path / "dataset.csv") in err
         assert not report.exists()
 
     def test_every_method_failing_exit_3(self, design_file, tmp_path):
@@ -255,7 +283,7 @@ class TestBenchmarkCommand:
 
     def test_workers_identical_modulo_runtime(self, bench_config, tmp_path):
         reports = []
-        for workers, name in [("1", "w1"), ("4", "w4")]:
+        for workers, name in [("1", "w1"), ("2", "w2"), ("4", "w4")]:
             out = tmp_path / name
             main([
                 "benchmark", "--config", str(bench_config), "--replicates", "10",
@@ -265,7 +293,7 @@ class TestBenchmarkCommand:
             # wall-clock time is the only legitimate delta
             payload.pop("runtime_s")
             reports.append(json.dumps(payload, sort_keys=True))
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_missing_seed_exit_1(self, design_file, tmp_path):
         cfg = {

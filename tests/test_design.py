@@ -1,14 +1,18 @@
 """Design-module tests: constraint checks, grid optimizer contracts."""
 
+import json
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from lagdelay import design as design_module
 from lagdelay.analysis import markov_mse
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.cli import main
 from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
 from lagdelay.design import (
     DesignProblem,
@@ -218,6 +222,68 @@ class TestOptimizeDesign:
         for noise_var in (-0.01, float("nan")):
             with pytest.raises(ValueError, match="noise variance"):
                 tiny_problem(noise_var=noise_var)
+
+
+INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
+
+# Objective of each committed design problem under the golden-section
+# coordinate descent that the bounded-Brent refine replaced.  The warm-up
+# problem has no committed reference design, so its design is given here.
+GOLDEN_REFINE_OBJECTIVE = {
+    "design72": 0.00015541995776297582,
+    "design71": 1.2004818266307826e-05,
+    "design_warmup": 0.0002653670520551769,
+}
+WARMUP_REFERENCE = {"p": 40.0, "u": [np.sqrt(0.5), 0.0, 0.0, -np.sqrt(0.5)], "eta": 2.0}
+
+
+def run_design_cli(config: dict, tmp_path, name: str) -> dict:
+    cfg_path = tmp_path / f"{name}_problem.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / f"{name}.json"
+    assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+class TestRefine:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REFINE_OBJECTIVE))
+    def test_committed_problems_agree_with_golden_section_refine(self, name, tmp_path):
+        config = json.loads((INPUTS / f"{name}_problem.json").read_text())
+        got = run_design_cli(config, tmp_path, name)
+        grid = run_design_cli({**config, "refine": False}, tmp_path, f"{name}_grid")
+        ref_path = INPUTS / f"{name}_ref.json"
+        ref = json.loads(ref_path.read_text()) if ref_path.exists() else WARMUP_REFERENCE
+        # twice the refine's stopping brackets (1e-3 on p, 1e-4 on u)
+        assert abs(got["p"] - ref["p"]) <= 2e-3 * ref["p"]
+        assert np.max(np.abs(np.subtract(got["u"], ref["u"]))) <= 2e-4 * np.sqrt(ref["eta"])
+        golden = GOLDEN_REFINE_OBJECTIVE[name]
+        assert abs(got["objective"] - golden) <= 1e-7 * golden
+        assert got["objective"] <= grid["objective"]
+
+    def test_unusable_p_inside_the_bracket(self, monkeypatch):
+        # the p bracket of the only usable grid point, [1, 1e6], reaches far
+        # into the ill-conditioned range, where the objective is infinite
+        seen = []
+
+        def recording_model(p, problem):
+            model = _model(p, problem)
+            seen.append(model.usable)
+            return model
+
+        monkeypatch.setattr(design_module, "_model", recording_model)
+        grid_problem = tiny_problem(p_grid=np.array([1e3, 1e6]), refine=False)
+        grid = optimize_design(grid_problem)
+        n_grid = len(seen)
+        refined = optimize_design(tiny_problem(p_grid=np.array([1e3, 1e6]), refine=True))
+        refine_models = seen[n_grid + len(grid_problem.p_grid) :]
+        assert not all(refine_models)
+
+        def objective(design):
+            return markov_mse(design, grid_problem.k_model, grid_problem.noise_var,
+                              grid_problem.tau_guess, n_samples=grid_problem.n_samples).mse
+
+        assert np.isfinite(objective(refined))
+        assert objective(refined) <= objective(grid)
 
 
 class TestBatchedObjective:

@@ -1,12 +1,24 @@
 """Estimator tests: LS spectrum, Markov solve, all four delay methods, CRLB."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
+from lagdelay import estimators
 from lagdelay.basis import BasisConfig, build_phi
-from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
+from lagdelay.delay_ops import (
+    Spectrum,
+    build_toeplitz,
+    delay_spectrum,
+    markov_params,
+    reciprocal_series,
+)
 from lagdelay.errors import (
     FlatCorrelationError,
     IllConditionedError,
@@ -27,6 +39,7 @@ from lagdelay.estimators import (
     estimate_spectrum_ls,
     ml_gradient,
     ml_negloglik,
+    ml_table,
     project_spectrum_spline,
 )
 from lagdelay.simulate import (
@@ -39,6 +52,31 @@ from lagdelay.simulate import (
 )
 
 TAU = 1.33e-3
+INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
+
+
+def golden_section(fn, a: float, b: float, xtol: float = 0.0, rtol: float = 0.0):
+    """Golden-section minimum of fn on [a, b]; returns (x, fn(x), evals).
+
+    The search the ML and design refinements used before bounded Brent,
+    kept as the oracle.  Stops once b - a <= xtol + rtol * max(|a|, |b|, 1e-12).
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = fn(x1), fn(x2)
+    evals = 2
+    while b - a > xtol + rtol * max(abs(a), abs(b), 1e-12):
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = fn(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = fn(x2)
+        evals += 1
+    return (x1, f1, evals) if f1 <= f2 else (x2, f2, evals)
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +191,26 @@ class TestEstimateMarkov:
         got = estimate_markov(y, bench_design.u)
         assert_allclose(got, h, rtol=1e-12, atol=1e-14)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u0=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
+        tail=st.lists(st.floats(-10.0, 10.0), max_size=7),
+        kappa=st.floats(0.0, 40.0),
+        size=st.integers(1, 16),
+    )
+    @example(u0=1.0, tail=[0.0, 0.0, -1.0], kappa=30.0, size=13)  # the section 7.2 input
+    def test_recovers_markov_parameters_of_a_delay(self, u0, tail, kappa, size):
+        u = Spectrum(np.array([u0, *tail]), 1.0)
+        h = markov_params(kappa, size).values
+        got = estimate_markov(delay_spectrum(u, kappa, size), u)
+        # the convolution and the forward substitution are componentwise
+        # backward stable, so the error is bounded relative to
+        # |T(v)| |T(u)| |h| with T(v) = T(u)^-1; the floor covers subnormals
+        t_u = build_toeplitz(u, size)
+        t_v = build_toeplitz(reciprocal_series(u, size), size)
+        scale = np.abs(t_v) @ np.abs(t_u) @ np.abs(h) + np.finfo(float).tiny
+        assert np.all(np.abs(got - h) <= 1e-12 * scale)
+
     def test_identity_input_passes_through(self):
         y = Spectrum(np.array([0.3, -0.1, 0.7]), 1.0)
         got = estimate_markov(y, Spectrum(np.array([1.0]), 1.0))
@@ -234,7 +292,10 @@ class TestML:
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
         est = estimate_delay_ml(ds, bench_design, tau_max=0.01)
-        assert est.tau_hat == pytest.approx(0.0013242661834311942, rel=1e-9)
+        assert est.tau_hat == pytest.approx(0.0013242661978195103, rel=1e-9)
+        # the golden-section refine with its 1e-10 s bracket gave this value;
+        # the negative log-likelihood cannot tell the two apart
+        assert abs(est.tau_hat - 0.0013242661834311942) <= 1e-10
 
     def test_rejects_nonpositive_tau_max(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
@@ -254,6 +315,25 @@ class TestML:
         est = estimate_delay_ml(ds, sec72_design, tau_max=0.01)
         assert est.diagnostics["boundary_hit"] is False
         assert est.diagnostics["converged"]
+
+
+class TestMlRefine:
+    def test_agrees_with_golden_section_oracle(self, monkeypatch):
+        # 200 replicates of the section 7.2 Monte-Carlo configuration; the
+        # golden-section refine stopped at a 1e-10 s bracket
+        design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
+        table = ml_table(design, design.delta, design.n_samples, 0.01)
+        datasets = [make_dataset(design, TAU, 0.01, (0, r)) for r in range(200)]
+        brent = [estimate_delay_ml(ds, design, 0.01, table=table) for ds in datasets]
+        monkeypatch.setattr(
+            estimators, "minimize_bounded",
+            lambda fn, a, b, xatol: golden_section(fn, a, b, xtol=1e-10),
+        )
+        for ds, new in zip(datasets, brent):
+            old = estimate_delay_ml(ds, design, 0.01, table=table)
+            assert abs(new.tau_hat - old.tau_hat) <= 1e-10
+            assert new.diagnostics["refine_evals"] <= 12
+            assert new.diagnostics["converged"] and old.diagnostics["converged"]
 
 
 class TestCrlb:

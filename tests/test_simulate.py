@@ -135,6 +135,13 @@ class TestNoise:
         b = add_noise(y, 1.0, (7, 1), delta=0.1)
         assert not np.array_equal(a.z, b.z)
 
+    @pytest.mark.parametrize("noise_var", [-0.01, float("nan")])
+    def test_negative_or_nan_variance_rejected(self, noise_var):
+        with pytest.raises(ValueError, match="noise variance"):
+            add_noise(np.zeros(3), noise_var, 1, delta=0.1)
+        with pytest.raises(ValueError, match="noise variance"):
+            Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=noise_var, seed=1)
+
     def test_variance_law_of_large_numbers(self):
         lam = 0.37
         ds = add_noise(np.zeros(1_000_000), lam, 2024, delta=1.0)
@@ -175,15 +182,25 @@ class TestDatasetIO:
         assert np.array_equal(ds.t, np.arange(1667) * 3e-4)
         assert not ds.t.flags.writeable
 
-    @pytest.mark.parametrize("bad_row", ["", "0.0003"])
+    @pytest.mark.parametrize("bad_row", ["", "0.0003", "0.0004,abc"])
     def test_malformed_row_rejected(self, tmp_path, bad_row):
         ds = Dataset(z=np.arange(10.0), delta=1e-4, n_samples=10, noise_var=0.0, seed=1)
         save_dataset(ds, tmp_path / "d.csv")
         rows = (tmp_path / "d.csv").read_text().splitlines()
         rows[4] = bad_row
         (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
-        with pytest.raises(InvalidDatasetError, match="CSV line 5"):
+        with pytest.raises(InvalidDatasetError, match="CSV line 5") as info:
             load_dataset(tmp_path / "d.csv")
+        assert str(tmp_path / "d.csv") in str(info.value)
+
+    @pytest.mark.parametrize("text", ["time,value\n0,0.5\n", ""], ids=["wrong", "empty"])
+    def test_header_checked(self, tmp_path, text):
+        ds = Dataset(z=np.zeros(1), delta=1e-4, n_samples=1, noise_var=0.0, seed=1)
+        save_dataset(ds, tmp_path / "d.csv")
+        (tmp_path / "d.csv").write_text(text)
+        with pytest.raises(InvalidDatasetError, match="CSV line 1 ") as info:
+            load_dataset(tmp_path / "d.csv")
+        assert str(tmp_path / "d.csv") in str(info.value)
 
     def test_true_tau_optional(self, tmp_path):
         ds = Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=0.0, seed=1)
