@@ -15,12 +15,9 @@ from .analysis import (
 )
 from .basis import (
     BasisConfig,
-    ContinuousRealization,
     SampledBasis,
     assoc_laguerre_recurrence,
-    build_continuous_ss,
     build_phi,
-    discretize_impulse_invariant,
 )
 from .delay_ops import (
     DelayLinearSystem,

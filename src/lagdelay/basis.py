@@ -1,14 +1,13 @@
-"""Continuous Laguerre basis functions and their sampled realization.
+"""Continuous Laguerre basis functions and their sampled matrix.
 
 Provides closed-form evaluation of the basis functions ell_j(t), the
-shifted-index Laguerre polynomials used by the delay operator, the
-continuous LTI state-space realization of the basis, its impulse-invariant
-discretization, and the sampled basis matrix Phi used for spectrum
-estimation.
+shifted-index Laguerre polynomials used by the delay operator, and the
+sampled basis matrix Phi, tabulated from the same closed form, used for
+spectrum estimation.
 
 Sign convention used throughout the package: every basis function starts
-positive, ell_j(0) = +sqrt(2p) for all j.  Closed forms, state-space
-matrices and delay Markov parameters are mutually consistent under it.
+positive, ell_j(0) = +sqrt(2p) for all j.  Closed forms and delay Markov
+parameters are mutually consistent under it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, qr
+from scipy.linalg import qr
 
 from .errors import IllConditionedWarning
 
@@ -46,21 +45,10 @@ class BasisConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class ContinuousRealization:
-    """State-space realization whose impulse response stacks the basis
-    functions: state j of exp(A_c t) B_c equals ell_j(t)."""
-
-    a_c: np.ndarray
-    b_c: np.ndarray
-    p: float
-    k_max: int
-
-
-@dataclass(frozen=True, eq=False)
 class SampledBasis:
     """Basis functions tabulated at the sample instants t_n = n*delta.
 
-    matrix[n, j] = ell_j(n*delta); row 0 equals b_c (all sqrt(2p)).
+    matrix[n, j] = ell_j(n*delta); row 0 is all sqrt(2p).
     ``q`` and ``r`` are the thin QR factors of ``matrix``; every least-squares
     solve against this basis reuses them.
     """
@@ -151,43 +139,14 @@ def eval_basis_derivative_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     return envelope[..., None] * (-cfg.p * table - 2.0 * cfg.p * partial)
 
 
-def build_continuous_ss(cfg: BasisConfig) -> ContinuousRealization:
-    """Lower-triangular realization of the basis: diagonal -p, strictly
-    lower entries -2p, input vector all sqrt(2p)."""
-    n = cfg.num_funcs
-    a_c = np.tril(np.full((n, n), -2.0 * cfg.p), -1) + np.diag(np.full(n, -cfg.p))
-    b_c = np.full(n, np.sqrt(2.0 * cfg.p))
-    return ContinuousRealization(a_c=a_c, b_c=b_c, p=cfg.p, k_max=cfg.k_max)
-
-
-def discretize_impulse_invariant(
-    real: ContinuousRealization, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse-invariant discrete pair: A_d = expm(A_c delta), B_d = A_d B_c."""
-    if delta < 0:
-        raise ValueError("sampling time must be nonnegative")
-    a_d = expm(real.a_c * delta)
-    return a_d, a_d @ real.b_c
-
-
-def _impulse_state_sequence(a_d: np.ndarray, b_c: np.ndarray, n: int) -> np.ndarray:
-    """Rows A_d^0 B_c ... A_d^{n-1} B_c, computed by doubling, shape (n, dim)."""
-    states = b_c[:, None]
-    power = a_d
-    while states.shape[1] < n:
-        states = np.hstack([states, power @ states])
-        power = power @ power
-    return states[:, :n].T
-
-
 def build_phi(
     cfg: BasisConfig,
     delta: float,
     n_samples: int,
     cond_threshold: float = DEFAULT_COND_THRESHOLD,
 ) -> SampledBasis:
-    """Sampled basis matrix Phi with rows ell(t_n) = A_d^n B_c, and its thin
-    QR factorization.
+    """Sampled basis matrix Phi with rows ell(t_n), t_n = n*delta, from the
+    closed form, and its thin QR factorization.
 
     cond(Phi) is read from R, which has the same singular values.  A
     condition number above ``cond_threshold`` flags the basis and emits
@@ -200,9 +159,7 @@ def build_phi(
         raise ValueError(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"
         )
-    real = build_continuous_ss(cfg)
-    a_d, _ = discretize_impulse_invariant(real, delta)
-    matrix = _impulse_state_sequence(a_d, real.b_c, n_samples)
+    matrix = eval_basis_matrix(cfg, np.arange(n_samples) * delta)
     q, r = qr(matrix, mode="economic", check_finite=False)
     cond = float(np.linalg.cond(r))
     flagged = not np.isfinite(cond) or cond > cond_threshold

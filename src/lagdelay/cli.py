@@ -25,7 +25,6 @@ from .basis import (
     BasisConfig,
     assoc_laguerre_sequence,
     build_phi,
-    eval_basis_matrix,
 )
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
@@ -357,15 +356,9 @@ def cmd_basis_check(args) -> int:
     check("polynomial recurrence vs direct sum", worst < 1e-8, f"worst rel {worst:.2e}")
 
     phi = build_phi(cfg, args.delta, args.n_samples, args.cond_threshold)
-    t = np.arange(args.n_samples) * args.delta
-    analytic = eval_basis_matrix(cfg, t)
-    scale = np.sqrt(2 * cfg.p)
-    dev = np.max(np.abs(phi.matrix - analytic) / np.maximum(np.abs(analytic), scale))
-    check("sampled basis vs closed form", dev < 1e-9, f"max mixed-rel {dev:.2e}")
-
     check(
         "first row equals sqrt(2p)",
-        bool(np.allclose(phi.matrix[0], scale, rtol=1e-12)),
+        bool(np.allclose(phi.matrix[0], np.sqrt(2 * cfg.p), rtol=1e-12)),
     )
     gram_dev = np.abs(args.delta * phi.matrix.T @ phi.matrix - np.eye(cfg.num_funcs)).max()
     print(f"  [INFO] Gram deviation from identity: {gram_dev:.3e}")

@@ -3,8 +3,8 @@
 Four estimators share the Dataset/InputDesign interface:
 
 * ``proposed``    -- two-step Laguerre-domain estimator: least-squares output
-                     spectrum, triangular Markov-parameter solve, closed-form
-                     delay ratio.
+                     spectrum, Markov parameters through the reciprocal input
+                     series, closed-form delay ratio.
 * ``ml``          -- time-domain maximum likelihood by grid scan plus
                      bounded-Brent refinement.
 * ``lag_spline``  -- baseline: cubic-spline interpolation of the samples,
@@ -32,7 +32,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import minimize_scalar
 
 from .basis import BasisConfig, SampledBasis, build_phi, eval_basis_matrix
-from .delay_ops import Spectrum, assemble_ab, build_toeplitz, closed_form_delay
+from .delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_series
 from .errors import (
     FlatCorrelationError,
     IllConditionedError,
@@ -103,9 +103,10 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
 
 
 def estimate_markov(y_hat: Spectrum, input_spec: Spectrum) -> np.ndarray:
-    """Markov parameters from spectra: forward substitution on T(U) H = Y."""
-    t_u = build_toeplitz(input_spec, len(y_hat))
-    return solve_triangular(t_u, y_hat.coeffs, lower=True)
+    """Markov parameters from spectra: H = T(U)^{-1} Y = T(v) Y, applied as
+    the truncated convolution of Y with v, the reciprocal series of u."""
+    size = len(y_hat)
+    return np.convolve(reciprocal_series(input_spec, size), y_hat.coeffs)[:size]
 
 
 def markov_order(k_model: int, m_markov: int | None) -> int:
@@ -141,11 +142,11 @@ def estimate_delay_proposed(
 ) -> DelayEstimate:
     """Two-step Laguerre-domain delay estimate.
 
-    Chains the sampled basis, the least-squares spectrum, the triangular
-    Markov solve and the closed-form ratio.  ``m_markov`` defaults to using
-    every estimated Markov parameter (K + 1).  ``phi`` is a prebuilt basis
-    for this design's p, K and the data's sampling; without it the basis is
-    built here.
+    Chains the sampled basis, the least-squares spectrum, the Markov
+    parameters T(U)^{-1} Y and the closed-form ratio.  ``m_markov`` defaults
+    to using every estimated Markov parameter (K + 1).  ``phi`` is a prebuilt
+    basis for this design's p, K and the data's sampling; without it the
+    basis is built here.
     """
     m = _delay_step_order(design, k_model, m_markov)
     if phi is None:

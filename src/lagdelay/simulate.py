@@ -278,20 +278,28 @@ def load_dataset(csv_path) -> Dataset:
                     f"number: {row[:2]!r}"
                 ) from None
     delta = float(meta["delta"])
-    t = np.asarray(t)
+    t, z = np.asarray(t), np.asarray(z)
     grid = np.arange(t.size) * delta
+    # sample n is on CSV line n + 2, after the header; the grid test is
     # written as "not within" so that a NaN time stamp is off the grid too
     off = np.flatnonzero(~(np.abs(t - grid) <= T_GRID_RTOL * np.maximum(np.abs(t), delta)))
     if off.size:
         n = off[0]
         raise InvalidDatasetError(
-            f"time stamp t[{n}] = {t[n]:.17g} is not n * delta = {grid[n]:.17g}"
+            f"{csv_path}: CSV line {n + 2} has time stamp t[{n}] = {t[n]:.17g}, "
+            f"not n * delta = {grid[n]:.17g}"
+        )
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        n = bad[0]
+        raise InvalidDatasetError(
+            f"{csv_path}: CSV line {n + 2} has sample z[{n}] = {z[n]}, which is not finite"
         )
     seed = meta.get("seed")
     if isinstance(seed, list):
         seed = tuple(seed)
     return Dataset(
-        z=np.asarray(z),
+        z=z,
         delta=delta,
         n_samples=int(meta["n_samples"]),
         noise_var=float(meta["noise_var"]),

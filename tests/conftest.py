@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.linalg import expm, qr
 
-from lagdelay.basis import BasisConfig, eval_basis_matrix
+from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
 from lagdelay.delay_ops import Spectrum
 from lagdelay.design import DesignProblem, optimize_design
 from lagdelay.simulate import InputDesign
@@ -23,6 +24,53 @@ def exact_assoc_laguerre(m: int, xi: float) -> float:
     for n in range(1, m + 1):
         acc += Fraction(math.comb(m - 1, n - 1), math.factorial(n)) * (-x) ** n
     return float(acc)
+
+
+def state_space_realization(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lower-triangular realization (A_c, b_c) of the basis: diagonal -p,
+    strictly lower entries -2p, input vector all sqrt(2p).  State j of
+    exp(A_c t) b_c equals ell_j(t)."""
+    n = cfg.num_funcs
+    a_c = np.tril(np.full((n, n), -2.0 * cfg.p), -1) + np.diag(np.full(n, -cfg.p))
+    return a_c, np.full(n, np.sqrt(2.0 * cfg.p))
+
+
+def impulse_invariant(
+    a_c: np.ndarray, b_c: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Impulse-invariant discrete pair: A_d = expm(A_c delta), B_d = A_d b_c."""
+    a_d = expm(a_c * delta)
+    return a_d, a_d @ b_c
+
+
+def state_space_phi(cfg: BasisConfig, delta: float, n_samples: int) -> np.ndarray:
+    """Sampled basis matrix from the impulse-invariant discrete system: rows
+    A_d^n b_c, n = 0..n_samples-1, computed by doubling.  Independent of the
+    closed form that ``build_phi`` tabulates."""
+    a_c, b_c = state_space_realization(cfg)
+    a_d, _ = impulse_invariant(a_c, b_c, delta)
+    states = b_c[:, None]
+    power = a_d
+    while states.shape[1] < n_samples:
+        states = np.hstack([states, power @ states])
+        power = power @ power
+    return states[:, :n_samples].T
+
+
+def state_space_basis(
+    cfg: BasisConfig, delta: float, n_samples: int, cond_threshold: float = DEFAULT_COND_THRESHOLD
+) -> SampledBasis:
+    """``build_phi`` on the state-space matrix: the same thin QR, cond read
+    from R and threshold flag (no warning).  Stands in for ``build_phi`` to
+    compare a downstream result with the one the state-space Phi gives."""
+    matrix = state_space_phi(cfg, delta, n_samples)
+    q, r = qr(matrix, mode="economic", check_finite=False)
+    cond = float(np.linalg.cond(r))
+    return SampledBasis(
+        p=cfg.p, k_max=cfg.k_max, delta=delta, n_samples=n_samples, matrix=matrix, cond=cond,
+        ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
+        cond_threshold=cond_threshold, q=q, r=r,
+    )
 
 
 def quadrature_delay_projection(u: Spectrum, tau: float, num_out: int) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Analysis tests: Markov-MSE budget, bias prediction, Monte-Carlo harness."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
+from lagdelay import analysis
 from lagdelay.analysis import (
     BenchmarkConfig,
     markov_mse,
@@ -17,7 +21,12 @@ from lagdelay.errors import DegenerateBError, IllConditionedError
 from lagdelay.estimators import estimate_spectrum_ls
 from lagdelay.simulate import Dataset, InputDesign, sample_delayed
 
+from conftest import state_space_basis
+
 TAU = 1.33e-3
+REF72 = json.loads(
+    (Path(__file__).resolve().parents[1] / "lagbench" / "inputs" / "design72_ref.json").read_text()
+)
 
 
 def substitution_markov_mse(design, k_model, noise_var, tau_check):
@@ -122,6 +131,24 @@ class TestMarkovMse:
             # plus the first-order effect of the bias tolerance on |bias|^2,
             # which dominates where the mse is small (tau = 1e-4, no noise)
             assert abs(acc.mse - mse) <= 1e-12 * mse + 2e-14 * np.sum(np.abs(bias))
+
+    @pytest.mark.parametrize("p", [20.0, REF72["p"], 50.0, 80.0])
+    def test_agrees_with_state_space_basis(self, p, monkeypatch):
+        # markov_mse and bias-predict of the section 7.2 reference input
+        # with the basis built from the state-space oracle; the worst
+        # relative differences were 5.8e-13 (mse) and 8.9e-13 (predicted
+        # bias), 2.4e-14 and 1.2e-14 at the reference p
+        design = InputDesign.from_dict({**REF72, "p": p})
+
+        def run():
+            mse = markov_mse(design, 12, 0.01, TAU).mse
+            bias = predict_bias_tau(design, 0.01, TAU, 12, mc_samples=20_000, seed=0)
+            return mse, bias.predicted_bias
+
+        got = run()
+        monkeypatch.setattr(analysis, "build_phi", state_space_basis)
+        want = run()
+        assert got == pytest.approx(want, rel=1e-11)
 
     @pytest.mark.parametrize("noise_var", [-0.01, float("nan")])
     def test_negative_noise_variance_rejected(self, bench_design, noise_var):

@@ -1,4 +1,9 @@
-"""Basis-layer tests: polynomials, closed forms, state space, sampling."""
+"""Basis-layer tests: polynomials, closed forms, sampling.
+
+The sampled basis is tabulated from the closed form; the state-space
+construction in ``conftest`` (impulse-invariant discretization of the
+lower-triangular realization) is the independent oracle it is checked
+against."""
 
 import warnings
 
@@ -11,15 +16,18 @@ from lagdelay.basis import (
     BasisConfig,
     assoc_laguerre_recurrence,
     assoc_laguerre_sequence,
-    build_continuous_ss,
     build_phi,
-    discretize_impulse_invariant,
     eval_basis_derivative_matrix,
     eval_basis_matrix,
 )
 from lagdelay.errors import IllConditionedWarning
 
-from conftest import exact_assoc_laguerre
+from conftest import (
+    exact_assoc_laguerre,
+    impulse_invariant,
+    state_space_phi,
+    state_space_realization,
+)
 
 
 def _poly(m: int, xi: float) -> float:
@@ -120,64 +128,70 @@ class TestClosedForms:
 
 class TestStateSpace:
     def test_pattern_p1_k1(self):
-        real = build_continuous_ss(BasisConfig(p=1.0, num_funcs=2))
-        assert_allclose(real.a_c, [[-1.0, 0.0], [-2.0, -1.0]])
-        assert_allclose(real.b_c, [np.sqrt(2.0)] * 2)
+        a_c, b_c = state_space_realization(BasisConfig(p=1.0, num_funcs=2))
+        assert_allclose(a_c, [[-1.0, 0.0], [-2.0, -1.0]])
+        assert_allclose(b_c, [np.sqrt(2.0)] * 2)
 
     def test_scalar_case(self):
-        real = build_continuous_ss(BasisConfig(p=1.0, num_funcs=1))
-        assert_allclose(real.a_c, [[-1.0]])
-        assert_allclose(real.b_c, [np.sqrt(2.0)])
+        a_c, b_c = state_space_realization(BasisConfig(p=1.0, num_funcs=1))
+        assert_allclose(a_c, [[-1.0]])
+        assert_allclose(b_c, [np.sqrt(2.0)])
 
     def test_structure_p20_k6(self):
-        real = build_continuous_ss(BasisConfig(p=20.0, num_funcs=7))
-        assert real.a_c.shape == (7, 7)
-        assert_allclose(np.diag(real.a_c), -20.0)
-        low = real.a_c[np.tril_indices(7, -1)]
-        assert_allclose(low, -40.0)
-        assert np.all(real.a_c[np.triu_indices(7, 1)] == 0.0)
+        a_c, _ = state_space_realization(BasisConfig(p=20.0, num_funcs=7))
+        assert a_c.shape == (7, 7)
+        assert_allclose(np.diag(a_c), -20.0)
+        assert_allclose(a_c[np.tril_indices(7, -1)], -40.0)
+        assert np.all(a_c[np.triu_indices(7, 1)] == 0.0)
 
     def test_discretize_scalar(self):
-        real = build_continuous_ss(BasisConfig(p=1.0, num_funcs=1))
-        a_d, b_d = discretize_impulse_invariant(real, 1.0)
+        a_c, b_c = state_space_realization(BasisConfig(p=1.0, num_funcs=1))
+        a_d, b_d = impulse_invariant(a_c, b_c, 1.0)
         assert_allclose(a_d, [[np.exp(-1.0)]], rtol=1e-15)
         assert_allclose(b_d, [np.sqrt(2.0) * np.exp(-1.0)], rtol=1e-15)
 
     def test_discretize_zero_step(self):
-        real = build_continuous_ss(BasisConfig(p=1.0, num_funcs=2))
-        a_d, b_d = discretize_impulse_invariant(real, 0.0)
+        a_c, b_c = state_space_realization(BasisConfig(p=1.0, num_funcs=2))
+        a_d, b_d = impulse_invariant(a_c, b_c, 0.0)
         assert_allclose(a_d, np.eye(2))
-        assert_allclose(b_d, real.b_c)
+        assert_allclose(b_d, b_c)
 
     def test_state_sequence_matches_analytic(self):
+        # one A_d step per sample, against the closed-form build_phi
         cfg = BasisConfig(p=20.0, num_funcs=7)
-        real = build_continuous_ss(cfg)
-        a_d, _ = discretize_impulse_invariant(real, 1e-4)
+        a_c, state = state_space_realization(cfg)
+        a_d, _ = impulse_invariant(a_c, state, 1e-4)
         n = 2000
-        state = real.b_c.copy()
         seq = np.empty((n, 7))
         for i in range(n):
             seq[i] = state
             state = a_d @ state
-        t = np.arange(n) * 1e-4
-        analytic = eval_basis_matrix(cfg, t)
         scale = np.sqrt(2 * cfg.p)
-        assert np.max(np.abs(seq - analytic)) < 1e-9 * scale
+        assert np.max(np.abs(seq - build_phi(cfg, 1e-4, n).matrix)) < 1e-9 * scale
 
 
 class TestBuildPhi:
     def test_row_zero_is_b_c(self):
         cfg = BasisConfig(p=11.0, num_funcs=5)
         phi = build_phi(cfg, 1e-3, 10)
+        _, b_c = state_space_realization(cfg)
+        assert_allclose(phi.matrix[0], b_c, rtol=1e-15)
         assert_allclose(phi.matrix[0], np.sqrt(22.0), rtol=1e-15)
 
     def test_matches_analytic_to_1e9(self):
+        # the closed-form Phi against the state-space oracle
         cfg = BasisConfig(p=20.0, num_funcs=7)
         phi = build_phi(cfg, 1e-4, 5001)
-        analytic = eval_basis_matrix(cfg, np.arange(5001) * 1e-4)
+        oracle = state_space_phi(cfg, 1e-4, 5001)
         scale = np.sqrt(2 * cfg.p)
-        mixed = np.abs(phi.matrix - analytic) / np.maximum(np.abs(analytic), scale)
+        mixed = np.abs(phi.matrix - oracle) / np.maximum(np.abs(oracle), scale)
         assert mixed.max() < 1e-9
+
+    @pytest.mark.parametrize("p,delta,n,k1", [(20.0, 1e-4, 5001, 7), (37.3, 3e-4, 1667, 13)])
+    def test_matrix_is_the_closed_form(self, p, delta, n, k1):
+        cfg = BasisConfig(p=p, num_funcs=k1)
+        expected = eval_basis_matrix(cfg, np.arange(n) * delta)
+        assert np.array_equal(build_phi(cfg, delta, n).matrix, expected)
 
     def test_full_rank_at_minimal_samples(self):
         cfg = BasisConfig(p=5.0, num_funcs=4)
@@ -239,6 +253,20 @@ class TestBasisFactors:
             svd_cond = np.linalg.cond(phi.matrix)
             assert phi.cond == pytest.approx(svd_cond, rel=1e-12)
             assert phi.ill_conditioned == (svd_cond > DEFAULT_COND_THRESHOLD)
+
+    @pytest.mark.parametrize("delta,n,k1", SECTION7_SAMPLINGS)
+    def test_cond_and_flag_match_state_space_oracle(self, delta, n, k1):
+        # cond is compared up to the threshold (worst 6.4e-10 relative);
+        # above ~1e9 it is rounding noise in either construction
+        for p in SECTION7_P_GRID:
+            cfg = BasisConfig(p=float(p), num_funcs=k1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                phi = build_phi(cfg, delta, n)
+            oracle_cond = np.linalg.cond(state_space_phi(cfg, delta, n))
+            assert phi.ill_conditioned == (oracle_cond > DEFAULT_COND_THRESHOLD)
+            if oracle_cond <= DEFAULT_COND_THRESHOLD:
+                assert phi.cond == pytest.approx(oracle_cond, rel=1e-9)
 
     def test_flag_just_above_threshold(self):
         # section 7.2 grid point p ~ 7.674 has cond(Phi) ~ 1.0106e8, about 1%

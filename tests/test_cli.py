@@ -197,7 +197,9 @@ class TestEstimateCommand:
             "--design", str(design_file), "--out", str(report),
         ])
         assert rc == 1
-        assert "InvalidDatasetError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "InvalidDatasetError" in err and "line 501 " in err
+        assert str(tmp_path / "dataset.csv") in err
         assert not report.exists()
 
     def test_truncated_csv_exit_1(self, design_file, dataset_dir, tmp_path, capsys):

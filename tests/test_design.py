@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from lagdelay import analysis
 from lagdelay import design as design_module
 from lagdelay.analysis import markov_mse
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
@@ -23,6 +24,8 @@ from lagdelay.design import (
     validate_constraints,
 )
 from lagdelay.errors import InfeasibleDesignError
+
+from conftest import state_space_basis
 
 
 def tiny_problem(**overrides):
@@ -259,6 +262,18 @@ class TestRefine:
         golden = GOLDEN_REFINE_OBJECTIVE[name]
         assert abs(got["objective"] - golden) <= 1e-7 * golden
         assert got["objective"] <= grid["objective"]
+
+    @pytest.mark.parametrize("name", ["design71", "design72"])
+    def test_committed_problems_agree_with_state_space_basis(self, name, monkeypatch):
+        # the same search with every basis built from the state-space
+        # oracle; the worst differences were 3.5e-10 relative on p and
+        # 1.1e-16 on u
+        problem = DesignProblem(**json.loads((INPUTS / f"{name}_problem.json").read_text()))
+        got = optimize_design(problem)
+        monkeypatch.setattr(analysis, "build_phi", state_space_basis)
+        want = optimize_design(problem)
+        assert abs(got.p - want.p) <= 1e-8 * want.p
+        assert np.max(np.abs(got.u.coeffs - want.u.coeffs)) <= 1e-12
 
     def test_unusable_p_inside_the_bracket(self, monkeypatch):
         # the p bracket of the only usable grid point, [1, 1e6], reaches far

@@ -1,20 +1,24 @@
 """Estimator tests: LS spectrum, Markov solve, all four delay methods, CRLB."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_triangular
 
 from lagdelay import estimators
 from lagdelay.basis import BasisConfig, build_phi
 from lagdelay.delay_ops import (
     Spectrum,
+    assemble_ab,
     build_toeplitz,
+    closed_form_delay,
     delay_spectrum,
     markov_params,
     reciprocal_series,
@@ -29,6 +33,7 @@ from lagdelay.errors import (
 from lagdelay.estimators import (
     ESTIMATORS,
     ReplicateTables,
+    corr_table,
     crlb,
     estimate_delay,
     estimate_delay_freq_interp,
@@ -41,6 +46,7 @@ from lagdelay.estimators import (
     ml_negloglik,
     ml_table,
     project_spectrum_spline,
+    spline_table,
 )
 from lagdelay.simulate import (
     Dataset,
@@ -50,6 +56,8 @@ from lagdelay.simulate import (
     sample_delayed,
     synthesize_input,
 )
+
+from conftest import state_space_basis
 
 TAU = 1.33e-3
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
@@ -90,6 +98,18 @@ def wide_design():
     p = 50.0
     u = Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p)
     return InputDesign(p=p, u=u, energy_bound=2.0, horizon=1.0, delta=3e-4, tau_guess=3e-4)
+
+
+@pytest.fixture(scope="module")
+def sec72_ref():
+    """The committed section 7.2 reference design and its ml and
+    freq_interp tables at tau_max = 0.01."""
+    design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
+    return (
+        design,
+        ml_table(design, design.delta, design.n_samples, 0.01),
+        corr_table(design, design.delta, design.n_samples),
+    )
 
 
 class TestSpectrumLS:
@@ -256,6 +276,30 @@ class TestProposed:
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
         est = estimate_delay_proposed(ds, bench_design, k_model=12)
         assert est.tau_hat == pytest.approx(0.0013134434430821947, rel=1e-9)
+
+    def test_agrees_with_state_space_substitution_route(self, sec72_ref):
+        # oracle: Phi from the state-space realization and the Markov
+        # parameters by forward substitution on T(U) H = Y; the worst
+        # |dtau| over these replicates was 2.0e-17 s (proposed) and
+        # 3.3e-18 s (lag_spline)
+        design = sec72_ref[0]
+        cfg = BasisConfig(design.p, 13)
+        phi = build_phi(cfg, design.delta, design.n_samples)
+        oracle_phi = state_space_basis(cfg, design.delta, design.n_samples)
+        spline = spline_table(design.p, 13, design.delta, design.n_samples)
+        t_u = build_toeplitz(design.u, 13)
+
+        def oracle_tau(y_hat):
+            h_hat = solve_triangular(t_u, y_hat, lower=True)
+            return closed_form_delay(assemble_ab(h_hat), design.p)
+
+        for r in range(300):
+            ds = make_dataset(design, TAU, 0.01, (0, r))
+            est = estimate_delay_proposed(ds, design, 12, phi=phi)
+            oracle = oracle_tau(estimate_spectrum_ls(ds, oracle_phi).coeffs)
+            assert abs(est.tau_hat - oracle) <= 1e-15
+            est = estimate_delay_lag_spline(ds, design, 12, table=spline)
+            assert abs(est.tau_hat - oracle_tau(est.diagnostics["y_hat"])) <= 1e-15
 
 
 class TestML:
@@ -469,6 +513,40 @@ class TestCrossMethod:
             base = run(make_dataset(wide_design, TAU, 0.0, 0)).tau_hat
             moved = run(make_dataset(wide_design, TAU + shift, 0.0, 0)).tau_hat
             assert moved - base == pytest.approx(shift, abs=tolerances[name]), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 10),
+        tau_steps=st.floats(0.0, 4.0),
+        noise_var=st.sampled_from([0.0, 1e-4, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integer_shift_property(self, sec72_ref, k, tau_steps, noise_var, seed):
+        # data shifted by k samples (k zeros in front, the last k samples
+        # dropped) shift the ml estimate by k * delta up to the refine
+        # tolerance (worst 2.0e-10 s in 200 draws), and the noise-free
+        # freq_interp estimate up to its phase fit (worst 1.55e-7 s); noisy
+        # freq_interp is not equivariant, because its circular spectrum
+        # wraps the noise tail round (errors up to 1.9e-5 s)
+        design, ml, corr = sec72_ref
+        delta = design.delta
+        data = make_dataset(design, tau_steps * delta, noise_var, seed)
+        moved = Dataset(
+            z=np.concatenate([np.zeros(k), data.z[:-k]]), delta=delta,
+            n_samples=data.n_samples, noise_var=noise_var, seed=seed,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoImprovementWarning)
+            base = estimate_delay_ml(data, design, 0.01, table=ml)
+            # with noise, the ML minimum of a delay near 0 can lie below 0,
+            # where the unshifted search stops and the shifted one does not
+            assume(noise_var == 0.0 or base.tau_hat >= delta / 4)
+            shifted = estimate_delay_ml(moved, design, 0.01, table=ml)
+        assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 10 * estimators.ML_TAU_XATOL
+        if noise_var == 0.0:
+            base = estimate_delay_freq_interp(data, design, corr)
+            shifted = estimate_delay_freq_interp(moved, design, corr)
+            assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 5e-7
 
     def test_estimate_serialization(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)

@@ -222,6 +222,26 @@ class TestDatasetIO:
         with pytest.raises(InvalidDatasetError, match=r"t\[1\]"):
             load_dataset(tmp_path / "bad.csv")
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            (1, "nan", r"z\[3\] = nan"),
+            (1, "-inf", r"z\[3\] = -inf"),
+            (0, "0.5", r"t\[3\] = 0\.5,"),
+        ],
+        ids=["z-nan", "z-inf", "t-off-grid"],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, bench_design, field, value, match):
+        save_dataset(make_dataset(bench_design, 1.33e-3, 0.01, 4), tmp_path / "d.csv")
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        cells = rows[4].split(",")
+        cells[field] = value
+        rows[4] = ",".join(cells)
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(InvalidDatasetError, match=match) as info:
+            load_dataset(tmp_path / "d.csv")
+        assert f"{tmp_path / 'd.csv'}: CSV line 5 " in str(info.value)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidDatasetError, match="3 samples"):
             Dataset(z=[0.0] * 3, delta=0.1, n_samples=4, noise_var=0.0, seed=1)
