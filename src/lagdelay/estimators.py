@@ -13,12 +13,15 @@ Four estimators share the Dataset/InputDesign interface:
 * ``freq_interp`` -- baseline: integer-lag cross-correlation peak plus
                      power-weighted phase-slope interpolation.
 
-What an estimator needs besides the data -- the sampled basis Phi, the ML
-scan grid and model bank, the spline quadrature table, the reference input
-and its FFT -- depends only on the design, the sampling (N, delta), K and
-tau_max.  ``build_replicate_tables`` builds it once for many datasets; an
+What an estimator needs besides the data depends only on the design, the
+sampling (N, delta), K and tau_max: the sampled basis Phi, the reciprocal
+input series v (T(v) = T(U)^{-1}), the ML scan grid, model bank and row
+norms, the spline projection matrix (spline and quadrature are both linear
+in the samples), and the reference input with its plain and zero-padded
+FFTs.  ``build_replicate_tables`` builds it once for many datasets; an
 estimator given no table builds its own with the same helper, and refuses
-a table built for anything else.
+a table built for anything else.  Per dataset only the data-dependent work
+runs: a QR solve, a matrix-vector product or an FFT, and the scalar steps.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_triangular
+from scipy.fft import next_fast_len
+from scipy.linalg import solve_triangular, solveh_banded
 from scipy.optimize import minimize_scalar
 
 from .basis import BasisConfig, SampledBasis, build_phi, eval_basis_matrix
@@ -102,11 +105,36 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
     return Spectrum(coeffs=coeffs, p=phi.p)
 
 
-def estimate_markov(y_hat: Spectrum, input_spec: Spectrum) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class MarkovTable:
+    """Reciprocal series v of the input spectrum u to ``num_funcs`` terms:
+    T(v) = T(U)^{-1} for a Markov solve of that size."""
+
+    u: tuple
+    num_funcs: int
+    v: np.ndarray = field(repr=False)
+
+
+def markov_table(input_spec: Spectrum, num_funcs: int) -> MarkovTable:
+    """Reciprocal-series table of ``estimate_markov`` for one input and K."""
+    return MarkovTable(
+        u=tuple(input_spec.coeffs.tolist()), num_funcs=num_funcs,
+        v=reciprocal_series(input_spec, num_funcs),
+    )
+
+
+def estimate_markov(
+    y_hat: Spectrum, input_spec: Spectrum, table: MarkovTable | None = None
+) -> np.ndarray:
     """Markov parameters from spectra: H = T(U)^{-1} Y = T(v) Y, applied as
-    the truncated convolution of Y with v, the reciprocal series of u."""
+    the truncated convolution of Y with v, the reciprocal series of u.
+    ``table`` is a prebuilt ``markov_table``; without it v is computed here."""
     size = len(y_hat)
-    return np.convolve(reciprocal_series(input_spec, size), y_hat.coeffs)[:size]
+    if table is None:
+        table = markov_table(input_spec, size)
+    else:
+        _check_table(table, u=tuple(input_spec.coeffs.tolist()), num_funcs=size)
+    return np.convolve(table.v, y_hat.coeffs)[:size]
 
 
 def markov_order(k_model: int, m_markov: int | None) -> int:
@@ -125,11 +153,13 @@ def _delay_step_order(design: InputDesign, k_model: int, m_markov: int | None) -
     return markov_order(k_model, m_markov)
 
 
-def _laguerre_delay(y_hat: Spectrum, design: InputDesign, m: int) -> tuple[np.ndarray, float]:
+def _laguerre_delay(
+    y_hat: Spectrum, design: InputDesign, m: int, markov: MarkovTable | None
+) -> tuple[np.ndarray, float]:
     """Laguerre-domain delay step shared by ``proposed`` and ``lag_spline``:
     Markov parameters from the output spectrum, then the closed-form ratio
     on the first m of them.  Returns (h_hat, tau_hat)."""
-    h_hat = estimate_markov(y_hat, design.u)
+    h_hat = estimate_markov(y_hat, design.u, markov)
     return h_hat, closed_form_delay(assemble_ab(h_hat[:m]), design.p)
 
 
@@ -139,14 +169,16 @@ def estimate_delay_proposed(
     k_model: int,
     m_markov: int | None = None,
     phi: SampledBasis | None = None,
+    markov: MarkovTable | None = None,
 ) -> DelayEstimate:
     """Two-step Laguerre-domain delay estimate.
 
     Chains the sampled basis, the least-squares spectrum, the Markov
     parameters T(U)^{-1} Y and the closed-form ratio.  ``m_markov`` defaults
     to using every estimated Markov parameter (K + 1).  ``phi`` is a prebuilt
-    basis for this design's p, K and the data's sampling; without it the
-    basis is built here.
+    basis for this design's p, K and the data's sampling, ``markov`` a
+    prebuilt ``markov_table`` for its u and K; without them both are built
+    here.
     """
     m = _delay_step_order(design, k_model, m_markov)
     if phi is None:
@@ -154,7 +186,7 @@ def estimate_delay_proposed(
     else:
         _check_table(phi, p=design.p, k_max=k_model, delta=data.delta, n_samples=data.n_samples)
     y_hat = estimate_spectrum_ls(data, phi)
-    h_hat, tau_hat = _laguerre_delay(y_hat, design, m)
+    h_hat, tau_hat = _laguerre_delay(y_hat, design, m, markov)
     residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat.coeffs))
     return DelayEstimate(
         tau_hat=tau_hat,
@@ -200,8 +232,9 @@ def minimize_bounded(fn, a: float, b: float, xatol: float):
 
 @dataclass(frozen=True, eq=False)
 class MlTable:
-    """ML grid scan: the grid at delta / 4 on [0, tau_max] and the noise-free
-    model u(t_n - tau_i), one row per grid point."""
+    """ML grid scan: the grid at delta / 4 on [0, tau_max], the noise-free
+    model u(t_n - tau_i), one row per grid point, and the squared row norms
+    ||u(t_n - tau_i)||^2."""
 
     p: float
     u: tuple
@@ -210,12 +243,20 @@ class MlTable:
     tau_max: float
     grid: np.ndarray
     model: np.ndarray = field(repr=False)
+    model_sq: np.ndarray = field(repr=False)
 
 
 def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) -> MlTable:
-    """Scan grid and model bank of ``estimate_delay_ml`` for one sampling."""
-    if tau_max <= 0:
-        raise ValueError("tau_max must be positive")
+    """Scan grid and model bank of ``estimate_delay_ml`` for one sampling.
+
+    tau_max must lie in (0, (N - 1) delta], the span of the data; NaN and
+    infinity are refused with it.
+    """
+    span = (n_samples - 1) * delta
+    if not 0.0 < tau_max <= span:
+        raise ValueError(
+            f"tau_max must lie in (0, (N - 1) * delta] = (0, {span:g}] s, got {tau_max!r}"
+        )
     step = delta / 4.0
     grid = np.arange(0.0, tau_max + step / 2.0, step)
     grid[-1] = min(grid[-1], tau_max)
@@ -224,7 +265,20 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
     return MlTable(
         p=design.p, u=tuple(design.u.coeffs.tolist()), delta=delta,
         n_samples=n_samples, tau_max=tau_max, grid=grid, model=model,
+        model_sq=np.einsum("ij,ij->i", model, model),
     )
+
+
+def _scan_minimum(table: MlTable, data: Dataset) -> tuple[int, float]:
+    """Grid index of the least negative log-likelihood and its value.
+
+    The grid is ranked by ||m_i||^2 - 2 m_i . z, which is the residual
+    ||z - m_i||^2 less the constant ||z||^2, with one matrix-vector
+    product; only the winning row's objective is then evaluated.
+    """
+    best = int(np.argmin(table.model_sq - 2.0 * (table.model @ data.z)))
+    resid = data.z[None, :] - table.model[best : best + 1]
+    return best, float(data.delta * np.einsum("ij,ij->i", resid, resid)[0])
 
 
 def estimate_delay_ml(
@@ -238,9 +292,9 @@ def estimate_delay_ml(
     The objective is non-convex, so a coarse scan at delta / 4 brackets the
     global minimum before ``minimize_bounded`` refines it to ML_TAU_XATOL
     seconds.  ``table`` is a prebuilt ``ml_table`` for this design, sampling
-    and tau_max; without it the table is built here.  ``boundary_hit`` is
-    true when the scan minimum is the last grid point, tau_max: the true
-    delay may then lie beyond the search range.
+    and tau_max; without it the table is built here.  ``boundary_hit`` is true when the scan minimum is an end of the grid,
+    tau = 0 or tau = tau_max: the estimate is then clamped to the search
+    range, and the unconstrained minimum may lie outside it.
     """
     if table is None:
         table = ml_table(design, data.delta, data.n_samples, tau_max)
@@ -250,19 +304,17 @@ def estimate_delay_ml(
             n_samples=data.n_samples, tau_max=tau_max,
         )
     grid = table.grid
-    resid = data.z[None, :] - table.model
-    objective = data.delta * np.einsum("ij,ij->i", resid, resid)
-    best = int(np.argmin(objective))
+    best, f_best = _scan_minimum(table, data)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     fn = lambda tau: ml_negloglik(data, design, tau)
     tau_ref, f_ref, evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
     converged = True
-    if f_ref > objective[best]:
+    if f_ref > f_best:
         warnings.warn(
             NoImprovementWarning("refinement did not improve on the grid minimum")
         )
-        tau_ref, f_ref = grid[best], float(objective[best])
+        tau_ref, f_ref = grid[best], f_best
         converged = False
     return DelayEstimate(
         tau_hat=float(tau_ref),
@@ -274,7 +326,7 @@ def estimate_delay_ml(
             "refine_evals": evals,
             "converged": converged,
             "negloglik": float(f_ref),
-            "boundary_hit": best == grid.size - 1,
+            "boundary_hit": best in (0, grid.size - 1),
         },
     )
 
@@ -287,8 +339,8 @@ def crlb(
 ) -> CrlbReport:
     """Variance lower bound for unbiased delay estimators:
     noise_var / sum_n u'(t_n - tau)^2."""
-    if noise_var <= 0:
-        raise ValueError("noise variance must be positive")
+    if not noise_var > 0:
+        raise ValueError(f"noise variance must be positive, got {noise_var!r}")
     n = design.n_samples if n_samples is None else n_samples
     t = np.arange(n) * design.delta
     d = input_derivative(design, t - tau)
@@ -302,57 +354,97 @@ def crlb(
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(6)
 
+# cubic Hermite weights of (z_i, delta s_i, z_{i+1}, delta s_{i+1}) at the
+# Gauss-Legendre nodes x in [0, 1] of a sample interval [t_i, t_{i+1}]
+_GL_X = (_GL_NODES + 1.0) / 2.0
+_GL_HERMITE = np.stack([
+    (1.0 + 2.0 * _GL_X) * (1.0 - _GL_X) ** 2,
+    _GL_X * (1.0 - _GL_X) ** 2,
+    _GL_X**2 * (3.0 - 2.0 * _GL_X),
+    _GL_X**2 * (_GL_X - 1.0),
+])
+
 
 @dataclass(frozen=True, eq=False)
 class SplineTable:
-    """Quadrature of the spline projection: composite Gauss-Legendre nodes
-    (one 6-point panel per sample interval), their weights and the basis
-    values at the nodes."""
+    """Spline projection as one (K + 1) x N matrix: projection @ z is the
+    quadrature of the not-a-knot cubic spline through z against the basis."""
 
     p: float
     num_funcs: int
     delta: float
     n_samples: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
+    projection: np.ndarray = field(repr=False)
 
 
 def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> SplineTable:
-    """Quadrature table of ``project_spectrum_spline`` for one sampling."""
+    """Projection matrix of ``project_spectrum_spline`` for one sampling.
+
+    On [t_i, t_{i+1}] the spline is the cubic Hermite interpolant of z_i,
+    z_{i+1} and the knot slopes s_i, s_{i+1}, so at the quadrature nodes it
+    is G_z z + G_s s.  The not-a-knot slopes solve the tridiagonal system
+    A s = R z, with R a three-point difference stencil.  Halving A's first
+    and last rows makes it symmetric positive definite, S = D A, so
+    P = G_z + (S^{-1} G_s^T)^T D R: one banded solve with K + 1 right-hand
+    sides, O(K N) in all.
+    """
     if n_samples < 4:
         raise ValueError("cubic spline interpolation needs at least 4 samples")
     half = delta / 2.0
     t = np.arange(n_samples) * delta
-    # quadrature nodes for every panel [t_i, t_{i+1}], flattened
-    nodes = (t[:-1, None] + half * (_GL_NODES[None, :] + 1.0)).ravel()
-    weights = np.tile(half * _GL_WEIGHTS, n_samples - 1)
+    # quadrature nodes of every panel [t_i, t_{i+1}], shape (6, N - 1)
+    nodes = half * (_GL_NODES[:, None] + 1.0) + t[None, :-1]
     basis = eval_basis_matrix(BasisConfig(p=p, num_funcs=num_funcs), nodes)
+    # quadrature of each Hermite weight times each basis function per panel,
+    # shape (4, N - 1, K + 1)
+    weights = _GL_HERMITE * (half * _GL_WEIGHTS)
+    moments = (weights @ basis.reshape(_GL_NODES.size, -1)).reshape(4, n_samples - 1, num_funcs)
+    # the transposes G_z^T and G_s^T, one row per sample
+    g_z = np.zeros((n_samples, num_funcs))
+    g_z[:-1] += moments[0]
+    g_z[1:] += moments[2]
+    g_s = np.zeros((n_samples, num_funcs))
+    g_s[:-1] += delta * moments[1]
+    g_s[1:] += delta * moments[3]
+    # S = D A in upper banded form: A's rows are (1, 2), (1, 4, 1) ...
+    # (1, 4, 1), (2, 1), and D halves the first and the last
+    s_banded = np.ones((2, n_samples))
+    s_banded[1] = 4.0
+    s_banded[1, [0, -1]] = 0.5
+    y = solveh_banded(s_banded, g_s)
+    # P^T = G_z^T + R^T D y: R's rows are 3 (z_{i+1} - z_{i-1}) / delta
+    # inside and the one-sided stencils (-5, 4, 1) and (-1, -4, 5) / (2 delta)
+    # at the ends, which D halves
+    p_t = g_z
+    p_t[2:] += (3.0 / delta) * y[1:-1]
+    p_t[:-2] -= (3.0 / delta) * y[1:-1]
+    p_t[:3] += np.outer([-5.0, 4.0, 1.0], y[0]) / (4.0 * delta)
+    p_t[-3:] += np.outer([-1.0, -4.0, 5.0], y[-1]) / (4.0 * delta)
     return SplineTable(
         p=p, num_funcs=num_funcs, delta=delta, n_samples=n_samples,
-        nodes=nodes, weights=weights, basis=basis,
+        projection=np.ascontiguousarray(p_t.T),
     )
 
 
 def project_spectrum_spline(
     data: Dataset, p: float, num_funcs: int, table: SplineTable | None = None
 ) -> Spectrum:
-    """Output spectrum via interpolation: cubic spline through the samples,
-    then quadrature of spline(t) * ell_j(t) over the data support.
+    """Output spectrum via interpolation: cubic spline (not-a-knot) through
+    the samples, then quadrature of spline(t) * ell_j(t) over the data
+    support.
 
-    The quadrature is composite Gauss-Legendre with one panel per sample
-    interval, which integrates the piecewise-cubic factor exactly and the
-    smooth basis factor to machine precision for p * delta << 1.  ``table``
-    is a prebuilt ``spline_table``; without it the table is built here.
+    The quadrature is composite Gauss-Legendre with one 6-point panel per
+    sample interval, which integrates the piecewise-cubic factor exactly and
+    the smooth basis factor to machine precision for p * delta << 1.  Both
+    steps are linear in z, so the spectrum is one matrix-vector product
+    with the projection matrix of ``spline_table``.  ``table`` is a prebuilt
+    ``spline_table``; without it the table is built here.
     """
     if table is None:
         table = spline_table(p, num_funcs, data.delta, data.n_samples)
     else:
         _check_table(table, p=p, num_funcs=num_funcs, delta=data.delta, n_samples=data.n_samples)
-    spline = CubicSpline(data.t, data.z)
-    values = spline(table.nodes) * table.weights
-    coeffs = table.basis.T @ values
-    return Spectrum(coeffs=coeffs, p=p)
+    return Spectrum(coeffs=table.projection @ data.z, p=p)
 
 
 def estimate_delay_lag_spline(
@@ -361,13 +453,15 @@ def estimate_delay_lag_spline(
     k_model: int,
     m_markov: int | None = None,
     table: SplineTable | None = None,
+    markov: MarkovTable | None = None,
 ) -> DelayEstimate:
     """Interpolation baseline: spline-projected output spectrum, then the
     Laguerre-domain Markov solve and closed-form delay ratio.  ``table`` is
-    passed on to ``project_spectrum_spline``."""
+    passed on to ``project_spectrum_spline``, ``markov`` to
+    ``estimate_markov``."""
     m = _delay_step_order(design, k_model, m_markov)
     y_hat = project_spectrum_spline(data, design.p, k_model + 1, table)
-    h_hat, tau_hat = _laguerre_delay(y_hat, design, m)
+    h_hat, tau_hat = _laguerre_delay(y_hat, design, m, markov)
     return DelayEstimate(
         tau_hat=tau_hat,
         method="lag_spline",
@@ -377,15 +471,17 @@ def estimate_delay_lag_spline(
 
 @dataclass(frozen=True, eq=False)
 class CorrTable:
-    """Reference input of the correlation baseline: u(t_n) and the
-    conjugate of its real FFT."""
+    """Reference input u(t_n) of the correlation baseline as the conjugates
+    of two real FFTs: plain, and zero-padded to ``padded_len`` >= 2N - 1
+    for the linear correlation."""
 
     p: float
     u: tuple
     delta: float
     n_samples: int
-    u_samples: np.ndarray = field(repr=False)
+    padded_len: int
     u_spectrum_conj: np.ndarray = field(repr=False)
+    u_padded_conj: np.ndarray = field(repr=False)
 
 
 def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
@@ -393,10 +489,20 @@ def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
     if n_samples < 2:
         raise ValueError("need at least two samples")
     u_samples = synthesize_input(design, np.arange(n_samples) * delta)
+    padded_len = next_fast_len(2 * n_samples - 1, real=True)
     return CorrTable(
         p=design.p, u=tuple(design.u.coeffs.tolist()), delta=delta, n_samples=n_samples,
-        u_samples=u_samples, u_spectrum_conj=np.conj(np.fft.rfft(u_samples)),
+        padded_len=padded_len, u_spectrum_conj=np.conj(np.fft.rfft(u_samples)),
+        u_padded_conj=np.conj(np.fft.rfft(u_samples, padded_len)),
     )
+
+
+def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
+    """r(k) = sum_n z_{n+k} u(t_n), k = 0..N-1, by FFT: both signals are
+    zero-padded to ``padded_len`` >= 2N - 1, so the circular product does
+    not wrap."""
+    size = table.padded_len
+    return np.fft.irfft(np.fft.rfft(z, size) * table.u_padded_conj, size)[: z.size]
 
 
 def estimate_delay_freq_interp(
@@ -405,10 +511,10 @@ def estimate_delay_freq_interp(
     """Cross-correlation baseline with frequency-domain interpolation.
 
     The integer part is the first maximizer of the linear cross-correlation
-    r(k) = sum_n z_{n+k} u(t_n); the subsample part is a power-weighted
-    phase-slope fit on the circular cross-power spectrum after removing the
-    integer shift.  ``table`` is a prebuilt ``corr_table``; without it the
-    table is built here.
+    r(k) = sum_n z_{n+k} u(t_n), k >= 0, computed by zero-padded FFT; the
+    subsample part is a power-weighted phase-slope fit on the circular
+    cross-power spectrum after removing the integer shift.  ``table`` is a
+    prebuilt ``corr_table``; without it the table is built here.
     """
     if table is None:
         table = corr_table(design, data.delta, data.n_samples)
@@ -418,7 +524,7 @@ def estimate_delay_freq_interp(
             n_samples=data.n_samples,
         )
     n = data.n_samples
-    r = np.correlate(data.z, table.u_samples, mode="full")[n - 1 :]
+    r = _linear_correlation(data.z, table)
     if np.ptp(r) == 0.0:
         raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
     k_star = int(np.argmax(r))
@@ -464,6 +570,7 @@ class ReplicateTables:
     estimator is not run; the estimator then builds it itself."""
 
     phi: SampledBasis | None = None
+    markov: MarkovTable | None = None
     ml: MlTable | None = None
     spline: SplineTable | None = None
     corr: CorrTable | None = None
@@ -475,16 +582,18 @@ def build_replicate_tables(
     """The tables ``methods`` need for data sampled at design.delta, built
     with the same helpers each estimator uses when it gets none."""
     delta = design.delta
-    phi = ml = spline = corr = None
+    phi = markov = ml = spline = corr = None
     if "proposed" in methods:
         phi = build_phi(BasisConfig(p=design.p, num_funcs=k_model + 1), delta, n_samples)
+    if "proposed" in methods or "lag_spline" in methods:
+        markov = markov_table(design.u, k_model + 1)
     if "ml" in methods:
         ml = ml_table(design, delta, n_samples, tau_max)
     if "lag_spline" in methods:
         spline = spline_table(design.p, k_model + 1, delta, n_samples)
     if "freq_interp" in methods:
         corr = corr_table(design, delta, n_samples)
-    return ReplicateTables(phi=phi, ml=ml, spline=spline, corr=corr)
+    return ReplicateTables(phi=phi, markov=markov, ml=ml, spline=spline, corr=corr)
 
 
 def estimate_delay(
@@ -507,11 +616,15 @@ def estimate_delay(
     if tables is None:
         tables = ReplicateTables()
     if method == "proposed":
-        return estimate_delay_proposed(data, design, k_model, m_markov, phi=tables.phi)
+        return estimate_delay_proposed(
+            data, design, k_model, m_markov, phi=tables.phi, markov=tables.markov
+        )
     if method == "ml":
         return estimate_delay_ml(data, design, tau_max, table=tables.ml)
     if method == "lag_spline":
-        return estimate_delay_lag_spline(data, design, k_model, m_markov, table=tables.spline)
+        return estimate_delay_lag_spline(
+            data, design, k_model, m_markov, table=tables.spline, markov=tables.markov
+        )
     if method == "freq_interp":
         return estimate_delay_freq_interp(data, design, table=tables.corr)
     raise ValueError(f"unknown method {method!r}; choose from {ESTIMATORS}")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import quad_vec
+from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, qr
 
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
@@ -71,6 +72,19 @@ def state_space_basis(
         ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
         cond_threshold=cond_threshold, q=q, r=r,
     )
+
+
+def cubic_spline_projection(z: np.ndarray, p: float, num_funcs: int, delta: float) -> np.ndarray:
+    """Spline projection by its definition: scipy's not-a-knot CubicSpline
+    through the samples, evaluated at composite 6-point Gauss-Legendre nodes
+    (one panel per sample interval) and integrated against the basis.  The
+    route ``project_spectrum_spline`` took before its projection matrix."""
+    nodes, weights = np.polynomial.legendre.leggauss(6)
+    t = np.arange(z.size) * delta
+    half = delta / 2.0
+    at = (t[:-1, None] + half * (nodes[None, :] + 1.0)).ravel()
+    values = CubicSpline(t, z)(at) * np.tile(half * weights, z.size - 1)
+    return eval_basis_matrix(BasisConfig(p=p, num_funcs=num_funcs), at).T @ values
 
 
 def quadrature_delay_projection(u: Spectrum, tau: float, num_out: int) -> np.ndarray:

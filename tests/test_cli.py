@@ -185,6 +185,19 @@ class TestEstimateCommand:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("tau_max", ["nan", "inf", "1e9", "-0.01", "0"])
+    def test_bad_tau_max_exit_1(self, design_file, dataset_dir, tmp_path, capsys, tau_max):
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(dataset_dir / "dataset.csv"),
+            "--design", str(design_file), "--methods", "ml",
+            "--tau-max", tau_max, "--out", str(report),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "tau_max" in err
+        assert not report.exists()
+
     def test_non_finite_sample_exit_1(self, design_file, dataset_dir, tmp_path, capsys):
         rows = (dataset_dir / "dataset.csv").read_text().splitlines()
         t, _ = rows[500].split(",")

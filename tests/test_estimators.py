@@ -354,6 +354,36 @@ class TestML:
         assert est.tau_hat == 2e-3
         assert est.diagnostics["boundary_hit"] is True
 
+    def test_boundary_hit_at_zero_delay(self, sec72_ref):
+        # with the true delay at 0 the likelihood minimum often lies below
+        # 0; the search then ends on the first grid point, which must be
+        # flagged like the last one (104 of these 200 seeds end at 0.0)
+        design, table, _ = sec72_ref
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoImprovementWarning)
+            ests = [
+                estimate_delay_ml(make_dataset(design, 0.0, 1e-2, seed), design, 0.01, table=table)
+                for seed in range(200)
+            ]
+        clamped = [est for est in ests if est.tau_hat == 0.0]
+        assert len(clamped) >= 100
+        assert all(est.diagnostics["boundary_hit"] is True for est in clamped)
+        assert all(
+            est.diagnostics["boundary_hit"] is True
+            for est in ests if est.diagnostics["grid_best_tau"] == 0.0
+        )
+
+    @pytest.mark.parametrize("tau_max", [np.nan, np.inf, -np.inf, -1e-3, 1e9, 49.5e-3])
+    def test_tau_max_outside_data_span_refused(self, bench_design, tau_max):
+        # NaN once died in np.arange, 1e9 asked for a 97 TiB model bank;
+        # 50 samples at 1 ms span 49 ms
+        with pytest.raises(ValueError, match="tau_max"):
+            ml_table(bench_design, 1e-3, 50, tau_max)
+
+    def test_tau_max_at_data_span_accepted(self, bench_design):
+        table = ml_table(bench_design, 1e-3, 50, 49e-3)
+        assert table.grid[-1] == 49e-3 and table.model.shape == (197, 50)
+
     def test_no_boundary_hit_in_range(self, sec72_design):
         ds = make_dataset(sec72_design, TAU, 0.01, 3)
         est = estimate_delay_ml(ds, sec72_design, tau_max=0.01)
@@ -404,6 +434,12 @@ class TestCrlb:
         assert rep.window[0] == int(np.floor(TAU / bench_design.delta))
         assert rep.window[0] <= rep.window[1] < bench_design.n_samples
         assert rep.bound > 0
+
+    @pytest.mark.parametrize("noise_var", [np.nan, 0.0, -0.01])
+    def test_noise_variance_must_be_positive(self, bench_design, noise_var):
+        # NaN once gave bound = nan without a word
+        with pytest.raises(ValueError, match="noise variance"):
+            crlb(bench_design, TAU, noise_var)
 
     def test_zero_information(self, bench_design):
         with pytest.raises(ZeroInformationError):

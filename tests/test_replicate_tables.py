@@ -7,6 +7,8 @@ give bitwise the same estimate and diagnostics, and a table built for
 another design, sampling, K or tau_max must be refused.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.delay_ops import Spectrum
 from lagdelay.errors import LagDelayError
-from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_delay
+from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_delay, markov_table
 from lagdelay.simulate import Dataset, InputDesign, add_noise, make_dataset, sample_delayed
 
 TAU = 1.33e-3
@@ -117,7 +119,8 @@ class TestBuilder:
         )
         assert tables.phi is None and tables.spline is None
         assert tables.ml.model.shape == (tables.ml.grid.size, bench_design.n_samples)
-        assert tables.corr.u_samples.shape == (bench_design.n_samples,)
+        assert tables.markov is None
+        assert tables.corr.u_spectrum_conj.shape == (bench_design.n_samples // 2 + 1,)
 
     def test_rejects_nonpositive_tau_max(self, bench_design):
         with pytest.raises(ValueError):
@@ -153,7 +156,11 @@ class TestMismatchRefused:
             ("k_model", {"proposed", "lag_spline"}),
             ("tau_max", {"ml"}),
             ("p", set(ESTIMATORS)),
-            ("u", {"ml", "freq_interp"}),
+            # the reciprocal series v = 1/u(z) makes the Laguerre-domain
+            # methods depend on u as well
+            ("u", set(ESTIMATORS)),
+            ("markov_u", {"proposed", "lag_spline"}),
+            ("markov_k", {"proposed", "lag_spline"}),
         ],
     )
     def test_mismatch(self, bench_design, tables, case, refused):
@@ -170,8 +177,15 @@ class TestMismatchRefused:
             tau_max = 5e-3
         elif case == "p":
             design = _other_design(bench_design, p=2 * bench_design.p)
-        else:
+        elif case == "u":
             design = _other_design(bench_design, u=[0.4, 0.8, -0.8, -0.4])
+        elif case == "markov_u":
+            # only the v part is wrong: built for another input
+            other_u = Spectrum(np.array([0.4, 0.8, -0.8, -0.4]), bench_design.p)
+            tables = replace(tables, markov=markov_table(other_u, K + 1))
+        else:
+            # only the v part is wrong: built for another K
+            tables = replace(tables, markov=markov_table(bench_design.u, K))
         for method in ESTIMATORS:
             if method in refused:
                 with pytest.raises(ValueError, match="was built for"):
