@@ -312,9 +312,11 @@ def run_monte_carlo(
     """
     if replicates < 2:
         raise ValueError("need at least two replicates")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     methods = tuple(methods)
     results: dict[int, dict] = {}
-    if workers <= 1:
+    if workers == 1:
         context = _build_context(config, methods, seed)
         for r in range(replicates):
             results[r] = _run_single_replicate(context, r)

@@ -6,7 +6,10 @@ Four estimators share the Dataset/InputDesign interface:
                      spectrum, Markov parameters through the reciprocal input
                      series, closed-form delay ratio.
 * ``ml``          -- time-domain maximum likelihood by grid scan plus
-                     bounded-Brent refinement.
+                     bounded-Brent refinement; the refine shifts the input
+                     in the Laguerre domain by the Laguerre addition
+                     formula (DLMF sec. 18.18), without a pass over the samples
+                     per evaluation.
 * ``lag_spline``  -- baseline: cubic-spline interpolation of the samples,
                      quadrature projection onto the basis, then the same
                      Laguerre-domain delay step.
@@ -21,7 +24,8 @@ in the samples), and the reference input with its plain and zero-padded
 FFTs.  ``build_replicate_tables`` builds it once for many datasets; an
 estimator given no table builds its own with the same helper, and refuses
 a table built for anything else.  Per dataset only the data-dependent work
-runs: a QR solve, a matrix-vector product or an FFT, and the scalar steps.
+runs: a QR solve, a matrix-vector product or an FFT, the ML refine's one
+pass over the samples, and the scalar steps.
 """
 
 from __future__ import annotations
@@ -30,11 +34,17 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.linalg import solve_triangular, solveh_banded
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg import hankel, solve_triangular, solveh_banded
 from scipy.optimize import minimize_scalar
 
-from .basis import BasisConfig, SampledBasis, build_phi, eval_basis_matrix
+from .basis import (
+    BasisConfig,
+    SampledBasis,
+    assoc_laguerre_sequence,
+    build_phi,
+    eval_basis_matrix,
+)
 from .delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_series
 from .errors import (
     FlatCorrelationError,
@@ -202,7 +212,10 @@ def estimate_delay_proposed(
 
 
 def ml_negloglik(data: Dataset, design: InputDesign, tau: float) -> float:
-    """Negative log-likelihood up to constants: delta * sum (z_n - u(t_n - tau))^2."""
+    """Negative log-likelihood up to constants: delta * sum (z_n - u(t_n - tau))^2.
+
+    The direct sum over the samples; the ML refine evaluates the same
+    objective through ``_refine_objective``."""
     model = synthesize_input(design, data.t - tau)
     resid = data.z - model
     return float(data.delta * (resid @ resid))
@@ -217,6 +230,47 @@ def ml_gradient(data: Dataset, design: InputDesign, tau: float) -> float:
     model = synthesize_input(design, data.t - tau)
     slope = input_derivative(design, data.t - tau)
     return float(2.0 * data.delta * ((data.z - model) @ slope))
+
+
+def _refine_objective(data: Dataset, design: InputDesign, tau_c: float, lo: float):
+    """``ml_negloglik`` as a function of tau >= lo, evaluated in the Laguerre
+    domain around the scan winner tau_c: one pass over the samples here,
+    O(I^2) per evaluation after it.
+
+    Write tau = tau_c + d.  For t_n >= tau the addition formula
+    L_k(x - s) = sum_{i<=k} L_i(x) L^{(-1)}_{k-i}(-s) (DLMF sec. 18.18) gives
+    u(t_n - tau) = sum_i (u_i + a_i(d)) ell_i(t_n - tau_c), with ell_i the
+    closed form without its t < 0 cutoff and
+    a(d) = e^{pd} H L^{(-1)}(-2pd) - u, H_ij = u_{i+j}.  B = ell(t_n - tau_c)
+    and q = z - B u are tabulated once, on the rows t_n >= lo, where
+    e^{-p(t_n - tau_c)} <= e^{p (tau_c - lo)} cannot overflow.  With
+    n0 = #{t_n < tau}, the same t_n >= tau cutoff as ``ml_negloglik``,
+    the objective is
+    delta (sum_{n<n0} z_n^2 + |q'|^2 - 2 a.B'^T q' + a.B'^T B' a)
+    over the rows n >= n0 (primed).  Expanding about the residual q keeps
+    the sum free of the |z|^2 cancellation.  n0 takes at most two values in
+    a bracket narrower than delta, and its sums are cached.
+    """
+    p, u = design.p, design.u.coeffs
+    t, z = data.t, data.z
+    n_lo = int(t.searchsorted(lo))
+    basis = eval_basis_matrix(design.basis_config, t[n_lo:] - tau_c, causal=False)
+    resid = z[n_lo:] - basis @ u
+    hankel_u = hankel(u)
+    sums = {}
+
+    def negloglik(tau: float) -> float:
+        n0 = int(t.searchsorted(tau))
+        if n0 not in sums:
+            b, q = basis[n0 - n_lo :], resid[n0 - n_lo :]
+            sums[n0] = (z[:n0] @ z[:n0] + q @ q, b.T @ q, b.T @ b)
+        head, cross, gram = sums[n0]
+        shift = tau - tau_c
+        w = hankel_u @ assoc_laguerre_sequence(-2.0 * p * shift, u.size)
+        a = np.expm1(p * shift) * w + (w - u)
+        return float(data.delta * (head - 2.0 * (a @ cross) + a @ gram @ a))
+
+    return negloglik
 
 
 def minimize_bounded(fn, a: float, b: float, xatol: float):
@@ -289,12 +343,16 @@ def estimate_delay_ml(
 ) -> DelayEstimate:
     """Time-domain maximum likelihood.
 
-    The objective is non-convex, so a coarse scan at delta / 4 brackets the
-    global minimum before ``minimize_bounded`` refines it to ML_TAU_XATOL
-    seconds.  ``table`` is a prebuilt ``ml_table`` for this design, sampling
-    and tau_max; without it the table is built here.  ``boundary_hit`` is true when the scan minimum is an end of the grid,
-    tau = 0 or tau = tau_max: the estimate is then clamped to the search
-    range, and the unconstrained minimum may lie outside it.
+    The objective ``ml_negloglik`` is non-convex, so a coarse scan at
+    delta / 4 brackets the global minimum before ``minimize_bounded``
+    refines it to ML_TAU_XATOL seconds.  The refine evaluates the same
+    objective in the Laguerre domain (``_refine_objective``): a shift of the
+    delay recombines the input's basis functions exactly, so after one pass
+    over the samples each evaluation costs O(I^2).  ``table`` is a prebuilt
+    ``ml_table`` for this design, sampling and tau_max; without it the table
+    is built here.  ``boundary_hit`` is true when the scan minimum is an end
+    of the grid, tau = 0 or tau = tau_max: the estimate is then clamped to
+    the search range, and the unconstrained minimum may lie outside it.
     """
     if table is None:
         table = ml_table(design, data.delta, data.n_samples, tau_max)
@@ -307,7 +365,7 @@ def estimate_delay_ml(
     best, f_best = _scan_minimum(table, data)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    fn = lambda tau: ml_negloglik(data, design, tau)
+    fn = _refine_objective(data, design, grid[best], lo)
     tau_ref, f_ref, evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
     converged = True
     if f_ref > f_best:
@@ -492,8 +550,8 @@ def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
     padded_len = next_fast_len(2 * n_samples - 1, real=True)
     return CorrTable(
         p=design.p, u=tuple(design.u.coeffs.tolist()), delta=delta, n_samples=n_samples,
-        padded_len=padded_len, u_spectrum_conj=np.conj(np.fft.rfft(u_samples)),
-        u_padded_conj=np.conj(np.fft.rfft(u_samples, padded_len)),
+        padded_len=padded_len, u_spectrum_conj=np.conj(rfft(u_samples)),
+        u_padded_conj=np.conj(rfft(u_samples, padded_len)),
     )
 
 
@@ -502,7 +560,7 @@ def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
     zero-padded to ``padded_len`` >= 2N - 1, so the circular product does
     not wrap."""
     size = table.padded_len
-    return np.fft.irfft(np.fft.rfft(z, size) * table.u_padded_conj, size)[: z.size]
+    return irfft(rfft(z, size) * table.u_padded_conj, size)[: z.size]
 
 
 def estimate_delay_freq_interp(
@@ -532,7 +590,7 @@ def estimate_delay_freq_interp(
     # circular cross-correlation spectrum; unlike the one-sided linear
     # correlation it keeps both flanks of the correlation peak, which the
     # phase fit needs
-    spectrum = np.fft.rfft(data.z) * table.u_spectrum_conj
+    spectrum = rfft(data.z) * table.u_spectrum_conj
     m = np.arange(spectrum.size)
     # undo the integer-lag shift so only the subsample phase slope remains
     shifted = spectrum * np.exp(2j * np.pi * m * k_star / n)

@@ -269,6 +269,15 @@ class TestMonteCarlo:
                 serial.histogram[method]["edges"], parallel.histogram[method]["edges"]
             )
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_refused(self, bench_design, workers):
+        # once ran serially without a word
+        cfg = BenchmarkConfig(
+            design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, tau_max=0.01
+        )
+        with pytest.raises(ValueError, match="workers"):
+            run_monte_carlo(cfg, methods=("proposed",), replicates=4, seed=0, workers=workers)
+
     def test_replicate_floor(self, bench_design):
         cfg = BenchmarkConfig(
             design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, tau_max=0.01

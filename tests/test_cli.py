@@ -310,6 +310,17 @@ class TestBenchmarkCommand:
             reports.append(json.dumps(payload, sort_keys=True))
         assert reports[0] == reports[1] == reports[2]
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_workers_exit_1_without_report(self, bench_config, tmp_path, capsys, workers):
+        out = tmp_path / "mc"
+        rc = main([
+            "benchmark", "--config", str(bench_config), "--replicates", "4",
+            "--workers", workers, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "workers" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_seed_exit_1(self, design_file, tmp_path):
         cfg = {
             "design_path": str(design_file),

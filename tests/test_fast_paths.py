@@ -2,20 +2,23 @@
 
 The replicate tables reduce the spline projection to one matrix, the
 linear correlation to a zero-padded FFT, the ML scan to one matrix-vector
-product and the reciprocal input series to a table entry.  The old routes
-are the oracles here: CubicSpline plus quadrature, ``np.correlate``, the
-residual ``einsum`` over the whole grid and ``reciprocal_series`` per call.
-Where the arithmetic is unchanged the estimates must be bitwise equal;
-the spline projection sums in another order and is held to 1e-13
-relative, and its delay to 1e-15 s.
+product and the reciprocal input series to a table entry; the ML refine
+shifts the input in the Laguerre domain.  The old routes are the oracles
+here: CubicSpline plus quadrature, ``np.correlate`` and ``np.fft``, the
+residual ``einsum`` over the whole grid, ``reciprocal_series`` per call and
+bounded Brent on ``ml_negloglik`` itself.  Where the arithmetic is
+unchanged the estimates must be bitwise equal; the spline projection sums
+in another order and is held to 1e-13 relative, and its delay to 1e-15 s;
+the ML refine objective is held to 1e-12 relative and its delay to 1e-10 s.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagdelay import estimators
@@ -28,9 +31,17 @@ from lagdelay.estimators import (
     estimate_delay_lag_spline,
     estimate_delay_ml,
     estimate_markov,
+    ml_negloglik,
+    ml_table,
     spline_table,
 )
-from lagdelay.simulate import InputDesign, add_noise, sample_delayed, synthesize_input
+from lagdelay.simulate import (
+    InputDesign,
+    add_noise,
+    make_dataset,
+    sample_delayed,
+    synthesize_input,
+)
 
 from conftest import cubic_spline_projection
 
@@ -129,6 +140,22 @@ class TestCorrelation:
             old = estimate_delay_freq_interp(ds, design, tables.corr)
             _assert_bitwise_equal(new, old)
 
+    def test_scipy_fft_bitwise_equals_numpy_fft(self, ref, monkeypatch):
+        # 200 replicates of the section 7.2 configuration; N = 1667 is
+        # prime, where scipy.fft is the faster of the two
+        design, tables, _ = ref
+        data = [
+            make_dataset(design, 1.33e-3, NOISE_VAR, (5, r)) for r in range(200)
+        ]
+        fast = [estimate_delay_freq_interp(ds, design, tables.corr) for ds in data]
+        monkeypatch.setattr(estimators, "rfft", np.fft.rfft)
+        monkeypatch.setattr(estimators, "irfft", np.fft.irfft)
+        table = corr_table(design, design.delta, design.n_samples)
+        assert _bits(table.u_spectrum_conj) == _bits(tables.corr.u_spectrum_conj)
+        assert _bits(table.u_padded_conj) == _bits(tables.corr.u_padded_conj)
+        for ds, new in zip(data, fast):
+            _assert_bitwise_equal(new, estimate_delay_freq_interp(ds, design, table))
+
 
 def _einsum_scan(table, data):
     resid = data.z[None, :] - table.model
@@ -153,6 +180,96 @@ class TestMlScan:
         design, tables, data = ref
         for ds in data:
             assert estimators._scan_minimum(tables.ml, ds) == _einsum_scan(tables.ml, ds)
+
+
+def _time_domain_ml(data, design, table):
+    """The ML route before the Laguerre-domain refine: bounded Brent on
+    ``ml_negloglik`` itself.  Returns tau_hat and the diagnostics it shares
+    with ``estimate_delay_ml``."""
+    grid = table.grid
+    best, f_best = estimators._scan_minimum(table, data)
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    tau, f_ref, _ = estimators.minimize_bounded(
+        lambda x: ml_negloglik(data, design, x), lo, hi, estimators.ML_TAU_XATOL
+    )
+    converged = f_ref <= f_best
+    return (tau if converged else float(grid[best])), {
+        "grid_best_tau": float(grid[best]),
+        "converged": converged,
+        "boundary_hit": best in (0, grid.size - 1),
+    }
+
+
+@pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
+class TestMlRefineLaguerre:
+    def test_estimate_agrees_with_time_domain_refine(self, ref):
+        # the benchmark's seed-1 noise streams: 1000 replicates at the
+        # section 7.2 delay and 200 at each other delay of CASES; worst
+        # |d tau_hat| 7.5e-11 s, worst negloglik 1.3e-15 relative
+        design, tables, _ = ref
+        for tau, count in [(1.33e-3, 1000), (0.0, 200), (3e-4, 200), (4e-3, 200)]:
+            for r in range(count):
+                ds = make_dataset(design, tau, NOISE_VAR, (1, r))
+                est = estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml)
+                diag = est.diagnostics
+                tau_old, diag_old = _time_domain_ml(ds, design, tables.ml)
+                assert abs(est.tau_hat - tau_old) <= 1e-10
+                f_direct = ml_negloglik(ds, design, est.tau_hat)
+                assert abs(diag["negloglik"] - f_direct) <= 1e-12 * f_direct
+                assert {key: diag[key] for key in diag_old} == diag_old
+                # a minimum at a bracket end (clamped, or no improvement on
+                # the scan) takes Brent up to 31 steps on either route
+                if diag["converged"] and not diag["boundary_hit"]:
+                    assert diag["refine_evals"] <= 12
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rest=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+        lead=st.floats(0.05, 1.0),
+        p=st.floats(5.0, 200.0),
+        best=st.integers(0, 160),
+        frac=st.floats(0.0, 1.0),
+        on_sample=st.booleans(),
+        continuous=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a sample instant at the bracket centre, at each grid end, and a
+    # discontinuous input (sum u != 0)
+    @example(rest=[0.5, -0.5, -1.0], lead=1.0, p=37.3, best=20, frac=0.5, on_sample=True,
+             continuous=True, seed=0)
+    @example(rest=[0.3], lead=0.8, p=5.0, best=0, frac=0.9, on_sample=False,
+             continuous=False, seed=1)
+    @example(rest=[-0.2] * 6, lead=0.6, p=200.0, best=160, frac=0.1, on_sample=False,
+             continuous=False, seed=2)
+    @example(rest=[0.4, -0.1], lead=0.5, p=120.0, best=0, frac=0.0, on_sample=True,
+             continuous=False, seed=3)
+    def test_objective_matches_negloglik(
+        self, rest, lead, p, best, frac, on_sample, continuous, seed
+    ):
+        # the shift identity against the direct sum over the samples,
+        # for any tau of a refine bracket; worst seen 1.8e-14 relative over
+        # 3000 random cases of seven delays each
+        coeffs = np.array([lead, *rest])
+        if continuous:
+            coeffs[-1] -= coeffs.sum()
+        delta, tau_max = 3e-4, 40 * 3e-4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            design = InputDesign(
+                p=p, u=Spectrum(coeffs, p), energy_bound=float(coeffs @ coeffs) + 1.0,
+                horizon=0.15, delta=delta, tau_guess=delta,
+            )
+        grid = ml_table(design, delta, design.n_samples, tau_max).grid
+        assert grid.size == 161
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        tau = lo + frac * (hi - lo)
+        if on_sample:
+            tau = np.ceil(lo / delta) * delta
+            assume(tau <= hi)
+        data = make_dataset(design, grid[best], 1e-2, seed)
+        got = estimators._refine_objective(data, design, grid[best], lo)(tau)
+        want = ml_negloglik(data, design, tau)
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestMarkovTable:
