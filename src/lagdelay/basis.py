@@ -108,22 +108,18 @@ def _std_laguerre_table(x: np.ndarray, j_max: int) -> np.ndarray:
     return table
 
 
-def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray, *, causal: bool = True) -> np.ndarray:
+def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     """Analytic basis values ell_j(t) for j = 0..K, shape (len(t), K+1).
 
     ell_j(t) = sqrt(2p) e^{-pt} L_j(2pt) for t >= 0 and 0 for t < 0, with
-    L_j the standard Laguerre polynomial.  With ``causal=False`` the closed
-    form is evaluated for t < 0 too, as the ML refine's shift expansion
-    needs; e^{-pt} then grows, so keep t only slightly negative there.
+    L_j the standard Laguerre polynomial.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    x = 2.0 * cfg.p * t
-    envelope = np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t)
-    if causal:
-        pos = t >= 0
-        x = np.where(pos, x, 0.0)
-        envelope = np.where(pos, envelope, 0.0)
-    return envelope[..., None] * _std_laguerre_table(x, cfg.k_max)
+    pos = t >= 0
+    x = np.where(pos, 2.0 * cfg.p * t, 0.0)
+    table = _std_laguerre_table(x, cfg.k_max)
+    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
+    return envelope[..., None] * table
 
 
 def eval_basis_derivative_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:

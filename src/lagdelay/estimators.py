@@ -232,18 +232,16 @@ def ml_gradient(data: Dataset, design: InputDesign, tau: float) -> float:
     return float(2.0 * data.delta * ((data.z - model) @ slope))
 
 
-def _refine_objective(data: Dataset, design: InputDesign, tau_c: float, lo: float):
+def _refine_objective(data: Dataset, design: InputDesign, lo: float):
     """``ml_negloglik`` as a function of tau >= lo, evaluated in the Laguerre
-    domain around the scan winner tau_c: one pass over the samples here,
+    domain around the bracket's low end: one pass over the samples here,
     O(I^2) per evaluation after it.
 
-    Write tau = tau_c + d.  For t_n >= tau the addition formula
+    Write tau = lo + d.  For t_n >= tau the addition formula
     L_k(x - s) = sum_{i<=k} L_i(x) L^{(-1)}_{k-i}(-s) (DLMF sec. 18.18) gives
-    u(t_n - tau) = sum_i (u_i + a_i(d)) ell_i(t_n - tau_c), with ell_i the
-    closed form without its t < 0 cutoff and
-    a(d) = e^{pd} H L^{(-1)}(-2pd) - u, H_ij = u_{i+j}.  B = ell(t_n - tau_c)
-    and q = z - B u are tabulated once, on the rows t_n >= lo, where
-    e^{-p(t_n - tau_c)} <= e^{p (tau_c - lo)} cannot overflow.  With
+    u(t_n - tau) = sum_i (u_i + a_i(d)) ell_i(t_n - lo), with
+    a(d) = e^{pd} H L^{(-1)}(-2pd) - u, H_ij = u_{i+j}.  B = ell(t_n - lo)
+    and q = z - B u are tabulated once, on the rows t_n >= lo.  With
     n0 = #{t_n < tau}, the same t_n >= tau cutoff as ``ml_negloglik``,
     the objective is
     delta (sum_{n<n0} z_n^2 + |q'|^2 - 2 a.B'^T q' + a.B'^T B' a)
@@ -254,7 +252,7 @@ def _refine_objective(data: Dataset, design: InputDesign, tau_c: float, lo: floa
     p, u = design.p, design.u.coeffs
     t, z = data.t, data.z
     n_lo = int(t.searchsorted(lo))
-    basis = eval_basis_matrix(design.basis_config, t[n_lo:] - tau_c, causal=False)
+    basis = eval_basis_matrix(design.basis_config, t[n_lo:] - lo)
     resid = z[n_lo:] - basis @ u
     hankel_u = hankel(u)
     sums = {}
@@ -265,7 +263,7 @@ def _refine_objective(data: Dataset, design: InputDesign, tau_c: float, lo: floa
             b, q = basis[n0 - n_lo :], resid[n0 - n_lo :]
             sums[n0] = (z[:n0] @ z[:n0] + q @ q, b.T @ q, b.T @ b)
         head, cross, gram = sums[n0]
-        shift = tau - tau_c
+        shift = tau - lo
         w = hankel_u @ assoc_laguerre_sequence(-2.0 * p * shift, u.size)
         a = np.expm1(p * shift) * w + (w - u)
         return float(data.delta * (head - 2.0 * (a @ cross) + a @ gram @ a))
@@ -365,7 +363,7 @@ def estimate_delay_ml(
     best, f_best = _scan_minimum(table, data)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    fn = _refine_objective(data, design, grid[best], lo)
+    fn = _refine_objective(data, design, lo)
     tau_ref, f_ref, evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
     converged = True
     if f_ref > f_best:

@@ -118,15 +118,6 @@ class TestClosedForms:
         cfg = BasisConfig(p=2.0, num_funcs=3)
         assert np.all(eval_basis_matrix(cfg, np.array([-0.5, -1e-12])) == 0.0)
 
-    def test_non_causal_continues_the_closed_form(self):
-        # ell_1(t) = 2 e^{-2t} (1 - 4t) at p = 2 on both sides of t = 0
-        cfg = BasisConfig(p=2.0, num_funcs=2)
-        t = np.linspace(-0.5, 3, 41)
-        got = eval_basis_matrix(cfg, t, causal=False)
-        assert_allclose(got[:, 1], 2.0 * np.exp(-2.0 * t) * (1 - 4.0 * t), rtol=1e-13, atol=1e-15)
-        pos = t >= 0
-        assert np.array_equal(got[pos], eval_basis_matrix(cfg, t[pos]))
-
     def test_derivative_matches_finite_differences(self):
         cfg = BasisConfig(p=4.0, num_funcs=8)
         t = np.linspace(0.05, 2.0, 23)
