@@ -6,6 +6,10 @@ The two-step estimator's accuracy decomposes into a deterministic part
 and a stochastic part (closed-form covariance of the Markov estimate).  The
 delay estimate itself is a ratio of correlated noisy quantities, so its bias
 is predicted by Monte-Carlo averaging of the ratio perturbation terms.
+
+The benchmark runs its replicates through one function, over all of them
+in-process or over chunks in a process pool; noise streams keyed by
+(seed, replicate) make the statistics identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -75,7 +80,11 @@ class McStats:
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkConfig:
-    """Everything one replicate needs, minus the noise realization."""
+    """Everything one replicate needs, minus the noise realization.
+
+    ``tau_max`` and ``n_samples`` left at None are resolved at construction
+    to ``default_tau_max(design)`` and ``design.n_samples``.
+    """
 
     design: InputDesign
     true_tau: float
@@ -86,11 +95,11 @@ class BenchmarkConfig:
     n_samples: int | None = None
     hist_bins: int = 40
 
-    def resolved_tau_max(self) -> float:
-        return default_tau_max(self.design) if self.tau_max is None else self.tau_max
-
-    def resolved_n_samples(self) -> int:
-        return self.design.n_samples if self.n_samples is None else self.n_samples
+    def __post_init__(self):
+        if self.tau_max is None:
+            object.__setattr__(self, "tau_max", default_tau_max(self.design))
+        if self.n_samples is None:
+            object.__setattr__(self, "n_samples", self.design.n_samples)
 
     def to_dict(self) -> dict:
         return {
@@ -99,8 +108,8 @@ class BenchmarkConfig:
             "noise_var": self.noise_var,
             "k_model": self.k_model,
             "m_markov": self.m_markov,
-            "tau_max": self.resolved_tau_max(),
-            "n_samples": self.resolved_n_samples(),
+            "tau_max": self.tau_max,
+            "n_samples": self.n_samples,
             "hist_bins": self.hist_bins,
         }
 
@@ -222,7 +231,7 @@ def predict_bias_tau(
     m = markov_order(k_model, m_markov)
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
     system = assemble_ab(h_true[:m])
-    omega, vec_a, vec_b = system.omega, system.vec_a, system.vec_b
+    vec_a, vec_b = system.vec_a, system.vec_b
     btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
@@ -233,9 +242,8 @@ def predict_bias_tau(
     draws = rng.standard_normal((mc_samples, k_model + 1))
     err = mean_shift + draws @ acc.cov_factor.T
 
-    err_b = err[:, : m - 1]
-    err_a = err_b @ omega.T
-    err_a[:, -1] -= (m - 1.0) * err[:, m - 1]
+    err_sys = assemble_ab(err[:, :m])
+    err_a, err_b = err_sys.vec_a, err_sys.vec_b
     eps1 = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
     eps2 = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
     denom = btb + eps2
@@ -251,50 +259,33 @@ def predict_bias_tau(
     )
 
 
-def _run_single_replicate(context, replicate: int) -> dict:
-    """One noise draw, every requested estimator; errors become None."""
-    cfg: BenchmarkConfig = context["config"]
-    clean = context["clean"]
-    ds = add_noise(
-        clean,
-        cfg.noise_var,
-        (context["seed"], replicate),
-        delta=cfg.design.delta,
-        true_tau=cfg.true_tau,
+def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -> list[dict]:
+    """Each replicate's estimates, in the order of ``replicates``: one noise
+    draw per replicate, every requested estimator, a failed estimate as
+    None.  The clean signal and the estimator tables are built once per
+    call."""
+    design = config.design
+    clean = sample_delayed(design, config.true_tau, config.n_samples)
+    tables = build_replicate_tables(
+        methods, design, n_samples=config.n_samples, k_model=config.k_model,
+        tau_max=config.tau_max,
     )
-    out = {}
-    for method in context["methods"]:
-        try:
-            out[method] = estimate_delay(
-                method, ds, cfg.design, k_model=cfg.k_model, m_markov=cfg.m_markov,
-                tau_max=context["tau_max"], tables=context["tables"],
-            ).tau_hat
-        except LagDelayError:
-            out[method] = None
-    return out
-
-
-def _build_context(config: BenchmarkConfig, methods, seed) -> dict:
-    """Everything the replicates share: the clean signal and the estimator
-    tables, built once per run (or once per chunk in a worker)."""
-    n = config.resolved_n_samples()
-    tau_max = config.resolved_tau_max()
-    return {
-        "config": config,
-        "methods": tuple(methods),
-        "seed": seed,
-        "clean": sample_delayed(config.design, config.true_tau, n),
-        "tables": build_replicate_tables(
-            methods, config.design, n_samples=n, k_model=config.k_model, tau_max=tau_max
-        ),
-        "tau_max": tau_max,
-    }
-
-
-def _worker(payload) -> list[tuple[int, dict]]:
-    config = BenchmarkConfig.from_dict(payload["config"])
-    context = _build_context(config, payload["methods"], payload["seed"])
-    return [(r, _run_single_replicate(context, r)) for r in payload["replicates"]]
+    results = []
+    for r in replicates:
+        ds = add_noise(
+            clean, config.noise_var, (seed, r), delta=design.delta, true_tau=config.true_tau
+        )
+        estimates = {}
+        for method in methods:
+            try:
+                estimates[method] = estimate_delay(
+                    method, ds, design, k_model=config.k_model, m_markov=config.m_markov,
+                    tau_max=config.tau_max, tables=tables,
+                ).tau_hat
+            except LagDelayError:
+                estimates[method] = None
+        results.append(estimates)
+    return results
 
 
 def run_monte_carlo(
@@ -307,44 +298,32 @@ def run_monte_carlo(
     """Seeded Monte-Carlo benchmark over independent noise realizations.
 
     Per-replicate noise comes from a stream keyed by (seed, replicate), so
-    results are bit-identical for any worker count.  Failed replicates are
-    excluded from the moments and counted per method.
+    results are bit-identical for any worker count.  One worker runs every
+    replicate in-process; more split them into ``np.array_split`` chunks that
+    a process pool runs, each chunk building its own tables.  Failed
+    replicates are excluded from the moments and counted per method.
     """
     if replicates < 2:
         raise ValueError("need at least two replicates")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     methods = tuple(methods)
-    results: dict[int, dict] = {}
+    run = partial(_run_replicates, config, methods, seed)
     if workers == 1:
-        context = _build_context(config, methods, seed)
-        for r in range(replicates):
-            results[r] = _run_single_replicate(context, r)
+        results = run(range(replicates))
     else:
         chunks = np.array_split(np.arange(replicates), min(workers * 4, replicates))
-        payloads = [
-            {
-                "config": config.to_dict(),
-                "methods": methods,
-                "seed": seed,
-                "replicates": chunk.tolist(),
-            }
-            for chunk in chunks
-            if chunk.size
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk_result in pool.map(_worker, payloads):
-                for r, vals in chunk_result:
-                    results[r] = vals
+            results = [
+                est for chunk in pool.map(run, [c.tolist() for c in chunks]) for est in chunk
+            ]
 
-    n_per_dataset = config.resolved_n_samples()
     per_method = {}
     histogram = {}
     estimates = {}
     for method in methods:
         vals = np.asarray(
-            [results[r][method] for r in range(replicates) if results[r][method] is not None],
-            dtype=float,
+            [est[method] for est in results if est[method] is not None], dtype=float
         )
         failures = replicates - vals.size
         estimates[method] = vals
@@ -362,7 +341,7 @@ def run_monte_carlo(
             bias=bias,
             variance=variance,
             mse_raw=mse_raw,
-            mse_normalized=float(np.sqrt(n_per_dataset) * mse_raw),
+            mse_normalized=float(np.sqrt(config.n_samples) * mse_raw),
             failures=failures,
             n_used=int(vals.size),
         )

@@ -29,7 +29,9 @@ from .basis import (
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
 from .estimators import ESTIMATORS, crlb, estimate_delay
-from .simulate import InputDesign, default_tau_max, load_dataset, make_dataset, save_dataset
+from .simulate import (
+    InputDesign, default_tau_max, load_dataset, make_dataset, sample_count, save_dataset,
+)
 
 log = logging.getLogger("lagdelay")
 
@@ -96,7 +98,7 @@ def cmd_design(args) -> int:
     if "n_samples" in cfg:
         n_samples = int(cfg["n_samples"])
     else:
-        n_samples = int(np.floor(float(cfg["horizon"]) / delta + 1e-9)) + 1
+        n_samples = sample_count(float(cfg["horizon"]), delta)
     grid_spec = cfg.get("p_grid", {})
     p_grid = np.geomspace(
         float(grid_spec.get("min", 1.0)),
@@ -237,7 +239,7 @@ def cmd_benchmark(args) -> int:
     crlb_value = None
     if bench.noise_var > 0:
         crlb_value = crlb(
-            bench.design, bench.true_tau, bench.noise_var, n_samples=bench.resolved_n_samples()
+            bench.design, bench.true_tau, bench.noise_var, n_samples=bench.n_samples
         ).bound
     per_method = {
         m: {

@@ -58,18 +58,17 @@ class MarkovSequence:
 
 @dataclass(frozen=True, eq=False)
 class DelayLinearSystem:
-    """Vectors A, B with A = kappa B for exact Markov sequences, plus the
-    banded coefficient matrix Omega used to build A."""
+    """Vectors A, B with A = kappa B for exact Markov sequences; a batch of
+    Markov sequences gives a batch of rows of each."""
 
-    omega: np.ndarray
     vec_a: np.ndarray
     vec_b: np.ndarray
 
 
 def markov_params(kappa: float, m_count: int) -> MarkovSequence:
     """First m_count Markov parameters of a delay with normalized value kappa."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 <= kappa < np.inf:  # NaN too
+        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     if m_count < 1:
         raise ValueError("need at least one Markov parameter")
     values = np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)
@@ -163,17 +162,18 @@ def build_omega(m_count: int) -> np.ndarray:
 def assemble_ab(h: MarkovSequence | np.ndarray) -> DelayLinearSystem:
     """Stack the delay relations: B = h_{0..M-2}, A = Omega B - (M-1) h_{M-1} e.
 
-    For exact Markov sequences A = kappa B holds entrywise.
+    The Markov index is the last axis of ``h``; leading axes are a batch and
+    carry over to A and B.  B is a view of ``h``.  For exact Markov
+    sequences A = kappa B holds entrywise.
     """
     values = h.values if isinstance(h, MarkovSequence) else np.asarray(h, dtype=float)
-    m_count = values.size
+    m_count = values.shape[-1]
     if m_count < 3:
         raise ValueError("need at least three Markov parameters")
-    omega = build_omega(m_count)
-    vec_b = values[: m_count - 1].copy()
-    vec_a = omega @ vec_b
-    vec_a[-1] -= (m_count - 1.0) * values[m_count - 1]
-    return DelayLinearSystem(omega=omega, vec_a=vec_a, vec_b=vec_b)
+    vec_b = values[..., : m_count - 1]
+    vec_a = vec_b @ build_omega(m_count).T
+    vec_a[..., -1] -= (m_count - 1.0) * values[..., m_count - 1]
+    return DelayLinearSystem(vec_a=vec_a, vec_b=vec_b)
 
 
 def closed_form_delay(sys: DelayLinearSystem, p: float) -> float:

@@ -351,6 +351,9 @@ def estimate_delay_ml(
     is built here.  ``boundary_hit`` is true when the scan minimum is an end
     of the grid, tau = 0 or tau = tau_max: the estimate is then clamped to
     the search range, and the unconstrained minimum may lie outside it.
+    There the refine first evaluates the objective ML_TAU_XATOL inside the
+    end; unless that beats the scan, the estimate stays on the grid end
+    without Brent.  ``refine_evals`` counts every refine evaluation.
     """
     if table is None:
         table = ml_table(design, data.delta, data.n_samples, tau_max)
@@ -361,17 +364,26 @@ def estimate_delay_ml(
         )
     grid = table.grid
     best, f_best = _scan_minimum(table, data)
+    boundary_hit = best in (0, grid.size - 1)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     fn = _refine_objective(data, design, lo)
-    tau_ref, f_ref, evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
+    evals = 0
     converged = True
-    if f_ref > f_best:
+    if boundary_hit:
+        # Brent takes up to 31 evaluations to close in on a grid end; one
+        # just inside it tells whether the refine can beat the scan at all
+        evals = 1
+        converged = fn(grid[best] + (ML_TAU_XATOL if best == 0 else -ML_TAU_XATOL)) < f_best
+    if converged:
+        tau_ref, f_ref, brent_evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
+        evals += brent_evals
+        converged = f_ref <= f_best
+    if not converged:
         warnings.warn(
             NoImprovementWarning("refinement did not improve on the grid minimum")
         )
         tau_ref, f_ref = grid[best], f_best
-        converged = False
     return DelayEstimate(
         tau_hat=float(tau_ref),
         method="ml",
@@ -382,7 +394,7 @@ def estimate_delay_ml(
             "refine_evals": evals,
             "converged": converged,
             "negloglik": float(f_ref),
-            "boundary_hit": best in (0, grid.size - 1),
+            "boundary_hit": boundary_hit,
         },
     )
 

@@ -66,8 +66,8 @@ class InputDesign:
 
     @property
     def n_samples(self) -> int:
-        """Samples on [0, horizon]: floor(horizon/delta) + 1."""
-        return int(np.floor(self.horizon / self.delta + 1e-9)) + 1
+        """Samples on [0, horizon]: ``sample_count(horizon, delta)``."""
+        return sample_count(self.horizon, self.delta)
 
     def to_dict(self) -> dict:
         return {
@@ -122,6 +122,11 @@ class Dataset:
         return t
 
 
+def sample_count(horizon: float, delta: float) -> int:
+    """Samples on [0, horizon] at step delta: floor(horizon/delta) + 1."""
+    return int(np.floor(horizon / delta + 1e-9)) + 1
+
+
 def continuity_defect(design: InputDesign) -> float:
     """|u(0)| = sqrt(2p) |sum_k u_k| under the adopted sign convention."""
     return float(abs(np.sqrt(2.0 * design.p) * design.u.coeffs.sum()))
@@ -141,8 +146,8 @@ def input_derivative(design: InputDesign, t) -> float | np.ndarray:
 
 def sample_delayed(design: InputDesign, tau: float, n_samples: int) -> np.ndarray:
     """Noise-free samples y_n = u(n*delta - tau), exactly zero before tau."""
-    if tau < 0:
-        raise ValueError("delay must be nonnegative")
+    if not 0 <= tau < np.inf:  # NaN too
+        raise ValueError(f"delay must be finite and nonnegative, got {tau}")
     t = np.arange(n_samples) * design.delta
     return synthesize_input(design, t - tau)
 

@@ -18,8 +18,8 @@ from lagdelay.analysis import (
 from lagdelay.basis import BasisConfig, build_phi
 from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
-from lagdelay.estimators import estimate_spectrum_ls
-from lagdelay.simulate import Dataset, InputDesign, sample_delayed
+from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_spectrum_ls
+from lagdelay.simulate import Dataset, InputDesign, default_tau_max, sample_delayed
 
 from conftest import state_space_basis
 
@@ -269,6 +269,38 @@ class TestMonteCarlo:
                 serial.histogram[method]["edges"], parallel.histogram[method]["edges"]
             )
 
+    @pytest.mark.parametrize("replicates, workers", [(8, 2), (6, 3)])
+    def test_workers_bit_identical_resolved_defaults(self, bench_design, replicates, workers):
+        # the pool receives the config itself, with tau_max and n_samples
+        # resolved at construction; (6, 3) gives one replicate per chunk
+        cfg = BenchmarkConfig(
+            design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, m_markov=4
+        )
+        serial = run_monte_carlo(cfg, replicates=replicates, seed=4, workers=1)
+        parallel = run_monte_carlo(cfg, replicates=replicates, seed=4, workers=workers)
+        for method in ESTIMATORS:
+            assert serial.estimates[method].tobytes() == parallel.estimates[method].tobytes()
+            assert serial.per_method[method] == parallel.per_method[method]
+            for key in ("edges", "counts"):
+                assert (
+                    serial.histogram[method][key].tobytes()
+                    == parallel.histogram[method][key].tobytes()
+                )
+
+    def test_tables_built_once_in_process(self, bench_design, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return build_replicate_tables(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "build_replicate_tables", counting)
+        cfg = BenchmarkConfig(
+            design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, tau_max=0.01
+        )
+        run_monte_carlo(cfg, methods=("proposed", "ml"), replicates=5, seed=0, workers=1)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_refused(self, bench_design, workers):
         # once ran serially without a word
@@ -277,6 +309,24 @@ class TestMonteCarlo:
         )
         with pytest.raises(ValueError, match="workers"):
             run_monte_carlo(cfg, methods=("proposed",), replicates=4, seed=0, workers=workers)
+
+    def test_config_defaults_resolved_at_construction(self):
+        design = InputDesign.from_dict(REF72)
+        cfg = BenchmarkConfig(design=design, true_tau=TAU, noise_var=0.01, k_model=12)
+        assert cfg.tau_max == default_tau_max(design)
+        assert cfg.n_samples == design.n_samples
+        # the dict the config hash of a benchmark report is taken over
+        assert cfg.to_dict() == {
+            "design": {
+                "p": 37.313866137469375,
+                "u": [0.9999999999999999, 1.6759090805528649e-13,
+                      -1.6759090805528649e-13, -0.9999999999999999],
+                "eta": 2.0, "delta": 0.0003, "horizon": 0.49979999999999997,
+                "tau_guess": 0.0003,
+            },
+            "true_tau": 0.00133, "noise_var": 0.01, "k_model": 12, "m_markov": None,
+            "tau_max": 0.23249999999999998, "n_samples": 1667, "hist_bins": 40,
+        }
 
     def test_replicate_floor(self, bench_design):
         cfg = BenchmarkConfig(

@@ -109,6 +109,18 @@ class TestSimulateCommand:
             contents.append((out / "dataset.csv").read_bytes())
         assert contents[0] == contents[1]
 
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_delay_exit_1(self, design_file, tmp_path, capsys, tau):
+        # once wrote a pure-noise dataset whose sidecar held "true_tau": NaN
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--design", str(design_file), "--tau", tau,
+            "--noise-var", "0.01", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert f"got {tau}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_noise_variance_exit_1(self, design_file, tmp_path, capsys):
         out = tmp_path / "sim"
         rc = main([
@@ -321,6 +333,19 @@ class TestBenchmarkCommand:
         assert "workers" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("true_tau", [float("nan"), float("inf")])
+    def test_non_finite_delay_exit_1_without_report(self, bench_config, tmp_path, capsys, true_tau):
+        # once ran every replicate before failing on a misleading error
+        cfg = json.loads(bench_config.read_text())
+        cfg["true_tau"] = true_tau
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(path), "--replicates", "4", "--out", str(out)])
+        assert rc == 1
+        assert f"got {true_tau}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_seed_exit_1(self, design_file, tmp_path):
         cfg = {
             "design_path": str(design_file),
@@ -399,6 +424,18 @@ class TestBiasPredictCommand:
         rc = main([
             "bias-predict", "--design", str(design_file), "--tau-check", "3e-4",
             "--noise-var", noise_var, "--mc-samples", "2000", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "ValueError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau_check", ["nan", "inf"])
+    def test_non_finite_delay_exit_1(self, design_file, tmp_path, capsys, tau_check):
+        # once wrote "predicted_bias": null against its schema
+        out = tmp_path / "b.json"
+        rc = main([
+            "bias-predict", "--design", str(design_file), "--tau-check", tau_check,
+            "--noise-var", "1e-4", "--mc-samples", "2000", "--out", str(out),
         ])
         assert rc == 1
         assert "ValueError" in capsys.readouterr().err

@@ -42,6 +42,13 @@ class TestMarkovParams:
         with pytest.raises(ValueError):
             markov_params(-0.1, 3)
 
+    @pytest.mark.parametrize("kappa", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # NaN slipped past the sign test, and the closed form mapped NaN
+        # and -inf to an all-zero sequence
+        with pytest.raises(ValueError, match=str(kappa)):
+            markov_params(kappa, 3)
+
 
 class TestDelaySpectrum:
     def test_zero_delay_pads_input(self):
@@ -207,6 +214,26 @@ class TestOmegaSystem:
             assemble_ab(markov_params(1.0, 2))
         with pytest.raises(ValueError):
             build_omega(2)
+
+    def test_batch_rows_match_single_calls(self):
+        # numpy runs a batch as one GEMM and one sequence as a GEMV, which
+        # round the three-term sums of A differently: rows agree to within
+        # the worst-case rounding of two such sums (3 eps of the sum of the
+        # terms' magnitudes; worst seen 1.7 eps), B bitwise
+        rng = np.random.default_rng(0)
+        for m_count in range(3, 30):
+            h = rng.standard_normal((200, m_count))
+            batch = assemble_ab(h)
+            scale = np.abs(h[:, :-1]) @ np.abs(build_omega(m_count)).T
+            scale[:, -1] += (m_count - 1.0) * np.abs(h[:, -1])
+            for i, row in enumerate(h):
+                single = assemble_ab(row)
+                assert np.array_equal(batch.vec_b[i], single.vec_b)
+                assert np.all(
+                    np.abs(batch.vec_a[i] - single.vec_a) <= 3 * np.finfo(float).eps * scale[i]
+                )
+        stacked = assemble_ab(rng.standard_normal((2, 5, 7)))
+        assert stacked.vec_a.shape == stacked.vec_b.shape == (2, 5, 6)
 
     def test_stencil_matches_loop_reference(self):
         for m_count in range(3, 21):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from lagdelay import estimators
 from lagdelay.delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_series
+from lagdelay.errors import NoImprovementWarning
 from lagdelay.estimators import (
     ESTIMATORS,
     build_replicate_tables,
@@ -200,8 +201,51 @@ def _time_domain_ml(data, design, table):
     }
 
 
+def _brent_refine_ml(data, design, table):
+    """The refine before the grid-end probe: bounded Brent on the
+    Laguerre-domain objective over every bracket, the grid point kept when
+    Brent does not improve on the scan.  Returns tau_hat, negloglik,
+    converged and Brent's evaluation count."""
+    grid = table.grid
+    best, f_best = estimators._scan_minimum(table, data)
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+    fn = estimators._refine_objective(data, design, lo)
+    tau, f_ref, evals = estimators.minimize_bounded(fn, lo, hi, estimators.ML_TAU_XATOL)
+    if f_ref > f_best:
+        return float(grid[best]), f_best, False, evals
+    return tau, f_ref, True, evals
+
+
 @pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
 class TestMlRefineLaguerre:
+    def test_grid_end_probe_agrees_with_brent(self, ref):
+        # the benchmark's seed-1 streams at tau = 0, where 105 of 200 clamp
+        # at the grid origin (Brent took 31 evaluations on each), and past
+        # tau_max, where every replicate clamps at the top end (26)
+        design, tables, _ = ref
+        clamped = 0
+        for tau, count in [(0.0, 200), (1.2 * TAU_MAX, 20)]:
+            for r in range(count):
+                ds = make_dataset(design, tau, NOISE_VAR, (1, r))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    est = estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml)
+                diag = est.diagnostics
+                tau_old, f_old, converged_old, evals_old = _brent_refine_ml(ds, design, tables.ml)
+                assert _bits(est.tau_hat) == _bits(tau_old)
+                assert _bits(diag["negloglik"]) == _bits(f_old)
+                assert diag["converged"] == converged_old
+                warned = any(issubclass(w.category, NoImprovementWarning) for w in caught)
+                assert warned == (not converged_old)
+                if not diag["boundary_hit"]:
+                    assert diag["refine_evals"] == evals_old
+                elif converged_old:
+                    assert diag["refine_evals"] == 1 + evals_old
+                else:
+                    assert diag["refine_evals"] == 1
+                    clamped += 1
+        assert clamped > 20
+
     def test_estimate_agrees_with_time_domain_refine(self, ref):
         # the benchmark's seed-1 noise streams: 1000 replicates at the
         # section 7.2 delay and 200 at each other delay of CASES; worst

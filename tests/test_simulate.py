@@ -108,6 +108,12 @@ class TestSampleDelayed:
         oracle = _fine_grid_shift_oracle(bench_design, tau, 120)
         assert_allclose(got, oracle, atol=2e-10)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delay_rejected(self, bench_design, tau):
+        # NaN slipped past the sign test and gave all-zero samples
+        with pytest.raises(ValueError, match=str(tau)):
+            sample_delayed(bench_design, tau, 10)
+
     def test_exactly_zero_before_delay(self, bench_design):
         tau = 2.5 * bench_design.delta
         y = sample_delayed(bench_design, tau, 10)
