@@ -46,6 +46,8 @@ from .errors import (
 from .estimators import (
     CrlbReport,
     DelayEstimate,
+    ReplicateTables,
+    build_replicate_tables,
     crlb,
     estimate_delay,
     estimate_delay_freq_interp,

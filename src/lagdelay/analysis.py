@@ -83,7 +83,8 @@ class BenchmarkConfig:
     """Everything one replicate needs, minus the noise realization.
 
     ``tau_max`` and ``n_samples`` left at None are resolved at construction
-    to ``default_tau_max(design)`` and ``design.n_samples``.
+    to ``default_tau_max(design)`` and ``design.n_samples``; ``hist_bins``
+    must be at least 1.
     """
 
     design: InputDesign
@@ -96,6 +97,8 @@ class BenchmarkConfig:
     hist_bins: int = 40
 
     def __post_init__(self):
+        if not self.hist_bins >= 1:
+            raise ValueError(f"hist_bins must be at least 1, got {self.hist_bins!r}")
         if self.tau_max is None:
             object.__setattr__(self, "tau_max", default_tau_max(self.design))
         if self.n_samples is None:
@@ -263,12 +266,12 @@ def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -
     """Each replicate's estimates, in the order of ``replicates``: one noise
     draw per replicate, every requested estimator, a failed estimate as
     None.  The clean signal and the estimator tables are built once per
-    call."""
+    call; a method whose tables failed to build fails on every replicate."""
     design = config.design
     clean = sample_delayed(design, config.true_tau, config.n_samples)
     tables = build_replicate_tables(
-        methods, design, n_samples=config.n_samples, k_model=config.k_model,
-        tau_max=config.tau_max,
+        methods, design, delta=design.delta, n_samples=config.n_samples,
+        k_model=config.k_model, tau_max=config.tau_max, m_markov=config.m_markov,
     )
     results = []
     for r in replicates:
@@ -278,10 +281,7 @@ def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -
         estimates = {}
         for method in methods:
             try:
-                estimates[method] = estimate_delay(
-                    method, ds, design, k_model=config.k_model, m_markov=config.m_markov,
-                    tau_max=config.tau_max, tables=tables,
-                ).tau_hat
+                estimates[method] = estimate_delay(method, ds, tables).tau_hat
             except LagDelayError:
                 estimates[method] = None
         results.append(estimates)

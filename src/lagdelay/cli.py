@@ -28,7 +28,7 @@ from .basis import (
 )
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
-from .estimators import ESTIMATORS, crlb, estimate_delay
+from .estimators import ESTIMATORS, build_replicate_tables, crlb, estimate_delay
 from .simulate import (
     InputDesign, default_tau_max, load_dataset, make_dataset, sample_count, save_dataset,
 )
@@ -185,12 +185,14 @@ def cmd_estimate(args) -> int:
         "m_markov": args.m_markov,
         "tau_max": tau_max,
     }
+    tables = build_replicate_tables(
+        methods, design, delta=ds.delta, n_samples=ds.n_samples, k_model=k_model,
+        tau_max=tau_max, m_markov=args.m_markov,
+    )
     estimates, errors = {}, {}
     for method in methods:
         try:
-            estimates[method] = estimate_delay(
-                method, ds, design, k_model=k_model, m_markov=args.m_markov, tau_max=tau_max
-            ).to_dict()
+            estimates[method] = estimate_delay(method, ds, tables).to_dict()
         except LagDelayError as exc:
             errors[method] = f"{type(exc).__name__}: {exc}"
     crlb_payload = None

@@ -1,6 +1,6 @@
 """Delay estimators and the variance lower bound.
 
-Four estimators share the Dataset/InputDesign interface:
+Four estimators share one interface, ``(Dataset, ReplicateTables)``:
 
 * ``proposed``    -- two-step Laguerre-domain estimator: least-squares output
                      spectrum, Markov parameters through the reciprocal input
@@ -17,15 +17,17 @@ Four estimators share the Dataset/InputDesign interface:
                      power-weighted phase-slope interpolation.
 
 What an estimator needs besides the data depends only on the design, the
-sampling (N, delta), K and tau_max: the sampled basis Phi, the reciprocal
+sampling (N, delta), K, M and tau_max: the sampled basis Phi, the reciprocal
 input series v (T(v) = T(U)^{-1}), the ML scan grid, model bank and row
 norms, the spline projection matrix (spline and quadrature are both linear
 in the samples), and the reference input with its plain and zero-padded
-FFTs.  ``build_replicate_tables`` builds it once for many datasets; an
-estimator given no table builds its own with the same helper, and refuses
-a table built for anything else.  Per dataset only the data-dependent work
-runs: a QR solve, a matrix-vector product or an FFT, the ML refine's one
-pass over the samples, and the scalar steps.
+FFTs.  ``build_replicate_tables`` is the only place these are built, once
+for one dataset or for many; every estimator takes the resulting
+``ReplicateTables`` and reads the design, K, M and tau_max from it, and
+``estimate_delay`` checks that the data are sampled as the tables were
+built.  Per dataset only the data-dependent work runs: a QR solve, a
+matrix-vector product or an FFT, the ML refine's one pass over the
+samples, and the scalar steps.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_seri
 from .errors import (
     FlatCorrelationError,
     IllConditionedError,
+    LagDelayError,
     NoImprovementWarning,
     ZeroInformationError,
 )
@@ -91,14 +94,6 @@ class CrlbReport:
     window: tuple[int, int]
 
 
-def _check_table(table, **expected) -> None:
-    """Refuse a table built for another design, sampling, K or tau_max."""
-    for name, want in expected.items():
-        got = getattr(table, name)
-        if got != want:
-            raise ValueError(f"{type(table).__name__} was built for {name} = {got!r}, not {want!r}")
-
-
 def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
     """Least-squares output spectrum: argmin_Y ||Z - Phi Y||_2.
 
@@ -117,34 +112,22 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class MarkovTable:
-    """Reciprocal series v of the input spectrum u to ``num_funcs`` terms:
+    """Reciprocal series v of the input spectrum u to K + 1 terms:
     T(v) = T(U)^{-1} for a Markov solve of that size."""
 
-    u: tuple
-    num_funcs: int
     v: np.ndarray = field(repr=False)
 
 
 def markov_table(input_spec: Spectrum, num_funcs: int) -> MarkovTable:
     """Reciprocal-series table of ``estimate_markov`` for one input and K."""
-    return MarkovTable(
-        u=tuple(input_spec.coeffs.tolist()), num_funcs=num_funcs,
-        v=reciprocal_series(input_spec, num_funcs),
-    )
+    return MarkovTable(v=reciprocal_series(input_spec, num_funcs))
 
 
-def estimate_markov(
-    y_hat: Spectrum, input_spec: Spectrum, table: MarkovTable | None = None
-) -> np.ndarray:
+def estimate_markov(y_hat: Spectrum, table: MarkovTable) -> np.ndarray:
     """Markov parameters from spectra: H = T(U)^{-1} Y = T(v) Y, applied as
-    the truncated convolution of Y with v, the reciprocal series of u.
-    ``table`` is a prebuilt ``markov_table``; without it v is computed here."""
-    size = len(y_hat)
-    if table is None:
-        table = markov_table(input_spec, size)
-    else:
-        _check_table(table, u=tuple(input_spec.coeffs.tolist()), num_funcs=size)
-    return np.convolve(table.v, y_hat.coeffs)[:size]
+    the truncated convolution of Y with v, the reciprocal series of u that
+    ``markov_table`` built for the same K."""
+    return np.convolve(table.v, y_hat.coeffs)[: len(y_hat)]
 
 
 def markov_order(k_model: int, m_markov: int | None) -> int:
@@ -156,47 +139,24 @@ def markov_order(k_model: int, m_markov: int | None) -> int:
     return m
 
 
-def _delay_step_order(design: InputDesign, k_model: int, m_markov: int | None) -> int:
-    """Check K >= I and return M for the Laguerre-domain delay step."""
-    if k_model < len(design.u) - 1:
-        raise ValueError("model order must cover the input spectrum length")
-    return markov_order(k_model, m_markov)
-
-
-def _laguerre_delay(
-    y_hat: Spectrum, design: InputDesign, m: int, markov: MarkovTable | None
-) -> tuple[np.ndarray, float]:
+def _laguerre_delay(y_hat: Spectrum, tables: ReplicateTables) -> tuple[np.ndarray, float]:
     """Laguerre-domain delay step shared by ``proposed`` and ``lag_spline``:
     Markov parameters from the output spectrum, then the closed-form ratio
-    on the first m of them.  Returns (h_hat, tau_hat)."""
-    h_hat = estimate_markov(y_hat, design.u, markov)
-    return h_hat, closed_form_delay(assemble_ab(h_hat[:m]), design.p)
+    on the first M of them.  Returns (h_hat, tau_hat)."""
+    h_hat = estimate_markov(y_hat, tables.markov)
+    return h_hat, closed_form_delay(assemble_ab(h_hat[: tables.m_markov]), tables.design.p)
 
 
-def estimate_delay_proposed(
-    data: Dataset,
-    design: InputDesign,
-    k_model: int,
-    m_markov: int | None = None,
-    phi: SampledBasis | None = None,
-    markov: MarkovTable | None = None,
-) -> DelayEstimate:
+def estimate_delay_proposed(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     """Two-step Laguerre-domain delay estimate.
 
     Chains the sampled basis, the least-squares spectrum, the Markov
-    parameters T(U)^{-1} Y and the closed-form ratio.  ``m_markov`` defaults
-    to using every estimated Markov parameter (K + 1).  ``phi`` is a prebuilt
-    basis for this design's p, K and the data's sampling, ``markov`` a
-    prebuilt ``markov_table`` for its u and K; without them both are built
-    here.
+    parameters T(U)^{-1} Y and the closed-form ratio on the first M of them,
+    with Phi, v and M from ``tables``.
     """
-    m = _delay_step_order(design, k_model, m_markov)
-    if phi is None:
-        phi = build_phi(BasisConfig(p=design.p, num_funcs=k_model + 1), data.delta, data.n_samples)
-    else:
-        _check_table(phi, p=design.p, k_max=k_model, delta=data.delta, n_samples=data.n_samples)
+    phi = tables.phi
     y_hat = estimate_spectrum_ls(data, phi)
-    h_hat, tau_hat = _laguerre_delay(y_hat, design, m, markov)
+    h_hat, tau_hat = _laguerre_delay(y_hat, tables)
     residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat.coeffs))
     return DelayEstimate(
         tau_hat=tau_hat,
@@ -205,7 +165,7 @@ def estimate_delay_proposed(
             "y_hat": y_hat.coeffs,
             "h_hat": h_hat,
             "residual_norm": residual,
-            "m_markov": m,
+            "m_markov": tables.m_markov,
             "cond_phi": phi.cond,
         },
     )
@@ -288,11 +248,6 @@ class MlTable:
     model u(t_n - tau_i), one row per grid point, and the squared row norms
     ||u(t_n - tau_i)||^2."""
 
-    p: float
-    u: tuple
-    delta: float
-    n_samples: int
-    tau_max: float
     grid: np.ndarray
     model: np.ndarray = field(repr=False)
     model_sq: np.ndarray = field(repr=False)
@@ -314,11 +269,7 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
     grid[-1] = min(grid[-1], tau_max)
     shifted = (np.arange(n_samples) * delta)[None, :] - grid[:, None]
     model = eval_basis_matrix(design.basis_config, shifted) @ design.u.coeffs
-    return MlTable(
-        p=design.p, u=tuple(design.u.coeffs.tolist()), delta=delta,
-        n_samples=n_samples, tau_max=tau_max, grid=grid, model=model,
-        model_sq=np.einsum("ij,ij->i", model, model),
-    )
+    return MlTable(grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model))
 
 
 def _scan_minimum(table: MlTable, data: Dataset) -> tuple[int, float]:
@@ -333,12 +284,7 @@ def _scan_minimum(table: MlTable, data: Dataset) -> tuple[int, float]:
     return best, float(data.delta * np.einsum("ij,ij->i", resid, resid)[0])
 
 
-def estimate_delay_ml(
-    data: Dataset,
-    design: InputDesign,
-    tau_max: float,
-    table: MlTable | None = None,
-) -> DelayEstimate:
+def estimate_delay_ml(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     """Time-domain maximum likelihood.
 
     The objective ``ml_negloglik`` is non-convex, so a coarse scan at
@@ -346,28 +292,21 @@ def estimate_delay_ml(
     refines it to ML_TAU_XATOL seconds.  The refine evaluates the same
     objective in the Laguerre domain (``_refine_objective``): a shift of the
     delay recombines the input's basis functions exactly, so after one pass
-    over the samples each evaluation costs O(I^2).  ``table`` is a prebuilt
-    ``ml_table`` for this design, sampling and tau_max; without it the table
-    is built here.  ``boundary_hit`` is true when the scan minimum is an end
-    of the grid, tau = 0 or tau = tau_max: the estimate is then clamped to
-    the search range, and the unconstrained minimum may lie outside it.
+    over the samples each evaluation costs O(I^2).  The scan grid and model
+    bank are ``tables.ml``.  ``boundary_hit`` is true when the scan minimum
+    is an end of the grid, tau = 0 or tau = tau_max: the estimate is then
+    clamped to the search range, and the unconstrained minimum may lie
+    outside it.
     There the refine first evaluates the objective ML_TAU_XATOL inside the
     end; unless that beats the scan, the estimate stays on the grid end
     without Brent.  ``refine_evals`` counts every refine evaluation.
     """
-    if table is None:
-        table = ml_table(design, data.delta, data.n_samples, tau_max)
-    else:
-        _check_table(
-            table, p=design.p, u=tuple(design.u.coeffs.tolist()), delta=data.delta,
-            n_samples=data.n_samples, tau_max=tau_max,
-        )
-    grid = table.grid
-    best, f_best = _scan_minimum(table, data)
+    grid = tables.ml.grid
+    best, f_best = _scan_minimum(tables.ml, data)
     boundary_hit = best in (0, grid.size - 1)
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    fn = _refine_objective(data, design, lo)
+    fn = _refine_objective(data, tables.design, lo)
     evals = 0
     converged = True
     if boundary_hit:
@@ -438,10 +377,6 @@ class SplineTable:
     """Spline projection as one (K + 1) x N matrix: projection @ z is the
     quadrature of the not-a-knot cubic spline through z against the basis."""
 
-    p: float
-    num_funcs: int
-    delta: float
-    n_samples: int
     projection: np.ndarray = field(repr=False)
 
 
@@ -488,15 +423,10 @@ def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> Spli
     p_t[:-2] -= (3.0 / delta) * y[1:-1]
     p_t[:3] += np.outer([-5.0, 4.0, 1.0], y[0]) / (4.0 * delta)
     p_t[-3:] += np.outer([-1.0, -4.0, 5.0], y[-1]) / (4.0 * delta)
-    return SplineTable(
-        p=p, num_funcs=num_funcs, delta=delta, n_samples=n_samples,
-        projection=np.ascontiguousarray(p_t.T),
-    )
+    return SplineTable(projection=np.ascontiguousarray(p_t.T))
 
 
-def project_spectrum_spline(
-    data: Dataset, p: float, num_funcs: int, table: SplineTable | None = None
-) -> Spectrum:
+def project_spectrum_spline(data: Dataset, tables: ReplicateTables) -> Spectrum:
     """Output spectrum via interpolation: cubic spline (not-a-knot) through
     the samples, then quadrature of spline(t) * ell_j(t) over the data
     support.
@@ -505,35 +435,21 @@ def project_spectrum_spline(
     sample interval, which integrates the piecewise-cubic factor exactly and
     the smooth basis factor to machine precision for p * delta << 1.  Both
     steps are linear in z, so the spectrum is one matrix-vector product
-    with the projection matrix of ``spline_table``.  ``table`` is a prebuilt
-    ``spline_table``; without it the table is built here.
+    with the projection matrix ``tables.spline`` of ``spline_table``.
     """
-    if table is None:
-        table = spline_table(p, num_funcs, data.delta, data.n_samples)
-    else:
-        _check_table(table, p=p, num_funcs=num_funcs, delta=data.delta, n_samples=data.n_samples)
-    return Spectrum(coeffs=table.projection @ data.z, p=p)
+    return Spectrum(coeffs=tables.spline.projection @ data.z, p=tables.design.p)
 
 
-def estimate_delay_lag_spline(
-    data: Dataset,
-    design: InputDesign,
-    k_model: int,
-    m_markov: int | None = None,
-    table: SplineTable | None = None,
-    markov: MarkovTable | None = None,
-) -> DelayEstimate:
+def estimate_delay_lag_spline(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     """Interpolation baseline: spline-projected output spectrum, then the
-    Laguerre-domain Markov solve and closed-form delay ratio.  ``table`` is
-    passed on to ``project_spectrum_spline``, ``markov`` to
-    ``estimate_markov``."""
-    m = _delay_step_order(design, k_model, m_markov)
-    y_hat = project_spectrum_spline(data, design.p, k_model + 1, table)
-    h_hat, tau_hat = _laguerre_delay(y_hat, design, m, markov)
+    Laguerre-domain Markov solve and closed-form delay ratio, as in
+    ``proposed``."""
+    y_hat = project_spectrum_spline(data, tables)
+    h_hat, tau_hat = _laguerre_delay(y_hat, tables)
     return DelayEstimate(
         tau_hat=tau_hat,
         method="lag_spline",
-        diagnostics={"y_hat": y_hat.coeffs, "h_hat": h_hat, "m_markov": m},
+        diagnostics={"y_hat": y_hat.coeffs, "h_hat": h_hat, "m_markov": tables.m_markov},
     )
 
 
@@ -543,10 +459,6 @@ class CorrTable:
     of two real FFTs: plain, and zero-padded to ``padded_len`` >= 2N - 1
     for the linear correlation."""
 
-    p: float
-    u: tuple
-    delta: float
-    n_samples: int
     padded_len: int
     u_spectrum_conj: np.ndarray = field(repr=False)
     u_padded_conj: np.ndarray = field(repr=False)
@@ -559,7 +471,6 @@ def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
     u_samples = synthesize_input(design, np.arange(n_samples) * delta)
     padded_len = next_fast_len(2 * n_samples - 1, real=True)
     return CorrTable(
-        p=design.p, u=tuple(design.u.coeffs.tolist()), delta=delta, n_samples=n_samples,
         padded_len=padded_len, u_spectrum_conj=np.conj(rfft(u_samples)),
         u_padded_conj=np.conj(rfft(u_samples, padded_len)),
     )
@@ -573,24 +484,16 @@ def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
     return irfft(rfft(z, size) * table.u_padded_conj, size)[: z.size]
 
 
-def estimate_delay_freq_interp(
-    data: Dataset, design: InputDesign, table: CorrTable | None = None
-) -> DelayEstimate:
+def estimate_delay_freq_interp(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     """Cross-correlation baseline with frequency-domain interpolation.
 
     The integer part is the first maximizer of the linear cross-correlation
     r(k) = sum_n z_{n+k} u(t_n), k >= 0, computed by zero-padded FFT; the
     subsample part is a power-weighted phase-slope fit on the circular
-    cross-power spectrum after removing the integer shift.  ``table`` is a
-    prebuilt ``corr_table``; without it the table is built here.
+    cross-power spectrum after removing the integer shift.  The reference
+    FFTs are ``tables.corr``.
     """
-    if table is None:
-        table = corr_table(design, data.delta, data.n_samples)
-    else:
-        _check_table(
-            table, p=design.p, u=tuple(design.u.coeffs.tolist()), delta=data.delta,
-            n_samples=data.n_samples,
-        )
+    table = tables.corr
     n = data.n_samples
     r = _linear_correlation(data.z, table)
     if np.ptp(r) == 0.0:
@@ -633,66 +536,103 @@ ESTIMATORS = ("proposed", "ml", "lag_spline", "freq_interp")
 
 @dataclass(frozen=True, eq=False)
 class ReplicateTables:
-    """Per-estimator tables that depend only on the design, the sampling
-    (N, delta), K and tau_max, never on the data.  A part is None when its
-    estimator is not run; the estimator then builds it itself."""
+    """Everything an estimate needs besides the data, for ``methods``: the
+    design, the sampling (delta, N), K, tau_max, the Markov order M (None
+    unless ``proposed`` or ``lag_spline`` is among them) and each method's
+    tables.  A part is None when no method needs it.  ``errors`` maps a
+    method to the LagDelayError that building one of its parts raised."""
 
-    phi: SampledBasis | None = None
-    markov: MarkovTable | None = None
-    ml: MlTable | None = None
-    spline: SplineTable | None = None
-    corr: CorrTable | None = None
+    methods: tuple
+    design: InputDesign
+    delta: float
+    n_samples: int
+    k_model: int
+    tau_max: float
+    m_markov: int | None
+    phi: SampledBasis | None
+    markov: MarkovTable | None
+    ml: MlTable | None
+    spline: SplineTable | None
+    corr: CorrTable | None
+    errors: dict
 
 
 def build_replicate_tables(
-    methods, design: InputDesign, *, n_samples: int, k_model: int, tau_max: float
-) -> ReplicateTables:
-    """The tables ``methods`` need for data sampled at design.delta, built
-    with the same helpers each estimator uses when it gets none."""
-    delta = design.delta
-    phi = markov = ml = spline = corr = None
-    if "proposed" in methods:
-        phi = build_phi(BasisConfig(p=design.p, num_funcs=k_model + 1), delta, n_samples)
-    if "proposed" in methods or "lag_spline" in methods:
-        markov = markov_table(design.u, k_model + 1)
-    if "ml" in methods:
-        ml = ml_table(design, delta, n_samples, tau_max)
-    if "lag_spline" in methods:
-        spline = spline_table(design.p, k_model + 1, delta, n_samples)
-    if "freq_interp" in methods:
-        corr = corr_table(design, delta, n_samples)
-    return ReplicateTables(phi=phi, markov=markov, ml=ml, spline=spline, corr=corr)
-
-
-def estimate_delay(
-    method: str,
-    data: Dataset,
+    methods,
     design: InputDesign,
     *,
+    delta: float,
+    n_samples: int,
     k_model: int,
-    m_markov: int | None,
     tau_max: float,
-    tables: ReplicateTables | None = None,
-) -> DelayEstimate:
-    """Run the estimator named ``method`` (one of ESTIMATORS).
+    m_markov: int | None = None,
+) -> ReplicateTables:
+    """The tables ``methods`` need for data sampled at (delta, N), and the
+    only place a table is built.
 
-    ``tables`` holds prebuilt tables; each estimator takes only its own part
-    and the arguments it needs.  The estimators are looked up by their
-    module-global names at call time, so a patched estimator is the one
-    that runs.
+    Arguments no estimate could use raise ValueError here: an unknown
+    method, K below the input order, M outside [3, K + 1], tau_max outside
+    the data span.  A LagDelayError raised while building a part fails only
+    the methods that need that part: it goes into ``errors``, and
+    ``estimate_delay`` raises it for them.
     """
-    if tables is None:
-        tables = ReplicateTables()
+    methods = tuple(methods)
+    for method in methods:
+        if method not in ESTIMATORS:
+            raise ValueError(f"unknown method {method!r}; choose from {ESTIMATORS}")
+    m = None
+    if "proposed" in methods or "lag_spline" in methods:
+        if k_model < len(design.u) - 1:
+            raise ValueError("model order must cover the input spectrum length")
+        m = markov_order(k_model, m_markov)
+    errors = {}
+
+    def part(needed_by, build, *args):
+        users = [method for method in needed_by if method in methods]
+        if not users:
+            return None
+        try:
+            return build(*args)
+        except LagDelayError as exc:
+            for method in users:
+                errors.setdefault(method, exc)
+            return None
+
+    k1 = k_model + 1
+    return ReplicateTables(
+        methods=methods, design=design, delta=delta, n_samples=n_samples, k_model=k_model,
+        tau_max=tau_max, m_markov=m,
+        phi=part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples),
+        markov=part(("proposed", "lag_spline"), markov_table, design.u, k1),
+        ml=part(("ml",), ml_table, design, delta, n_samples, tau_max),
+        spline=part(("lag_spline",), spline_table, design.p, k1, delta, n_samples),
+        corr=part(("freq_interp",), corr_table, design, delta, n_samples),
+        errors=errors,
+    )
+
+
+def estimate_delay(method: str, data: Dataset, tables: ReplicateTables) -> DelayEstimate:
+    """Run the estimator named ``method`` on ``data`` with ``tables`` from
+    ``build_replicate_tables``.
+
+    The data must be sampled as the tables were built, at the same delta
+    and N; everything else is read from the tables.  A method whose tables
+    failed to build raises the LagDelayError kept in ``tables.errors``.
+    The estimators are looked up by their module-global names at call time, so a patched
+    estimator is the one that runs.
+    """
+    if method not in tables.methods:
+        raise ValueError(f"no tables for method {method!r}; they were built for {tables.methods}")
+    for name in ("delta", "n_samples"):
+        got, want = getattr(data, name), getattr(tables, name)
+        if got != want:
+            raise ValueError(f"dataset has {name} = {got!r}, but the tables were built for {want!r}")
+    if method in tables.errors:
+        raise tables.errors[method].with_traceback(None)
     if method == "proposed":
-        return estimate_delay_proposed(
-            data, design, k_model, m_markov, phi=tables.phi, markov=tables.markov
-        )
+        return estimate_delay_proposed(data, tables)
     if method == "ml":
-        return estimate_delay_ml(data, design, tau_max, table=tables.ml)
+        return estimate_delay_ml(data, tables)
     if method == "lag_spline":
-        return estimate_delay_lag_spline(
-            data, design, k_model, m_markov, table=tables.spline, markov=tables.markov
-        )
-    if method == "freq_interp":
-        return estimate_delay_freq_interp(data, design, table=tables.corr)
-    raise ValueError(f"unknown method {method!r}; choose from {ESTIMATORS}")
+        return estimate_delay_lag_spline(data, tables)
+    return estimate_delay_freq_interp(data, tables)

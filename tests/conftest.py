@@ -12,6 +12,7 @@ from scipy.linalg import expm, qr
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
 from lagdelay.delay_ops import Spectrum
 from lagdelay.design import DesignProblem, optimize_design
+from lagdelay.estimators import ESTIMATORS, build_replicate_tables
 from lagdelay.simulate import InputDesign
 
 
@@ -100,6 +101,17 @@ def quadrature_delay_projection(u: Spectrum, tau: float, num_out: int) -> np.nda
     hi = tau + 60.0 / u.p
     out, _ = quad_vec(integrand, tau, hi, epsabs=1e-13, epsrel=1e-11)
     return out
+
+
+def tables_for(design, methods=ESTIMATORS, data=None, *, k_model=12, tau_max=0.01, m_markov=None):
+    """``build_replicate_tables`` for ``methods`` at the sampling of
+    ``data``, or at the design's own when no data are given."""
+    return build_replicate_tables(
+        methods, design,
+        delta=design.delta if data is None else data.delta,
+        n_samples=design.n_samples if data is None else data.n_samples,
+        k_model=k_model, tau_max=tau_max, m_markov=m_markov,
+    )
 
 
 def convolution_oracle(u: np.ndarray, h: np.ndarray, out_len: int) -> np.ndarray:

@@ -33,11 +33,12 @@ from lagdelay.estimators import (
     estimate_delay_proposed,
     estimate_markov,
     estimate_spectrum_ls,
+    markov_table,
     ml_negloglik,
 )
 from lagdelay.simulate import InputDesign, add_noise, make_dataset, synthesize_input
 
-from conftest import quadrature_delay_projection, state_space_phi
+from conftest import quadrature_delay_projection, state_space_phi, tables_for
 
 
 def report(criterion, passed, detail):
@@ -222,7 +223,7 @@ def test_criterion_6_noise_free_bias_trend(sec71_designs):
         for delta in deltas:
             design = sec71_designs[delta]
             ds = make_dataset(design, tau, 0.0, 0)
-            est = estimate_delay_proposed(ds, design, k_model=6)
+            est = estimate_delay_proposed(ds, tables_for(design, ("proposed",), k_model=6))
             biases.append(abs(est.tau_hat - tau))
         monotone &= biases[0] <= biases[1] <= biases[2]
         lines.append(f"tau={tau:.0e}: " + " <= ".join(f"{b:.2e}" for b in biases))
@@ -322,10 +323,11 @@ def test_criterion_8_bias_predictor(bench_design):
     clean = phi.matrix @ y_true  # spectrum exactly inside the model: no truncation
     reps = 10_000
     taus = np.empty(reps)
+    markov = markov_table(bench_design.u, k_model + 1)
     for r in range(reps):
         ds = add_noise(clean, lam, (2024, r), delta=bench_design.delta)
         y_hat = estimate_spectrum_ls(ds, phi)
-        h_hat = estimate_markov(y_hat, bench_design.u)
+        h_hat = estimate_markov(y_hat, markov)
         taus[r] = closed_form_delay(assemble_ab(h_hat), bench_design.p)
     empirical = taus.mean() - tau
     se = taus.std(ddof=1) / np.sqrt(reps)

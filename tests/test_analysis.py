@@ -328,6 +328,14 @@ class TestMonteCarlo:
             "tau_max": 0.23249999999999998, "n_samples": 1667, "hist_bins": 40,
         }
 
+    @pytest.mark.parametrize("hist_bins", [0, -1])
+    def test_nonpositive_hist_bins_refused(self, bench_design, hist_bins):
+        with pytest.raises(ValueError, match="hist_bins"):
+            BenchmarkConfig(
+                design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12,
+                hist_bins=hist_bins,
+            )
+
     def test_replicate_floor(self, bench_design):
         cfg = BenchmarkConfig(
             design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, tau_max=0.01

@@ -8,7 +8,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+from lagdelay import estimators
 from lagdelay.cli import main
+
+INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 
 
 def _schema(name):
@@ -159,7 +162,69 @@ def bench_config(design_file, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def singular_design(tmp_path_factory):
+    """The section 7.2 reference design with u_0 = 1e-13: the reciprocal
+    input series that the Laguerre-domain methods need cannot be built, and
+    ml and freq_interp do not need it."""
+    design = json.loads((INPUTS / "design72_ref.json").read_text())
+    design["u"] = [1e-13, 0.5, -0.5, -1e-13]
+    path = tmp_path_factory.mktemp("singular") / "design.json"
+    path.write_text(json.dumps(design))
+    return path
+
+
+TABLE_BUILDERS = ("build_phi", "markov_table", "ml_table", "spline_table", "corr_table")
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Calls of each table builder, counted where the estimators call it."""
+    calls = dict.fromkeys(TABLE_BUILDERS, 0)
+    for name in TABLE_BUILDERS:
+        def counting(*args, _name=name, _orig=getattr(estimators, name), **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(estimators, name, counting)
+    return calls
+
+
 class TestEstimateCommand:
+    @pytest.mark.parametrize("methods, built", [
+        ("all", set(TABLE_BUILDERS)),
+        ("ml", {"ml_table"}),
+    ])
+    def test_each_table_built_once(
+        self, design_file, dataset_dir, tmp_path, table_builds, methods, built
+    ):
+        # the per-call route built the reciprocal series once for proposed
+        # and once more for lag_spline; ml needs no Laguerre-domain table
+        rc = main([
+            "estimate", "--dataset", str(dataset_dir / "dataset.csv"),
+            "--design", str(design_file), "--methods", methods,
+            "--k-model", "6", "--tau-max", "0.01", "--out", str(tmp_path / "r.json"),
+        ])
+        assert rc == 0
+        assert table_builds == {name: int(name in built) for name in TABLE_BUILDERS}
+
+    def test_table_build_failure_fails_only_its_methods(self, singular_design, tmp_path):
+        data = tmp_path / "data"
+        main([
+            "simulate", "--design", str(singular_design), "--tau", "0.00133",
+            "--noise-var", "0.01", "--seed", "1", "--out", str(data),
+        ])
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"),
+            "--design", str(singular_design), "--methods", "all", "--out", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        _validate(report, "estimate_report.json")
+        assert list(report["estimates"]) == ["ml", "freq_interp"]
+        assert list(report["errors"]) == ["proposed", "lag_spline"]
+        assert all(msg.startswith("SingularInputError: ") for msg in report["errors"].values())
+
     def test_all_methods_report(self, design_file, dataset_dir, tmp_path):
         report_path = tmp_path / "report.json"
         rc = main([
@@ -379,6 +444,42 @@ class TestBenchmarkCommand:
         report = json.loads((out / "report.json").read_text())
         for stats in report["per_method"].values():
             assert stats["var"] == 0.0
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_table_build_failure_counted_per_method(self, singular_design, tmp_path, workers):
+        # once exited 1 with no report, although ml and freq_interp ran
+        cfg = {
+            "design_path": str(singular_design), "true_tau": 0.00133, "noise_var": 0.01,
+            "k_model": 12, "tau_max": 0.01, "seed": 0,
+        }
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main([
+            "benchmark", "--config", str(path), "--replicates", "4", "--workers", workers,
+            "--out", str(out),
+        ])
+        assert rc == 3
+        report = json.loads((out / "report.json").read_text())
+        _validate(report, "benchmark_report.json")
+        failures = {m: s["failures"] for m, s in report["per_method"].items()}
+        assert failures == {"proposed": 4, "ml": 0, "lag_spline": 4, "freq_interp": 0}
+        assert report["per_method"]["ml"]["n_used"] == 4
+
+    @pytest.mark.parametrize("hist_bins", [0, -3])
+    def test_nonpositive_hist_bins_exit_1_without_report(
+        self, bench_config, tmp_path, capsys, hist_bins
+    ):
+        # once ran every replicate, then failed inside np.histogram
+        cfg = json.loads(bench_config.read_text())
+        cfg["hist_bins"] = hist_bins
+        path = tmp_path / "bins.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(path), "--replicates", "4", "--out", str(out)])
+        assert rc == 1
+        assert "hist_bins" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_total_failure_exit_3_and_null_stats(self, bench_config, tmp_path):
         # a delay beyond the horizon zeroes the data, so every replicate of

@@ -33,8 +33,6 @@ from lagdelay.errors import (
 )
 from lagdelay.estimators import (
     ESTIMATORS,
-    ReplicateTables,
-    corr_table,
     crlb,
     estimate_delay,
     estimate_delay_freq_interp,
@@ -44,9 +42,9 @@ from lagdelay.estimators import (
     estimate_markov,
     estimate_spectrum_ls,
     ml_gradient,
+    markov_table,
     ml_negloglik,
     ml_table,
-    project_spectrum_spline,
     spline_table,
 )
 from lagdelay.simulate import (
@@ -58,7 +56,7 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import state_space_basis
+from conftest import state_space_basis, tables_for
 
 TAU = 1.33e-3
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
@@ -106,11 +104,7 @@ def sec72_ref():
     """The committed section 7.2 reference design and its ml and
     freq_interp tables at tau_max = 0.01."""
     design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
-    return (
-        design,
-        ml_table(design, design.delta, design.n_samples, 0.01),
-        corr_table(design, design.delta, design.n_samples),
-    )
+    return design, tables_for(design, ("ml", "freq_interp"))
 
 
 class TestSpectrumLS:
@@ -175,11 +169,12 @@ class TestSpectrumLS:
         clean = bench_phi.matrix @ y_true  # spectrum exactly inside K
         y_samples = np.empty((reps, 13))
         h_samples = np.empty((reps, 13))
+        markov = markov_table(bench_design.u, 13)
         for r in range(reps):
             ds = add_noise(clean, lam, (77, r), delta=bench_design.delta)
             spec = estimate_spectrum_ls(ds, bench_phi)
             y_samples[r] = spec.coeffs
-            h_samples[r] = estimate_markov(spec, bench_design.u)
+            h_samples[r] = estimate_markov(spec, markov)
         target = lam * np.linalg.inv(bench_phi.matrix.T @ bench_phi.matrix)
         sample_cov = np.cov(y_samples.T)
         assert np.linalg.norm(sample_cov - target) < 0.05 * np.linalg.norm(target)
@@ -209,7 +204,7 @@ class TestEstimateMarkov:
     def test_exact_triangular_inverse(self, bench_design):
         h = markov_params(0.4, 13).values
         y = Spectrum(build_toeplitz(bench_design.u, 13) @ h, bench_design.p)
-        got = estimate_markov(y, bench_design.u)
+        got = estimate_markov(y, markov_table(bench_design.u, 13))
         assert_allclose(got, h, rtol=1e-12, atol=1e-14)
 
     @settings(max_examples=200, deadline=None)
@@ -223,7 +218,7 @@ class TestEstimateMarkov:
     def test_recovers_markov_parameters_of_a_delay(self, u0, tail, kappa, size):
         u = Spectrum(np.array([u0, *tail]), 1.0)
         h = markov_params(kappa, size).values
-        got = estimate_markov(delay_spectrum(u, kappa, size), u)
+        got = estimate_markov(delay_spectrum(u, kappa, size), markov_table(u, size))
         # the convolution and the forward substitution are componentwise
         # backward stable, so the error is bounded relative to
         # |T(v)| |T(u)| |h| with T(v) = T(u)^-1; the floor covers subnormals
@@ -234,14 +229,14 @@ class TestEstimateMarkov:
 
     def test_identity_input_passes_through(self):
         y = Spectrum(np.array([0.3, -0.1, 0.7]), 1.0)
-        got = estimate_markov(y, Spectrum(np.array([1.0]), 1.0))
+        got = estimate_markov(y, markov_table(Spectrum(np.array([1.0]), 1.0), 3))
         assert_allclose(got, y.coeffs)
 
 
 class TestProposed:
     def test_noise_free_small_bias(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
-        est = estimate_delay_proposed(ds, bench_design, k_model=12)
+        est = estimate_delay_proposed(ds, tables_for(bench_design, ("proposed",)))
         assert est.tau_hat == pytest.approx(TAU, abs=5e-5)
         assert est.method == "proposed"
         assert est.diagnostics["y_hat"].shape == (13,)
@@ -249,7 +244,7 @@ class TestProposed:
 
     def test_zero_delay(self, bench_design):
         ds = make_dataset(bench_design, 0.0, 0.0, 0)
-        est = estimate_delay_proposed(ds, bench_design, k_model=12)
+        est = estimate_delay_proposed(ds, tables_for(bench_design, ("proposed",)))
         assert abs(est.tau_hat) < 1e-12
 
     def test_bias_shrinks_with_delta(self, bench_design):
@@ -264,18 +259,17 @@ class TestProposed:
                 tau_guess=delta,
             )
             ds = make_dataset(d, TAU, 0.0, 0)
-            est = estimate_delay_proposed(ds, d, k_model=12)
+            est = estimate_delay_proposed(ds, tables_for(d, ("proposed",)))
             errs.append(abs(est.tau_hat - TAU))
         assert errs[2] < errs[0]
 
     def test_model_order_must_cover_input(self, bench_design):
-        ds = make_dataset(bench_design, TAU, 0.0, 0)
         with pytest.raises(ValueError):
-            estimate_delay_proposed(ds, bench_design, k_model=2)
+            tables_for(bench_design, ("proposed",), k_model=2)
 
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
-        est = estimate_delay_proposed(ds, bench_design, k_model=12)
+        est = estimate_delay_proposed(ds, tables_for(bench_design, ("proposed",)))
         assert est.tau_hat == pytest.approx(0.0013134434430821947, rel=1e-9)
 
     def test_agrees_with_state_space_substitution_route(self, sec72_ref):
@@ -287,7 +281,8 @@ class TestProposed:
         cfg = BasisConfig(design.p, 13)
         phi = build_phi(cfg, design.delta, design.n_samples)
         oracle_phi = state_space_basis(cfg, design.delta, design.n_samples)
-        spline = spline_table(design.p, 13, design.delta, design.n_samples)
+        tables = tables_for(design, ("proposed", "lag_spline"))
+        assert tables.phi.matrix.tobytes() == phi.matrix.tobytes()
         t_u = build_toeplitz(design.u, 13)
 
         def oracle_tau(y_hat):
@@ -296,10 +291,10 @@ class TestProposed:
 
         for r in range(300):
             ds = make_dataset(design, TAU, 0.01, (0, r))
-            est = estimate_delay_proposed(ds, design, 12, phi=phi)
+            est = estimate_delay_proposed(ds, tables)
             oracle = oracle_tau(estimate_spectrum_ls(ds, oracle_phi).coeffs)
             assert abs(est.tau_hat - oracle) <= 1e-15
-            est = estimate_delay_lag_spline(ds, design, 12, table=spline)
+            est = estimate_delay_lag_spline(ds, tables)
             assert abs(est.tau_hat - oracle_tau(est.diagnostics["y_hat"])) <= 1e-15
 
 
@@ -330,28 +325,27 @@ class TestML:
 
     def test_noise_free_recovery(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
-        est = estimate_delay_ml(ds, bench_design, tau_max=0.01)
+        est = estimate_delay_ml(ds, tables_for(bench_design, ("ml",)))
         assert est.tau_hat == pytest.approx(TAU, abs=1e-9)
         assert est.diagnostics["converged"]
 
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
-        est = estimate_delay_ml(ds, bench_design, tau_max=0.01)
+        est = estimate_delay_ml(ds, tables_for(bench_design, ("ml",)))
         assert est.tau_hat == pytest.approx(0.0013242661978195103, rel=1e-9)
         # the golden-section refine with its 1e-10 s bracket gave this value;
         # the negative log-likelihood cannot tell the two apart
         assert abs(est.tau_hat - 0.0013242661834311942) <= 1e-10
 
     def test_rejects_nonpositive_tau_max(self, bench_design):
-        ds = make_dataset(bench_design, TAU, 0.0, 0)
         with pytest.raises(ValueError):
-            estimate_delay_ml(ds, bench_design, tau_max=0.0)
+            tables_for(bench_design, ("ml",), tau_max=0.0)
 
     def test_boundary_hit_when_delay_beyond_tau_max(self, sec72_design):
         # without the flag the grid edge reads as a valid estimate
         ds = make_dataset(sec72_design, 5e-3, 0.01, 3)
         with pytest.warns(NoImprovementWarning):
-            est = estimate_delay_ml(ds, sec72_design, tau_max=2e-3)
+            est = estimate_delay_ml(ds, tables_for(sec72_design, ("ml",), tau_max=2e-3))
         assert est.tau_hat == 2e-3
         assert est.diagnostics["boundary_hit"] is True
 
@@ -359,11 +353,11 @@ class TestML:
         # with the true delay at 0 the likelihood minimum often lies below
         # 0; the search then ends on the first grid point, which must be
         # flagged like the last one (104 of these 200 seeds end at 0.0)
-        design, table, _ = sec72_ref
+        design, tables = sec72_ref
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoImprovementWarning)
             ests = [
-                estimate_delay_ml(make_dataset(design, 0.0, 1e-2, seed), design, 0.01, table=table)
+                estimate_delay_ml(make_dataset(design, 0.0, 1e-2, seed), tables)
                 for seed in range(200)
             ]
         clamped = [est for est in ests if est.tau_hat == 0.0]
@@ -387,7 +381,7 @@ class TestML:
 
     def test_no_boundary_hit_in_range(self, sec72_design):
         ds = make_dataset(sec72_design, TAU, 0.01, 3)
-        est = estimate_delay_ml(ds, sec72_design, tau_max=0.01)
+        est = estimate_delay_ml(ds, tables_for(sec72_design, ("ml",)))
         assert est.diagnostics["boundary_hit"] is False
         assert est.diagnostics["converged"]
 
@@ -397,15 +391,15 @@ class TestMlRefine:
         # 200 replicates of the section 7.2 Monte-Carlo configuration; the
         # golden-section refine stopped at a 1e-10 s bracket
         design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
-        table = ml_table(design, design.delta, design.n_samples, 0.01)
+        tables = tables_for(design, ("ml",))
         datasets = [make_dataset(design, TAU, 0.01, (0, r)) for r in range(200)]
-        brent = [estimate_delay_ml(ds, design, 0.01, table=table) for ds in datasets]
+        brent = [estimate_delay_ml(ds, tables) for ds in datasets]
         monkeypatch.setattr(
             estimators, "minimize_bounded",
             lambda fn, a, b, xatol: golden_section(fn, a, b, xtol=1e-10),
         )
         for ds, new in zip(datasets, brent):
-            old = estimate_delay_ml(ds, design, 0.01, table=table)
+            old = estimate_delay_ml(ds, tables)
             assert abs(new.tau_hat - old.tau_hat) <= 1e-10
             assert new.diagnostics["refine_evals"] <= 12
             assert new.diagnostics["converged"] and old.diagnostics["converged"]
@@ -450,7 +444,7 @@ class TestCrlb:
 class TestLagSpline:
     def test_noise_free_small_bias(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
-        est = estimate_delay_lag_spline(ds, bench_design, k_model=12)
+        est = estimate_delay_lag_spline(ds, tables_for(bench_design, ("lag_spline",)))
         assert est.tau_hat == pytest.approx(TAU, abs=5e-6)
 
     def test_spline_interior_error_scales_like_delta_4(self, bench_design):
@@ -495,26 +489,26 @@ class TestLagSpline:
 
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
-        est = estimate_delay_lag_spline(ds, bench_design, k_model=12)
+        est = estimate_delay_lag_spline(ds, tables_for(bench_design, ("lag_spline",)))
         assert est.tau_hat == pytest.approx(0.001294002397126887, rel=1e-9)
 
     def test_needs_four_samples(self, bench_design):
         ds = Dataset(z=np.zeros(3), delta=1e-3, n_samples=3, noise_var=0.0, seed=0)
         with pytest.raises(ValueError):
-            project_spectrum_spline(ds, bench_design.p, 4)
+            tables_for(bench_design, ("lag_spline",), ds, k_model=3)
 
 
 class TestFreqInterp:
     def test_integer_delay_exact(self, bench_design):
         tau = 4 * bench_design.delta
         ds = make_dataset(bench_design, tau, 0.0, 0)
-        est = estimate_delay_freq_interp(ds, bench_design)
+        est = estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",), ds))
         assert est.diagnostics["k_star"] == 4
         assert est.tau_hat == pytest.approx(tau, abs=1e-9)
 
     def test_subsample_delay_within_leakage(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
-        est = estimate_delay_freq_interp(ds, bench_design)
+        est = estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",), ds))
         assert est.tau_hat == pytest.approx(TAU, abs=1e-6)
 
     def test_flat_correlation_raises(self, bench_design):
@@ -526,27 +520,28 @@ class TestFreqInterp:
             seed=0,
         )
         with pytest.raises(FlatCorrelationError):
-            estimate_delay_freq_interp(ds, bench_design)
+            estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",)))
 
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
-        est = estimate_delay_freq_interp(ds, bench_design)
+        est = estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",), ds))
         assert est.tau_hat == pytest.approx(0.0013137942309796246, rel=1e-9)
 
     def test_even_sample_count(self, bench_design):
         # even N puts a Nyquist bin in the spectrum; it must stay excluded
         ds = make_dataset(bench_design, TAU, 0.0, 0, n_samples=1666)
-        est = estimate_delay_freq_interp(ds, bench_design)
+        est = estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",), ds))
         assert est.tau_hat == pytest.approx(TAU, abs=1e-6)
 
 
 class TestCrossMethod:
     def test_all_methods_recover_noise_free(self, wide_design):
         ds = make_dataset(wide_design, TAU, 0.0, 0)
-        proposed = estimate_delay_proposed(ds, wide_design, k_model=25)
-        ml = estimate_delay_ml(ds, wide_design, tau_max=0.01)
-        spline = estimate_delay_lag_spline(ds, wide_design, k_model=25)
-        freq = estimate_delay_freq_interp(ds, wide_design)
+        tables = tables_for(wide_design, k_model=25)
+        proposed = estimate_delay_proposed(ds, tables)
+        ml = estimate_delay_ml(ds, tables)
+        spline = estimate_delay_lag_spline(ds, tables)
+        freq = estimate_delay_freq_interp(ds, tables)
         assert ml.tau_hat == pytest.approx(TAU, abs=1e-9)
         assert proposed.tau_hat == pytest.approx(TAU, abs=1e-5)
         assert spline.tau_hat == pytest.approx(TAU, abs=5e-6)
@@ -559,11 +554,12 @@ class TestCrossMethod:
         c = 3
         shift = c * wide_design.delta
         tolerances = {"proposed": 5e-5, "ml": 1e-8, "lag_spline": 1e-6, "freq_interp": 1e-8}
+        tables = tables_for(wide_design, k_model=25)
         runners = {
-            "proposed": lambda d: estimate_delay_proposed(d, wide_design, 25),
-            "ml": lambda d: estimate_delay_ml(d, wide_design, 0.01),
-            "lag_spline": lambda d: estimate_delay_lag_spline(d, wide_design, 25),
-            "freq_interp": lambda d: estimate_delay_freq_interp(d, wide_design),
+            "proposed": lambda d: estimate_delay_proposed(d, tables),
+            "ml": lambda d: estimate_delay_ml(d, tables),
+            "lag_spline": lambda d: estimate_delay_lag_spline(d, tables),
+            "freq_interp": lambda d: estimate_delay_freq_interp(d, tables),
         }
         for name, run in runners.items():
             base = run(make_dataset(wide_design, TAU, 0.0, 0)).tau_hat
@@ -584,7 +580,7 @@ class TestCrossMethod:
         # freq_interp estimate up to its phase fit (worst 1.55e-7 s); noisy
         # freq_interp is not equivariant, because its circular spectrum
         # wraps the noise tail round (errors up to 1.9e-5 s)
-        design, ml, corr = sec72_ref
+        design, tables = sec72_ref
         delta = design.delta
         data = make_dataset(design, tau_steps * delta, noise_var, seed)
         moved = Dataset(
@@ -593,20 +589,20 @@ class TestCrossMethod:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoImprovementWarning)
-            base = estimate_delay_ml(data, design, 0.01, table=ml)
+            base = estimate_delay_ml(data, tables)
             # with noise, the ML minimum of a delay near 0 can lie below 0,
             # where the unshifted search stops and the shifted one does not
             assume(noise_var == 0.0 or base.tau_hat >= delta / 4)
-            shifted = estimate_delay_ml(moved, design, 0.01, table=ml)
+            shifted = estimate_delay_ml(moved, tables)
         assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 10 * estimators.ML_TAU_XATOL
         if noise_var == 0.0:
-            base = estimate_delay_freq_interp(data, design, corr)
-            shifted = estimate_delay_freq_interp(moved, design, corr)
+            base = estimate_delay_freq_interp(data, tables)
+            shifted = estimate_delay_freq_interp(moved, tables)
             assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 5e-7
 
     def test_estimate_serialization(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
-        est = estimate_delay_proposed(ds, bench_design, k_model=12)
+        est = estimate_delay_proposed(ds, tables_for(bench_design, ("proposed",)))
         d = est.to_dict()
         assert d["method"] == "proposed"
         assert isinstance(d["diagnostics"]["y_hat"], list)
@@ -614,27 +610,28 @@ class TestCrossMethod:
 
 
 class TestRegistry:
-    def test_dispatch_matches_direct_call(self, bench_design, bench_phi):
+    def test_dispatch_matches_direct_call(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (4, 2))
+        tables = tables_for(bench_design, m_markov=9)
         direct = {
-            "proposed": estimate_delay_proposed(ds, bench_design, 12, 9, phi=bench_phi),
-            "ml": estimate_delay_ml(ds, bench_design, 0.01),
-            "lag_spline": estimate_delay_lag_spline(ds, bench_design, 12, 9),
-            "freq_interp": estimate_delay_freq_interp(ds, bench_design),
+            "proposed": estimate_delay_proposed(ds, tables),
+            "ml": estimate_delay_ml(ds, tables),
+            "lag_spline": estimate_delay_lag_spline(ds, tables),
+            "freq_interp": estimate_delay_freq_interp(ds, tables),
         }
         assert set(direct) == set(ESTIMATORS)
+        assert direct["proposed"].diagnostics["m_markov"] == 9
         for method in ESTIMATORS:
-            est = estimate_delay(
-                method, ds, bench_design, k_model=12, m_markov=9, tau_max=0.01,
-                tables=ReplicateTables(phi=bench_phi),
-            )
+            est = estimate_delay(method, ds, tables)
             assert est.method == method
             assert est.tau_hat == direct[method].tau_hat, method
 
     def test_unknown_method_rejected(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
         with pytest.raises(ValueError):
-            estimate_delay("nope", ds, bench_design, k_model=12, m_markov=None, tau_max=0.01)
+            estimate_delay("nope", ds, tables_for(bench_design, ("ml",)))
+        with pytest.raises(ValueError, match="unknown method"):
+            tables_for(bench_design, ("ml", "nope"))
 
 
 class TestNonFiniteSamples:
@@ -646,11 +643,12 @@ class TestNonFiniteSamples:
         # harness does not catch
         z = make_dataset(bench_design, TAU, 0.01, (6, 0)).z.copy()
         z[500] = bad
+        tables = tables_for(bench_design, (method,))
         with pytest.raises(InvalidDatasetError):
             estimate_delay(
                 method,
                 Dataset(z=z, delta=bench_design.delta, n_samples=z.size, noise_var=0.01, seed=0),
-                bench_design, k_model=12, m_markov=None, tau_max=0.01,
+                tables,
             )
 
     def test_add_noise_rejects_non_finite_signal(self):

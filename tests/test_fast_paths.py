@@ -32,6 +32,7 @@ from lagdelay.estimators import (
     estimate_delay_lag_spline,
     estimate_delay_ml,
     estimate_markov,
+    markov_table,
     ml_negloglik,
     ml_table,
     spline_table,
@@ -73,7 +74,9 @@ def ref():
     replicates at each of CASES."""
     design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
     n = design.n_samples
-    tables = build_replicate_tables(ESTIMATORS, design, n_samples=n, k_model=K, tau_max=TAU_MAX)
+    tables = build_replicate_tables(
+        ESTIMATORS, design, delta=design.delta, n_samples=n, k_model=K, tau_max=TAU_MAX
+    )
     data = []
     for tau, seed in CASES:
         clean = sample_delayed(design, tau, n)
@@ -106,11 +109,11 @@ class TestSplineProjection:
         # in tau_hat
         design, tables, data = ref
         for ds in data:
-            est = estimate_delay_lag_spline(ds, design, K, table=tables.spline)
+            est = estimate_delay_lag_spline(ds, tables)
             want = cubic_spline_projection(ds.z, design.p, K + 1, ds.delta)
             got = est.diagnostics["y_hat"]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            h_hat = estimate_markov(Spectrum(want, design.p), design.u)
+            h_hat = estimate_markov(Spectrum(want, design.p), tables.markov)
             assert abs(est.tau_hat - closed_form_delay(assemble_ab(h_hat), design.p)) <= 1e-15
 
 
@@ -133,12 +136,12 @@ class TestCorrelation:
 
     def test_estimate_bitwise_equals_direct_route(self, ref, monkeypatch):
         design, tables, data = ref
-        fast = [estimate_delay_freq_interp(ds, design, tables.corr) for ds in data]
+        fast = [estimate_delay_freq_interp(ds, tables) for ds in data]
         monkeypatch.setattr(
             estimators, "_linear_correlation", lambda z, table: _direct_correlation(z, design)
         )
         for ds, new in zip(data, fast):
-            old = estimate_delay_freq_interp(ds, design, tables.corr)
+            old = estimate_delay_freq_interp(ds, tables)
             _assert_bitwise_equal(new, old)
 
     def test_scipy_fft_bitwise_equals_numpy_fft(self, ref, monkeypatch):
@@ -148,14 +151,17 @@ class TestCorrelation:
         data = [
             make_dataset(design, 1.33e-3, NOISE_VAR, (5, r)) for r in range(200)
         ]
-        fast = [estimate_delay_freq_interp(ds, design, tables.corr) for ds in data]
+        fast = [estimate_delay_freq_interp(ds, tables) for ds in data]
         monkeypatch.setattr(estimators, "rfft", np.fft.rfft)
         monkeypatch.setattr(estimators, "irfft", np.fft.irfft)
-        table = corr_table(design, design.delta, design.n_samples)
-        assert _bits(table.u_spectrum_conj) == _bits(tables.corr.u_spectrum_conj)
-        assert _bits(table.u_padded_conj) == _bits(tables.corr.u_padded_conj)
+        np_tables = build_replicate_tables(
+            ("freq_interp",), design, delta=design.delta, n_samples=design.n_samples,
+            k_model=K, tau_max=TAU_MAX,
+        )
+        assert _bits(np_tables.corr.u_spectrum_conj) == _bits(tables.corr.u_spectrum_conj)
+        assert _bits(np_tables.corr.u_padded_conj) == _bits(tables.corr.u_padded_conj)
         for ds, new in zip(data, fast):
-            _assert_bitwise_equal(new, estimate_delay_freq_interp(ds, design, table))
+            _assert_bitwise_equal(new, estimate_delay_freq_interp(ds, np_tables))
 
 
 def _einsum_scan(table, data):
@@ -171,11 +177,11 @@ class TestMlScan:
         # the tau = 0 replicates end on the grid point (converged false), so
         # the fallback to the scan's own objective is exercised as well
         design, tables, data = ref
-        fast = [estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml) for ds in data]
+        fast = [estimate_delay_ml(ds, tables) for ds in data]
         assert not all(est.diagnostics["converged"] for est in fast)
         monkeypatch.setattr(estimators, "_scan_minimum", _einsum_scan)
         for ds, new in zip(data, fast):
-            _assert_bitwise_equal(new, estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml))
+            _assert_bitwise_equal(new, estimate_delay_ml(ds, tables))
 
     def test_scan_argmin_and_objective(self, ref):
         design, tables, data = ref
@@ -229,7 +235,7 @@ class TestMlRefineLaguerre:
                 ds = make_dataset(design, tau, NOISE_VAR, (1, r))
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    est = estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml)
+                    est = estimate_delay_ml(ds, tables)
                 diag = est.diagnostics
                 tau_old, f_old, converged_old, evals_old = _brent_refine_ml(ds, design, tables.ml)
                 assert _bits(est.tau_hat) == _bits(tau_old)
@@ -254,7 +260,7 @@ class TestMlRefineLaguerre:
         for tau, count in [(1.33e-3, 1000), (0.0, 200), (3e-4, 200), (4e-3, 200)]:
             for r in range(count):
                 ds = make_dataset(design, tau, NOISE_VAR, (1, r))
-                est = estimate_delay_ml(ds, design, TAU_MAX, table=tables.ml)
+                est = estimate_delay_ml(ds, tables)
                 diag = est.diagnostics
                 tau_old, diag_old = _time_domain_ml(ds, design, tables.ml)
                 assert abs(est.tau_hat - tau_old) <= 1e-10
@@ -322,6 +328,6 @@ class TestMarkovTable:
         design, tables, data = ref
         assert _bits(tables.markov.v) == _bits(reciprocal_series(design.u, K + 1))
         y_hat = Spectrum(tables.spline.projection @ data[0].z, design.p)
-        assert _bits(estimate_markov(y_hat, design.u, tables.markov)) == _bits(
-            estimate_markov(y_hat, design.u)
+        assert _bits(estimate_markov(y_hat, tables.markov)) == _bits(
+            estimate_markov(y_hat, markov_table(design.u, K + 1))
         )

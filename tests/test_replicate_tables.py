@@ -1,13 +1,15 @@
-"""Prebuilt replicate tables against the estimators' own per-call tables.
+"""Replicate tables: the one route from a design to an estimate.
 
-The Monte-Carlo harness builds every replicate-invariant table once per run
-(``build_replicate_tables``) and hands it to ``estimate_delay``; without
-tables each estimator builds its own with the same helpers.  Both paths must
-give bitwise the same estimate and diagnostics, and a table built for
-another design, sampling, K or tau_max must be refused.
+``build_replicate_tables`` is the only place an estimator table is built,
+and every estimator takes its tables as a required argument.  ``benchmark``
+builds them once per run (per chunk with a process pool), ``estimate`` once
+per call at the dataset's sampling.  Tables built once and reused over many
+datasets must give bitwise the same estimates as tables built for each
+dataset, and the tables of one method must not depend on which other
+methods were requested.  A dataset sampled at another delta or N than the
+tables is refused; a LagDelayError while building a part fails only the
+methods that need that part.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,9 +18,11 @@ from hypothesis import strategies as st
 
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.delay_ops import Spectrum
-from lagdelay.errors import LagDelayError
-from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_delay, markov_table
+from lagdelay.errors import LagDelayError, SingularInputError
+from lagdelay.estimators import ESTIMATORS, estimate_delay
 from lagdelay.simulate import Dataset, InputDesign, add_noise, make_dataset, sample_delayed
+
+from conftest import tables_for
 
 TAU = 1.33e-3
 K = 12
@@ -31,12 +35,10 @@ def _bits(value):
     return arr.dtype.str, arr.shape, arr.tobytes()
 
 
-def _run(method, ds, design, k_model, tau_max, tables=None):
+def _run(method, ds, tables):
     """The estimate, or the class name of the LagDelayError it raised."""
     try:
-        return estimate_delay(
-            method, ds, design, k_model=k_model, m_markov=None, tau_max=tau_max, tables=tables
-        )
+        return estimate_delay(method, ds, tables)
     except LagDelayError as exc:
         return type(exc).__name__
 
@@ -52,29 +54,25 @@ def _assert_bitwise_equal(a, b):
         assert _bits(val) == _bits(b.diagnostics[key]), (a.method, key)
 
 
-def _check_replicate(ds, design, k_model, tau_max, tables):
-    for method in ESTIMATORS:
-        _assert_bitwise_equal(
-            _run(method, ds, design, k_model, tau_max, tables),
-            _run(method, ds, design, k_model, tau_max),
-        )
-
-
 @pytest.fixture(scope="module")
 def sec72_tables(sec72_design):
-    return build_replicate_tables(
-        ESTIMATORS, sec72_design, n_samples=sec72_design.n_samples, k_model=K, tau_max=TAU_MAX
-    )
+    return tables_for(sec72_design, k_model=K, tau_max=TAU_MAX)
 
 
 @pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
 class TestPrebuiltEqualsPerCall:
+    """"Prebuilt" tables serve a whole run, as in ``benchmark``; "per call"
+    tables are built for each dataset at its own sampling, as in
+    ``estimate``."""
+
     @pytest.mark.parametrize("seed", [0, 1, 42, 2022])
     def test_sec72_replicates(self, sec72_design, sec72_tables, seed):
         clean = sample_delayed(sec72_design, TAU, sec72_design.n_samples)
         for r in range(5):
             ds = add_noise(clean, NOISE_VAR, (seed, r), delta=sec72_design.delta, true_tau=TAU)
-            _check_replicate(ds, sec72_design, K, TAU_MAX, sec72_tables)
+            per_call = tables_for(sec72_design, data=ds, k_model=K, tau_max=TAU_MAX)
+            for method in ESTIMATORS:
+                _assert_bitwise_equal(_run(method, ds, sec72_tables), _run(method, ds, per_call))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -84,16 +82,17 @@ class TestPrebuiltEqualsPerCall:
         k_model=st.sampled_from([3, 6, 12]),
     )
     def test_property_bench_design(self, bench_design, seed, tau, tau_max, k_model):
-        tables = build_replicate_tables(
-            ESTIMATORS, bench_design, n_samples=bench_design.n_samples,
-            k_model=k_model, tau_max=tau_max,
-        )
+        # the tables of all four methods against those of each method alone,
+        # as ``estimate --methods all`` against ``--methods <one>``
+        tables = tables_for(bench_design, k_model=k_model, tau_max=tau_max)
         ds = make_dataset(bench_design, tau, NOISE_VAR, seed)
-        _check_replicate(ds, bench_design, k_model, tau_max, tables)
+        for method in ESTIMATORS:
+            alone = tables_for(bench_design, (method,), k_model=k_model, tau_max=tau_max)
+            _assert_bitwise_equal(_run(method, ds, tables), _run(method, ds, alone))
 
     def test_monte_carlo_equals_replicate_loop(self, bench_design):
-        # the replicate loop without tables, as the harness ran it before
-        # the tables were hoisted out of it
+        # the harness against a plain replicate loop that builds the tables
+        # for each replicate, as ``estimate`` does for each dataset
         seed, replicates = 17, 12
         cfg = BenchmarkConfig(
             design=bench_design, true_tau=TAU, noise_var=NOISE_VAR, k_model=K, tau_max=TAU_MAX
@@ -103,95 +102,94 @@ class TestPrebuiltEqualsPerCall:
         oracle = {m: [] for m in ESTIMATORS}
         for r in range(replicates):
             ds = add_noise(clean, NOISE_VAR, (seed, r), delta=bench_design.delta, true_tau=TAU)
+            tables = tables_for(bench_design, data=ds, k_model=K, tau_max=TAU_MAX)
             for method in ESTIMATORS:
-                est = _run(method, ds, bench_design, K, TAU_MAX)
+                est = _run(method, ds, tables)
                 if not isinstance(est, str):
                     oracle[method].append(est.tau_hat)
         for method in ESTIMATORS:
             assert _bits(stats.estimates[method]) == _bits(np.array(oracle[method])), method
 
 
-class TestBuilder:
-    def test_builds_only_requested_parts(self, bench_design):
-        tables = build_replicate_tables(
-            ("ml", "freq_interp"), bench_design, n_samples=bench_design.n_samples,
-            k_model=K, tau_max=TAU_MAX,
-        )
-        assert tables.phi is None and tables.spline is None
-        assert tables.ml.model.shape == (tables.ml.grid.size, bench_design.n_samples)
-        assert tables.markov is None
-        assert tables.corr.u_spectrum_conj.shape == (bench_design.n_samples // 2 + 1,)
-
-    def test_rejects_nonpositive_tau_max(self, bench_design):
-        with pytest.raises(ValueError):
-            build_replicate_tables(
-                ("ml",), bench_design, n_samples=bench_design.n_samples, k_model=K, tau_max=0.0
-            )
-
-
-def _other_design(design, p=None, u=None):
-    p = design.p if p is None else p
-    coeffs = design.u.coeffs if u is None else np.asarray(u)
+def _other_design(design, u):
     return InputDesign(
-        p=p, u=Spectrum(coeffs, p), energy_bound=design.energy_bound,
+        p=design.p, u=Spectrum(np.asarray(u), design.p), energy_bound=design.energy_bound,
         horizon=design.horizon, delta=design.delta, tau_guess=design.tau_guess,
     )
 
 
+class TestBuilder:
+    def test_builds_only_requested_parts(self, bench_design):
+        tables = tables_for(bench_design, ("ml", "freq_interp"), k_model=K, tau_max=TAU_MAX)
+        assert tables.phi is None and tables.spline is None
+        assert tables.ml.model.shape == (tables.ml.grid.size, bench_design.n_samples)
+        assert tables.markov is None and tables.m_markov is None
+        assert tables.corr.u_spectrum_conj.shape == (bench_design.n_samples // 2 + 1,)
+
+    def test_rejects_nonpositive_tau_max(self, bench_design):
+        with pytest.raises(ValueError):
+            tables_for(bench_design, ("ml",), k_model=K, tau_max=0.0)
+
+    @pytest.mark.parametrize(
+        "methods, m_markov, want",
+        [(("proposed",), None, K + 1), (("lag_spline", "ml"), 4, 4), (("ml",), 99, None)],
+    )
+    def test_markov_order_resolved_once(self, bench_design, methods, m_markov, want):
+        # M only matters to the Laguerre-domain methods, and only they check it
+        tables = tables_for(bench_design, methods, k_model=K, m_markov=m_markov)
+        assert tables.m_markov == want
+
+    @pytest.mark.parametrize("m_markov", [2, K + 2])
+    def test_markov_order_outside_range_refused(self, bench_design, m_markov):
+        with pytest.raises(ValueError, match="m_markov"):
+            tables_for(bench_design, ("proposed",), k_model=K, m_markov=m_markov)
+
+    def test_build_failure_fails_only_its_methods(self, bench_design):
+        # u_0 = 1e-13 makes the reciprocal series v = 1/u(z) singular; only
+        # the Laguerre-domain methods need it
+        design = _other_design(bench_design, [1e-13, 0.5, -0.5, -1e-13])
+        tables = tables_for(design, k_model=K, tau_max=TAU_MAX)
+        assert tables.markov is None and tables.phi is not None
+        assert set(tables.errors) == {"proposed", "lag_spline"}
+        ds = make_dataset(design, TAU, NOISE_VAR, 5)
+        for method in ("proposed", "lag_spline"):
+            for _ in range(2):
+                with pytest.raises(SingularInputError, match="u_0"):
+                    estimate_delay(method, ds, tables)
+        for method in ("ml", "freq_interp"):
+            alone = tables_for(design, (method,), k_model=K, tau_max=TAU_MAX)
+            assert alone.errors == {}
+            _assert_bitwise_equal(_run(method, ds, tables), _run(method, ds, alone))
+
+    def test_method_without_tables_refused(self, bench_design):
+        tables = tables_for(bench_design, ("ml",), k_model=K, tau_max=TAU_MAX)
+        ds = make_dataset(bench_design, TAU, NOISE_VAR, 3)
+        with pytest.raises(ValueError, match="no tables for method 'proposed'"):
+            estimate_delay("proposed", ds, tables)
+
+
 class TestMismatchRefused:
-    """Each case changes one thing the tables were built for; the methods
-    whose table depends on it must raise ValueError, the others must run."""
+    """A dataset sampled at another N or delta than the tables were built
+    for must be refused by every method, with the field named."""
 
     @pytest.fixture(scope="class")
     def tables(self, bench_design):
-        return build_replicate_tables(
-            ESTIMATORS, bench_design, n_samples=bench_design.n_samples, k_model=K, tau_max=TAU_MAX
-        )
+        return tables_for(bench_design, k_model=K, tau_max=TAU_MAX)
 
     @pytest.mark.parametrize(
         "case, refused",
         [
             ("n_samples", set(ESTIMATORS)),
             ("delta", set(ESTIMATORS)),
-            ("k_model", {"proposed", "lag_spline"}),
-            ("tau_max", {"ml"}),
-            ("p", set(ESTIMATORS)),
-            # the reciprocal series v = 1/u(z) makes the Laguerre-domain
-            # methods depend on u as well
-            ("u", set(ESTIMATORS)),
-            ("markov_u", {"proposed", "lag_spline"}),
-            ("markov_k", {"proposed", "lag_spline"}),
         ],
     )
     def test_mismatch(self, bench_design, tables, case, refused):
-        design, k_model, tau_max = bench_design, K, TAU_MAX
         ds = make_dataset(bench_design, TAU, NOISE_VAR, 3)
         if case == "n_samples":
             ds = make_dataset(bench_design, TAU, NOISE_VAR, 3, n_samples=ds.n_samples - 1)
-        elif case == "delta":
+        else:
             ds = Dataset(z=ds.z, delta=2 * ds.delta, n_samples=ds.n_samples,
                          noise_var=NOISE_VAR, seed=3)
-        elif case == "k_model":
-            k_model = 10
-        elif case == "tau_max":
-            tau_max = 5e-3
-        elif case == "p":
-            design = _other_design(bench_design, p=2 * bench_design.p)
-        elif case == "u":
-            design = _other_design(bench_design, u=[0.4, 0.8, -0.8, -0.4])
-        elif case == "markov_u":
-            # only the v part is wrong: built for another input
-            other_u = Spectrum(np.array([0.4, 0.8, -0.8, -0.4]), bench_design.p)
-            tables = replace(tables, markov=markov_table(other_u, K + 1))
-        else:
-            # only the v part is wrong: built for another K
-            tables = replace(tables, markov=markov_table(bench_design.u, K))
-        for method in ESTIMATORS:
-            if method in refused:
-                with pytest.raises(ValueError, match="was built for"):
-                    _run(method, ds, design, k_model, tau_max, tables)
-            else:
-                _assert_bitwise_equal(
-                    _run(method, ds, design, k_model, tau_max, tables),
-                    _run(method, ds, design, k_model, tau_max),
-                )
+        for method in refused:
+            with pytest.raises(ValueError, match=f"dataset has {case} = "):
+                _run(method, ds, tables)
