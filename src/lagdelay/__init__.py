@@ -20,9 +20,6 @@ from .basis import (
     build_phi,
 )
 from .delay_ops import (
-    DelayLinearSystem,
-    MarkovSequence,
-    Spectrum,
     assemble_ab,
     build_omega,
     build_toeplitz,

@@ -157,7 +157,7 @@ class MarkovErrorModel:
         delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
         self.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
         self.r_inv = solve_triangular(phi.r, np.eye(k1), lower=False)
-        self.h_true = markov_params(2.0 * p * tau, k1).values
+        self.h_true = markov_params(2.0 * p * tau, k1)
         self.k1 = k1
 
     def errors(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +199,7 @@ def markov_mse(
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
     if not model.usable:
         raise IllConditionedError(model.cond, model.cond_threshold)
-    bias_vec, g = model.errors(design.u.coeffs)
+    bias_vec, g = model.errors(design.u)
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
     mse = float(bias_vec @ bias_vec + np.trace(covariance))
@@ -232,9 +232,8 @@ def predict_bias_tau(
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
     m = markov_order(k_model, m_markov)
-    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1).values
-    system = assemble_ab(h_true[:m])
-    vec_a, vec_b = system.vec_a, system.vec_b
+    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
+    vec_a, vec_b = assemble_ab(h_true[:m])
     btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
@@ -245,8 +244,7 @@ def predict_bias_tau(
     draws = rng.standard_normal((mc_samples, k_model + 1))
     err = mean_shift + draws @ acc.cov_factor.T
 
-    err_sys = assemble_ab(err[:, :m])
-    err_a, err_b = err_sys.vec_a, err_sys.vec_b
+    err_a, err_b = assemble_ab(err[:, :m])
     eps1 = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
     eps2 = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
     denom = btb + eps2

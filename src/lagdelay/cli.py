@@ -141,7 +141,7 @@ def cmd_design(args) -> int:
     payload["constraints"] = {"ok": ok, "violations": violations}
     _write_json(args.out, payload)
     print(f"design written to {args.out}")
-    print(f"  p = {design.p:.6g}, u = {np.round(design.u.coeffs, 6).tolist()}")
+    print(f"  p = {design.p:.6g}, u = {np.round(design.u, 6).tolist()}")
     print(f"  objective (Markov MSE at tau_guess) = {objective:.6e}")
     print(f"  constraints ok = {ok}" + (f", violations = {violations}" if violations else ""))
     return EXIT_OK

@@ -9,8 +9,6 @@ estimate from any (noisy) Markov sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .basis import assoc_laguerre_sequence
@@ -23,74 +21,30 @@ U0_TOLERANCE = 1e-12
 BTB_TOLERANCE = 1e-20
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Finite continuous Laguerre coefficient vector tied to a parameter p."""
-
-    coeffs: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
-
-    def __len__(self) -> int:
-        return self.coeffs.size
-
-    @property
-    def energy(self) -> float:
-        """Squared 2-norm of the signal (Parseval)."""
-        return float(self.coeffs @ self.coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class MarkovSequence:
-    """Delay-operator Markov parameters h_0 ... h_{M-1} for kappa = 2 p tau."""
-
-    kappa: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True, eq=False)
-class DelayLinearSystem:
-    """Vectors A, B with A = kappa B for exact Markov sequences; a batch of
-    Markov sequences gives a batch of rows of each."""
-
-    vec_a: np.ndarray
-    vec_b: np.ndarray
-
-
-def markov_params(kappa: float, m_count: int) -> MarkovSequence:
-    """First m_count Markov parameters of a delay with normalized value kappa."""
+def markov_params(kappa: float, m_count: int) -> np.ndarray:
+    """First m_count Markov parameters h_0 ... h_{M-1} of a delay with
+    normalized value kappa = 2 p tau."""
     if not 0 <= kappa < np.inf:  # NaN too
         raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
     if m_count < 1:
         raise ValueError("need at least one Markov parameter")
-    values = np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)
-    return MarkovSequence(kappa=kappa, values=values)
+    return np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)
 
 
-def delay_spectrum(input_spec: Spectrum, kappa: float, out_len: int) -> Spectrum:
+def delay_spectrum(u: np.ndarray, kappa: float, out_len: int) -> np.ndarray:
     """Spectrum of the delayed signal: causal convolution of the input
-    coefficients with the Markov parameters, truncated to out_len."""
-    if len(input_spec) == 0:
+    coefficients u with the Markov parameters, truncated to out_len."""
+    if np.size(u) == 0:
         raise ValueError("input spectrum is empty")
     if out_len < 1:
         raise ValueError("output length must be >= 1")
-    h = markov_params(kappa, out_len).values
-    y = np.convolve(h, input_spec.coeffs)[:out_len]
-    return Spectrum(coeffs=y, p=input_spec.p)
+    return np.convolve(markov_params(kappa, out_len), u)[:out_len]
 
 
-def _leading_coefficients(u: Spectrum | np.ndarray) -> np.ndarray:
-    """Coefficient array of a spectrum or of a (batch of) coefficient rows,
-    after checking every leading coefficient against U0_TOLERANCE."""
-    coeffs = u.coeffs if isinstance(u, Spectrum) else np.asarray(u, dtype=float)
+def _leading_coefficients(u: np.ndarray) -> np.ndarray:
+    """A (batch of) coefficient rows as a float array, after checking every
+    leading coefficient against U0_TOLERANCE."""
+    coeffs = np.asarray(u, dtype=float)
     u0 = np.asarray(coeffs[..., 0])
     small = np.abs(u0) < U0_TOLERANCE
     if np.any(small):
@@ -101,13 +55,13 @@ def _leading_coefficients(u: Spectrum | np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def build_toeplitz(input_spec: Spectrum | np.ndarray, size: int) -> np.ndarray:
+def build_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
     """Lower-triangular Toeplitz operator T(U) with (j, k) entry u_{j-k}.
 
-    ``input_spec`` is a Spectrum or an array whose last axis holds the
-    coefficients; leading axes are a batch and give a stack of operators of
-    shape (..., size, size).  Coefficients beyond the stored spectrum are
-    zero.  Raises SingularInputError when any u_0 is numerically zero.
+    The last axis of ``input_spec`` holds the coefficients; leading axes
+    are a batch and give a stack of operators of shape (..., size, size).
+    Coefficients beyond the stored spectrum are zero.  Raises
+    SingularInputError when any u_0 is numerically zero.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -119,7 +73,7 @@ def build_toeplitz(input_spec: Spectrum | np.ndarray, size: int) -> np.ndarray:
     return np.where(lag >= 0, col[..., np.maximum(lag, 0)], 0.0)
 
 
-def reciprocal_series(input_spec: Spectrum | np.ndarray, size: int) -> np.ndarray:
+def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     """First ``size`` coefficients v of the power series 1 / u(z), per row.
 
     The inverse of a lower-triangular Toeplitz matrix is lower-triangular
@@ -159,30 +113,31 @@ def build_omega(m_count: int) -> np.ndarray:
     return omega
 
 
-def assemble_ab(h: MarkovSequence | np.ndarray) -> DelayLinearSystem:
+def assemble_ab(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stack the delay relations: B = h_{0..M-2}, A = Omega B - (M-1) h_{M-1} e.
+    Returns (A, B).
 
     The Markov index is the last axis of ``h``; leading axes are a batch and
     carry over to A and B.  B is a view of ``h``.  For exact Markov
     sequences A = kappa B holds entrywise.
     """
-    values = h.values if isinstance(h, MarkovSequence) else np.asarray(h, dtype=float)
+    values = np.asarray(h, dtype=float)
     m_count = values.shape[-1]
     if m_count < 3:
         raise ValueError("need at least three Markov parameters")
     vec_b = values[..., : m_count - 1]
     vec_a = vec_b @ build_omega(m_count).T
     vec_a[..., -1] -= (m_count - 1.0) * values[..., m_count - 1]
-    return DelayLinearSystem(vec_a=vec_a, vec_b=vec_b)
+    return vec_a, vec_b
 
 
-def closed_form_delay(sys: DelayLinearSystem, p: float) -> float:
+def closed_form_delay(vec_a: np.ndarray, vec_b: np.ndarray, p: float) -> float:
     """Delay from the vector identity A = 2 p tau B:
     tau = (B^T A) / (2 p B^T B)."""
-    btb = float(sys.vec_b @ sys.vec_b)
+    btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError(
             f"B^T B = {btb:.3e} is numerically zero; all usable Markov "
             "parameters vanished, kappa cannot be estimated"
         )
-    return float(sys.vec_b @ sys.vec_a) / (2.0 * p * btb)
+    return float(vec_b @ vec_a) / (2.0 * p * btb)

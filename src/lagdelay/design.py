@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import MarkovErrorModel
-from .delay_ops import Spectrum
 from .errors import InfeasibleDesignError
 from .estimators import minimize_bounded
 from .simulate import InputDesign
@@ -45,10 +44,10 @@ class DesignProblem:
     def __post_init__(self):
         if self.i_order < 1 or self.i_order % 2 == 0:
             raise ValueError("input order I must be odd and >= 1")
-        if self.energy_bound <= 0:
-            raise ValueError("energy bound must be positive")
-        if self.tau_guess < 0:
-            raise ValueError("tau_guess must be nonnegative")
+        if not 0 < self.energy_bound < np.inf:  # NaN too
+            raise ValueError(f"energy_bound must be finite and positive, got {self.energy_bound}")
+        if not 0 <= self.tau_guess < np.inf:  # NaN too
+            raise ValueError(f"tau_guess must be finite and nonnegative, got {self.tau_guess}")
         if not self.noise_var >= 0:  # NaN too
             raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
         if self.k_model < max(2, self.i_order):
@@ -67,7 +66,7 @@ def validate_constraints(u, eta: float):
     odd coefficient is exempt from the sign check because continuity pins
     it to -u_0).  Equalities and signs hold to CONSTRAINT_ATOL.
     """
-    coeffs = u.coeffs if isinstance(u, Spectrum) else np.asarray(u, dtype=float)
+    coeffs = np.asarray(u, dtype=float)
     i_last = coeffs.size - 1
     scale = max(1.0, float(np.linalg.norm(coeffs)))
     violations = []
@@ -176,7 +175,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         raise InfeasibleDesignError(f"optimizer produced invalid design: {violations}")
     return InputDesign(
         p=p_star,
-        u=Spectrum(coeffs=u, p=p_star),
+        u=u,
         energy_bound=problem.energy_bound,
         horizon=(problem.n_samples - 1) * problem.delta,
         delta=problem.delta,

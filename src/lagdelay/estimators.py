@@ -47,7 +47,7 @@ from .basis import (
     build_phi,
     eval_basis_matrix,
 )
-from .delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_series
+from .delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from .errors import (
     FlatCorrelationError,
     IllConditionedError,
@@ -94,7 +94,7 @@ class CrlbReport:
     window: tuple[int, int]
 
 
-def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
+def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> np.ndarray:
     """Least-squares output spectrum: argmin_Y ||Z - Phi Y||_2.
 
     Solved with the thin QR factors stored on the basis (never the normal
@@ -106,28 +106,14 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> Spectrum:
         )
     if phi.ill_conditioned:
         raise IllConditionedError(phi.cond, phi.cond_threshold)
-    coeffs = solve_triangular(phi.r, phi.q.T @ data.z, lower=False)
-    return Spectrum(coeffs=coeffs, p=phi.p)
+    return solve_triangular(phi.r, phi.q.T @ data.z, lower=False)
 
 
-@dataclass(frozen=True, eq=False)
-class MarkovTable:
-    """Reciprocal series v of the input spectrum u to K + 1 terms:
-    T(v) = T(U)^{-1} for a Markov solve of that size."""
-
-    v: np.ndarray = field(repr=False)
-
-
-def markov_table(input_spec: Spectrum, num_funcs: int) -> MarkovTable:
-    """Reciprocal-series table of ``estimate_markov`` for one input and K."""
-    return MarkovTable(v=reciprocal_series(input_spec, num_funcs))
-
-
-def estimate_markov(y_hat: Spectrum, table: MarkovTable) -> np.ndarray:
+def estimate_markov(y_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Markov parameters from spectra: H = T(U)^{-1} Y = T(v) Y, applied as
-    the truncated convolution of Y with v, the reciprocal series of u that
-    ``markov_table`` built for the same K."""
-    return np.convolve(table.v, y_hat.coeffs)[: len(y_hat)]
+    the truncated convolution of Y with v, the reciprocal series of u to at
+    least len(Y) terms."""
+    return np.convolve(v, y_hat)[: len(y_hat)]
 
 
 def markov_order(k_model: int, m_markov: int | None) -> int:
@@ -139,12 +125,12 @@ def markov_order(k_model: int, m_markov: int | None) -> int:
     return m
 
 
-def _laguerre_delay(y_hat: Spectrum, tables: ReplicateTables) -> tuple[np.ndarray, float]:
+def _laguerre_delay(y_hat: np.ndarray, tables: ReplicateTables) -> tuple[np.ndarray, float]:
     """Laguerre-domain delay step shared by ``proposed`` and ``lag_spline``:
     Markov parameters from the output spectrum, then the closed-form ratio
     on the first M of them.  Returns (h_hat, tau_hat)."""
     h_hat = estimate_markov(y_hat, tables.markov)
-    return h_hat, closed_form_delay(assemble_ab(h_hat[: tables.m_markov]), tables.design.p)
+    return h_hat, closed_form_delay(*assemble_ab(h_hat[: tables.m_markov]), tables.design.p)
 
 
 def estimate_delay_proposed(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
@@ -157,12 +143,12 @@ def estimate_delay_proposed(data: Dataset, tables: ReplicateTables) -> DelayEsti
     phi = tables.phi
     y_hat = estimate_spectrum_ls(data, phi)
     h_hat, tau_hat = _laguerre_delay(y_hat, tables)
-    residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat.coeffs))
+    residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat))
     return DelayEstimate(
         tau_hat=tau_hat,
         method="proposed",
         diagnostics={
-            "y_hat": y_hat.coeffs,
+            "y_hat": y_hat,
             "h_hat": h_hat,
             "residual_norm": residual,
             "m_markov": tables.m_markov,
@@ -209,7 +195,7 @@ def _refine_objective(data: Dataset, design: InputDesign, lo: float):
     the sum free of the |z|^2 cancellation.  n0 takes at most two values in
     a bracket narrower than delta, and its sums are cached.
     """
-    p, u = design.p, design.u.coeffs
+    p, u = design.p, design.u
     t, z = data.t, data.z
     n_lo = int(t.searchsorted(lo))
     basis = eval_basis_matrix(design.basis_config, t[n_lo:] - lo)
@@ -268,7 +254,7 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
     grid = np.arange(0.0, tau_max + step / 2.0, step)
     grid[-1] = min(grid[-1], tau_max)
     shifted = (np.arange(n_samples) * delta)[None, :] - grid[:, None]
-    model = eval_basis_matrix(design.basis_config, shifted) @ design.u.coeffs
+    model = eval_basis_matrix(design.basis_config, shifted) @ design.u
     return MlTable(grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model))
 
 
@@ -372,16 +358,10 @@ _GL_HERMITE = np.stack([
 ])
 
 
-@dataclass(frozen=True, eq=False)
-class SplineTable:
-    """Spline projection as one (K + 1) x N matrix: projection @ z is the
-    quadrature of the not-a-knot cubic spline through z against the basis."""
-
-    projection: np.ndarray = field(repr=False)
-
-
-def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> SplineTable:
-    """Projection matrix of ``project_spectrum_spline`` for one sampling.
+def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> np.ndarray:
+    """Projection matrix of ``project_spectrum_spline`` for one sampling, one
+    (K + 1) x N matrix P: P z is the quadrature of the not-a-knot cubic
+    spline through z against the basis.
 
     On [t_i, t_{i+1}] the spline is the cubic Hermite interpolant of z_i,
     z_{i+1} and the knot slopes s_i, s_{i+1}, so at the quadrature nodes it
@@ -423,10 +403,10 @@ def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> Spli
     p_t[:-2] -= (3.0 / delta) * y[1:-1]
     p_t[:3] += np.outer([-5.0, 4.0, 1.0], y[0]) / (4.0 * delta)
     p_t[-3:] += np.outer([-1.0, -4.0, 5.0], y[-1]) / (4.0 * delta)
-    return SplineTable(projection=np.ascontiguousarray(p_t.T))
+    return np.ascontiguousarray(p_t.T)
 
 
-def project_spectrum_spline(data: Dataset, tables: ReplicateTables) -> Spectrum:
+def project_spectrum_spline(data: Dataset, tables: ReplicateTables) -> np.ndarray:
     """Output spectrum via interpolation: cubic spline (not-a-knot) through
     the samples, then quadrature of spline(t) * ell_j(t) over the data
     support.
@@ -437,7 +417,7 @@ def project_spectrum_spline(data: Dataset, tables: ReplicateTables) -> Spectrum:
     steps are linear in z, so the spectrum is one matrix-vector product
     with the projection matrix ``tables.spline`` of ``spline_table``.
     """
-    return Spectrum(coeffs=tables.spline.projection @ data.z, p=tables.design.p)
+    return tables.spline @ data.z
 
 
 def estimate_delay_lag_spline(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
@@ -449,7 +429,7 @@ def estimate_delay_lag_spline(data: Dataset, tables: ReplicateTables) -> DelayEs
     return DelayEstimate(
         tau_hat=tau_hat,
         method="lag_spline",
-        diagnostics={"y_hat": y_hat.coeffs, "h_hat": h_hat, "m_markov": tables.m_markov},
+        diagnostics={"y_hat": y_hat, "h_hat": h_hat, "m_markov": tables.m_markov},
     )
 
 
@@ -539,8 +519,10 @@ class ReplicateTables:
     """Everything an estimate needs besides the data, for ``methods``: the
     design, the sampling (delta, N), K, tau_max, the Markov order M (None
     unless ``proposed`` or ``lag_spline`` is among them) and each method's
-    tables.  A part is None when no method needs it.  ``errors`` maps a
-    method to the LagDelayError that building one of its parts raised."""
+    tables; ``markov`` is the reciprocal series v of u to K + 1 terms and
+    ``spline`` the projection matrix of ``spline_table``.  A part is None
+    when no method needs it.  ``errors`` maps a method to the LagDelayError
+    that building one of its parts raised."""
 
     methods: tuple
     design: InputDesign
@@ -550,9 +532,9 @@ class ReplicateTables:
     tau_max: float
     m_markov: int | None
     phi: SampledBasis | None
-    markov: MarkovTable | None
+    markov: np.ndarray | None
     ml: MlTable | None
-    spline: SplineTable | None
+    spline: np.ndarray | None
     corr: CorrTable | None
     errors: dict
 
@@ -603,7 +585,7 @@ def build_replicate_tables(
         methods=methods, design=design, delta=delta, n_samples=n_samples, k_model=k_model,
         tau_max=tau_max, m_markov=m,
         phi=part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples),
-        markov=part(("proposed", "lag_spline"), markov_table, design.u, k1),
+        markov=part(("proposed", "lag_spline"), reciprocal_series, design.u, k1),
         ml=part(("ml",), ml_table, design, delta, n_samples, tau_max),
         spline=part(("lag_spline",), spline_table, design.p, k1, delta, n_samples),
         corr=part(("freq_interp",), corr_table, design, delta, n_samples),

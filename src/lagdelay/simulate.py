@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisConfig, eval_basis_derivative_matrix, eval_basis_matrix
-from .delay_ops import Spectrum
 from .errors import InvalidDatasetError
 
 # |u(0)| above this (relative to the coefficient norm) triggers the
@@ -35,26 +34,36 @@ T_GRID_RTOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class InputDesign:
-    """Designed excitation: spectrum u, energy bound, and sampling context."""
+    """Designed excitation: coefficient vector u, energy bound, and sampling
+    context.  p, delta and energy_bound (eta in JSON) must be finite and
+    positive, horizon and tau_guess finite and nonnegative."""
 
     p: float
-    u: Spectrum
+    u: np.ndarray
     energy_bound: float
     horizon: float
     delta: float
     tau_guess: float
 
     def __post_init__(self):
-        if self.u.p != self.p:
-            raise ValueError("spectrum p does not match design p")
-        if self.u.coeffs[0] <= 0:
+        for name, val in (("p", self.p), ("delta", self.delta), ("eta", self.energy_bound)):
+            if not 0 < val < np.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        for name, val in (("horizon", self.horizon), ("tau_guess", self.tau_guess)):
+            if not 0 <= val < np.inf:  # NaN too
+                raise ValueError(f"{name} must be finite and nonnegative, got {val!r}")
+        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
+        if self.u.ndim != 1 or self.u.size == 0:
+            raise ValueError(f"u must be a nonempty coefficient vector, got shape {self.u.shape}")
+        if self.u[0] <= 0:
             raise ValueError("leading input coefficient must be positive")
-        if self.u.energy > self.energy_bound * (1 + 1e-9):
+        energy = self.u @ self.u
+        if energy > self.energy_bound * (1 + 1e-9):
             raise ValueError(
-                f"input energy {self.u.energy:.6g} exceeds bound {self.energy_bound:.6g}"
+                f"input energy {energy:.6g} exceeds bound {self.energy_bound:.6g}"
             )
         defect = continuity_defect(self)
-        if defect > CONTINUITY_TOLERANCE * max(1.0, np.linalg.norm(self.u.coeffs)):
+        if defect > CONTINUITY_TOLERANCE * max(1.0, np.linalg.norm(self.u)):
             warnings.warn(
                 f"input does not vanish at t = 0 (u(0) = {defect:.3e}); the delayed "
                 "output is discontinuous and spectrum truncation bias will grow"
@@ -72,7 +81,7 @@ class InputDesign:
     def to_dict(self) -> dict:
         return {
             "p": self.p,
-            "u": self.u.coeffs.tolist(),
+            "u": self.u.tolist(),
             "eta": self.energy_bound,
             "delta": self.delta,
             "horizon": self.horizon,
@@ -83,7 +92,7 @@ class InputDesign:
     def from_dict(cls, d: dict) -> "InputDesign":
         return cls(
             p=float(d["p"]),
-            u=Spectrum(coeffs=np.asarray(d["u"], dtype=float), p=float(d["p"])),
+            u=d["u"],
             energy_bound=float(d["eta"]),
             horizon=float(d["horizon"]),
             delta=float(d["delta"]),
@@ -129,18 +138,18 @@ def sample_count(horizon: float, delta: float) -> int:
 
 def continuity_defect(design: InputDesign) -> float:
     """|u(0)| = sqrt(2p) |sum_k u_k| under the adopted sign convention."""
-    return float(abs(np.sqrt(2.0 * design.p) * design.u.coeffs.sum()))
+    return float(abs(np.sqrt(2.0 * design.p) * design.u.sum()))
 
 
 def synthesize_input(design: InputDesign, t) -> float | np.ndarray:
     """Exact u(t) = sum_k u_k ell_k(t); zero for t < 0."""
-    vals = eval_basis_matrix(design.basis_config, np.atleast_1d(t)) @ design.u.coeffs
+    vals = eval_basis_matrix(design.basis_config, np.atleast_1d(t)) @ design.u
     return float(vals[0]) if np.isscalar(t) else vals
 
 
 def input_derivative(design: InputDesign, t) -> float | np.ndarray:
     """Exact du/dt at t (one-sided at t = 0, zero for t < 0)."""
-    vals = eval_basis_derivative_matrix(design.basis_config, np.atleast_1d(t)) @ design.u.coeffs
+    vals = eval_basis_derivative_matrix(design.basis_config, np.atleast_1d(t)) @ design.u
     return float(vals[0]) if np.isscalar(t) else vals
 
 
@@ -148,6 +157,8 @@ def sample_delayed(design: InputDesign, tau: float, n_samples: int) -> np.ndarra
     """Noise-free samples y_n = u(n*delta - tau), exactly zero before tau."""
     if not 0 <= tau < np.inf:  # NaN too
         raise ValueError(f"delay must be finite and nonnegative, got {tau}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     t = np.arange(n_samples) * design.delta
     return synthesize_input(design, t - tau)
 

@@ -10,7 +10,6 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, qr
 
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
-from lagdelay.delay_ops import Spectrum
 from lagdelay.design import DesignProblem, optimize_design
 from lagdelay.estimators import ESTIMATORS, build_replicate_tables
 from lagdelay.simulate import InputDesign
@@ -88,17 +87,18 @@ def cubic_spline_projection(z: np.ndarray, p: float, num_funcs: int, delta: floa
     return eval_basis_matrix(BasisConfig(p=p, num_funcs=num_funcs), at).T @ values
 
 
-def quadrature_delay_projection(u: Spectrum, tau: float, num_out: int) -> np.ndarray:
-    """Projection of the analytically delayed signal onto the basis by
-    adaptive quadrature; independent of the Markov-parameter path."""
-    cfg_in = BasisConfig(p=u.p, num_funcs=len(u))
-    cfg_out = BasisConfig(p=u.p, num_funcs=num_out)
+def quadrature_delay_projection(u: np.ndarray, p: float, tau: float, num_out: int) -> np.ndarray:
+    """Projection of the analytically delayed signal with coefficients u at
+    Laguerre parameter p onto the basis by adaptive quadrature; independent
+    of the Markov-parameter path."""
+    cfg_in = BasisConfig(p=p, num_funcs=len(u))
+    cfg_out = BasisConfig(p=p, num_funcs=num_out)
 
     def integrand(s):
-        val = eval_basis_matrix(cfg_in, s - tau)[0] @ u.coeffs
+        val = eval_basis_matrix(cfg_in, s - tau)[0] @ u
         return val * eval_basis_matrix(cfg_out, s)[0]
 
-    hi = tau + 60.0 / u.p
+    hi = tau + 60.0 / p
     out, _ = quad_vec(integrand, tau, hi, epsabs=1e-13, epsrel=1e-11)
     return out
 
@@ -129,7 +129,7 @@ def convolution_oracle(u: np.ndarray, h: np.ndarray, out_len: int) -> np.ndarray
 def bench_design() -> InputDesign:
     """Hand-built valid design matching the benchmark sampling context."""
     p = 50.0
-    u = Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p)
+    u = np.array([0.8, 0.4, -0.4, -0.8])
     return InputDesign(
         p=p, u=u, energy_bound=2.0, horizon=0.5, delta=3e-4, tau_guess=3e-4
     )
@@ -139,7 +139,7 @@ def bench_design() -> InputDesign:
 def slow_design() -> InputDesign:
     """Lower-rate design used where a coarser grid keeps tests fast."""
     p = 20.0
-    u = Spectrum(np.array([1.0, 0.5, -0.5, -1.0]), p)
+    u = np.array([1.0, 0.5, -0.5, -1.0])
     return InputDesign(
         p=p, u=u, energy_bound=4.0, horizon=0.5, delta=1e-4, tau_guess=1e-4
     )

@@ -16,7 +16,7 @@ from lagdelay.analysis import (
     run_monte_carlo,
 )
 from lagdelay.basis import BasisConfig, build_phi
-from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
+from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
 from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_spectrum_ls
 from lagdelay.simulate import Dataset, InputDesign, default_tau_max, sample_delayed
@@ -41,8 +41,8 @@ def substitution_markov_mse(design, k_model, noise_var, tau_check):
     )
     y_hat = estimate_spectrum_ls(clean, phi)
     t_u = build_toeplitz(design.u, k_model + 1)
-    h_hat = solve_triangular(t_u, y_hat.coeffs, lower=True)
-    bias = h_hat - markov_params(2.0 * design.p * tau_check, k_model + 1).values
+    h_hat = solve_triangular(t_u, y_hat, lower=True)
+    bias = h_hat - markov_params(2.0 * design.p * tau_check, k_model + 1)
     r_inv = solve_triangular(phi.r, np.eye(k_model + 1), lower=False)
     cov_factor = np.sqrt(noise_var) * solve_triangular(t_u, r_inv, lower=True)
     covariance = cov_factor @ cov_factor.T
@@ -104,7 +104,7 @@ class TestMarkovMse:
         # leaves the deterministic bias unchanged
         half = InputDesign(
             p=bench_design.p,
-            u=Spectrum(bench_design.u.coeffs / 2, bench_design.p),
+            u=bench_design.u / 2,
             energy_bound=bench_design.energy_bound,
             horizon=bench_design.horizon,
             delta=bench_design.delta,
@@ -159,7 +159,7 @@ class TestMarkovMse:
         # p = 0.05 cannot separate 13 functions over 200 samples
         p = 0.05
         design = InputDesign(
-            p=p, u=Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p), energy_bound=2.0,
+            p=p, u=np.array([0.8, 0.4, -0.4, -0.8]), energy_bound=2.0,
             horizon=199 * 3e-4, delta=3e-4, tau_guess=3e-4,
         )
         with pytest.raises(IllConditionedError):

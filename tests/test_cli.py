@@ -23,24 +23,27 @@ def _validate(payload, schema_name):
     jsonschema.validate(payload, _schema(schema_name))
 
 
+# a small design problem that the design command solves in well under 1 s
+PROBLEM = {
+    "delta": 3e-4,
+    "horizon": 0.5,
+    "i_order": 3,
+    "energy_bound": 2.0,
+    "tau_guess": 3e-4,
+    "noise_var": 0.01,
+    "k_model": 6,
+    "p_grid": {"min": 20.0, "max": 80.0, "count": 6},
+    "u_grid_points": 5,
+    "refine": False,
+}
+
+
 @pytest.fixture(scope="module")
 def design_file(tmp_path_factory):
     """A small but real design run used by the downstream commands."""
     root = tmp_path_factory.mktemp("designs")
-    cfg = {
-        "delta": 3e-4,
-        "horizon": 0.5,
-        "i_order": 3,
-        "energy_bound": 2.0,
-        "tau_guess": 3e-4,
-        "noise_var": 0.01,
-        "k_model": 6,
-        "p_grid": {"min": 20.0, "max": 80.0, "count": 6},
-        "u_grid_points": 5,
-        "refine": False,
-    }
     cfg_path = root / "problem.json"
-    cfg_path.write_text(json.dumps(cfg))
+    cfg_path.write_text(json.dumps(PROBLEM))
     out_path = root / "design.json"
     assert main(["design", "--config", str(cfg_path), "--out", str(out_path)]) == 0
     return out_path
@@ -75,6 +78,18 @@ class TestDesignCommand:
         cfg_path = tmp_path / "p.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["design", "--config", str(cfg_path), "--out", str(tmp_path / "d.json")]) == 2
+
+    @pytest.mark.parametrize("field", ["energy_bound", "tau_guess"])
+    def test_nan_problem_field_exit_1(self, tmp_path, capsys, field):
+        # a NaN energy_bound once exited 2 with an InfeasibleDesignError that
+        # asked for more u_grid_points; a NaN tau_guess failed later with
+        # "kappa must be finite"
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps({**PROBLEM, field: float("nan")}))
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"{field} must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -134,6 +149,39 @@ class TestSimulateCommand:
         assert "noise variance" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", 0.0), ("p", float("nan")),
+        ("delta", 0.0), ("delta", -3e-4), ("delta", float("nan")), ("delta", float("inf")),
+        ("eta", 0.0), ("eta", float("nan")),
+        ("horizon", -1.0), ("horizon", float("nan")),
+        ("tau_guess", -3e-4), ("tau_guess", float("nan")),
+        ("u", []), ("u", [[1.0, -1.0]]),
+    ])
+    def test_unusable_design_field_exit_1(self, design_file, tmp_path, capsys, field, value):
+        # delta = 0 once ended in a ZeroDivisionError traceback and an empty
+        # u in an IndexError one, a negative delta or horizon wrote a
+        # 0-sample dataset, a NaN delta failed on an integer conversion and
+        # a NaN eta passed the energy check
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps({**json.loads(design_file.read_text()), field: value}))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--design", str(path), "--tau", "1e-3", "--out", str(out)])
+        assert rc == 1
+        assert f"{field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples", ["0", "-5"])
+    def test_nonpositive_n_samples_exit_1(self, design_file, tmp_path, capsys, n_samples):
+        # once wrote a dataset.csv with no samples and exited 0
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--design", str(design_file), "--tau", "1e-3",
+            "--n-samples", n_samples, "--out", str(out),
+        ])
+        assert rc == 1
+        assert "n_samples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(design_file, tmp_path_factory):
@@ -174,7 +222,7 @@ def singular_design(tmp_path_factory):
     return path
 
 
-TABLE_BUILDERS = ("build_phi", "markov_table", "ml_table", "spline_table", "corr_table")
+TABLE_BUILDERS = ("build_phi", "reciprocal_series", "ml_table", "spline_table", "corr_table")
 
 
 @pytest.fixture
@@ -409,6 +457,20 @@ class TestBenchmarkCommand:
         rc = main(["benchmark", "--config", str(path), "--replicates", "4", "--out", str(out)])
         assert rc == 1
         assert f"got {true_tau}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_nonpositive_n_samples_exit_1_without_report(
+        self, bench_config, tmp_path, capsys, n_samples
+    ):
+        cfg = json.loads(bench_config.read_text())
+        cfg["n_samples"] = n_samples
+        path = tmp_path / "n.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(path), "--replicates", "4", "--out", str(out)])
+        assert rc == 1
+        assert "n_samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_seed_exit_1(self, design_file, tmp_path):

@@ -9,8 +9,6 @@ from scipy.linalg import toeplitz
 
 from lagdelay.delay_ops import (
     U0_TOLERANCE,
-    MarkovSequence,
-    Spectrum,
     assemble_ab,
     build_omega,
     build_toeplitz,
@@ -27,16 +25,16 @@ from conftest import convolution_oracle, exact_assoc_laguerre, quadrature_delay_
 class TestMarkovParams:
     def test_zero_delay_is_identity_sequence(self):
         h = markov_params(0.0, 4)
-        assert_allclose(h.values, [1.0, 0.0, 0.0, 0.0])
+        assert_allclose(h, [1.0, 0.0, 0.0, 0.0])
 
     def test_leading_value(self):
         for kappa in [0.3, 1.0, 7.0]:
             h = markov_params(kappa, 1)
-            assert_allclose(h.values[0], np.exp(-kappa / 2), rtol=1e-15)
+            assert_allclose(h[0], np.exp(-kappa / 2), rtol=1e-15)
 
     def test_second_value_kappa_one(self):
         h = markov_params(1.0, 2)
-        assert_allclose(h.values[1], -np.exp(-0.5), rtol=1e-15)
+        assert_allclose(h[1], -np.exp(-0.5), rtol=1e-15)
 
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
@@ -52,9 +50,9 @@ class TestMarkovParams:
 
 class TestDelaySpectrum:
     def test_zero_delay_pads_input(self):
-        u = Spectrum(np.array([1.0, -0.5, 0.2]), p=2.0)
+        u = np.array([1.0, -0.5, 0.2])
         y = delay_spectrum(u, 0.0, 6)
-        assert_allclose(y.coeffs, [1.0, -0.5, 0.2, 0.0, 0.0, 0.0], atol=1e-16)
+        assert_allclose(y, [1.0, -0.5, 0.2, 0.0, 0.0, 0.0], atol=1e-16)
 
     def test_matches_double_sum_oracle(self):
         rng = np.random.default_rng(7)
@@ -63,8 +61,8 @@ class TestDelaySpectrum:
             kappa = float(rng.uniform(0, 10))
             out_len = int(rng.integers(1, 15))
             u = rng.normal(size=nu)
-            h = markov_params(kappa, out_len).values
-            got = delay_spectrum(Spectrum(u, 1.0), kappa, out_len).coeffs
+            h = markov_params(kappa, out_len)
+            got = delay_spectrum(u, kappa, out_len)
             assert_allclose(got, convolution_oracle(u, h, out_len), rtol=1e-12, atol=1e-14)
 
     def test_matches_toeplitz_route(self):
@@ -76,51 +74,50 @@ class TestDelaySpectrum:
                 u[0] = 1.0
             kappa = float(rng.uniform(0, 15))
             size = int(rng.integers(nu, 12))
-            spec = Spectrum(u, 1.0)
-            via_matrix = build_toeplitz(spec, size) @ markov_params(kappa, size).values
-            got = delay_spectrum(spec, kappa, size).coeffs
+            via_matrix = build_toeplitz(u, size) @ markov_params(kappa, size)
+            got = delay_spectrum(u, kappa, size)
             assert_allclose(got, via_matrix, rtol=1e-12, atol=1e-13)
 
     def test_matches_quadrature_projection(self, bench_design):
         # independent oracle: project the analytically delayed signal
-        u = bench_design.u
+        u, p = bench_design.u, bench_design.p
         tau = 0.004
-        kappa = 2 * u.p * tau
-        got = delay_spectrum(u, kappa, 10).coeffs
-        oracle = quadrature_delay_projection(u, tau, 10)
+        kappa = 2 * p * tau
+        got = delay_spectrum(u, kappa, 10)
+        oracle = quadrature_delay_projection(u, p, tau, 10)
         assert_allclose(got, oracle, atol=1e-6, rtol=1e-6)
 
     def test_energy_never_exceeds_input(self):
         rng = np.random.default_rng(3)
-        u = Spectrum(rng.normal(size=5), p=1.0)
+        u = rng.normal(size=5)
         partial = []
         for out_len in [50, 200, 1000]:
             y = delay_spectrum(u, 2.5, out_len)
-            partial.append(y.energy)
-            assert y.energy <= u.energy * (1 + 1e-12)
+            partial.append(y @ y)
+            assert y @ y <= (u @ u) * (1 + 1e-12)
         # partial sums increase toward the input energy (delay is an isometry)
         assert partial[0] <= partial[1] <= partial[2]
 
     def test_energy_equality_in_the_limit(self):
         # a continuous input (coefficients sum to zero) has a fast-decaying
         # output spectrum, so the isometry shows at moderate truncation
-        u = Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p=1.0)
+        u = np.array([0.8, 0.4, -0.4, -0.8])
         y = delay_spectrum(u, 2.5, 10000)
-        assert y.energy == pytest.approx(u.energy, rel=1e-5)
+        assert y @ y == pytest.approx(u @ u, rel=1e-5)
 
 
 class TestToeplitz:
     def test_scalar_spectrum_gives_identity(self):
-        t = build_toeplitz(Spectrum(np.array([1.0]), 1.0), 3)
+        t = build_toeplitz(np.array([1.0]), 3)
         assert_allclose(t, np.eye(3))
 
     def test_two_by_two_pattern(self):
-        t = build_toeplitz(Spectrum(np.array([2.0, -3.0]), 1.0), 2)
+        t = build_toeplitz(np.array([2.0, -3.0]), 2)
         assert_allclose(t, [[2.0, 0.0], [-3.0, 2.0]])
 
     def test_singular_input_raises(self):
         with pytest.raises(SingularInputError):
-            build_toeplitz(Spectrum(np.array([0.0, 1.0]), 1.0), 2)
+            build_toeplitz(np.array([0.0, 1.0]), 2)
 
     def test_matches_scipy_toeplitz(self):
         u = np.array([0.9, -0.3, 0.3, -0.9])
@@ -128,14 +125,14 @@ class TestToeplitz:
             col = np.zeros(size)
             col[: min(size, u.size)] = u[:size]
             expected = toeplitz(col, np.r_[col[0], np.zeros(size - 1)])
-            assert np.array_equal(build_toeplitz(Spectrum(u, 1.0), size), expected)
+            assert np.array_equal(build_toeplitz(u, size), expected)
 
     def test_batch_stacks_single_operators(self):
         rows = np.random.default_rng(3).uniform(0.2, 1.0, size=(2, 3, 4))
         stack = build_toeplitz(rows, 6)
         assert stack.shape == (2, 3, 6, 6)
         for idx in np.ndindex(2, 3):
-            assert np.array_equal(stack[idx], build_toeplitz(Spectrum(rows[idx], 1.0), 6))
+            assert np.array_equal(stack[idx], build_toeplitz(rows[idx], 6))
 
     def test_singular_row_in_batch_raises(self):
         rows = np.array([[1.0, 0.5], [0.1 * U0_TOLERANCE, 0.5], [2.0, -1.0]])
@@ -146,7 +143,7 @@ class TestToeplitz:
 class TestReciprocalSeries:
     def test_geometric_series(self):
         # 1 / (2 - 3z) = sum (1/2) (3/2)^n z^n
-        v = reciprocal_series(Spectrum(np.array([2.0, -3.0]), 1.0), 5)
+        v = reciprocal_series(np.array([2.0, -3.0]), 5)
         assert_allclose(v, 0.5 * 1.5 ** np.arange(5), rtol=1e-15)
 
     def test_scalar_input(self):
@@ -194,20 +191,19 @@ class TestOmegaSystem:
     def test_identity_against_analytic_markov(self):
         for kappa in [0.1, 1.0, 5.0]:
             for m_count in [3, 7, 20]:
-                h = markov_params(kappa, m_count)
-                sys_ = assemble_ab(h)
-                assert_allclose(sys_.vec_a, kappa * sys_.vec_b, rtol=1e-10, atol=1e-14)
+                vec_a, vec_b = assemble_ab(markov_params(kappa, m_count))
+                assert_allclose(vec_a, kappa * vec_b, rtol=1e-10, atol=1e-14)
 
     def test_zero_delay_system(self):
-        sys_ = assemble_ab(markov_params(0.0, 5))
-        assert_allclose(sys_.vec_a, 0.0, atol=1e-16)
-        assert_allclose(sys_.vec_b, [1.0, 0.0, 0.0, 0.0])
+        vec_a, vec_b = assemble_ab(markov_params(0.0, 5))
+        assert_allclose(vec_a, 0.0, atol=1e-16)
+        assert_allclose(vec_b, [1.0, 0.0, 0.0, 0.0])
 
     def test_hand_values_m3_kappa1(self):
-        sys_ = assemble_ab(markov_params(1.0, 3))
+        vec_a, vec_b = assemble_ab(markov_params(1.0, 3))
         e = np.exp(-0.5)
-        assert_allclose(sys_.vec_b, [e, -e], rtol=1e-14)
-        assert_allclose(sys_.vec_a, [e, -e], rtol=1e-13)
+        assert_allclose(vec_b, [e, -e], rtol=1e-14)
+        assert_allclose(vec_a, [e, -e], rtol=1e-13)
 
     def test_needs_three_parameters(self):
         with pytest.raises(ValueError):
@@ -223,17 +219,17 @@ class TestOmegaSystem:
         rng = np.random.default_rng(0)
         for m_count in range(3, 30):
             h = rng.standard_normal((200, m_count))
-            batch = assemble_ab(h)
+            batch_a, batch_b = assemble_ab(h)
             scale = np.abs(h[:, :-1]) @ np.abs(build_omega(m_count)).T
             scale[:, -1] += (m_count - 1.0) * np.abs(h[:, -1])
             for i, row in enumerate(h):
-                single = assemble_ab(row)
-                assert np.array_equal(batch.vec_b[i], single.vec_b)
+                single_a, single_b = assemble_ab(row)
+                assert np.array_equal(batch_b[i], single_b)
                 assert np.all(
-                    np.abs(batch.vec_a[i] - single.vec_a) <= 3 * np.finfo(float).eps * scale[i]
+                    np.abs(batch_a[i] - single_a) <= 3 * np.finfo(float).eps * scale[i]
                 )
-        stacked = assemble_ab(rng.standard_normal((2, 5, 7)))
-        assert stacked.vec_a.shape == stacked.vec_b.shape == (2, 5, 6)
+        stacked_a, stacked_b = assemble_ab(rng.standard_normal((2, 5, 7)))
+        assert stacked_a.shape == stacked_b.shape == (2, 5, 6)
 
     def test_stencil_matches_loop_reference(self):
         for m_count in range(3, 21):
@@ -270,32 +266,21 @@ class TestClosedFormDelay:
     @example(kappa=2 * 50.0 * 1e-3, m_count=8, p=50.0)
     @example(kappa=2 * 50.0 * 0.1, m_count=8, p=50.0)
     def test_recovers_tau_exactly(self, kappa, m_count, p):
-        got = closed_form_delay(assemble_ab(markov_params(kappa, m_count)), p)
+        got = closed_form_delay(*assemble_ab(markov_params(kappa, m_count)), p)
         assert abs(2 * p * got - kappa) <= 1e-13 * max(kappa, 1.0)
         assert got == pytest.approx(kappa / (2 * p), rel=1e-10, abs=1e-16)
 
     def test_specific_case(self):
         h = markov_params(2 * 1.0 * 0.5, 8)
-        assert closed_form_delay(assemble_ab(h), 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert closed_form_delay(*assemble_ab(h), 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_degenerate_b(self):
-        sys_ = assemble_ab(np.array([0.0, 0.0, 0.0, 1.0]))
+        vec_a, vec_b = assemble_ab(np.array([0.0, 0.0, 0.0, 1.0]))
         with pytest.raises(DegenerateBError):
-            closed_form_delay(sys_, 1.0)
-
-    def test_accepts_plain_arrays(self):
-        h = markov_params(3.0, 6)
-        via_seq = closed_form_delay(assemble_ab(h), 1.0)
-        via_arr = closed_form_delay(assemble_ab(h.values), 1.0)
-        assert via_seq == via_arr
+            closed_form_delay(vec_a, vec_b, 1.0)
 
 
 class TestSpectrumType:
-    def test_energy(self):
-        s = Spectrum(np.array([3.0, 4.0]), p=1.0)
-        assert s.energy == 25.0
-        assert len(s) == 2
-
     def test_markov_consistency_invariant(self):
         # h_m = exp(-kappa/2) L_m(kappa), cross-checked with the exact
         # rational-arithmetic polynomial
@@ -303,4 +288,4 @@ class TestSpectrumType:
         h = markov_params(kappa, 10)
         for m in range(10):
             expected = np.exp(-kappa / 2) * exact_assoc_laguerre(m, kappa)
-            assert h.values[m] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+            assert h[m] == pytest.approx(expected, rel=1e-12, abs=1e-15)

@@ -14,7 +14,7 @@ from lagdelay import design as design_module
 from lagdelay.analysis import markov_mse
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import main
-from lagdelay.delay_ops import Spectrum, build_toeplitz, markov_params
+from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.design import (
     DesignProblem,
     _candidates,
@@ -97,12 +97,12 @@ class ScalarObjective:
         q, r = np.linalg.qr(phi.matrix)
         self.projector = solve_triangular(r, q.T @ delayed, lower=False)
         self.r_inv = solve_triangular(r, np.eye(k1), lower=False)
-        self.h_true = markov_params(2.0 * p * problem.tau_guess, k1).values
+        self.h_true = markov_params(2.0 * p * problem.tau_guess, k1)
         self.noise_var = problem.noise_var
         self.k1 = k1
 
     def mse(self, u: np.ndarray) -> float:
-        t_u = build_toeplitz(Spectrum(u, self.p), self.k1)
+        t_u = build_toeplitz(u, self.k1)
         bias = solve_triangular(t_u, self.projector @ u, lower=True) - self.h_true
         g = solve_triangular(t_u, self.r_inv, lower=True)
         return float(bias @ bias + self.noise_var * np.sum(g * g))
@@ -171,19 +171,18 @@ class TestOptimizeDesign:
         a = optimize_design(tiny_problem())
         b = optimize_design(tiny_problem())
         assert a.p == b.p
-        assert np.array_equal(a.u.coeffs, b.u.coeffs)
+        assert np.array_equal(a.u, b.u)
 
     def test_fast_objective_matches_public_op(self):
         problem = tiny_problem()
         model = _model(35.0, problem)
         u = _coefficients(0.9, np.array([0.3]), problem)
         fast = model.mse(u, problem.noise_var)
-        from lagdelay.delay_ops import Spectrum
         from lagdelay.simulate import InputDesign
 
         design = InputDesign(
             p=35.0,
-            u=Spectrum(u, 35.0),
+            u=u,
             energy_bound=problem.energy_bound,
             horizon=(problem.n_samples - 1) * problem.delta,
             delta=problem.delta,
@@ -273,7 +272,7 @@ class TestRefine:
         monkeypatch.setattr(analysis, "build_phi", state_space_basis)
         want = optimize_design(problem)
         assert abs(got.p - want.p) <= 1e-8 * want.p
-        assert np.max(np.abs(got.u.coeffs - want.u.coeffs)) <= 1e-12
+        assert np.max(np.abs(got.u - want.u)) <= 1e-12
 
     def test_unusable_p_inside_the_bracket(self, monkeypatch):
         # the p bracket of the only usable grid point, [1, 1e6], reaches far

@@ -22,7 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagdelay import estimators
-from lagdelay.delay_ops import Spectrum, assemble_ab, closed_form_delay, reciprocal_series
+from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from lagdelay.errors import NoImprovementWarning
 from lagdelay.estimators import (
     ESTIMATORS,
@@ -32,7 +32,6 @@ from lagdelay.estimators import (
     estimate_delay_lag_spline,
     estimate_delay_ml,
     estimate_markov,
-    markov_table,
     ml_negloglik,
     ml_table,
     spline_table,
@@ -100,7 +99,7 @@ class TestSplineProjection:
     @example(n=5, k=15, p=20.0, delta=1e-2, seed=0)
     def test_matrix_matches_cubic_spline_quadrature(self, n, k, p, delta, seed):
         z = np.random.default_rng(seed).standard_normal(n)
-        got = spline_table(p, k + 1, delta, n).projection @ z
+        got = spline_table(p, k + 1, delta, n) @ z
         want = cubic_spline_projection(z, p, k + 1, delta)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -113,8 +112,8 @@ class TestSplineProjection:
             want = cubic_spline_projection(ds.z, design.p, K + 1, ds.delta)
             got = est.diagnostics["y_hat"]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            h_hat = estimate_markov(Spectrum(want, design.p), tables.markov)
-            assert abs(est.tau_hat - closed_form_delay(assemble_ab(h_hat), design.p)) <= 1e-15
+            h_hat = estimate_markov(want, tables.markov)
+            assert abs(est.tau_hat - closed_form_delay(*assemble_ab(h_hat), design.p)) <= 1e-15
 
 
 def _direct_correlation(z, design):
@@ -307,7 +306,7 @@ class TestMlRefineLaguerre:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             design = InputDesign(
-                p=p, u=Spectrum(coeffs, p), energy_bound=float(coeffs @ coeffs) + 1.0,
+                p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
                 horizon=0.15, delta=delta, tau_guess=delta,
             )
         grid = ml_table(design, delta, design.n_samples, tau_max).grid
@@ -326,8 +325,8 @@ class TestMlRefineLaguerre:
 class TestMarkovTable:
     def test_table_v_is_the_per_call_series(self, ref):
         design, tables, data = ref
-        assert _bits(tables.markov.v) == _bits(reciprocal_series(design.u, K + 1))
-        y_hat = Spectrum(tables.spline.projection @ data[0].z, design.p)
+        assert _bits(tables.markov) == _bits(reciprocal_series(design.u, K + 1))
+        y_hat = tables.spline @ data[0].z
         assert _bits(estimate_markov(y_hat, tables.markov)) == _bits(
-            estimate_markov(y_hat, markov_table(design.u, K + 1))
+            estimate_markov(y_hat, reciprocal_series(design.u, K + 1))
         )

@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
-from lagdelay.delay_ops import Spectrum
 from lagdelay.errors import LagDelayError, SingularInputError
 from lagdelay.estimators import ESTIMATORS, estimate_delay
 from lagdelay.simulate import Dataset, InputDesign, add_noise, make_dataset, sample_delayed
@@ -113,7 +112,7 @@ class TestPrebuiltEqualsPerCall:
 
 def _other_design(design, u):
     return InputDesign(
-        p=design.p, u=Spectrum(np.asarray(u), design.p), energy_bound=design.energy_bound,
+        p=design.p, u=u, energy_bound=design.energy_bound,
         horizon=design.horizon, delta=design.delta, tau_guess=design.tau_guess,
     )
 

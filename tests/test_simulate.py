@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from lagdelay.basis import BasisConfig, eval_basis_matrix
-from lagdelay.delay_ops import Spectrum
 from lagdelay.errors import InvalidDatasetError
 from lagdelay.simulate import (
     Dataset,
@@ -51,7 +50,7 @@ class TestSynthesize:
         p = 4.0
         design = InputDesign(
             p=p,
-            u=Spectrum(np.array([1.0, 0.0, 0.0, -1.0]), p),
+            u=np.array([1.0, 0.0, 0.0, -1.0]),
             energy_bound=3.0,
             horizon=2.0,
             delta=1e-3,
@@ -69,11 +68,11 @@ class TestSynthesize:
             bench_design.horizon,
             limit=300,
         )
-        assert total == pytest.approx(bench_design.u.energy, rel=1e-6)
+        assert total == pytest.approx(bench_design.u @ bench_design.u, rel=1e-6)
 
     def test_decay_beyond_time_scale(self, bench_design):
         tail = synthesize_input(bench_design, 40.0 / bench_design.p)
-        assert abs(tail) < 1e-8 * np.sqrt(bench_design.u.energy)
+        assert abs(tail) < 1e-8 * np.sqrt(bench_design.u @ bench_design.u)
 
     def test_continuity_defect_zero_for_balanced_design(self, bench_design):
         assert continuity_defect(bench_design) < 1e-10
@@ -82,7 +81,7 @@ class TestSynthesize:
         with pytest.warns(UserWarning, match="vanish"):
             InputDesign(
                 p=2.0,
-                u=Spectrum(np.array([1.0, 0.5]), 2.0),
+                u=np.array([1.0, 0.5]),
                 energy_bound=2.0,
                 horizon=1.0,
                 delta=1e-3,
@@ -265,7 +264,7 @@ class TestSupport:
         def design(p):
             return InputDesign(
                 p=p,
-                u=Spectrum(np.array([0.8, 0.4, -0.4, -0.8]), p),
+                u=np.array([0.8, 0.4, -0.4, -0.8]),
                 energy_bound=2.0,
                 horizon=100.0 / p,
                 delta=0.01 / p,
