@@ -24,7 +24,6 @@ from .delay_ops import (
     build_omega,
     build_toeplitz,
     closed_form_delay,
-    delay_spectrum,
     markov_params,
 )
 from .design import DesignProblem, optimize_design, validate_constraints
@@ -53,7 +52,6 @@ from .estimators import (
     estimate_delay_proposed,
     estimate_markov,
     estimate_spectrum_ls,
-    ml_gradient,
     ml_negloglik,
 )
 from .simulate import (

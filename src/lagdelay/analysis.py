@@ -15,12 +15,10 @@ in-process or over chunks in a process pool; noise streams keyed by
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .basis import BasisConfig, build_phi, eval_basis_matrix
 from .delay_ops import (
@@ -155,8 +153,8 @@ class MarkovErrorModel:
             return
         t = np.arange(n_samples) * delta
         delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
-        self.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
-        self.r_inv = solve_triangular(phi.r, np.eye(k1), lower=False)
+        self.projector = np.linalg.solve(phi.r, phi.q.T @ delayed)
+        self.r_inv = np.linalg.solve(phi.r, np.eye(k1))
         self.h_true = markov_params(2.0 * p * tau, k1)
         self.k1 = k1
 
@@ -310,6 +308,8 @@ def run_monte_carlo(
     if workers == 1:
         results = run(range(replicates))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = np.array_split(np.arange(replicates), min(workers * 4, replicates))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = [

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
 
 from .errors import IllConditionedWarning
 
@@ -160,7 +159,10 @@ def build_phi(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"
         )
     matrix = eval_basis_matrix(cfg, np.arange(n_samples) * delta)
-    q, r = qr(matrix, mode="economic", check_finite=False)
+    q, r = np.linalg.qr(matrix, mode="reduced")
+    # a BLAS product such as Q^T z rounds differently by memory layout, so Q
+    # is kept in the Fortran order that LAPACK itself returns it in
+    q = np.asfortranarray(q)
     cond = float(np.linalg.cond(r))
     flagged = not np.isfinite(cond) or cond > cond_threshold
     if flagged:

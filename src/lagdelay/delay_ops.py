@@ -31,16 +31,6 @@ def markov_params(kappa: float, m_count: int) -> np.ndarray:
     return np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)
 
 
-def delay_spectrum(u: np.ndarray, kappa: float, out_len: int) -> np.ndarray:
-    """Spectrum of the delayed signal: causal convolution of the input
-    coefficients u with the Markov parameters, truncated to out_len."""
-    if np.size(u) == 0:
-        raise ValueError("input spectrum is empty")
-    if out_len < 1:
-        raise ValueError("output length must be >= 1")
-    return np.convolve(markov_params(kappa, out_len), u)[:out_len]
-
-
 def _leading_coefficients(u: np.ndarray) -> np.ndarray:
     """A (batch of) coefficient rows as a float array, after checking every
     leading coefficient against U0_TOLERANCE."""

@@ -42,6 +42,10 @@ class DesignProblem:
     refine: bool = True
 
     def __post_init__(self):
+        if not 0 < self.delta < np.inf:  # NaN too
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.i_order < 1 or self.i_order % 2 == 0:
             raise ValueError("input order I must be odd and >= 1")
         if not 0 < self.energy_bound < np.inf:  # NaN too

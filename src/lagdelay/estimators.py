@@ -28,17 +28,19 @@ for one dataset or for many; every estimator takes the resulting
 built.  Per dataset only the data-dependent work runs: a QR solve, a
 matrix-vector product or an FFT, the ML refine's one pass over the
 samples, and the scalar steps.
+
+scipy is imported inside the functions that use it, the ones that build
+the ``lag_spline`` table and build or apply the ``freq_interp`` FFTs, so a
+run without those two methods never pays for its import.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.linalg import hankel, solve_triangular, solveh_banded
-from scipy.optimize import minimize_scalar
 
 from .basis import (
     BasisConfig,
@@ -106,7 +108,7 @@ def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> np.ndarray:
         )
     if phi.ill_conditioned:
         raise IllConditionedError(phi.cond, phi.cond_threshold)
-    return solve_triangular(phi.r, phi.q.T @ data.z, lower=False)
+    return np.linalg.solve(phi.r, phi.q.T @ data.z)
 
 
 def estimate_markov(y_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -167,17 +169,6 @@ def ml_negloglik(data: Dataset, design: InputDesign, tau: float) -> float:
     return float(data.delta * (resid @ resid))
 
 
-def ml_gradient(data: Dataset, design: InputDesign, tau: float) -> float:
-    """d/dtau of ml_negloglik, using the closed-form input derivative.
-
-    The derivative of the model w.r.t. tau is -u'(t_n - tau), zero for
-    t_n < tau.
-    """
-    model = synthesize_input(design, data.t - tau)
-    slope = input_derivative(design, data.t - tau)
-    return float(2.0 * data.delta * ((data.z - model) @ slope))
-
-
 def _refine_objective(data: Dataset, design: InputDesign, lo: float):
     """``ml_negloglik`` as a function of tau >= lo, evaluated in the Laguerre
     domain around the bracket's low end: one pass over the samples here,
@@ -200,7 +191,9 @@ def _refine_objective(data: Dataset, design: InputDesign, lo: float):
     n_lo = int(t.searchsorted(lo))
     basis = eval_basis_matrix(design.basis_config, t[n_lo:] - lo)
     resid = z[n_lo:] - basis @ u
-    hankel_u = hankel(u)
+    # the Hankel matrix H_ij = u_{i+j}, zero past the end of u
+    index = np.add.outer(np.arange(u.size), np.arange(u.size))
+    hankel_u = np.concatenate([u, np.zeros(u.size - 1)])[index]
     sums = {}
 
     def negloglik(tau: float) -> float:
@@ -218,14 +211,79 @@ def _refine_objective(data: Dataset, design: InputDesign, lo: float):
 
 
 def minimize_bounded(fn, a: float, b: float, xatol: float):
-    """Minimum of fn inside [a, b] by bounded Brent: parabolic interpolation,
-    safeguarded by golden-mean steps.  Returns (x, fn(x), evals).
+    """Minimum of fn inside [a, b] by bounded Brent (Brent 1973; ``fmin`` in
+    Forsythe, Malcolm & Moler 1977): parabolic interpolation, safeguarded by
+    golden-mean steps.  Returns (x, fn(x), evals).
 
     Brent never evaluates fn at a or b.  Stops once x is known to within
-    about xatol plus sqrt(eps) |x|.
+    about xatol plus sqrt(eps) |x|, or after 500 evaluations.  Step for step
+    the bounded method of scipy's ``minimize_scalar``, in plain floats; the
+    tests pin the two to the same (x, fn(x), evals).
     """
-    res = minimize_scalar(fn, bounds=(a, b), method="bounded", options={"xatol": xatol})
-    return float(res.x), float(res.fun), int(res.nfev)
+    a, b = float(a), float(b)
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise ValueError(f"bounds must be finite with a <= b, got ({a!r}, {b!r})")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    # xf is the best point so far, nfc the second best, fulc the previous nfc
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fn(xf)
+    evals = 1
+    fnfc = ffulc = fx
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three points, accepted when its step is
+            # less than half the step before last and stays inside (a, b)
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = -tol1 if xm < xf else tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = fn(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= 500:
+            break
+    return xf, float(fx), evals
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,6 +429,8 @@ def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> np.n
     P = G_z + (S^{-1} G_s^T)^T D R: one banded solve with K + 1 right-hand
     sides, O(K N) in all.
     """
+    from scipy.linalg import solveh_banded
+
     if n_samples < 4:
         raise ValueError("cubic spline interpolation needs at least 4 samples")
     half = delta / 2.0
@@ -446,6 +506,8 @@ class CorrTable:
 
 def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
     """Reference table of ``estimate_delay_freq_interp`` for one sampling."""
+    from scipy.fft import next_fast_len, rfft
+
     if n_samples < 2:
         raise ValueError("need at least two samples")
     u_samples = synthesize_input(design, np.arange(n_samples) * delta)
@@ -460,6 +522,8 @@ def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
     """r(k) = sum_n z_{n+k} u(t_n), k = 0..N-1, by FFT: both signals are
     zero-padded to ``padded_len`` >= 2N - 1, so the circular product does
     not wrap."""
+    from scipy.fft import irfft, rfft
+
     size = table.padded_len
     return irfft(rfft(z, size) * table.u_padded_conj, size)[: z.size]
 
@@ -473,6 +537,8 @@ def estimate_delay_freq_interp(data: Dataset, tables: ReplicateTables) -> DelayE
     cross-power spectrum after removing the integer shift.  The reference
     FFTs are ``tables.corr``.
     """
+    from scipy.fft import rfft
+
     table = tables.corr
     n = data.n_samples
     r = _linear_correlation(data.z, table)

@@ -132,8 +132,16 @@ class Dataset:
 
 
 def sample_count(horizon: float, delta: float) -> int:
-    """Samples on [0, horizon] at step delta: floor(horizon/delta) + 1."""
-    return int(np.floor(horizon / delta + 1e-9)) + 1
+    """Samples on [0, horizon] at step delta: floor(horizon/delta) + 1.
+    delta must be finite and positive, horizon finite and nonnegative."""
+    if not 0 < delta < np.inf:  # NaN too
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if not 0 <= horizon < np.inf:  # NaN too
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    steps = horizon / delta
+    if steps == np.inf:
+        raise ValueError(f"horizon / delta overflows: horizon {horizon!r}, delta {delta!r}")
+    return int(np.floor(steps + 1e-9)) + 1
 
 
 def continuity_defect(design: InputDesign) -> float:

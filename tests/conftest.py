@@ -10,9 +10,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, qr
 
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
+from lagdelay.delay_ops import markov_params
 from lagdelay.design import DesignProblem, optimize_design
 from lagdelay.estimators import ESTIMATORS, build_replicate_tables
-from lagdelay.simulate import InputDesign
+from lagdelay.simulate import InputDesign, input_derivative, synthesize_input
 
 
 def exact_assoc_laguerre(m: int, xi: float) -> float:
@@ -101,6 +102,21 @@ def quadrature_delay_projection(u: np.ndarray, p: float, tau: float, num_out: in
     hi = tau + 60.0 / p
     out, _ = quad_vec(integrand, tau, hi, epsabs=1e-13, epsrel=1e-11)
     return out
+
+
+def delay_spectrum(u: np.ndarray, kappa: float, out_len: int) -> np.ndarray:
+    """Spectrum of the delayed signal: causal convolution of the input
+    coefficients u with the Markov parameters, truncated to out_len.  The
+    forward model that the estimators invert through T(v)."""
+    return np.convolve(markov_params(kappa, out_len), u)[:out_len]
+
+
+def ml_gradient(data, design: InputDesign, tau: float) -> float:
+    """d/dtau of ``ml_negloglik`` from the closed-form input derivative: the
+    model's derivative w.r.t. tau is -u'(t_n - tau), zero for t_n < tau."""
+    model = synthesize_input(design, data.t - tau)
+    slope = input_derivative(design, data.t - tau)
+    return float(2.0 * data.delta * ((data.z - model) @ slope))
 
 
 def tables_for(design, methods=ESTIMATORS, data=None, *, k_model=12, tau_max=0.01, m_markov=None):

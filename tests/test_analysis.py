@@ -15,7 +15,7 @@ from lagdelay.analysis import (
     predict_bias_tau,
     run_monte_carlo,
 )
-from lagdelay.basis import BasisConfig, build_phi
+from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
 from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_spectrum_ls
@@ -164,6 +164,30 @@ class TestMarkovMse:
         )
         with pytest.raises(IllConditionedError):
             markov_mse(design, 12, 0.01, TAU)
+
+
+class TestMarkovErrorModel:
+    @pytest.mark.parametrize("delta,n,k_model", [(3e-4, 1667, 12), (1e-4, 5001, 6)])
+    def test_solve_within_1e13_of_triangular_solve(self, delta, n, k_model):
+        # the projector R^{-1} Q^T D and R^{-1} against the triangular solve
+        # that np.linalg.solve replaced, over the usable part of the design
+        # optimizer's default p grid
+        checked = 0
+        for p in np.geomspace(1.0, 200.0, 40):
+            model = analysis.MarkovErrorModel(float(p), k_model, delta, n, 3e-4, 3)
+            if not model.usable:
+                continue
+            phi = build_phi(BasisConfig(p=float(p), num_funcs=k_model + 1), delta, n)
+            delayed = eval_basis_matrix(
+                BasisConfig(p=float(p), num_funcs=4), np.arange(n) * delta - 3e-4
+            )
+            for got, want in [
+                (model.projector, solve_triangular(phi.r, phi.q.T @ delayed, lower=False)),
+                (model.r_inv, solve_triangular(phi.r, np.eye(k_model + 1), lower=False)),
+            ]:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            checked += 1
+        assert checked >= 20
 
 
 class TestPredictBias:

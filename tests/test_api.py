@@ -11,8 +11,7 @@ PUBLIC = {
     # basis
     "BasisConfig", "SampledBasis", "assoc_laguerre_recurrence", "build_phi",
     # delay_ops: Laguerre-domain quantities are plain arrays
-    "assemble_ab", "build_omega", "build_toeplitz", "closed_form_delay", "delay_spectrum",
-    "markov_params",
+    "assemble_ab", "build_omega", "build_toeplitz", "closed_form_delay", "markov_params",
     # design
     "DesignProblem", "optimize_design", "validate_constraints",
     # errors
@@ -23,7 +22,7 @@ PUBLIC = {
     "CrlbReport", "DelayEstimate", "ReplicateTables", "build_replicate_tables", "crlb",
     "estimate_delay", "estimate_delay_freq_interp", "estimate_delay_lag_spline",
     "estimate_delay_ml", "estimate_delay_proposed", "estimate_markov", "estimate_spectrum_ls",
-    "ml_gradient", "ml_negloglik",
+    "ml_negloglik",
     # simulate
     "Dataset", "InputDesign", "add_noise", "load_dataset", "make_dataset", "sample_delayed",
     "save_dataset", "synthesize_input",

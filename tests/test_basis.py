@@ -268,6 +268,29 @@ class TestBasisFactors:
             if oracle_cond <= DEFAULT_COND_THRESHOLD:
                 assert phi.cond == pytest.approx(oracle_cond, rel=1e-9)
 
+    @pytest.mark.parametrize("delta,n", [(3e-4, 1667), (1e-4, 5000)])
+    @pytest.mark.parametrize("k1", [7, 13, 21])
+    def test_factors_bitwise_equal_scipy_economic_qr(self, delta, n, k1):
+        """numpy's reduced QR and scipy's economic QR run the same LAPACK
+        routines and give bitwise the same Q and R.  They differ in memory
+        layout: numpy returns C-ordered arrays, scipy a Fortran-ordered Q.
+        A BLAS product such as Q^T z sums in another order for another
+        layout, which moved ``design`` output at 1e-11 relative, so
+        ``build_phi`` stores Q Fortran-ordered and R as LAPACK's R comes
+        back from scipy; the layouts are pinned along with the values."""
+        from scipy.linalg import qr
+
+        for p in [1.0, 20.0, 29.63, 37.3, 200.0]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IllConditionedWarning)
+                phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n)
+            q, r = qr(phi.matrix, mode="economic", check_finite=False)
+            for got, want in [(phi.q, q), (phi.r, r)]:
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert phi.q.flags.f_contiguous
+
     def test_flag_just_above_threshold(self):
         # section 7.2 grid point p ~ 7.674 has cond(Phi) ~ 1.0106e8, about 1%
         # above the default threshold

@@ -91,6 +91,38 @@ class TestDesignCommand:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sampling, message",
+        [
+            # with the horizon, a zero delta once ended in a ZeroDivisionError
+            # traceback and a NaN one in "cannot convert float NaN to integer"
+            ({"delta": 0.0}, "delta must be finite and positive"),
+            ({"delta": -3e-4}, "delta must be finite and positive"),
+            ({"delta": float("nan")}, "delta must be finite and positive"),
+            # a subnormal delta made horizon / delta infinite and ended in an
+            # OverflowError traceback
+            ({"delta": 5e-324}, "horizon / delta overflows"),
+            # with n_samples, a NaN delta once exited 2 with an
+            # InfeasibleDesignError asking to revise the grids
+            ({"delta": float("nan"), "n_samples": 1667}, "delta must be finite and positive"),
+            ({"n_samples": 0}, "n_samples must be at least 1"),
+            ({"n_samples": -5}, "n_samples must be at least 1"),
+        ],
+        ids=["delta=0", "delta<0", "delta=nan", "delta=5e-324", "delta=nan,n_samples",
+             "n_samples=0", "n_samples<0"],
+    )
+    def test_unusable_sampling_exit_1(self, tmp_path, capsys, sampling, message):
+        cfg = {**PROBLEM, **sampling}
+        if "n_samples" in sampling:
+            del cfg["horizon"]
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and message in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_sample_count_from_horizon(self, design_file, tmp_path):

@@ -13,13 +13,17 @@ from lagdelay.delay_ops import (
     build_omega,
     build_toeplitz,
     closed_form_delay,
-    delay_spectrum,
     markov_params,
     reciprocal_series,
 )
 from lagdelay.errors import DegenerateBError, SingularInputError
 
-from conftest import convolution_oracle, exact_assoc_laguerre, quadrature_delay_projection
+from conftest import (
+    convolution_oracle,
+    delay_spectrum,
+    exact_assoc_laguerre,
+    quadrature_delay_projection,
+)
 
 
 class TestMarkovParams:

@@ -274,6 +274,39 @@ class TestRefine:
         assert abs(got.p - want.p) <= 1e-8 * want.p
         assert np.max(np.abs(got.u - want.u)) <= 1e-12
 
+    @pytest.mark.parametrize("name", ["design71", "design72"])
+    def test_committed_problems_agree_with_triangular_solves(self, name, monkeypatch):
+        # the error models' R^{-1} Q^T D and R^{-1} by the triangular solves
+        # that np.linalg.solve replaced; the differences were 1.5e-11 (7.2)
+        # and 2.6e-12 (7.1) relative on p, 7.6e-14 and 5.9e-14 on the
+        # objective and none on u
+        problem = DesignProblem(**json.loads((INPUTS / f"{name}_problem.json").read_text()))
+
+        def triangular_model(p, problem):
+            model = _model(p, problem)
+            if model.usable:
+                phi = build_phi(BasisConfig(p=p, num_funcs=model.k1), problem.delta,
+                                problem.n_samples)
+                t = np.arange(problem.n_samples) * problem.delta
+                delayed = eval_basis_matrix(
+                    BasisConfig(p=p, num_funcs=problem.i_order + 1), t - problem.tau_guess
+                )
+                model.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
+                model.r_inv = solve_triangular(phi.r, np.eye(model.k1), lower=False)
+            return model
+
+        def objective(design):
+            return float(triangular_model(design.p, problem).mse(design.u, problem.noise_var))
+
+        got = optimize_design(problem)
+        monkeypatch.setattr(design_module, "_model", triangular_model)
+        want = optimize_design(problem)
+        assert abs(got.p - want.p) <= 1e-8 * want.p
+        assert np.max(np.abs(got.u - want.u)) <= 1e-12
+        got_objective = markov_mse(got, problem.k_model, problem.noise_var, problem.tau_guess,
+                                   n_samples=problem.n_samples).mse
+        assert abs(got_objective - objective(want)) <= 1e-12 * objective(want)
+
     def test_unusable_p_inside_the_bracket(self, monkeypatch):
         # the p bracket of the only usable grid point, [1, 1e6], reaches far
         # into the ill-conditioned range, where the objective is infinite

@@ -19,7 +19,6 @@ from lagdelay.delay_ops import (
     assemble_ab,
     build_toeplitz,
     closed_form_delay,
-    delay_spectrum,
     markov_params,
     reciprocal_series,
 )
@@ -40,7 +39,6 @@ from lagdelay.estimators import (
     estimate_delay_proposed,
     estimate_markov,
     estimate_spectrum_ls,
-    ml_gradient,
     ml_negloglik,
     ml_table,
     spline_table,
@@ -54,7 +52,7 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import state_space_basis, tables_for
+from conftest import delay_spectrum, ml_gradient, state_space_basis, tables_for
 
 TAU = 1.33e-3
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"

@@ -10,9 +10,12 @@ bounded Brent on ``ml_negloglik`` itself.  Where the arithmetic is
 unchanged the estimates must be bitwise equal; the spline projection sums
 in another order and is held to 1e-13 relative, and its delay to 1e-15 s;
 the ML refine objective is held to 1e-12 relative and its delay to 1e-10 s.
+The in-house bounded Brent is held bitwise to scipy's, and the LS spectrum
+by ``np.linalg.solve`` on R to 1e-14 relative of the triangular solve.
 """
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -32,6 +35,7 @@ from lagdelay.estimators import (
     estimate_delay_lag_spline,
     estimate_delay_ml,
     estimate_markov,
+    estimate_spectrum_ls,
     ml_negloglik,
     ml_table,
     spline_table,
@@ -145,14 +149,18 @@ class TestCorrelation:
 
     def test_scipy_fft_bitwise_equals_numpy_fft(self, ref, monkeypatch):
         # 200 replicates of the section 7.2 configuration; N = 1667 is
-        # prime, where scipy.fft is the faster of the two
+        # prime, where scipy.fft is the faster of the two.  The estimators
+        # import scipy.fft where they call it, so patching the module's
+        # names swaps the transform under every call
+        import scipy.fft
+
         design, tables, _ = ref
         data = [
             make_dataset(design, 1.33e-3, NOISE_VAR, (5, r)) for r in range(200)
         ]
         fast = [estimate_delay_freq_interp(ds, tables) for ds in data]
-        monkeypatch.setattr(estimators, "rfft", np.fft.rfft)
-        monkeypatch.setattr(estimators, "irfft", np.fft.irfft)
+        monkeypatch.setattr(scipy.fft, "rfft", np.fft.rfft)
+        monkeypatch.setattr(scipy.fft, "irfft", np.fft.irfft)
         np_tables = build_replicate_tables(
             ("freq_interp",), design, delta=design.delta, n_samples=design.n_samples,
             k_model=K, tau_max=TAU_MAX,
@@ -320,6 +328,80 @@ class TestMlRefineLaguerre:
         got = estimators._refine_objective(data, design, lo)(tau)
         want = ml_negloglik(data, design, tau)
         assert abs(got - want) <= 1e-12 * want
+
+
+def _scipy_bounded(fn, a, b, xatol):
+    """scipy's bounded Brent, the routine ``minimize_bounded`` transcribes."""
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(fn, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    return float(res.x), float(res.fun), int(res.nfev)
+
+
+# objective families (c, s) -> f: smooth, kinked, flat on an interval and
+# piecewise constant (ties between evaluations), monotone (the minimum on an
+# end of the bracket, as at an ML grid end) and NaN beyond c
+SHAPES = {
+    "smooth": lambda c, s: lambda x: (x - c) ** 2 + s * math.sin(5.0 * x),
+    "abs": lambda c, s: lambda x: abs(x - c),
+    "plateau": lambda c, s: lambda x: max(abs(x - c) - abs(s), 0.0),
+    "steps": lambda c, s: lambda x: float(math.floor((1.0 + abs(s)) * abs(x - c))),
+    "max_of_parabolas": lambda c, s: lambda x: max((x - c) ** 2, abs(s) * (x + c) ** 2 + 0.1),
+    "grid_end": lambda c, s: lambda x: s * x + c,
+    "nan_above": lambda c, s: lambda x: math.nan if x > c else (x - c) ** 2 + s,
+}
+
+
+class TestMinimizeBounded:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        a=st.floats(-10.0, 10.0),
+        width=st.floats(0.0, 10.0),
+        c=st.floats(-12.0, 12.0),
+        s=st.floats(-3.0, 3.0),
+        log_xatol=st.floats(-14.0, -1.0),
+    )
+    @example(shape="abs", a=-1.0, width=2.0, c=0.0, s=0.0, log_xatol=-14.0)
+    @example(shape="nan_above", a=-1.0, width=3.0, c=-2.0, s=0.0, log_xatol=-5.0)
+    def test_bitwise_equals_scipy(self, shape, a, width, c, s, log_xatol):
+        fn = SHAPES[shape](c, s)
+        b, xatol = a + width, 10.0**log_xatol
+        x, f_x, evals = estimators.minimize_bounded(fn, a, b, xatol)
+        x_ref, f_ref, evals_ref = _scipy_bounded(fn, a, b, xatol)
+        # the byte comparison holds NaN equal to NaN
+        assert _bits([x, f_x]) == _bits([x_ref, f_ref])
+        assert evals == evals_ref
+
+    def test_evaluation_cap(self):
+        # with xatol = 0 and the minimum at 0 the stopping tolerance shrinks
+        # with |x|, so only the cap of 500 evaluations ends the search
+        got = estimators.minimize_bounded(abs, -1.0, 1.0, 0.0)
+        assert got[2] == 500
+        assert _bits(list(got[:2])) == _bits(list(_scipy_bounded(abs, -1.0, 1.0, 0.0)[:2]))
+
+    @pytest.mark.parametrize("bounds", [(1.0, 0.0), (0.0, math.inf), (math.nan, 1.0)])
+    def test_unusable_bounds_refused(self, bounds):
+        with pytest.raises(ValueError, match="bounds"):
+            estimators.minimize_bounded(abs, *bounds, 1e-5)
+
+
+class TestSpectrumSolve:
+    def test_solve_within_1e14_of_triangular_solve(self):
+        # 300 replicates of the section 7.2 configuration; the triangular
+        # solve is the route np.linalg.solve replaced
+        from scipy.linalg import solve_triangular
+
+        design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
+        phi = build_replicate_tables(
+            ("proposed",), design, delta=design.delta, n_samples=design.n_samples,
+            k_model=K, tau_max=TAU_MAX,
+        ).phi
+        for r in range(300):
+            ds = make_dataset(design, 1.33e-3, NOISE_VAR, (0, r))
+            got = estimate_spectrum_ls(ds, phi)
+            want = solve_triangular(phi.r, phi.q.T @ ds.z, lower=False)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestMarkovTable:
