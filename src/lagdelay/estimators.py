@@ -289,8 +289,8 @@ def minimize_bounded(fn, a: float, b: float, xatol: float):
 @dataclass(frozen=True, eq=False)
 class MlTable:
     """ML grid scan: the grid at delta / 4 on [0, tau_max], the noise-free
-    model u(t_n - tau_i), one row per grid point, and the squared row norms
-    ||u(t_n - tau_i)||^2."""
+    model u(t_n - tau_i), one row per grid point, gathered from one delta / 4
+    lattice of u, and the squared row norms ||u(t_n - tau_i)||^2."""
 
     grid: np.ndarray
     model: np.ndarray = field(repr=False)
@@ -300,8 +300,12 @@ class MlTable:
 def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) -> MlTable:
     """Scan grid and model bank of ``estimate_delay_ml`` for one sampling.
 
-    tau_max must lie in (0, (N - 1) delta], the span of the data; NaN and
-    infinity are refused with it.
+    With tau_i = i delta / 4 and t_n = n delta, u(t_n - tau_i) = u((4n - i)
+    delta / 4): u is evaluated once on that lattice, for 0 <= 4n - i <=
+    4(N - 1) and zero below by causality, and the G x N bank gathered from
+    it.  Only a last grid point clamped to tau_max lies off the lattice; its
+    row is evaluated directly.  tau_max must lie in (0, (N - 1) delta], the
+    span of the data; NaN and infinity are refused with it.
     """
     span = (n_samples - 1) * delta
     if not 0.0 < tau_max <= span:
@@ -310,9 +314,15 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
         )
     step = delta / 4.0
     grid = np.arange(0.0, tau_max + step / 2.0, step)
+    g = grid.size
     grid[-1] = min(grid[-1], tau_max)
-    shifted = (np.arange(n_samples) * delta)[None, :] - grid[:, None]
-    model = eval_basis_matrix(design.basis_config, shifted) @ design.u
+    cfg, u = design.basis_config, design.u
+    lattice = eval_basis_matrix(cfg, np.arange(4 * n_samples - 3) * step) @ u
+    model = np.concatenate([np.zeros(g - 1), lattice])[
+        4 * np.arange(n_samples) - np.arange(g)[:, None] + g - 1
+    ]
+    if grid[-1] != (g - 1) * step:
+        model[-1] = eval_basis_matrix(cfg, np.arange(n_samples) * delta - grid[-1]) @ u
     return MlTable(grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model))
 
 

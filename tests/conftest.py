@@ -119,6 +119,19 @@ def ml_gradient(data, design: InputDesign, tau: float) -> float:
     return float(2.0 * data.delta * ((data.z - model) @ slope))
 
 
+def per_point_ml_bank(design: InputDesign, delta: float, n_samples: int, tau_max: float):
+    """The ML scan grid and model bank by their definition, one closed-form
+    evaluation of u(t_n - tau_i) per (grid point, sample), a row at a time
+    to keep the memory small; the route ``ml_table`` took before it gathered
+    the bank from one delta / 4 lattice.  Returns (grid, model)."""
+    step = delta / 4.0
+    grid = np.arange(0.0, tau_max + step / 2.0, step)
+    grid[-1] = min(grid[-1], tau_max)
+    t = np.arange(n_samples) * delta
+    cfg = design.basis_config
+    return grid, np.array([eval_basis_matrix(cfg, t - tau) @ design.u for tau in grid])
+
+
 def tables_for(design, methods=ESTIMATORS, data=None, *, k_model=12, tau_max=0.01, m_markov=None):
     """``build_replicate_tables`` for ``methods`` at the sampling of
     ``data``, or at the design's own when no data are given."""

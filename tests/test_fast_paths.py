@@ -2,18 +2,24 @@
 
 The replicate tables reduce the spline projection to one matrix, the
 linear correlation to a zero-padded FFT, the ML scan to one matrix-vector
-product and the reciprocal input series to a table entry; the ML refine
-shifts the input in the Laguerre domain.  The old routes are the oracles
-here: CubicSpline plus quadrature, ``np.correlate`` and ``np.fft``, the
-residual ``einsum`` over the whole grid, ``reciprocal_series`` per call and
-bounded Brent on ``ml_negloglik`` itself.  Where the arithmetic is
-unchanged the estimates must be bitwise equal; the spline projection sums
-in another order and is held to 1e-13 relative, and its delay to 1e-15 s;
-the ML refine objective is held to 1e-12 relative and its delay to 1e-10 s.
+product on a model bank gathered from one delta / 4 lattice of the input
+and the reciprocal input series to a table entry; the ML refine shifts the
+input in the Laguerre domain.  The old routes are the oracles here:
+CubicSpline plus quadrature, ``np.correlate`` and ``np.fft``, the residual
+``einsum`` over the whole grid, the bank evaluated point by point,
+``reciprocal_series`` per call and bounded Brent on ``ml_negloglik``
+itself.  Where the arithmetic is unchanged the estimates must be bitwise
+equal; the spline projection sums in another order and is held to 5e-14
+of its summands, and its delay to 1e-15 s; the gathered bank rounds its
+time arguments once instead of three times and is held to 2e-14 of its
+largest entry on the section 7 designs, with ML estimates bitwise equal
+but for ``negloglik``; the ML refine objective is held to 1e-12 relative
+and its delay to 1e-10 s.
 The in-house bounded Brent is held bitwise to scipy's, and the LS spectrum
 by ``np.linalg.solve`` on R to 1e-14 relative of the triangular solve.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -25,10 +31,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagdelay import estimators
+from lagdelay.basis import eval_basis_matrix
 from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from lagdelay.errors import NoImprovementWarning
 from lagdelay.estimators import (
     ESTIMATORS,
+    MlTable,
     build_replicate_tables,
     corr_table,
     estimate_delay_freq_interp,
@@ -43,12 +51,13 @@ from lagdelay.estimators import (
 from lagdelay.simulate import (
     InputDesign,
     add_noise,
+    default_tau_max,
     make_dataset,
     sample_delayed,
     synthesize_input,
 )
 
-from conftest import cubic_spline_projection
+from conftest import cubic_spline_projection, per_point_ml_bank
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 K = 12
@@ -101,11 +110,17 @@ class TestSplineProjection:
     )
     @example(n=4, k=0, p=20.0, delta=1e-2, seed=0)
     @example(n=5, k=15, p=20.0, delta=1e-2, seed=0)
+    # summands of size 0.085 cancel to a coefficient of 3.3e-5
+    @example(n=50, k=0, p=64.5, delta=3e-4, seed=530033)
     def test_matrix_matches_cubic_spline_quadrature(self, n, k, p, delta, seed):
+        # a dot product's rounding error scales with its summands |P| |z|,
+        # not with its result, which cancellation can make small; worst
+        # seen 4.7e-15 of |P| |z| over 4000 random draws
         z = np.random.default_rng(seed).standard_normal(n)
-        got = spline_table(p, k + 1, delta, n) @ z
+        table = spline_table(p, k + 1, delta, n)
+        got = table @ z
         want = cubic_spline_projection(z, p, k + 1, delta)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.all(np.abs(got - want) <= 5e-14 * (np.abs(table) @ np.abs(z)))
 
     def test_sec72_spectrum_and_delay(self, ref):
         # worst over 1600 replicates: 9.5e-15 relative in y_hat, 1.7e-16 s
@@ -194,6 +209,105 @@ class TestMlScan:
         design, tables, data = ref
         for ds in data:
             assert estimators._scan_minimum(tables.ml, ds) == _einsum_scan(tables.ml, ds)
+
+
+def _design(name):
+    return InputDesign.from_dict(json.loads((INPUTS / name).read_text()))
+
+
+class TestMlBank:
+    # section 7.2 at the benchmark's tau_max, the default one (3101 grid
+    # points), a clamped last row, the data span and below delta / 8, which
+    # leaves the one grid point tau = 0; section 7.1 (N = 5001) at 0.01 and
+    # a clamped last row, where the per-point oracle stays small in memory.
+    # Worst seen 1.08e-14 of max |u| at the 7.2 data span, 5.4e-15 at its
+    # default tau_max
+    @pytest.mark.parametrize("name, tau_max", [
+        ("design72_ref.json", 0.01), ("design72_ref.json", "default"),
+        ("design72_ref.json", 0.01003), ("design72_ref.json", "span"),
+        ("design72_ref.json", 3e-5),
+        ("design71_ref.json", 0.01), ("design71_ref.json", 0.010015),
+    ])
+    def test_gathered_bank_matches_per_point_oracle(self, name, tau_max):
+        design = _design(name)
+        n = design.n_samples
+        tau_max = {"default": default_tau_max(design), "span": (n - 1) * design.delta}.get(
+            tau_max, tau_max
+        )
+        table = ml_table(design, design.delta, n, tau_max)
+        grid, model = per_point_ml_bank(design, design.delta, n, tau_max)
+        assert _bits(table.grid) == _bits(grid)
+        assert table.model.shape == model.shape
+        assert np.max(np.abs(table.model - model)) <= 2e-14 * np.max(np.abs(model))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rest=st.lists(st.floats(-1.0, 1.0), max_size=5),
+        lead=st.floats(0.05, 1.0),
+        p=st.floats(0.5, 1000.0),
+        log_delta=st.floats(-4.5, -2.0),
+        n=st.integers(2, 400),
+        frac=st.floats(1e-6, 1.0),
+    )
+    @example(rest=[0.0, 0.0, -1.0], lead=1.0, p=37.3, log_delta=math.log10(3e-4), n=1667,
+             frac=1.0)
+    @example(rest=[], lead=1.0, p=5.0, log_delta=-3.0, n=2, frac=0.01)
+    def test_gathered_bank_property(self, rest, lead, p, log_delta, n, frac):
+        # the oracle forms t_n - tau_i by a subtraction, off by up to about
+        # eps (N - 1) delta, where u changes at a small multiple of p S per
+        # second; S = sqrt(2p) sum |u_k| bounds the terms of u.  Worst seen
+        # 4.2 eps S (1 + p (N - 1) delta) over 7000 random cases
+        coeffs = np.array([lead, *rest])
+        delta = 10.0**log_delta
+        span = (n - 1) * delta
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            design = InputDesign(
+                p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
+                horizon=span, delta=delta, tau_guess=delta,
+            )
+            table = ml_table(design, delta, n, frac * span)
+            grid, model = per_point_ml_bank(design, delta, n, frac * span)
+        assert _bits(table.grid) == _bits(grid)
+        scale = math.sqrt(2.0 * p) * np.abs(coeffs).sum() * (1.0 + p * span)
+        assert np.max(np.abs(table.model - model)) <= 16 * np.finfo(float).eps * scale
+
+    def test_estimates_bitwise_equal_per_point_bank_but_negloglik(self, ref):
+        # 200 replicates of CASES.  negloglik is the scan's value wherever
+        # Brent does not improve on it: equal here, within 5.2e-16 relative
+        # on the benchmark's 1600 seed-1 replicates of CASES' delays
+        design, tables, data = ref
+        grid, model = per_point_ml_bank(design, design.delta, design.n_samples, TAU_MAX)
+        oracle = dataclasses.replace(tables, ml=MlTable(
+            grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model)
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NoImprovementWarning)
+            for ds in data:
+                new, old = estimate_delay_ml(ds, tables), estimate_delay_ml(ds, oracle)
+                assert _bits(new.tau_hat) == _bits(old.tau_hat)
+                f_new, f_old = new.diagnostics.pop("negloglik"), old.diagnostics.pop("negloglik")
+                assert abs(f_new - f_old) <= 1e-14 * f_old
+                assert list(new.diagnostics) == list(old.diagnostics)
+                for key, val in new.diagnostics.items():
+                    assert _bits(val) == _bits(old.diagnostics[key]), key
+
+    def test_basis_rows_evaluated(self, monkeypatch):
+        # the per-point bank evaluated G N = 3101 x 1667 = 5.2M points at
+        # the default tau_max; the lattice needs 4 (N - 1) + 1, and the
+        # clamped last row N more
+        design = _design("design72_ref.json")
+        rows = []
+
+        def counting(cfg, t):
+            out = eval_basis_matrix(cfg, t)
+            rows.append(out.size // out.shape[-1])
+            return out
+
+        monkeypatch.setattr(estimators, "eval_basis_matrix", counting)
+        n = design.n_samples
+        table = ml_table(design, design.delta, n, default_tau_max(design))
+        assert 0 < sum(rows) <= 4 * (n - 1) + table.grid.size + n
 
 
 def _time_domain_ml(data, design, table):
