@@ -32,6 +32,10 @@ from .errors import DegenerateBError, IllConditionedError, LagDelayError
 from .estimators import ESTIMATORS, build_replicate_tables, estimate_delay, markov_order
 from .simulate import InputDesign, add_noise, default_tau_max, sample_delayed
 
+# Draws of predict_bias_tau pushed through the ratio terms at a time; the
+# generator fills in C order, so blocks give the stream of one full draw.
+_BIAS_BLOCK_ROWS = 8192
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovAccuracy:
@@ -238,13 +242,19 @@ def predict_bias_tau(
 
     acc = markov_mse(design, k_model, noise_var, tau_check)
     mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)
+    # [E_A | E_B] is linear in the first m Markov errors, so each block of
+    # draws needs one small product with the stacked map of assemble_ab
+    ab_map = np.hstack(assemble_ab(np.eye(m)))
+    weights = acc.cov_factor[:m].T @ ab_map
+    shift = mean_shift[:m] @ ab_map
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((mc_samples, k_model + 1))
-    err = mean_shift + draws @ acc.cov_factor.T
-
-    err_a, err_b = assemble_ab(err[:, :m])
-    eps1 = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
-    eps2 = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
+    eps1, eps2 = np.empty(mc_samples), np.empty(mc_samples)
+    for lo in range(0, mc_samples, _BIAS_BLOCK_ROWS):
+        hi = min(lo + _BIAS_BLOCK_ROWS, mc_samples)
+        err = rng.standard_normal((hi - lo, k_model + 1)) @ weights + shift
+        err_a, err_b = err[:, : m - 1], err[:, m - 1 :]
+        eps1[lo:hi] = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
+        eps2[lo:hi] = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
     denom = btb + eps2
     predicted = float(
         np.mean(eps1 / denom) / (2.0 * design.p) - tau_check * np.mean(eps2 / denom)

@@ -9,6 +9,7 @@ published number can be regenerated.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
@@ -371,6 +372,7 @@ def cmd_basis_check(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lagdelay",
@@ -381,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_design = sub.add_parser("design", help="solve the experiment-design problem")
     p_design.add_argument("--config", required=True, help="design problem JSON")
     p_design.add_argument("--out", required=True, help="output design JSON path")
-    p_design.set_defaults(fn=cmd_design)
 
     p_sim = sub.add_parser("simulate", help="synthesize a noisy dataset")
     p_sim.add_argument("--design", required=True, help="input design JSON")
@@ -390,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--n-samples", type=int, default=None)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.set_defaults(fn=cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate the delay from a dataset")
     p_est.add_argument("--dataset", required=True, help="dataset CSV (JSON sidecar next to it)")
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--m-markov", type=int, default=None)
     p_est.add_argument("--tau-max", type=float, default=None)
     p_est.add_argument("--out", required=True, help="report JSON path")
-    p_est.set_defaults(fn=cmd_estimate)
 
     p_bench = sub.add_parser("benchmark", help="seeded Monte-Carlo comparison")
     p_bench.add_argument("--config", required=True, help="benchmark config JSON")
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--workers", type=int, default=1)
     p_bench.add_argument("--methods", default=None)
     p_bench.add_argument("--out", required=True, help="output directory")
-    p_bench.set_defaults(fn=cmd_benchmark)
 
     p_bias = sub.add_parser("bias-predict", help="predict the delay estimator bias")
     p_bias.add_argument("--design", required=True)
@@ -420,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bias.add_argument("--k-model", type=int, default=None)
     p_bias.add_argument("--m-markov", type=int, default=None)
     p_bias.add_argument("--out", required=True)
-    p_bias.set_defaults(fn=cmd_bias_predict)
 
     p_check = sub.add_parser("basis-check", help="run basis invariants, print cond(Phi)")
     p_check.add_argument("--p", type=float, required=True)
@@ -428,16 +425,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--delta", type=float, required=True)
     p_check.add_argument("--n-samples", type=int, required=True)
     p_check.add_argument("--cond-threshold", type=float, default=DEFAULT_COND_THRESHOLD)
-    p_check.set_defaults(fn=cmd_basis_check)
     return parser
 
 
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("LAGDELAY_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a patched or traced cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
               file=sys.stderr)

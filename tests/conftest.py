@@ -1,7 +1,10 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import csv
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +12,12 @@ from scipy.integrate import quad_vec
 from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, qr
 
+from lagdelay.analysis import BiasPrediction, markov_mse
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
-from lagdelay.delay_ops import markov_params
+from lagdelay.delay_ops import BTB_TOLERANCE, assemble_ab, markov_params
 from lagdelay.design import DesignProblem, optimize_design
-from lagdelay.estimators import ESTIMATORS, build_replicate_tables
+from lagdelay.errors import DegenerateBError
+from lagdelay.estimators import ESTIMATORS, build_replicate_tables, markov_order
 from lagdelay.simulate import InputDesign, input_derivative, synthesize_input
 
 
@@ -130,6 +135,76 @@ def per_point_ml_bank(design: InputDesign, delta: float, n_samples: int, tau_max
     t = np.arange(n_samples) * delta
     cfg = design.basis_config
     return grid, np.array([eval_basis_matrix(cfg, t - tau) @ design.u for tau in grid])
+
+
+def full_draw_bias_prediction(
+    design: InputDesign,
+    noise_var: float,
+    tau_check: float,
+    k_model: int,
+    m_markov: int | None = None,
+    mc_samples: int = 100_000,
+    seed=0,
+    include_truncation_bias: bool = True,
+) -> tuple[BiasPrediction, dict]:
+    """``predict_bias_tau`` as it was before its blocked pass: every draw at
+    once, the Markov errors formed in full and (E_A, E_B) assembled from
+    them by ``assemble_ab``.  Also returns, per averaged field, the mean
+    absolute summand: the scale of the rounding error of that average, at
+    least the field itself and far above it where the summands cancel."""
+    m = markov_order(k_model, m_markov)
+    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
+    vec_a, vec_b = assemble_ab(h_true[:m])
+    btb = float(vec_b @ vec_b)
+    if btb < BTB_TOLERANCE:
+        raise DegenerateBError("true Markov parameters vanish at tau_check")
+    acc = markov_mse(design, k_model, noise_var, tau_check)
+    mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)
+    draws = np.random.default_rng(seed).standard_normal((mc_samples, k_model + 1))
+    err = mean_shift + draws @ acc.cov_factor.T
+    err_a, err_b = assemble_ab(err[:, :m])
+    eps1 = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
+    eps2 = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
+    denom = btb + eps2
+    predicted = float(
+        np.mean(eps1 / denom) / (2.0 * design.p) - tau_check * np.mean(eps2 / denom)
+    )
+    scales = {
+        "predicted_bias": float(
+            np.mean(np.abs(eps1 / denom)) / (2.0 * design.p)
+            + tau_check * np.mean(np.abs(eps2 / denom))
+        ),
+        "eps1_mean": float(np.mean(np.abs(eps1))),
+        "eps2_mean": float(np.mean(np.abs(eps2))),
+    }
+    return BiasPrediction(
+        predicted_bias=predicted, mc_samples=mc_samples, eps1_mean=float(eps1.mean()),
+        eps2_mean=float(eps2.mean()), seed=seed,
+    ), scales
+
+
+def csv_writer_save_dataset(ds, csv_path, extra_meta: dict | None = None) -> None:
+    """``save_dataset`` as it was before its one-block write: a
+    ``csv.writer`` row per sample, then the JSON sidecar."""
+    csv_path = Path(csv_path)
+    with open(csv_path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "z"])
+        for n in range(ds.n_samples):
+            writer.writerow([f"{n * ds.delta:.17g}", f"{ds.z[n]:.17g}"])
+    meta = {
+        "delta": ds.delta,
+        "n_samples": ds.n_samples,
+        "noise_var": ds.noise_var,
+        "seed": list(ds.seed) if isinstance(ds.seed, (tuple, list)) else ds.seed,
+    }
+    if ds.true_tau is not None:
+        meta["true_tau"] = ds.true_tau
+    if extra_meta:
+        meta.update(extra_meta)
+    with open(csv_path.with_suffix(".json"), "w") as f:
+        json.dump(meta, f, indent=2)
+        f.write("\n")
 
 
 def tables_for(design, methods=ESTIMATORS, data=None, *, k_model=12, tau_max=0.01, m_markov=None):

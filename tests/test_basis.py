@@ -5,7 +5,9 @@ construction in ``conftest`` (impulse-invariant discretization of the
 lower-triangular realization) is the independent oracle it is checked
 against."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,9 @@ from lagdelay.basis import (
     eval_basis_derivative_matrix,
     eval_basis_matrix,
 )
-from lagdelay.errors import IllConditionedWarning
+from lagdelay.errors import IllConditionedWarning, ZeroInformationError
+from lagdelay.estimators import crlb
+from lagdelay.simulate import InputDesign, sample_delayed
 
 from conftest import (
     exact_assoc_laguerre,
@@ -28,6 +32,8 @@ from conftest import (
     state_space_phi,
     state_space_realization,
 )
+
+INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 
 
 def _poly(m: int, xi: float) -> float:
@@ -117,6 +123,20 @@ class TestClosedForms:
     def test_zero_before_time_origin(self):
         cfg = BasisConfig(p=2.0, num_funcs=3)
         assert np.all(eval_basis_matrix(cfg, np.array([-0.5, -1e-12])) == 0.0)
+
+    def test_no_overflow_far_before_time_origin(self):
+        # e^{-pt} overflows below t = -709 / p; it must never be taken there
+        design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
+        cfg = BasisConfig(p=1000.0, num_funcs=6)
+        t = np.array([-1e300, -1e3, -1.0, -1e-12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # p tau = 746 on the section 7.2 design
+            assert not sample_delayed(design, 20.0, 1667).any()
+            with pytest.raises(ZeroInformationError):
+                crlb(design, 20.0, 0.01, n_samples=1667)
+            assert not eval_basis_matrix(cfg, t).any()
+            assert not eval_basis_derivative_matrix(cfg, t).any()
 
     def test_derivative_matches_finite_differences(self):
         cfg = BasisConfig(p=4.0, num_funcs=8)

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lagdelay import estimators
+from lagdelay import cli, estimators
 from lagdelay.cli import main
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
@@ -647,6 +647,32 @@ class TestBiasPredictCommand:
             ])
             payloads.append(out.read_text())
         assert payloads[0] == payloads[1]
+
+
+class TestDispatch:
+    def test_parser_built_once(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        with pytest.raises(SystemExit):
+            main(["bias-predict", "--help"])
+        assert "--mc-samples" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--config", "c.json", "--out", "o.json"],
+        ["simulate", "--design", "d.json", "--tau", "1e-3", "--out", "o"],
+        ["estimate", "--dataset", "x.csv", "--design", "d.json", "--out", "o.json"],
+        ["benchmark", "--config", "c.json", "--out", "o"],
+        ["bias-predict", "--design", "d.json", "--tau-check", "1e-3", "--noise-var", "0.01",
+         "--out", "o.json"],
+        ["basis-check", "--p", "20", "--num-funcs", "3", "--delta", "1e-3", "--n-samples", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_patched_command_runs(self, monkeypatch, argv):
+        # the parser is cached; the command is looked up when it runs
+        cli.build_parser()
+        seen = []
+        name = "cmd_" + argv[0].replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args.command) or 7)
+        assert main(argv) == 7
+        assert seen == [argv[0]]
 
 
 class TestBasisCheck:

@@ -15,11 +15,15 @@ time arguments once instead of three times and is held to 2e-14 of its
 largest entry on the section 7 designs, with ML estimates bitwise equal
 but for ``negloglik``; the ML refine objective is held to 1e-12 relative
 and its delay to 1e-10 s.
+The blocked bias pass is held to the full draw of the old
+``predict_bias_tau``: its eps2 mean bitwise, the eps1 mean and the
+predicted bias to 1e-14 of their mean absolute summand.
 The in-house bounded Brent is held bitwise to scipy's, and the LS spectrum
 by ``np.linalg.solve`` on R to 1e-14 relative of the triangular solve.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import warnings
@@ -30,7 +34,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lagdelay import estimators
+from lagdelay import analysis, estimators
 from lagdelay.basis import eval_basis_matrix
 from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from lagdelay.errors import NoImprovementWarning
@@ -57,7 +61,7 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import cubic_spline_projection, per_point_ml_bank
+from conftest import cubic_spline_projection, full_draw_bias_prediction, per_point_ml_bank
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 K = 12
@@ -526,3 +530,38 @@ class TestMarkovTable:
         assert _bits(estimate_markov(y_hat, tables.markov)) == _bits(
             estimate_markov(y_hat, reciprocal_series(design.u, K + 1))
         )
+
+
+class TestBlockedBiasPass:
+    """``predict_bias_tau`` draws and reduces its samples a block of rows at
+    a time and forms (E_A, E_B) by one product; the oracle draws them all
+    at once and assembles (E_A, E_B) from the Markov errors.  The averages
+    are taken over the whole vectors in both, so only E_A rounds
+    differently; the bound is relative to the mean absolute summand, since
+    the eps1 mean and the prediction can cancel to far below it."""
+
+    @pytest.mark.parametrize("mc_samples", [1000, 20_000, 100_000, 100_003])
+    @pytest.mark.parametrize("k_model", [3, 6, 12])
+    def test_matches_full_draw_oracle(self, k_model, mc_samples):
+        design = _design("design72_ref.json")
+        options = [{}, {"include_truncation_bias": False}]
+        if k_model == 12:  # an explicit Markov order below K + 1
+            options += [{"m_markov": 4}, {"m_markov": 4, "include_truncation_bias": False}]
+        for tau, opts in itertools.product((3e-4, 1.33e-3, 4e-3, 9e-3), options):
+            args = (design, NOISE_VAR, tau, k_model)
+            kw = dict(opts, mc_samples=mc_samples, seed=7)
+            got = analysis.predict_bias_tau(*args, **kw)
+            want, scale = full_draw_bias_prediction(*args, **kw)
+            assert got.eps2_mean == want.eps2_mean, (tau, opts)
+            for name in ("predicted_bias", "eps1_mean"):
+                err = abs(getattr(got, name) - getattr(want, name))
+                assert err <= 1e-14 * scale[name], (name, tau, opts)
+            assert (got.mc_samples, got.seed) == (mc_samples, 7)
+
+    def test_blocks_draw_the_full_stream(self):
+        # 100_003 rows: whole blocks and a partial last block
+        n, block = 100_003, analysis._BIAS_BLOCK_ROWS
+        assert block < n and n % block
+        rng = np.random.default_rng(11)
+        blocks = [rng.standard_normal((min(block, n - lo), 13)) for lo in range(0, n, block)]
+        assert np.array_equal(np.vstack(blocks), np.random.default_rng(11).standard_normal((n, 13)))

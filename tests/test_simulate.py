@@ -1,5 +1,6 @@
 """Signal synthesis tests: closed-form input, exact delay, noise, file I/O."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from lagdelay.basis import BasisConfig, eval_basis_matrix
+from lagdelay.cli import main
 from lagdelay.errors import InvalidDatasetError
 from lagdelay.simulate import (
     Dataset,
@@ -25,6 +27,17 @@ from lagdelay.simulate import (
     support_time,
     synthesize_input,
 )
+
+from conftest import csv_writer_save_dataset
+
+INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
+
+
+def _saved_bytes(save, ds, directory, extra_meta=None):
+    """CSV and sidecar bytes that ``save`` writes for ``ds``."""
+    csv_path = Path(directory) / f"{save.__name__}.csv"
+    save(ds, csv_path, extra_meta)
+    return csv_path.read_bytes(), csv_path.with_suffix(".json").read_bytes()
 
 
 def _fine_grid_shift_oracle(design, tau, n_samples, grid_step=1e-7):
@@ -180,6 +193,41 @@ class TestDatasetIO:
         assert back.noise_var == ds.noise_var
         assert back.seed == seed
         assert back.true_tau == true_tau
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        z=(st.integers(1, 50) | st.just(1667)).flatmap(
+            lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=n, max_size=n)
+        ),
+        delta=st.floats(1e-9, 1e2),
+        seed=st.integers() | st.tuples(st.integers(), st.integers()),
+        true_tau=st.none() | st.floats(0.0, 1e3),
+    )
+    @example(z=[-0.0], delta=3e-4, seed=0, true_tau=None)
+    @example(z=[-0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300],
+             delta=1e-4, seed=(5, 3), true_tau=1.33e-3)
+    def test_bytes_match_csv_writer(self, z, delta, seed, true_tau):
+        ds = Dataset(z=z, delta=delta, n_samples=len(z), noise_var=0.01, seed=seed,
+                     true_tau=true_tau)
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _saved_bytes(save_dataset, ds, tmp, {"config_hash": "0123abcd"})
+            want = _saved_bytes(csv_writer_save_dataset, ds, tmp, {"config_hash": "0123abcd"})
+        assert got == want
+        assert got[0].startswith(b"t,z\r\n") and got[0].count(b"\r\n") == ds.n_samples + 1
+
+    def test_simulate_writes_csv_writer_bytes(self, tmp_path):
+        # the section 7.2 dataset as the simulate command writes it
+        design_path = INPUTS / "design72_ref.json"
+        rc = main(["simulate", "--design", str(design_path), "--tau", "1.33e-3",
+                   "--noise-var", "0.01", "--seed", "1", "--out", str(tmp_path / "sim")])
+        assert rc == 0
+        got = tuple((tmp_path / "sim" / n).read_bytes() for n in ("dataset.csv", "dataset.json"))
+        design = InputDesign.from_dict(json.loads(design_path.read_text()))
+        ds = make_dataset(design, 1.33e-3, 0.01, 1)
+        config_hash = json.loads(got[1])["config_hash"]
+        assert got == _saved_bytes(csv_writer_save_dataset, ds, tmp_path,
+                                   {"config_hash": config_hash})
 
     def test_sample_times_computed_once(self):
         ds = Dataset(z=np.zeros(1667), delta=3e-4, n_samples=1667, noise_var=0.0, seed=1)
