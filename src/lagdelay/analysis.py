@@ -61,7 +61,7 @@ class BiasPrediction:
 @dataclass(frozen=True)
 class MethodStats:
     bias: float
-    variance: float
+    var: float
     mse_raw: float
     mse_normalized: float
     failures: int
@@ -84,9 +84,9 @@ class McStats:
 class BenchmarkConfig:
     """Everything one replicate needs, minus the noise realization.
 
-    ``tau_max`` and ``n_samples`` left at None are resolved at construction
-    to ``default_tau_max(design)`` and ``design.n_samples``; ``hist_bins``
-    must be at least 1.
+    ``n_samples`` and ``tau_max`` left at None are resolved at construction,
+    in that order, to ``design.n_samples`` and ``default_tau_max(design,
+    n_samples)``; ``hist_bins`` must be at least 1.
     """
 
     design: InputDesign
@@ -101,22 +101,13 @@ class BenchmarkConfig:
     def __post_init__(self):
         if not self.hist_bins >= 1:
             raise ValueError(f"hist_bins must be at least 1, got {self.hist_bins!r}")
-        if self.tau_max is None:
-            object.__setattr__(self, "tau_max", default_tau_max(self.design))
         if self.n_samples is None:
             object.__setattr__(self, "n_samples", self.design.n_samples)
+        if self.tau_max is None:
+            object.__setattr__(self, "tau_max", default_tau_max(self.design, self.n_samples))
 
     def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "true_tau": self.true_tau,
-            "noise_var": self.noise_var,
-            "k_model": self.k_model,
-            "m_markov": self.m_markov,
-            "tau_max": self.tau_max,
-            "n_samples": self.n_samples,
-            "hist_bins": self.hist_bins,
-        }
+        return {**vars(self), "design": self.design.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
@@ -233,7 +224,7 @@ def predict_bias_tau(
     """
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
-    m = markov_order(k_model, m_markov)
+    m = markov_order(k_model, m_markov, len(design.u) - 1)
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
     vec_a, vec_b = assemble_ab(h_true[:m])
     btb = float(vec_b @ vec_b)
@@ -337,17 +328,17 @@ def run_monte_carlo(
         estimates[method] = vals
         if vals.size >= 2:
             bias = float(vals.mean() - config.true_tau)
-            variance = float(vals.var(ddof=1))
+            var = float(vals.var(ddof=1))
             mse_raw = float(np.mean((vals - config.true_tau) ** 2))
         elif vals.size == 1:
             bias = float(vals[0] - config.true_tau)
-            variance = 0.0
+            var = 0.0
             mse_raw = bias**2
         else:
-            bias = variance = mse_raw = float("nan")
+            bias = var = mse_raw = float("nan")
         per_method[method] = MethodStats(
             bias=bias,
-            variance=variance,
+            var=var,
             mse_raw=mse_raw,
             mse_normalized=float(np.sqrt(config.n_samples) * mse_raw),
             failures=failures,

@@ -1,9 +1,10 @@
 """Command-line front end: design, simulate, estimate, benchmark, bias-predict,
 basis-check.
 
-All configs and reports are JSON, signals and histograms are CSV.  Every
-output embeds a content hash of the fully resolved configuration so any
-published number can be regenerated.
+Configs and reports are JSON, signals and histograms CSV; a report holds
+each result type as the dict of its fields.  Every output embeds a content
+hash of the fully resolved configuration so any published number can be
+regenerated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,7 @@ def config_hash(obj) -> str:
 
 
 def _sanitize(obj):
-    """Make an object strictly JSON-serializable (no NaN, no numpy types)."""
+    """Make an object strictly JSON-serializable: no NaN, numpy type or dataclass."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -61,6 +63,8 @@ def _sanitize(obj):
         return val if np.isfinite(val) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
+    if is_dataclass(obj) and not isinstance(obj, type):
+        return _sanitize(asdict(obj))
     return obj
 
 
@@ -79,12 +83,12 @@ def _load_json(path) -> dict:
 
 def _parse_methods(raw: str | list) -> tuple:
     """Estimator names from a comma-separated ``--methods`` value or a
-    config list; 'all' selects every estimator."""
+    config list, each once; 'all' selects every estimator."""
     if isinstance(raw, str):
         if raw.strip().lower() == "all":
             return ESTIMATORS
         raw = raw.split(",")
-    methods = tuple(str(m).strip() for m in raw if str(m).strip())
+    methods = tuple(dict.fromkeys(str(m).strip() for m in raw if str(m).strip()))
     for m in methods:
         if m not in ESTIMATORS:
             raise ValueError(f"unknown method {m!r}; choose from {ESTIMATORS} or 'all'")
@@ -118,18 +122,7 @@ def cmd_design(args) -> int:
         u_grid_points=int(cfg.get("u_grid_points", 25)),
         refine=bool(cfg.get("refine", True)),
     )
-    resolved = {
-        "delta": problem.delta,
-        "n_samples": problem.n_samples,
-        "i_order": problem.i_order,
-        "energy_bound": problem.energy_bound,
-        "tau_guess": problem.tau_guess,
-        "noise_var": problem.noise_var,
-        "k_model": problem.k_model,
-        "p_grid": problem.p_grid.tolist(),
-        "u_grid_points": problem.u_grid_points,
-        "refine": problem.refine,
-    }
+    resolved = {**vars(problem), "p_grid": problem.p_grid.tolist()}
     design = optimize_design(problem)
     objective = markov_mse(
         design, problem.k_model, problem.noise_var, problem.tau_guess,
@@ -177,7 +170,7 @@ def cmd_estimate(args) -> int:
         return EXIT_ERROR
     methods = _parse_methods(args.methods)
     k_model = args.k_model if args.k_model is not None else max(len(design.u) - 1, 2)
-    tau_max = args.tau_max if args.tau_max is not None else default_tau_max(design)
+    tau_max = args.tau_max if args.tau_max is not None else default_tau_max(design, ds.n_samples)
     resolved = {
         "design": design.to_dict(),
         "dataset": str(args.dataset),
@@ -193,15 +186,14 @@ def cmd_estimate(args) -> int:
     estimates, errors = {}, {}
     for method in methods:
         try:
-            estimates[method] = estimate_delay(method, ds, tables).to_dict()
+            estimates[method] = estimate_delay(method, ds, tables)
         except LagDelayError as exc:
             errors[method] = f"{type(exc).__name__}: {exc}"
-    crlb_payload = None
+    crlb_report = None
     if ds.noise_var > 0:
         tau_ref = ds.true_tau if ds.true_tau is not None else design.tau_guess
         try:
-            rep = crlb(design, tau_ref, ds.noise_var, n_samples=ds.n_samples)
-            crlb_payload = {"bound": rep.bound, "window": list(rep.window)}
+            crlb_report = crlb(design, tau_ref, ds.noise_var, n_samples=ds.n_samples)
         except LagDelayError as exc:
             errors["crlb"] = f"{type(exc).__name__}: {exc}"
     report = {
@@ -209,15 +201,15 @@ def cmd_estimate(args) -> int:
         "true_tau": ds.true_tau,
         "estimates": estimates,
         "errors": errors,
-        "crlb": crlb_payload,
+        "crlb": crlb_report,
     }
     _write_json(args.out, report)
     for method, est in estimates.items():
-        print(f"{method:12s} tau_hat = {est['tau_hat']:.9e}")
+        print(f"{method:12s} tau_hat = {est.tau_hat:.9e}")
     for method, msg in errors.items():
         print(f"{method:12s} FAILED: {msg}")
-    if crlb_payload:
-        print(f"{'crlb':12s} bound   = {crlb_payload['bound']:.3e}")
+    if crlb_report is not None:
+        print(f"{'crlb':12s} bound   = {crlb_report.bound:.3e}")
     print(f"report written to {args.out}")
     return EXIT_OK if estimates else EXIT_NO_METHOD
 
@@ -244,21 +236,6 @@ def cmd_benchmark(args) -> int:
         crlb_value = crlb(
             bench.design, bench.true_tau, bench.noise_var, n_samples=bench.n_samples
         ).bound
-    per_method = {
-        m: {
-            "bias": s.bias,
-            "var": s.variance,
-            "mse_raw": s.mse_raw,
-            "mse_normalized": s.mse_normalized,
-            "failures": s.failures,
-            "n_used": s.n_used,
-        }
-        for m, s in stats.per_method.items()
-    }
-    histogram = {
-        m: {"edges": h["edges"].tolist(), "counts": h["counts"].tolist()}
-        for m, h in stats.histogram.items()
-    }
     # wall-clock runtime is the single nondeterministic report field; the
     # rest is bit-identical for any worker count
     report = {
@@ -266,8 +243,8 @@ def cmd_benchmark(args) -> int:
         "config_hash": config_hash(resolved),
         "seed": int(seed),
         "replicates": replicates,
-        "per_method": per_method,
-        "histogram": histogram,
+        "per_method": stats.per_method,
+        "histogram": stats.histogram,
         "crlb": crlb_value,
         "runtime_s": runtime,
     }
@@ -283,7 +260,7 @@ def cmd_benchmark(args) -> int:
     print(f"benchmark report written to {out_dir / 'report.json'} ({runtime:.1f} s)")
     for m, s in stats.per_method.items():
         print(
-            f"  {m:12s} bias={s.bias:+.3e} var={s.variance:.3e} "
+            f"  {m:12s} bias={s.bias:+.3e} var={s.var:.3e} "
             f"mse_raw={s.mse_raw:.3e} failures={s.failures}"
         )
     if crlb_value is not None:
@@ -314,11 +291,7 @@ def cmd_bias_predict(args) -> int:
         seed=args.seed,
     )
     payload = {
-        "predicted_bias": pred.predicted_bias,
-        "mc_samples": pred.mc_samples,
-        "eps1_mean": pred.eps1_mean,
-        "eps2_mean": pred.eps2_mean,
-        "seed": int(args.seed),
+        **asdict(pred),
         "config_hash": config_hash(resolved),
         "tau_check": args.tau_check,
         "noise_var": args.noise_var,

@@ -72,20 +72,9 @@ FREQ_AMP_THRESHOLD = 0.1
 class DelayEstimate:
     """Delay estimate with method tag and method-specific diagnostics."""
 
-    tau_hat: float
     method: str
+    tau_hat: float
     diagnostics: dict
-
-    def to_dict(self) -> dict:
-        diag = {}
-        for key, val in self.diagnostics.items():
-            if isinstance(val, np.ndarray):
-                diag[key] = val.tolist()
-            elif isinstance(val, (np.floating, np.integer)):
-                diag[key] = val.item()
-            else:
-                diag[key] = val
-        return {"method": self.method, "tau_hat": self.tau_hat, "diagnostics": diag}
 
 
 @dataclass(frozen=True)
@@ -118,9 +107,11 @@ def estimate_markov(y_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.convolve(v, y_hat)[: len(y_hat)]
 
 
-def markov_order(k_model: int, m_markov: int | None) -> int:
+def markov_order(k_model: int, m_markov: int | None, i_order: int) -> int:
     """Number M of Markov parameters entering the delay ratio: K + 1 unless
-    ``m_markov`` is given, and always within [3, K + 1]."""
+    ``m_markov`` is given, and always within [3, K + 1]; K >= input order I."""
+    if k_model < i_order:
+        raise ValueError("model order must cover the input spectrum length")
     m = k_model + 1 if m_markov is None else m_markov
     if not 3 <= m <= k_model + 1:
         raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
@@ -640,9 +631,7 @@ def build_replicate_tables(
             raise ValueError(f"unknown method {method!r}; choose from {ESTIMATORS}")
     m = None
     if "proposed" in methods or "lag_spline" in methods:
-        if k_model < len(design.u) - 1:
-            raise ValueError("model order must cover the input spectrum length")
-        m = markov_order(k_model, m_markov)
+        m = markov_order(k_model, m_markov, len(design.u) - 1)
     errors = {}
 
     def part(needed_by, build, *args):

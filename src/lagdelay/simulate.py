@@ -233,12 +233,17 @@ def support_time(design: InputDesign) -> float:
     return float(t[min(idx, t.size - 1)])
 
 
-def default_tau_max(design: InputDesign) -> float:
-    """Headroom left after the input's effective support: horizon - T_u."""
+def default_tau_max(design: InputDesign, n_samples: int | None = None) -> float:
+    """Headroom end - T_u after the input's effective support, within [10 delta,
+    end - delta]; a record of N != ``design.n_samples`` samples ends at (N - 1)
+    delta instead of the horizon."""
+    end = design.horizon
+    if n_samples not in (None, design.n_samples):
+        end = (n_samples - 1) * design.delta
     t_u = support_time(design)
     lo = 10.0 * design.delta
-    hi = design.horizon - design.delta
-    return float(min(max(design.horizon - t_u, lo), hi))
+    hi = end - design.delta
+    return float(min(max(end - t_u, lo), hi))
 
 
 def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:

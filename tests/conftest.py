@@ -152,7 +152,7 @@ def full_draw_bias_prediction(
     them by ``assemble_ab``.  Also returns, per averaged field, the mean
     absolute summand: the scale of the rounding error of that average, at
     least the field itself and far above it where the summands cancel."""
-    m = markov_order(k_model, m_markov)
+    m = markov_order(k_model, m_markov, len(design.u) - 1)
     h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
     vec_a, vec_b = assemble_ab(h_true[:m])
     btb = float(vec_b @ vec_b)

@@ -243,7 +243,7 @@ def test_criterion_6_noise_free_bias_trend(sec71_designs):
 def test_criterion_7_benchmark_core(sec72_benchmark, sec72_design):
     stats, bound, runtime = sec72_benchmark
     per = stats.per_method
-    ml_ratio = per["ml"].variance / bound
+    ml_ratio = per["ml"].var / bound
     crlb_factor = max(bound / 1.011e-9, 1.011e-9 / bound)
     no_failures = all(s.failures == 0 for s in per.values())
     ml_best = all(
@@ -252,7 +252,7 @@ def test_criterion_7_benchmark_core(sec72_benchmark, sec72_design):
     detail = (
         f"design p={sec72_design.p:.2f}; "
         + "; ".join(
-            f"{m}: bias={s.bias:+.3e} var={s.variance:.3e} mse={s.mse_raw:.3e}"
+            f"{m}: bias={s.bias:+.3e} var={s.var:.3e} mse={s.mse_raw:.3e}"
             for m, s in per.items()
         )
         + f"; CRLB={bound:.3e}; ML var/CRLB={ml_ratio:.3f}; "

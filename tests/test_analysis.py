@@ -227,7 +227,7 @@ class TestPredictBias:
         )
         stats = run_monte_carlo(cfg, methods=("proposed",), replicates=400, seed=17)
         s = stats.per_method["proposed"]
-        se = np.sqrt(s.variance / s.n_used)
+        se = np.sqrt(s.var / s.n_used)
         pred = predict_bias_tau(bench_design, 0.01, TAU, 12, mc_samples=400_000, seed=1)
         assert abs(pred.predicted_bias - s.bias) <= 3 * se
 
@@ -239,7 +239,7 @@ class TestMonteCarlo:
         )
         stats = run_monte_carlo(cfg, methods=("proposed", "freq_interp"), replicates=3, seed=0)
         for s in stats.per_method.values():
-            assert s.variance == 0.0
+            assert s.var == 0.0
             assert s.failures == 0
 
     def test_moment_identity(self, bench_design):
@@ -249,7 +249,7 @@ class TestMonteCarlo:
         stats = run_monte_carlo(cfg, methods=("proposed",), replicates=50, seed=5)
         s = stats.per_method["proposed"]
         n = s.n_used
-        assert s.mse_raw == pytest.approx(s.bias**2 + s.variance * (n - 1) / n, rel=1e-10)
+        assert s.mse_raw == pytest.approx(s.bias**2 + s.var * (n - 1) / n, rel=1e-10)
         assert s.mse_normalized == pytest.approx(
             np.sqrt(bench_design.n_samples) * s.mse_raw, rel=1e-12
         )
@@ -351,6 +351,18 @@ class TestMonteCarlo:
             "true_tau": 0.00133, "noise_var": 0.01, "k_model": 12, "m_markov": None,
             "tau_max": 0.23249999999999998, "n_samples": 1667, "hist_bins": 40,
         }
+
+    def test_config_default_tau_max_follows_n_samples(self):
+        design = InputDesign.from_dict(REF72)
+        full = BenchmarkConfig(
+            design=design, true_tau=TAU, noise_var=0.01, k_model=12, n_samples=design.n_samples
+        )
+        assert full.tau_max == 0.23249999999999998
+        # once the horizon's default, past the 0.1497 s span of 500 samples
+        short = BenchmarkConfig(design=design, true_tau=TAU, noise_var=0.01, k_model=12,
+                                n_samples=500)
+        assert short.tau_max == default_tau_max(design, 500)
+        assert short.tau_max <= 499 * design.delta
 
     @pytest.mark.parametrize("hist_bins", [0, -1])
     def test_nonpositive_hist_bins_refused(self, bench_design, hist_bins):

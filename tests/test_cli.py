@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lagdelay import cli, estimators
+from lagdelay.analysis import predict_bias_tau
 from lagdelay.cli import main
+from lagdelay.simulate import InputDesign
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 
@@ -53,6 +55,10 @@ class TestDesignCommand:
     def test_output_schema_and_hash(self, design_file):
         payload = json.loads(design_file.read_text())
         _validate(payload, "design_output.json")
+        assert list(payload) == [
+            "p", "u", "eta", "delta", "horizon", "tau_guess", "config_hash", "objective",
+            "constraints",
+        ]
         assert payload["constraints"]["ok"]
         assert len(payload["config_hash"]) == 16
 
@@ -269,7 +275,57 @@ def table_builds(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def ml_calls(monkeypatch):
+    """Calls of the ML estimator, counted where ``estimate_delay`` looks it up."""
+    calls = []
+
+    def counting(*args, _orig=estimators.estimate_delay_ml):
+        calls.append(1)
+        return _orig(*args)
+
+    monkeypatch.setattr(estimators, "estimate_delay_ml", counting)
+    return calls
+
+
+def test_repeated_method_kept_once():
+    assert cli._parse_methods("ml, proposed,ml") == ("ml", "proposed")
+    assert cli._parse_methods(["freq_interp", "ml", "freq_interp"]) == ("freq_interp", "ml")
+
+
 class TestEstimateCommand:
+    def test_repeated_method_runs_once(self, design_file, dataset_dir, tmp_path, ml_calls):
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(dataset_dir / "dataset.csv"),
+            "--design", str(design_file), "--methods", "ml,ml",
+            "--k-model", "6", "--tau-max", "0.01", "--out", str(report_path),
+        ])
+        assert rc == 0
+        assert len(ml_calls) == 1
+        assert list(json.loads(report_path.read_text())["estimates"]) == ["ml"]
+
+    def test_default_tau_max_fits_short_record(self, tmp_path):
+        # the default once came from the design's horizon: 0.2325 s, past
+        # the 0.1497 s span of 500 samples, and no method ran
+        design_path = INPUTS / "design72_ref.json"
+        data = tmp_path / "data"
+        assert main([
+            "simulate", "--design", str(design_path), "--tau", "1.33e-3",
+            "--noise-var", "0.01", "--seed", "1", "--n-samples", "500", "--out", str(data),
+        ]) == 0
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"),
+            "--design", str(design_path), "--out", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        _validate(report, "estimate_report.json")
+        assert list(report["estimates"]) == list(estimators.ESTIMATORS)
+        assert report["errors"] == {}
+        assert report["estimates"]["ml"]["tau_hat"] == pytest.approx(1.33e-3, abs=1e-4)
+
     @pytest.mark.parametrize("methods, built", [
         ("all", set(TABLE_BUILDERS)),
         ("ml", {"ml_table"}),
@@ -315,6 +371,10 @@ class TestEstimateCommand:
         assert rc == 0
         report = json.loads(report_path.read_text())
         _validate(report, "estimate_report.json")
+        assert list(report) == ["config_hash", "true_tau", "estimates", "errors", "crlb"]
+        for est in report["estimates"].values():
+            assert list(est) == ["method", "tau_hat", "diagnostics"]
+        assert list(report["crlb"]) == ["bound", "window"]
         assert set(report["estimates"]) == {"proposed", "ml", "lag_spline", "freq_interp"}
         assert report["crlb"]["bound"] > 0
         for est in report["estimates"].values():
@@ -438,6 +498,31 @@ class TestEstimateCommand:
 
 
 class TestBenchmarkCommand:
+    def test_repeated_method_runs_once(self, bench_config, tmp_path, ml_calls):
+        out = tmp_path / "mc"
+        rc = main([
+            "benchmark", "--config", str(bench_config), "--replicates", "3",
+            "--methods", "ml,ml", "--out", str(out),
+        ])
+        assert rc == 0
+        assert len(ml_calls) == 3
+        assert list(json.loads((out / "report.json").read_text())["per_method"]) == ["ml"]
+
+    def test_short_record_default_tau_max(self, tmp_path):
+        # a config with n_samples = 500 and no tau_max failed like estimate
+        cfg = {
+            "design_path": str(INPUTS / "design72_ref.json"), "true_tau": 0.00133,
+            "noise_var": 0.01, "k_model": 12, "n_samples": 500, "methods": ["ml"], "seed": 0,
+        }
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(cfg_path), "--replicates", "4", "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 0 < report["config"]["benchmark"]["tau_max"] <= 499 * 3e-4
+        assert report["per_method"]["ml"]["failures"] == 0
+
     def test_report_and_histogram(self, bench_config, tmp_path):
         out = tmp_path / "mc"
         rc = main([
@@ -447,6 +532,18 @@ class TestBenchmarkCommand:
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         _validate(report, "benchmark_report.json")
+        assert list(report) == [
+            "config", "config_hash", "seed", "replicates", "per_method", "histogram", "crlb",
+            "runtime_s",
+        ]
+        assert list(report["config"]["benchmark"]) == [
+            "design", "true_tau", "noise_var", "k_model", "m_markov", "tau_max", "n_samples",
+            "hist_bins",
+        ]
+        for stats in report["per_method"].values():
+            assert list(stats) == ["bias", "var", "mse_raw", "mse_normalized", "failures", "n_used"]
+        for hist in report["histogram"].values():
+            assert list(hist) == ["edges", "counts"]
         assert report["replicates"] == 12
         hist = (out / "histogram.csv").read_text().splitlines()
         assert hist[0] == "method,bin_left,bin_right,count"
@@ -604,6 +701,25 @@ class TestBiasPredictCommand:
         assert rc == 0
         payload = json.loads(out.read_text())
         _validate(payload, "bias_prediction.json")
+        assert list(payload) == [
+            "predicted_bias", "mc_samples", "eps1_mean", "eps2_mean", "seed", "config_hash",
+            "tau_check", "noise_var",
+        ]
+
+    def test_model_order_below_input_order_exit_1(self, tmp_path, capsys):
+        # K = 2 < I = 3 once printed a finite prediction; estimate refuses it
+        design_path = INPUTS / "design72_ref.json"
+        out = tmp_path / "b.json"
+        rc = main([
+            "bias-predict", "--design", str(design_path), "--tau-check", "1.33e-3",
+            "--noise-var", "0.01", "--k-model", "2", "--out", str(out),
+        ])
+        assert rc == 1
+        assert not out.exists()
+        design = InputDesign.from_dict(json.loads(design_path.read_text()))
+        with pytest.raises(ValueError, match="model order must cover") as exc:
+            predict_bias_tau(design, 0.01, 1.33e-3, 2)
+        assert capsys.readouterr().err == f"error: ValueError: {exc.value}\n"
 
     def test_degenerate_exit_2(self, design_file, tmp_path):
         rc = main([

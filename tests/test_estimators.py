@@ -15,6 +15,7 @@ from scipy.linalg import solve_triangular
 
 from lagdelay import estimators
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.cli import _sanitize
 from lagdelay.delay_ops import (
     assemble_ab,
     build_toeplitz,
@@ -599,7 +600,7 @@ class TestCrossMethod:
     def test_estimate_serialization(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
         est = estimate_delay_proposed(ds, tables_for(bench_design, ("proposed",)))
-        d = est.to_dict()
+        d = _sanitize(est)
         assert d["method"] == "proposed"
         assert isinstance(d["diagnostics"]["y_hat"], list)
         assert isinstance(d["tau_hat"], float)

@@ -326,3 +326,17 @@ class TestSupport:
     def test_default_tau_max_within_bounds(self, bench_design):
         tmax = default_tau_max(bench_design)
         assert 10 * bench_design.delta <= tmax <= bench_design.horizon
+
+    def test_default_tau_max_follows_record_length(self, bench_design):
+        # a record of the design's own length keeps the horizon-based value
+        # to the bit; a shorter one ends at (N - 1) delta, which the ML scan
+        # range must not pass
+        n, delta = bench_design.n_samples, bench_design.delta
+        assert default_tau_max(bench_design, n) == default_tau_max(bench_design)
+        short = default_tau_max(bench_design, 1000)
+        assert 10 * delta < short < 998 * delta
+        assert short == pytest.approx(999 * delta - support_time(bench_design), abs=1e-15)
+        # a record shorter than the input's support gets the 10 delta floor
+        assert default_tau_max(bench_design, 500) == pytest.approx(10 * delta, abs=1e-15)
+        # a longer record leaves more headroom
+        assert default_tau_max(bench_design, 2 * n) > default_tau_max(bench_design)
