@@ -29,6 +29,7 @@ from .delay_ops import (
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import (
     DegenerateBError,
+    DelayOutOfRangeError,
     FlatCorrelationError,
     IllConditionedError,
     IllConditionedWarning,

@@ -156,8 +156,10 @@ def build_phi(
     an IllConditionedWarning; downstream least squares refuses flagged
     bases, signalling that delta, n_samples or p must be revised.
     """
-    if delta <= 0:
-        raise ValueError("sampling time must be positive")
+    if not 0 < delta < np.inf:  # NaN too
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    if not cond_threshold > 0:  # NaN too
+        raise ValueError(f"cond_threshold must be positive, got {cond_threshold!r}")
     if n_samples < cfg.num_funcs:
         raise ValueError(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"

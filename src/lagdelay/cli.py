@@ -23,17 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BenchmarkConfig, markov_mse, predict_bias_tau, run_monte_carlo
-from .basis import (
-    DEFAULT_COND_THRESHOLD,
-    BasisConfig,
-    assoc_laguerre_sequence,
-    build_phi,
-)
+from .basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
 from .estimators import ESTIMATORS, build_replicate_tables, crlb, estimate_delay
 from .simulate import (
-    InputDesign, default_tau_max, load_dataset, make_dataset, sample_count, save_dataset,
+    InputDesign, default_tau_max, load_dataset, make_dataset, save_dataset,
 )
 
 log = logging.getLogger("lagdelay")
@@ -98,30 +93,7 @@ def _parse_methods(raw: str | list) -> tuple:
 
 
 def cmd_design(args) -> int:
-    cfg = _load_json(args.config)
-    delta = float(cfg["delta"])
-    if "n_samples" in cfg:
-        n_samples = int(cfg["n_samples"])
-    else:
-        n_samples = sample_count(float(cfg["horizon"]), delta)
-    grid_spec = cfg.get("p_grid", {})
-    p_grid = np.geomspace(
-        float(grid_spec.get("min", 1.0)),
-        float(grid_spec.get("max", 200.0)),
-        int(grid_spec.get("count", 40)),
-    )
-    problem = DesignProblem(
-        delta=delta,
-        n_samples=n_samples,
-        i_order=int(cfg["i_order"]),
-        energy_bound=float(cfg["energy_bound"]),
-        tau_guess=float(cfg["tau_guess"]),
-        noise_var=float(cfg["noise_var"]),
-        k_model=int(cfg["k_model"]),
-        p_grid=p_grid,
-        u_grid_points=int(cfg.get("u_grid_points", 25)),
-        refine=bool(cfg.get("refine", True)),
-    )
+    problem = DesignProblem.from_dict(_load_json(args.config))
     resolved = {**vars(problem), "p_grid": problem.p_grid.tolist()}
     design = optimize_design(problem)
     objective = markov_mse(
@@ -302,47 +274,15 @@ def cmd_bias_predict(args) -> int:
 
 
 def cmd_basis_check(args) -> int:
-    """Run the basis-layer invariant suite and print cond(Phi)."""
-    from fractions import Fraction
-    import math
-
+    """Build Phi for the given sampling, print its Gram deviation and
+    cond(Phi); exit 1 when cond(Phi) exceeds the threshold."""
     cfg = BasisConfig(p=args.p, num_funcs=args.num_funcs)
-    failures = 0
-
-    def check(name, ok, detail=""):
-        nonlocal failures
-        print(f"  [{'PASS' if ok else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        if not ok:
-            failures += 1
-
-    # recurrence vs exact-arithmetic direct sum
-    worst = 0.0
-    for xi in np.linspace(0.0, 50.0, 11):
-        seq = assoc_laguerre_sequence(float(xi), 31)
-        x = Fraction(float(xi))
-        for m in range(31):
-            if m == 0:
-                exact = 1.0
-            else:
-                exact = float(
-                    sum(
-                        Fraction(math.comb(m - 1, n - 1), math.factorial(n)) * (-x) ** n
-                        for n in range(1, m + 1)
-                    )
-                )
-            worst = max(worst, abs(seq[m] - exact) / max(abs(exact), 1e-30))
-    check("polynomial recurrence vs direct sum", worst < 1e-8, f"worst rel {worst:.2e}")
-
     phi = build_phi(cfg, args.delta, args.n_samples, args.cond_threshold)
-    check(
-        "first row equals sqrt(2p)",
-        bool(np.allclose(phi.matrix[0], np.sqrt(2 * cfg.p), rtol=1e-12)),
-    )
     gram_dev = np.abs(args.delta * phi.matrix.T @ phi.matrix - np.eye(cfg.num_funcs)).max()
     print(f"  [INFO] Gram deviation from identity: {gram_dev:.3e}")
     print(f"  [INFO] cond(Phi) = {phi.cond:.6e}" + (" (flagged)" if phi.ill_conditioned else ""))
-    check("condition number below threshold", not phi.ill_conditioned)
-    return EXIT_OK if failures == 0 else EXIT_ERROR
+    print(f"  [{'FAIL' if phi.ill_conditioned else 'PASS'}] condition number below threshold")
+    return EXIT_ERROR if phi.ill_conditioned else EXIT_OK
 
 
 @functools.cache

@@ -18,17 +18,26 @@ import numpy as np
 from .analysis import MarkovErrorModel
 from .errors import InfeasibleDesignError
 from .estimators import minimize_bounded
-from .simulate import InputDesign
+from .simulate import InputDesign, sample_count
 
 log = logging.getLogger("lagdelay.design")
 
 CONSTRAINT_ATOL = 1e-9
 REFINE_REL_TOL = 1e-4
 
+# Geometric p grid of a problem that gives none, or gives only some keys.
+P_GRID_DEFAULT = {"min": 1.0, "max": 200.0, "count": 40}
+
+
+def _p_grid(spec: dict) -> np.ndarray:
+    spec = {**P_GRID_DEFAULT, **spec}
+    return np.geomspace(float(spec["min"]), float(spec["max"]), int(spec["count"]))
+
 
 @dataclass(frozen=True, eq=False)
 class DesignProblem:
-    """Grid-search specification for the experiment design."""
+    """Grid-search specification for the experiment design; ``from_dict``
+    reads it from a design-problem config."""
 
     delta: float
     n_samples: int
@@ -56,10 +65,27 @@ class DesignProblem:
             raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
         if self.k_model < max(2, self.i_order):
             raise ValueError("k_model must cover the input order and allow M >= 3")
-        if self.p_grid is None:
-            object.__setattr__(self, "p_grid", np.geomspace(1.0, 200.0, 40))
+        grid = _p_grid({}) if self.p_grid is None else np.asarray(self.p_grid, dtype=float)
+        object.__setattr__(self, "p_grid", grid)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "DesignProblem":
+        """The problem of a design-problem config: ``n_samples`` or else
+        ``horizon``; ``p_grid`` as {min, max, count}, any of them absent."""
+        delta = float(d["delta"])
+        if "n_samples" in d:
+            n_samples = int(d["n_samples"])
         else:
-            object.__setattr__(self, "p_grid", np.asarray(self.p_grid, dtype=float))
+            n_samples = sample_count(float(d["horizon"]), delta)
+        p_grid = _p_grid(d.get("p_grid", {}))
+        optional = {key: cast(d[key]) for key, cast in
+                    (("u_grid_points", int), ("refine", bool)) if key in d}
+        return cls(
+            delta=delta, n_samples=n_samples, i_order=int(d["i_order"]),
+            energy_bound=float(d["energy_bound"]), tau_guess=float(d["tau_guess"]),
+            noise_var=float(d["noise_var"]), k_model=int(d["k_model"]), p_grid=p_grid,
+            **optional,
+        )
 
 
 def validate_constraints(u, eta: float):

@@ -36,6 +36,11 @@ class DegenerateBError(LagDelayError):
     the closed-form delay ratio is undefined."""
 
 
+class DelayOutOfRangeError(LagDelayError):
+    """A Laguerre-domain delay estimate lies outside [-(N-1) delta,
+    (N-1) delta], beyond the record it was estimated from, or is NaN."""
+
+
 class ZeroInformationError(LagDelayError):
     """The input derivative carries no energy at the sample instants, so the
     variance lower bound is infinite."""

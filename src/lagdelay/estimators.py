@@ -51,6 +51,7 @@ from .basis import (
 )
 from .delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from .errors import (
+    DelayOutOfRangeError,
     FlatCorrelationError,
     IllConditionedError,
     LagDelayError,
@@ -121,9 +122,16 @@ def markov_order(k_model: int, m_markov: int | None, i_order: int) -> int:
 def _laguerre_delay(y_hat: np.ndarray, tables: ReplicateTables) -> tuple[np.ndarray, float]:
     """Laguerre-domain delay step shared by ``proposed`` and ``lag_spline``:
     Markov parameters from the output spectrum, then the closed-form ratio
-    on the first M of them.  Returns (h_hat, tau_hat)."""
+    on the first M of them.  Returns (h_hat, tau_hat); a tau_hat beyond
+    the record span (N - 1) delta raises DelayOutOfRangeError."""
     h_hat = estimate_markov(y_hat, tables.markov)
-    return h_hat, closed_form_delay(*assemble_ab(h_hat[: tables.m_markov]), tables.design.p)
+    tau_hat = closed_form_delay(*assemble_ab(h_hat[: tables.m_markov]), tables.design.p)
+    span = (tables.n_samples - 1) * tables.delta
+    if not -span <= tau_hat <= span:  # NaN too
+        raise DelayOutOfRangeError(
+            f"delay estimate {tau_hat:.6g} s lies outside the record, [-{span:.6g}, {span:.6g}] s"
+        )
+    return h_hat, tau_hat
 
 
 def estimate_delay_proposed(data: Dataset, tables: ReplicateTables) -> DelayEstimate:

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
-from lagdelay import analysis
+from lagdelay import analysis, estimators
 from lagdelay.analysis import (
     BenchmarkConfig,
     markov_mse,
@@ -18,7 +18,9 @@ from lagdelay.analysis import (
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
-from lagdelay.estimators import ESTIMATORS, build_replicate_tables, estimate_spectrum_ls
+from lagdelay.estimators import (
+    ESTIMATORS, DelayEstimate, build_replicate_tables, estimate_spectrum_ls,
+)
 from lagdelay.simulate import Dataset, InputDesign, default_tau_max, sample_delayed
 
 from conftest import state_space_basis
@@ -155,6 +157,10 @@ class TestMarkovMse:
         with pytest.raises(ValueError, match="noise variance"):
             markov_mse(bench_design, 12, noise_var, TAU)
 
+    def test_negative_tau_check_rejected(self, bench_design):
+        with pytest.raises(ValueError, match="tau_check must be nonnegative"):
+            markov_mse(bench_design, 12, 0.01, -1e-4)
+
     def test_flagged_basis_raises(self):
         # p = 0.05 cannot separate 13 functions over 200 samples
         p = 0.05
@@ -279,6 +285,28 @@ class TestMonteCarlo:
         for method in ("proposed", "lag_spline", "freq_interp"):
             assert stats.per_method[method].failures == 2
             assert np.isnan(stats.per_method[method].bias)
+
+    def test_single_success_moments(self, bench_design, monkeypatch):
+        # only the first replicate's estimate succeeds: bias = v - tau, no
+        # spread, MSE = bias^2
+        calls = []
+
+        def first_only(data, tables):
+            calls.append(1)
+            if len(calls) > 1:
+                raise DegenerateBError("patched failure")
+            return DelayEstimate(method="proposed", tau_hat=2e-3, diagnostics={})
+
+        monkeypatch.setattr(estimators, "estimate_delay_proposed", first_only)
+        cfg = BenchmarkConfig(
+            design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12, tau_max=0.01
+        )
+        stats = run_monte_carlo(cfg, methods=("proposed",), replicates=3, seed=0)
+        s = stats.per_method["proposed"]
+        assert (s.failures, s.n_used) == (2, 1)
+        assert s.bias == 2e-3 - TAU
+        assert s.var == 0.0
+        assert s.mse_raw == s.bias**2
 
     def test_workers_bit_identical(self, bench_design):
         cfg = BenchmarkConfig(

@@ -15,7 +15,7 @@ PUBLIC = {
     # design
     "DesignProblem", "optimize_design", "validate_constraints",
     # errors
-    "DegenerateBError", "FlatCorrelationError", "IllConditionedError",
+    "DegenerateBError", "DelayOutOfRangeError", "FlatCorrelationError", "IllConditionedError",
     "IllConditionedWarning", "InfeasibleDesignError", "InvalidDatasetError", "LagDelayError",
     "NoImprovementWarning", "SingularInputError", "ZeroInformationError",
     # estimators

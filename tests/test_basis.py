@@ -246,6 +246,19 @@ class TestBuildPhi:
         with pytest.raises(ValueError):
             build_phi(BasisConfig(p=1.0, num_funcs=4), 0.1, 3)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-4, np.inf, np.nan])
+    def test_unusable_delta_rejected(self, delta):
+        # an infinite delta once ended in "SVD did not converge" and a NaN
+        # one gave a basis full of NaN
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            build_phi(BasisConfig(p=20.0, num_funcs=7), delta, 5001)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
+    def test_unusable_cond_threshold_rejected(self, threshold):
+        # cond > nan is always false, so a NaN threshold once flagged nothing
+        with pytest.raises(ValueError, match="cond_threshold must be positive"):
+            build_phi(BasisConfig(p=20.0, num_funcs=26), 1e-4, 5001, cond_threshold=threshold)
+
 
 # (delta, n_samples, num_funcs) of the section 7.2 and 7.1 design problems,
 # scanned over the design optimizer's default p grid

@@ -13,6 +13,8 @@ from lagdelay.analysis import predict_bias_tau
 from lagdelay.cli import main
 from lagdelay.simulate import InputDesign
 
+from conftest import OUT_OF_RECORD
+
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 
 
@@ -127,6 +129,23 @@ class TestDesignCommand:
         assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "ValueError" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("horizon", [-0.5, float("nan")], ids=["horizon<0", "horizon=nan"])
+    def test_unusable_horizon_exit_1(self, tmp_path, capsys, horizon):
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps({**PROBLEM, "horizon": horizon}))
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert "horizon must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exit_1(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(missing), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
         assert not out.exists()
 
 
@@ -393,6 +412,62 @@ class TestEstimateCommand:
             "--design", str(design_file), "--out", str(tmp_path / "r.json"),
         ])
         assert rc == 1
+
+    def test_dataset_sampled_at_another_delta_exit_1(self, tmp_path, capsys):
+        # a well-formed dataset at delta = 1.5e-4 against a design at 3e-4
+        design = json.loads((INPUTS / "design72_ref.json").read_text())
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**design, "delta": 1.5e-4}))
+        data = tmp_path / "data"
+        main(["simulate", "--design", str(other), "--tau", "1.33e-3", "--out", str(data)])
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"),
+            "--design", str(INPUTS / "design72_ref.json"), "--out", str(report),
+        ])
+        assert rc == 1
+        assert "sampling time 0.00015 does not match design 0.0003" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_crlb_failure_reported_not_fatal(self, tmp_path):
+        # at tau = 0.6 s the input has left the 0.4998 s record, so the
+        # bound has no information; the estimates are still reported
+        design = INPUTS / "design72_ref.json"
+        data = tmp_path / "data"
+        main([
+            "simulate", "--design", str(design), "--tau", "0.6", "--noise-var", "0.01",
+            "--out", str(data),
+        ])
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
+            "--methods", "ml", "--out", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["errors"]["crlb"].startswith("ZeroInformationError: ")
+        assert report["crlb"] is None
+        assert list(report["estimates"]) == ["ml"]
+
+    @pytest.mark.parametrize("n_samples, k_model, method", OUT_OF_RECORD)
+    def test_delay_beyond_record_fails_only_its_method(self, tmp_path, n_samples, k_model, method):
+        design = INPUTS / "design72_ref.json"
+        data = tmp_path / "data"
+        main([
+            "simulate", "--design", str(design), "--tau", "1.33e-3",
+            "--n-samples", str(n_samples), "--out", str(data),
+        ])
+        report_path = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
+            "--k-model", str(k_model), "--out", str(report_path),
+        ])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["errors"][method].startswith("DelayOutOfRangeError: ")
+        assert method not in report["estimates"]
+        assert report["estimates"]["ml"]["tau_hat"] == pytest.approx(1.33e-3, abs=1e-6)
 
     def test_unknown_method_exit_1(self, design_file, dataset_dir, tmp_path):
         rc = main([
@@ -689,6 +764,25 @@ class TestBenchmarkCommand:
         assert report["per_method"]["freq_interp"]["failures"] == 2
         assert report["per_method"]["freq_interp"]["bias"] is None
 
+    @pytest.mark.parametrize("n_samples, k_model, method", OUT_OF_RECORD)
+    def test_delay_beyond_record_counted_as_failure(self, tmp_path, n_samples, k_model, method):
+        # the N = 500 configuration once exited 0 with a proposed bias of
+        # +0.350 s and no failures
+        cfg = {
+            "design_path": str(INPUTS / "design72_ref.json"), "true_tau": 0.00133,
+            "noise_var": 0.01, "k_model": k_model, "n_samples": n_samples, "tau_max": 0.01,
+            "methods": [method, "ml"], "seed": 0,
+        }
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(path), "--replicates", "20", "--out", str(out)])
+        assert rc == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["per_method"][method]["failures"] == 20
+        assert report["per_method"][method]["bias"] is None
+        assert report["per_method"]["ml"]["failures"] == 0
+
 
 class TestBiasPredictCommand:
     def test_prediction_schema(self, design_file, tmp_path):
@@ -720,6 +814,16 @@ class TestBiasPredictCommand:
         with pytest.raises(ValueError, match="model order must cover") as exc:
             predict_bias_tau(design, 0.01, 1.33e-3, 2)
         assert capsys.readouterr().err == f"error: ValueError: {exc.value}\n"
+
+    def test_too_few_mc_samples_exit_1(self, design_file, tmp_path, capsys):
+        out = tmp_path / "b.json"
+        rc = main([
+            "bias-predict", "--design", str(design_file), "--tau-check", "3e-4",
+            "--noise-var", "1e-4", "--mc-samples", "999", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "need at least 1000 Monte-Carlo samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_exit_2(self, design_file, tmp_path):
         rc = main([
@@ -809,3 +913,37 @@ class TestBasisCheck:
                 "--delta", "1e-4", "--n-samples", "5001",
             ])
         assert rc == 1
+
+    def test_prints_only_what_depends_on_the_arguments(self, capsys):
+        # no self-test of the recurrence on fixed inputs, no check of row 0
+        # (sqrt(2p) by the closed form itself)
+        rc = main([
+            "basis-check", "--p", "20", "--num-funcs", "7",
+            "--delta", "1e-4", "--n-samples", "5001",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == "  [INFO] Gram deviation from identity: 3.297e-01"
+        assert lines[1].startswith("  [INFO] cond(Phi) = ")
+        assert not lines[1].endswith("(flagged)")
+        assert lines[2] == "  [PASS] condition number below threshold"
+
+    @pytest.mark.parametrize("flag, message", [
+        # cond > nan is always false: a NaN threshold once passed this
+        # configuration, which exits 1 without the flag
+        (["--cond-threshold", "nan"], "cond_threshold must be positive"),
+        # an infinite delta once ended in "SVD did not converge", a NaN one
+        # printed FAIL lines for a basis full of NaN
+        (["--delta", "inf"], "delta must be finite and positive"),
+        (["--delta", "nan"], "delta must be finite and positive"),
+    ], ids=["threshold=nan", "delta=inf", "delta=nan"])
+    def test_unusable_argument_exit_1(self, capsys, flag, message):
+        rc = main([
+            "basis-check", "--p", "20", "--num-funcs", "26", "--delta", "1e-4",
+            "--n-samples", "5001", *flag,
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"ValueError: {message}" in captured.err
+        assert captured.out == ""

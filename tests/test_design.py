@@ -24,6 +24,7 @@ from lagdelay.design import (
     validate_constraints,
 )
 from lagdelay.errors import InfeasibleDesignError
+from lagdelay.simulate import sample_count
 
 from conftest import state_space_basis
 
@@ -224,6 +225,51 @@ class TestOptimizeDesign:
         for noise_var in (-0.01, float("nan")):
             with pytest.raises(ValueError, match="noise variance"):
                 tiny_problem(noise_var=noise_var)
+
+    @pytest.mark.parametrize("i_order, k_model", [(3, 2), (5, 4), (1, 1)])
+    def test_model_order_below_input_order_refused(self, i_order, k_model):
+        with pytest.raises(ValueError, match="k_model must cover the input order"):
+            tiny_problem(i_order=i_order, k_model=k_model)
+
+
+# the required keys of a design-problem config, sampling given by horizon
+REQUIRED = {
+    "delta": 3e-4, "horizon": 0.5, "i_order": 3, "energy_bound": 2.0, "tau_guess": 3e-4,
+    "noise_var": 0.01, "k_model": 12,
+}
+
+
+class TestFromDict:
+    def test_absent_keys_take_the_defaults(self):
+        problem = DesignProblem.from_dict(REQUIRED)
+        assert problem.n_samples == sample_count(0.5, 3e-4) == 1667
+        assert np.array_equal(problem.p_grid, np.geomspace(1.0, 200.0, 40))
+        assert problem.u_grid_points == 25
+        assert problem.refine is True
+
+    @pytest.mark.parametrize("spec, grid", [
+        ({"min": 20}, (20.0, 200.0, 40)),
+        ({"max": 50.0}, (1.0, 50.0, 40)),
+        ({"count": 3}, (1.0, 200.0, 3)),
+        ({"min": 30.0, "max": 40.0, "count": 2}, (30.0, 40.0, 2)),
+    ])
+    def test_partial_p_grid_filled_key_by_key(self, spec, grid):
+        problem = DesignProblem.from_dict({**REQUIRED, "p_grid": spec})
+        assert np.array_equal(problem.p_grid, np.geomspace(*grid))
+
+    def test_given_keys_win(self):
+        problem = DesignProblem.from_dict(
+            {**REQUIRED, "n_samples": 600, "u_grid_points": 9, "refine": False}
+        )
+        assert (problem.n_samples, problem.u_grid_points, problem.refine) == (600, 9, False)
+
+    @pytest.mark.parametrize("name", ["design71", "design72", "design_warmup"])
+    def test_committed_problems(self, name):
+        cfg = json.loads((INPUTS / f"{name}_problem.json").read_text())
+        problem = DesignProblem.from_dict(cfg)
+        for key in ("delta", "n_samples", "i_order", "energy_bound", "tau_guess", "noise_var",
+                    "k_model"):
+            assert getattr(problem, key) == cfg[key]
 
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"

@@ -24,6 +24,7 @@ from lagdelay.delay_ops import (
     reciprocal_series,
 )
 from lagdelay.errors import (
+    DelayOutOfRangeError,
     FlatCorrelationError,
     IllConditionedError,
     InvalidDatasetError,
@@ -53,7 +54,7 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import delay_spectrum, ml_gradient, state_space_basis, tables_for
+from conftest import OUT_OF_RECORD, delay_spectrum, ml_gradient, state_space_basis, tables_for
 
 TAU = 1.33e-3
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
@@ -604,6 +605,32 @@ class TestCrossMethod:
         assert d["method"] == "proposed"
         assert isinstance(d["diagnostics"]["y_hat"], list)
         assert isinstance(d["tau_hat"], float)
+
+
+class TestOutOfRecordDelay:
+    @pytest.mark.parametrize("n_samples, k_model, method", OUT_OF_RECORD)
+    def test_delay_beyond_record_raises(self, sec72_ref, n_samples, k_model, method):
+        design = sec72_ref[0]
+        ds = make_dataset(design, TAU, 0.0, 0, n_samples)
+        tables = tables_for(design, (method,), ds, k_model=k_model)
+        with pytest.raises(DelayOutOfRangeError, match="outside the record"):
+            estimate_delay(method, ds, tables)
+
+    @pytest.mark.parametrize("method", ["proposed", "lag_spline"])
+    @pytest.mark.parametrize("factor, refused", [
+        (-1.0, False), (1.0, False), (-1.001, True), (1.001, True), (np.nan, True),
+    ])
+    def test_only_the_record_span_passes(self, bench_design, monkeypatch, method, factor, refused):
+        # the ratio patched to factor * (N - 1) delta
+        ds = make_dataset(bench_design, TAU, 0.0, 0)
+        tables = tables_for(bench_design, (method,))
+        span = (ds.n_samples - 1) * ds.delta
+        monkeypatch.setattr(estimators, "closed_form_delay", lambda a, b, p: factor * span)
+        if refused:
+            with pytest.raises(DelayOutOfRangeError):
+                estimate_delay(method, ds, tables)
+        else:
+            assert estimate_delay(method, ds, tables).tau_hat == factor * span
 
 
 class TestRegistry:

@@ -90,6 +90,22 @@ class TestSynthesize:
     def test_continuity_defect_zero_for_balanced_design(self, bench_design):
         assert continuity_defect(bench_design) < 1e-10
 
+    @pytest.mark.parametrize("u0", [0.0, -0.5])
+    def test_nonpositive_leading_coefficient_refused(self, u0):
+        with pytest.raises(ValueError, match="leading input coefficient must be positive"):
+            InputDesign(
+                p=50.0, u=np.array([u0, 0.4, -0.4, -u0]), energy_bound=2.0,
+                horizon=0.5, delta=3e-4, tau_guess=3e-4,
+            )
+
+    def test_energy_above_bound_refused(self):
+        # energy 2.5 against eta = 2
+        with pytest.raises(ValueError, match="input energy 2.5 exceeds bound 2"):
+            InputDesign(
+                p=50.0, u=np.array([1.0, 0.5, -0.5, -1.0]), energy_bound=2.0,
+                horizon=0.5, delta=3e-4, tau_guess=3e-4,
+            )
+
     def test_unbalanced_design_warns(self):
         with pytest.warns(UserWarning, match="vanish"):
             InputDesign(
