@@ -8,14 +8,15 @@ delay estimate itself is a ratio of correlated noisy quantities, so its bias
 is predicted by Monte-Carlo averaging of the ratio perturbation terms.
 
 The benchmark runs its replicates through one function, over all of them
-in-process or over chunks in a process pool; noise streams keyed by
-(seed, replicate) make the statistics identical for any worker count.
+in-process or over chunks in a process pool, one method at a time over a
+block of them; noise streams keyed by (seed, replicate) make the
+statistics identical for any worker count.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -29,12 +30,20 @@ from .delay_ops import (
     reciprocal_series,
 )
 from .errors import DegenerateBError, IllConditionedError, LagDelayError
-from .estimators import ESTIMATORS, build_replicate_tables, estimate_delay, markov_order
+from .estimators import (
+    ESTIMATORS, _freq_interp_delay, _freq_interp_spectra, build_replicate_tables,
+    estimate_delay, markov_order,
+)
 from .simulate import InputDesign, add_noise, default_tau_max, sample_delayed
 
 # Draws of predict_bias_tau pushed through the ratio terms at a time; the
 # generator fills in C order, so blocks give the stream of one full draw.
 _BIAS_BLOCK_ROWS = 8192
+
+# Replicates that _run_replicates estimates one method at a time, with that
+# method's tables in cache; the FFT stage holds ~0.1 MB per replicate, and
+# blocks of 32 ran no faster than 16
+_REPLICATE_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,6 +120,10 @@ class BenchmarkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchmarkConfig":
+        # besides the fields, the benchmark command reads these keys
+        known = {f.name for f in fields(cls)} | {"design_path", "seed", "replicates", "methods"}
+        if unknown := sorted(set(d) - known):
+            raise ValueError(f"unknown benchmark config key(s) {unknown}")
         return cls(
             design=InputDesign.from_dict(d["design"]),
             true_tau=float(d["true_tau"]),
@@ -260,28 +273,33 @@ def predict_bias_tau(
 
 
 def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -> list[dict]:
-    """Each replicate's estimates, in the order of ``replicates``: one noise
-    draw per replicate, every requested estimator, a failed estimate as
-    None.  The clean signal and the estimator tables are built once per
-    call; a method whose tables failed to build fails on every replicate."""
+    """Each replicate's estimates, in the order of ``replicates``, a failed
+    estimate as None.  Per block: one noise draw per replicate, then each
+    method over the block, ``freq_interp`` with one batched FFT stage.  The
+    clean signal and the tables are built once per call; a method whose
+    tables failed to build fails on every replicate."""
     design = config.design
     clean = sample_delayed(design, config.true_tau, config.n_samples)
     tables = build_replicate_tables(
         methods, design, delta=design.delta, n_samples=config.n_samples,
         k_model=config.k_model, tau_max=config.tau_max, m_markov=config.m_markov,
     )
-    results = []
-    for r in replicates:
-        ds = add_noise(
-            clean, config.noise_var, (seed, r), delta=design.delta, true_tau=config.true_tau
-        )
-        estimates = {}
+    draw = partial(add_noise, clean, config.noise_var, delta=design.delta,
+                   true_tau=config.true_tau)
+    results = [{} for _ in replicates]
+    for lo in range(0, len(results), _REPLICATE_BLOCK):
+        block = [draw((seed, r)) for r in replicates[lo : lo + _REPLICATE_BLOCK]]
         for method in methods:
-            try:
-                estimates[method] = estimate_delay(method, ds, tables).tau_hat
-            except LagDelayError:
-                estimates[method] = None
-        results.append(estimates)
+            if method == "freq_interp" and method not in tables.errors:
+                spectra = _freq_interp_spectra(np.stack([ds.z for ds in block]), tables.corr)
+                runs = [partial(_freq_interp_delay, *row, design.delta) for row in zip(*spectra)]
+            else:
+                runs = [partial(estimate_delay, method, ds, tables) for ds in block]
+            for estimates, run in zip(results[lo:], runs):
+                try:
+                    estimates[method] = run().tau_hat
+                except LagDelayError:
+                    estimates[method] = None
     return results
 
 

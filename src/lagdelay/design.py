@@ -11,7 +11,7 @@ paired structure u_{2j} = -u_{2j-1} this pins the final odd coefficient to
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,8 @@ P_GRID_DEFAULT = {"min": 1.0, "max": 200.0, "count": 40}
 
 
 def _p_grid(spec: dict) -> np.ndarray:
+    if unknown := sorted(set(spec) - set(P_GRID_DEFAULT)):
+        raise ValueError(f"unknown p_grid key(s) {unknown}")
     spec = {**P_GRID_DEFAULT, **spec}
     return np.geomspace(float(spec["min"]), float(spec["max"]), int(spec["count"]))
 
@@ -71,7 +73,10 @@ class DesignProblem:
     @classmethod
     def from_dict(cls, d: dict) -> "DesignProblem":
         """The problem of a design-problem config: ``n_samples`` or else
-        ``horizon``; ``p_grid`` as {min, max, count}, any of them absent."""
+        ``horizon``; ``p_grid`` as {min, max, count}, any of them absent.
+        An unknown key, at the top or in ``p_grid``, raises ValueError."""
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)} - {"horizon"}):
+            raise ValueError(f"unknown design-problem key(s) {unknown}")
         delta = float(d["delta"])
         if "n_samples" in d:
             n_samples = int(d["n_samples"])

@@ -27,7 +27,8 @@ for one dataset or for many; every estimator takes the resulting
 ``estimate_delay`` checks that the data are sampled as the tables were
 built.  Per dataset only the data-dependent work runs: a QR solve, a
 matrix-vector product or an FFT, the ML refine's one pass over the
-samples, and the scalar steps.
+samples, and the scalar steps.  The FFT stage of ``freq_interp`` also
+transforms a block of datasets at once, as the benchmark does.
 
 scipy is imported inside the functions that use it, the ones that build
 the ``lag_spline`` table and build or apply the ``freq_interp`` FFTs, so a
@@ -528,13 +529,58 @@ def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
 
 
 def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
-    """r(k) = sum_n z_{n+k} u(t_n), k = 0..N-1, by FFT: both signals are
-    zero-padded to ``padded_len`` >= 2N - 1, so the circular product does
-    not wrap."""
+    """r(k) = sum_n z_{n+k} u(t_n), k = 0..N-1, for each row of z, shape
+    (..., N), by FFT along the last axis: both signals are zero-padded to
+    ``padded_len`` >= 2N - 1, so the circular product does not wrap."""
     from scipy.fft import irfft, rfft
 
     size = table.padded_len
-    return irfft(rfft(z, size) * table.u_padded_conj, size)[: z.size]
+    return irfft(rfft(z, size) * table.u_padded_conj, size)[..., : z.shape[-1]]
+
+
+def _freq_interp_spectra(z: np.ndarray, table: CorrTable) -> tuple[np.ndarray, np.ndarray]:
+    """The FFT stage of ``estimate_delay_freq_interp`` for each row of z,
+    shape (..., N): the linear cross-correlation and the circular
+    cross-power spectrum.  Batched rows equal single rows bitwise."""
+    from scipy.fft import rfft
+
+    # the circular spectrum, unlike the one-sided linear correlation, keeps
+    # both flanks of the correlation peak, which the phase fit needs
+    return _linear_correlation(z, table), rfft(z) * table.u_spectrum_conj
+
+
+def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> DelayEstimate:
+    """The per-row tail of ``estimate_delay_freq_interp``: correlation peak,
+    then the phase-slope fit, from one row of ``_freq_interp_spectra``."""
+    n = r.size
+    if np.ptp(r) == 0.0:
+        raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
+    k_star = int(np.argmax(r))
+    m = np.arange(spectrum.size)
+    # undo the integer-lag shift so only the subsample phase slope remains
+    shifted = spectrum * np.exp(2j * np.pi * m * k_star / n)
+    amp = np.abs(shifted)
+    usable = np.zeros(spectrum.size, dtype=bool)
+    usable[1 : (n - 1) // 2 + 1] = True
+    if usable.any():
+        usable &= amp >= FREQ_AMP_THRESHOLD * amp[usable].max()
+    if not usable.any():
+        raise FlatCorrelationError("no spectral bins above the amplitude threshold")
+    omega = 2.0 * np.pi * m[usable] / (n * delta)
+    weights = amp[usable] ** 2
+    # forward DFT kernel e^{-i omega t} makes a positive residual delay show
+    # up as a negative phase slope
+    per_bin = -np.angle(shifted[usable]) / omega
+    delta_tau = float(weights @ per_bin / weights.sum())
+    return DelayEstimate(
+        tau_hat=k_star * delta + delta_tau,
+        method="freq_interp",
+        diagnostics={
+            "k_star": k_star,
+            "delta_tau": delta_tau,
+            "n_bins": int(usable.sum()),
+        },
+    )
 
 
 def estimate_delay_freq_interp(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
@@ -546,44 +592,7 @@ def estimate_delay_freq_interp(data: Dataset, tables: ReplicateTables) -> DelayE
     cross-power spectrum after removing the integer shift.  The reference
     FFTs are ``tables.corr``.
     """
-    from scipy.fft import rfft
-
-    table = tables.corr
-    n = data.n_samples
-    r = _linear_correlation(data.z, table)
-    if np.ptp(r) == 0.0:
-        raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
-    k_star = int(np.argmax(r))
-
-    # circular cross-correlation spectrum; unlike the one-sided linear
-    # correlation it keeps both flanks of the correlation peak, which the
-    # phase fit needs
-    spectrum = rfft(data.z) * table.u_spectrum_conj
-    m = np.arange(spectrum.size)
-    # undo the integer-lag shift so only the subsample phase slope remains
-    shifted = spectrum * np.exp(2j * np.pi * m * k_star / n)
-    amp = np.abs(shifted)
-    usable = np.zeros(spectrum.size, dtype=bool)
-    usable[1 : (n - 1) // 2 + 1] = True
-    if usable.any():
-        usable &= amp >= FREQ_AMP_THRESHOLD * amp[usable].max()
-    if not usable.any():
-        raise FlatCorrelationError("no spectral bins above the amplitude threshold")
-    omega = 2.0 * np.pi * m[usable] / (n * data.delta)
-    weights = amp[usable] ** 2
-    # forward DFT kernel e^{-i omega t} makes a positive residual delay show
-    # up as a negative phase slope
-    per_bin = -np.angle(shifted[usable]) / omega
-    delta_tau = float(weights @ per_bin / weights.sum())
-    return DelayEstimate(
-        tau_hat=k_star * data.delta + delta_tau,
-        method="freq_interp",
-        diagnostics={
-            "k_star": k_star,
-            "delta_tau": delta_tau,
-            "n_bins": int(usable.sum()),
-        },
-    )
+    return _freq_interp_delay(*_freq_interp_spectra(data.z, tables.corr), data.delta)
 
 
 ESTIMATORS = ("proposed", "ml", "lag_spline", "freq_interp")

@@ -270,17 +270,20 @@ def save_dataset(ds: Dataset, csv_path, extra_meta: dict | None = None) -> None:
         f.write("\n")
 
 
-def load_dataset(csv_path) -> Dataset:
-    """Round-trip counterpart of save_dataset.
-
-    Raises InvalidDatasetError when the CSV is empty or lacks the t,z
-    header, a CSV row lacks its t or z field or has one that is not a
-    number, a time stamp is off the grid n * delta, a sample is not finite
-    or the CSV has another number of rows than the sidecar's n_samples.
-    """
-    csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as f:
-        meta = json.load(f)
+def _read_samples(csv_path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The t and z columns of a dataset CSV: one ``np.loadtxt`` pass when
+    that reads every line, else the csv row loop, which names bad lines."""
+    try:  # a ValueError, UnicodeDecodeError included, leaves it to the loop
+        lines = csv_path.read_text().split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if lines[:1] == ["t,z"] and len(lines) > 1:
+            tz = np.loadtxt(lines[1:], delimiter=",", usecols=(0, 1), comments=None, ndmin=2)
+            # loadtxt skips blank lines, which the row loop refuses
+            if len(tz) == len(lines) - 1:
+                return tuple(tz.T.copy())
+    except ValueError:
+        pass
     t, z = [], []
     with open(csv_path, newline="") as f:
         reader = csv.reader(f)
@@ -305,8 +308,22 @@ def load_dataset(csv_path) -> Dataset:
                     f"{csv_path}: CSV line {reader.line_num} has a field that is not a "
                     f"number: {row[:2]!r}"
                 ) from None
+    return np.asarray(t), np.asarray(z)
+
+
+def load_dataset(csv_path) -> Dataset:
+    """Round-trip counterpart of save_dataset.
+
+    Raises InvalidDatasetError when the CSV is empty or lacks the t,z
+    header, a CSV row lacks its t or z field or has one that is not a
+    number, a time stamp is off the grid n * delta, a sample is not finite
+    or the CSV has another number of rows than the sidecar's n_samples.
+    """
+    csv_path = Path(csv_path)
+    with open(csv_path.with_suffix(".json")) as f:
+        meta = json.load(f)
+    t, z = _read_samples(csv_path)
     delta = float(meta["delta"])
-    t, z = np.asarray(t), np.asarray(z)
     grid = np.arange(t.size) * delta
     # sample n is on CSV line n + 2, after the header; the grid test is
     # written as "not within" so that a NaN time stamp is off the grid too

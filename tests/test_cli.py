@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lagdelay import cli, estimators
-from lagdelay.analysis import predict_bias_tau
+from lagdelay.analysis import BenchmarkConfig, predict_bias_tau
 from lagdelay.cli import main
 from lagdelay.simulate import InputDesign
 
@@ -597,6 +597,21 @@ class TestBenchmarkCommand:
         report = json.loads((out / "report.json").read_text())
         assert 0 < report["config"]["benchmark"]["tau_max"] <= 499 * 3e-4
         assert report["per_method"]["ml"]["failures"] == 0
+
+    @pytest.mark.parametrize("key", ["replicate", "noise_variance", "workers"])
+    def test_unknown_config_key_exit_1(self, bench_config, tmp_path, capsys, key):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({**json.loads(bench_config.read_text()), key: 1}))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(cfg_path), "--replicates", "2", "--out", str(out)])
+        assert rc == 1
+        assert f"unknown benchmark config key(s) ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_committed_config_keys_known(self):
+        cfg = json.loads((INPUTS / "montecarlo.json").read_text())
+        cfg["design"] = json.loads((INPUTS / "design72_ref.json").read_text())
+        assert BenchmarkConfig.from_dict({**cfg, "replicates": 3, "methods": "all"}).k_model == 12
 
     def test_report_and_histogram(self, bench_config, tmp_path):
         out = tmp_path / "mc"

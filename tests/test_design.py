@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import warnings
 from pathlib import Path
 
@@ -262,6 +263,16 @@ class TestFromDict:
             {**REQUIRED, "n_samples": 600, "u_grid_points": 9, "refine": False}
         )
         assert (problem.n_samples, problem.u_grid_points, problem.refine) == (600, 9, False)
+
+    @pytest.mark.parametrize("extra, named", [
+        ({"u_grid_point": 3}, "unknown design-problem key(s) ['u_grid_point']"),
+        ({"p_grid": {"minimum": 20}}, "unknown p_grid key(s) ['minimum']"),
+        ({"Refine": False, "n": 5}, "unknown design-problem key(s) ['Refine', 'n']"),
+    ])
+    def test_unknown_key_refused(self, extra, named):
+        # such a typo once ran the default experiment without notice
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DesignProblem.from_dict({**REQUIRED, **extra})
 
     @pytest.mark.parametrize("name", ["design71", "design72", "design_warmup"])
     def test_committed_problems(self, name):

@@ -156,6 +156,22 @@ class TestCorrelation:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 2000), rows=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    @example(n=1667, rows=32, seed=0)
+    def test_batched_rows_bitwise_equal_single_rows(self, bench_design, n, rows, seed):
+        # the benchmark transforms a block of replicates at once and each
+        # row must be the one ``estimate`` gets from its dataset alone
+        table = corr_table(bench_design, bench_design.delta, n)
+        z = np.random.default_rng(seed).standard_normal((rows, n))
+        corr, spectra = estimators._freq_interp_spectra(z, table)
+        assert corr.shape == (rows, n)
+        assert np.array_equal(corr, estimators._linear_correlation(z, table))
+        for i in range(rows):
+            single = estimators._freq_interp_spectra(z[i], table)
+            assert corr[i].tobytes() == single[0].tobytes()
+            assert spectra[i].tobytes() == single[1].tobytes()
+
     def test_estimate_bitwise_equals_direct_route(self, ref, monkeypatch):
         design, tables, data = ref
         fast = [estimate_delay_freq_interp(ds, tables) for ds in data]

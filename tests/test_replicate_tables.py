@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagdelay import analysis
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.errors import LagDelayError, SingularInputError
 from lagdelay.estimators import ESTIMATORS, estimate_delay
@@ -108,6 +109,67 @@ class TestPrebuiltEqualsPerCall:
                     oracle[method].append(est.tau_hat)
         for method in ESTIMATORS:
             assert _bits(stats.estimates[method]) == _bits(np.array(oracle[method])), method
+
+
+class TestReplicateBlocks:
+    """``_run_replicates`` draws a block of replicates and then runs one
+    method at a time over it, ``freq_interp`` with one FFT stage for the
+    whole block.  69 replicates are several full blocks and a partial one."""
+
+    SEED, REPLICATES = 5, 69
+
+    @pytest.fixture(scope="class")
+    def cfg(self, bench_design):
+        return BenchmarkConfig(
+            design=bench_design, true_tau=TAU, noise_var=NOISE_VAR, k_model=K, tau_max=TAU_MAX
+        )
+
+    @pytest.fixture(scope="class")
+    def serial(self, cfg):
+        return run_monte_carlo(cfg, replicates=self.REPLICATES, seed=self.SEED)
+
+    def test_full_blocks_and_a_partial_one(self):
+        assert self.REPLICATES > 2 * analysis._REPLICATE_BLOCK
+        assert self.REPLICATES % analysis._REPLICATE_BLOCK
+
+    def test_blocks_equal_replicate_loop(self, bench_design, serial):
+        # the replicate-major loop the harness ran before blocks, with the
+        # same prebuilt tables
+        tables = tables_for(bench_design, k_model=K, tau_max=TAU_MAX)
+        clean = sample_delayed(bench_design, TAU, bench_design.n_samples)
+        oracle = {m: [] for m in ESTIMATORS}
+        for r in range(self.REPLICATES):
+            ds = add_noise(clean, NOISE_VAR, (self.SEED, r), delta=bench_design.delta,
+                           true_tau=TAU)
+            for method in ESTIMATORS:
+                est = _run(method, ds, tables)
+                if not isinstance(est, str):
+                    oracle[method].append(est.tau_hat)
+        for method in ESTIMATORS:
+            assert _bits(serial.estimates[method]) == _bits(np.array(oracle[method])), method
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunks_cutting_blocks_equal_one_worker(self, cfg, serial, workers):
+        # the pool's chunks of 5 to 9 replicates cut across the blocks
+        pooled = run_monte_carlo(cfg, replicates=self.REPLICATES, seed=self.SEED, workers=workers)
+        for method in ESTIMATORS:
+            assert _bits(pooled.estimates[method]) == _bits(serial.estimates[method]), method
+            assert pooled.per_method[method] == serial.per_method[method]
+
+    def test_flat_row_fails_only_its_replicate(self, cfg, serial, monkeypatch):
+        # replicate 40, inside a block, measures nothing: its
+        # correlation is flat
+        def noise_but_flat_40(y, noise_var, seed, **kwargs):
+            if seed[1] == 40:
+                return add_noise(np.zeros_like(y), 0.0, seed, **kwargs)
+            return add_noise(y, noise_var, seed, **kwargs)
+
+        monkeypatch.setattr(analysis, "add_noise", noise_but_flat_40)
+        stats = run_monte_carlo(cfg, methods=("freq_interp",), replicates=self.REPLICATES,
+                                seed=self.SEED)
+        assert stats.per_method["freq_interp"].failures == 1
+        want = np.delete(serial.estimates["freq_interp"], 40)
+        assert _bits(stats.estimates["freq_interp"]) == _bits(want)
 
 
 def _other_design(design, u):

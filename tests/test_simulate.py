@@ -1,6 +1,8 @@
 """Signal synthesis tests: closed-form input, exact delay, noise, file I/O."""
 
+import csv
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from lagdelay import simulate
 from lagdelay.basis import BasisConfig, eval_basis_matrix
 from lagdelay.cli import main
 from lagdelay.errors import InvalidDatasetError
@@ -321,6 +324,70 @@ class TestDatasetIO:
         (tmp_path / "d.csv").write_text("\n".join(rows[:-10]) + "\n")
         with pytest.raises(InvalidDatasetError, match="n_samples"):
             load_dataset(tmp_path / "d.csv")
+
+
+def _csv_oracle(csv_path):
+    """t and z read row by row with csv and float."""
+    with open(csv_path, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    return tuple(np.array([float(row[i]) for row in rows]) for i in (0, 1))
+
+
+class TestLoadFastPath:
+    """``load_dataset`` reads the header t,z and rows of numbers in one
+    ``np.loadtxt`` pass, and leaves every other file to its csv row loop,
+    which accepts the same files and names the first line it refuses."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, bench_design):
+        save_dataset(make_dataset(bench_design, 1.33e-3, 0.01, 4), tmp_path / "d.csv")
+        return tmp_path / "d.csv"
+
+    def _with_line_5(self, csv_path, line):
+        rows = csv_path.read_text().splitlines()
+        rows[4] = line
+        csv_path.write_text("\n".join(rows) + "\n")
+
+    def test_plain_file_skips_the_row_loop(self, saved, monkeypatch):
+        t, z = _csv_oracle(saved)
+
+        def no_loop(*args, **kwargs):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(simulate.csv, "reader", no_loop)
+        back = load_dataset(saved)
+        assert back.z.tobytes() == z.tobytes()
+        assert back.t.tobytes() == (np.arange(z.size) * back.delta).tobytes()
+        assert back.z.flags.c_contiguous
+        assert np.array_equal(t, back.t)
+
+    @pytest.mark.parametrize("line, message", [
+        ("", "CSV line 5 has 0 field(s), expected t and z"),
+        ("# a comment", "CSV line 5 has 1 field(s), expected t and z"),
+        ("#0.0012,0.5", "CSV line 5 has a field that is not a number: ['#0.0012', '0.5']"),
+        ("0.0012", "CSV line 5 has 1 field(s), expected t and z"),
+        ("0.0012,abc", "CSV line 5 has a field that is not a number: ['0.0012', 'abc']"),
+    ], ids=["blank", "comment", "hash-prefixed", "short", "not-a-number"])
+    def test_refused_line_named_by_the_row_loop(self, saved, line, message):
+        # np.loadtxt would skip the blank line; the row loop refuses it
+        self._with_line_5(saved, line)
+        with pytest.raises(InvalidDatasetError, match=re.escape(f"{saved}: {message}")):
+            load_dataset(saved)
+
+    def test_blank_last_line_refused(self, saved):
+        saved.write_text(saved.read_text() + "\n")
+        with pytest.raises(InvalidDatasetError, match="has 0 field"):
+            load_dataset(saved)
+
+    @pytest.mark.parametrize("line", ['"{t:.17g}","{z:.17g}"', "{t:.17g},{z:.17g},extra",
+                                      " {t:.17g} ,{z:.17g}"],
+                             ids=["quoted", "third-field", "spaces"])
+    def test_other_accepted_lines_read_as_the_row_loop_reads_them(self, saved, line):
+        t, z = _csv_oracle(saved)
+        self._with_line_5(saved, line.format(t=t[3], z=z[3]))
+        back = load_dataset(saved)
+        assert back.z.tobytes() == z.tobytes()
+        assert back.t.tobytes() == (np.arange(z.size) * back.delta).tobytes()
 
 
 class TestSupport:
