@@ -30,9 +30,9 @@ matrix-vector product or an FFT, the ML refine's one pass over the
 samples, and the scalar steps.  The FFT stage of ``freq_interp`` also
 transforms a block of datasets at once, as the benchmark does.
 
-scipy is imported inside the functions that use it, the ones that build
-the ``lag_spline`` table and build or apply the ``freq_interp`` FFTs, so a
-run without those two methods never pays for its import.
+Nothing here imports scipy: the FFTs are numpy's, and the spline slope
+system is solved through the Green's function of its tridiagonal matrix,
+so no command pays for loading scipy (a test dependency only).
 """
 
 from __future__ import annotations
@@ -68,6 +68,9 @@ ML_TAU_XATOL = 5e-11
 # this fraction of the peak spectral amplitude; weaker bins are treated as
 # noise-dominated.
 FREQ_AMP_THRESHOLD = 0.1
+# ``_freq_interp_delay`` shifts only the bins whose unshifted amplitude
+# reaches this level, just under the threshold
+_FREQ_CANDIDATE_LEVEL = FREQ_AMP_THRESHOLD * (1.0 - 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +428,57 @@ _GL_HERMITE = np.stack([
     _GL_X**2 * (_GL_X - 1.0),
 ])
 
+# The spline slope system S y = b, S = tridiag(1, 4, 1) with its first and
+# last rows halved to (0.5, 1) and (1, 0.5).  Inside, 4 = 1/r + r with
+# r = 2 - sqrt(3), so the bi-infinite (1, 4, 1) operator has the Green's
+# function g_k = (-r)^|k| / sqrt(12) and the homogeneous solutions (-r)^i,
+# (-r)^(-i).  g falls below 1e-18 past 32 taps, so the convolution with g
+# is three products of 32 x 32 blocks: with the diagonal block, the one
+# before and the one after.
+_SPLINE_R = 2.0 - math.sqrt(3.0)
+_SPLINE_TAPS = 32
+_SPLINE_GREEN = [
+    (-_SPLINE_R) ** np.abs(np.arange(_SPLINE_TAPS)[:, None] - np.arange(_SPLINE_TAPS) + shift)
+    / math.sqrt(12.0)
+    for shift in (0, _SPLINE_TAPS, -_SPLINE_TAPS)
+]
+_SPLINE_DECAY = (-_SPLINE_R) ** np.arange(2 * _SPLINE_TAPS)
+
+
+def _solve_spline_system(rhs: np.ndarray) -> np.ndarray:
+    """y with S y = rhs for each column of rhs, shape (N, m), N >= 4.
+
+    A particular solution convolves the interior right-hand sides with g,
+    which solves every interior row; then alpha (-r)^i + beta
+    (-r)^(N - 1 - i) is added per column, with alpha and beta from the two
+    end rows by one 2 x 2 solve.  Within about 1e-15 of a banded Cholesky
+    solve, relative to the largest |y|.
+    """
+    n, m = rhs.shape
+    taps, r = _SPLINE_TAPS, _SPLINE_R
+    blocks = -(-n // taps)
+    # one zero block on either side, rows 0 and N - 1 left out
+    padded = np.zeros(((blocks + 2) * taps, m))
+    padded[taps + 1 : taps + n - 1] = rhs[1:-1]
+    padded = padded.reshape(blocks + 2, taps, m)
+    diagonal, before, after = _SPLINE_GREEN
+    y = diagonal @ padded[1:-1] + before @ padded[:-2] + after @ padded[2:]
+    y = y.reshape(-1, m)[:n]
+    # the end rows' residuals against (alpha, beta); the matrix is
+    # [[a, c], [c, a]], a = 0.5 - r from 0.5 * 1 + (-r), and c the same rows
+    # on the far solution, (-r)^(N - 2) (1 - r / 2)
+    first = rhs[0] - (0.5 * y[0] + y[1])
+    last = rhs[-1] - (y[-2] + 0.5 * y[-1])
+    a = 0.5 - r
+    c = (-r) ** (n - 2) * (1.0 - 0.5 * r)
+    det = a * a - c * c
+    # (-r)^i is below 1e-36 past the tabulated 64 rows
+    rows = min(n, _SPLINE_DECAY.size)
+    decay = _SPLINE_DECAY[:rows, None]
+    y[:rows] += decay * ((a * first - c * last) / det)
+    y[n - rows :] += decay[::-1] * ((a * last - c * first) / det)
+    return y
+
 
 def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> np.ndarray:
     """Projection matrix of ``project_spectrum_spline`` for one sampling, one
@@ -436,11 +490,9 @@ def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> np.n
     is G_z z + G_s s.  The not-a-knot slopes solve the tridiagonal system
     A s = R z, with R a three-point difference stencil.  Halving A's first
     and last rows makes it symmetric positive definite, S = D A, so
-    P = G_z + (S^{-1} G_s^T)^T D R: one banded solve with K + 1 right-hand
-    sides, O(K N) in all.
+    P = G_z + (S^{-1} G_s^T)^T D R: one tridiagonal solve with K + 1
+    right-hand sides (``_solve_spline_system``), O(K N) in all.
     """
-    from scipy.linalg import solveh_banded
-
     if n_samples < 4:
         raise ValueError("cubic spline interpolation needs at least 4 samples")
     half = delta / 2.0
@@ -459,12 +511,9 @@ def spline_table(p: float, num_funcs: int, delta: float, n_samples: int) -> np.n
     g_s = np.zeros((n_samples, num_funcs))
     g_s[:-1] += delta * moments[1]
     g_s[1:] += delta * moments[3]
-    # S = D A in upper banded form: A's rows are (1, 2), (1, 4, 1) ...
-    # (1, 4, 1), (2, 1), and D halves the first and the last
-    s_banded = np.ones((2, n_samples))
-    s_banded[1] = 4.0
-    s_banded[1, [0, -1]] = 0.5
-    y = solveh_banded(s_banded, g_s)
+    # A's rows are (1, 2), (1, 4, 1) ... (1, 4, 1), (2, 1), and D halves
+    # the first and the last
+    y = _solve_spline_system(g_s)
     # P^T = G_z^T + R^T D y: R's rows are 3 (z_{i+1} - z_{i-1}) / delta
     # inside and the one-sided stencils (-5, 4, 1) and (-1, -4, 5) / (2 delta)
     # at the ends, which D halves
@@ -514,17 +563,30 @@ class CorrTable:
     u_padded_conj: np.ndarray = field(repr=False)
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, n >= 1: a length the real FFT factors
+    into its fastest radices (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            # the least power of two times odd that reaches n
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 def corr_table(design: InputDesign, delta: float, n_samples: int) -> CorrTable:
     """Reference table of ``estimate_delay_freq_interp`` for one sampling."""
-    from scipy.fft import next_fast_len, rfft
-
     if n_samples < 2:
         raise ValueError("need at least two samples")
     u_samples = synthesize_input(design, np.arange(n_samples) * delta)
-    padded_len = next_fast_len(2 * n_samples - 1, real=True)
+    padded_len = _next_fast_len(2 * n_samples - 1)
     return CorrTable(
-        padded_len=padded_len, u_spectrum_conj=np.conj(rfft(u_samples)),
-        u_padded_conj=np.conj(rfft(u_samples, padded_len)),
+        padded_len=padded_len, u_spectrum_conj=np.conj(np.fft.rfft(u_samples)),
+        u_padded_conj=np.conj(np.fft.rfft(u_samples, padded_len)),
     )
 
 
@@ -532,21 +594,17 @@ def _linear_correlation(z: np.ndarray, table: CorrTable) -> np.ndarray:
     """r(k) = sum_n z_{n+k} u(t_n), k = 0..N-1, for each row of z, shape
     (..., N), by FFT along the last axis: both signals are zero-padded to
     ``padded_len`` >= 2N - 1, so the circular product does not wrap."""
-    from scipy.fft import irfft, rfft
-
     size = table.padded_len
-    return irfft(rfft(z, size) * table.u_padded_conj, size)[..., : z.shape[-1]]
+    return np.fft.irfft(np.fft.rfft(z, size) * table.u_padded_conj, size)[..., : z.shape[-1]]
 
 
 def _freq_interp_spectra(z: np.ndarray, table: CorrTable) -> tuple[np.ndarray, np.ndarray]:
     """The FFT stage of ``estimate_delay_freq_interp`` for each row of z,
     shape (..., N): the linear cross-correlation and the circular
     cross-power spectrum.  Batched rows equal single rows bitwise."""
-    from scipy.fft import rfft
-
     # the circular spectrum, unlike the one-sided linear correlation, keeps
     # both flanks of the correlation peak, which the phase fit needs
-    return _linear_correlation(z, table), rfft(z) * table.u_spectrum_conj
+    return _linear_correlation(z, table), np.fft.rfft(z) * table.u_spectrum_conj
 
 
 def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> DelayEstimate:
@@ -556,16 +614,19 @@ def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> Del
     if np.ptp(r) == 0.0:
         raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
     k_star = int(np.argmax(r))
-    m = np.arange(spectrum.size)
-    # undo the integer-lag shift so only the subsample phase slope remains
-    shifted = spectrum * np.exp(2j * np.pi * m * k_star / n)
-    amp = np.abs(shifted)
-    usable = np.zeros(spectrum.size, dtype=bool)
-    usable[1 : (n - 1) // 2 + 1] = True
-    if usable.any():
-        usable &= amp >= FREQ_AMP_THRESHOLD * amp[usable].max()
-    if not usable.any():
+    # the fit uses the bins 0 < m < N / 2 whose shifted amplitude reaches the
+    # threshold times the largest.  The shift leaves each amplitude within a
+    # few ulp, so a bin below a hair under the threshold on |spectrum| cannot
+    # reach it and the largest is never left out: the shift is formed only
+    # on the other bins, and the bins kept are the same
+    level = np.abs(spectrum[1 : (n - 1) // 2 + 1])
+    if not level.size:
         raise FlatCorrelationError("no spectral bins above the amplitude threshold")
+    m = 1 + np.flatnonzero(level >= _FREQ_CANDIDATE_LEVEL * level.max())
+    # undo the integer-lag shift so only the subsample phase slope remains
+    shifted = spectrum[m] * np.exp(2j * np.pi * m * k_star / n)
+    amp = np.abs(shifted)
+    usable = amp >= FREQ_AMP_THRESHOLD * amp.max()
     omega = 2.0 * np.pi * m[usable] / (n * delta)
     weights = amp[usable] ** 2
     # forward DFT kernel e^{-i omega t} makes a positive residual delay show

@@ -1,12 +1,12 @@
-"""What each CLI command imports: scipy loads only with the tables that use it.
+"""What each CLI command imports: no command loads scipy.
 
 The commands run one after another in one fresh interpreter, and the loaded
 modules are read after each.  Modules only accumulate, so a module absent
-after a later step was absent after every earlier one.  ``lag_spline``
-(``solveh_banded``) and ``freq_interp`` (``scipy.fft``) are the only users
-of scipy; a process pool loads ``concurrent.futures.process`` and
-``multiprocessing`` only for more than one worker.  scipy itself imports
-``concurrent.futures`` but not its process pool.
+after a later step was absent after every earlier one.  scipy is a test
+dependency only: the ``lag_spline`` and ``freq_interp`` tables and FFTs are
+numpy's.  A process pool loads ``concurrent.futures.process`` and
+``multiprocessing`` only for more than one worker.  The same commands run
+once more with scipy blocked, so that a stray import fails loudly.
 """
 
 import json
@@ -50,6 +50,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         "estimate": ["estimate", "--dataset", out + "/sim/dataset.csv",
                      "--design", inputs + "design72_ref.json", "--methods", "proposed,ml",
                      "--k-model", "12", "--tau-max", "0.01", "--out", out + "/est.json"],
+        # the defaults: all four methods, the ML scan over the default range
+        "estimate all": ["estimate", "--dataset", out + "/sim/dataset.csv",
+                         "--design", inputs + "design72_ref.json", "--out", out + "/est4.json"],
         "benchmark proposed,ml": ["benchmark", "--config", inputs + "montecarlo.json",
                                   "--replicates", "4", "--seed", "1", "--workers", "1",
                                   "--methods", "proposed,ml", "--out", out + "/bench2"],
@@ -63,32 +66,39 @@ print(json.dumps(after))
 """
 
 
-@pytest.fixture(scope="module")
-def loaded_after(tmp_path_factory):
-    """Modules of scipy, concurrent and multiprocessing loaded after each step."""
-    out = tmp_path_factory.mktemp("cold")
+def _run_steps(out, prelude=""):
     proc = subprocess.run(
-        [sys.executable, "-c", STEPS, str(out)], cwd=ROOT, env=ENV,
+        [sys.executable, "-c", prelude + STEPS, str(out)], cwd=ROOT, env=ENV,
         capture_output=True, text=True, timeout=300, check=False,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+@pytest.fixture(scope="module")
+def loaded_after(tmp_path_factory):
+    """Modules of scipy, concurrent and multiprocessing loaded after each step."""
+    return _run_steps(tmp_path_factory.mktemp("cold"))
+
+
 @pytest.mark.parametrize("step", ["import", "--help", "design", "simulate", "bias-predict",
-                                  "estimate", "benchmark proposed,ml"])
+                                  "estimate", "estimate all", "benchmark proposed,ml"])
 def test_no_scipy_and_no_process_pool(loaded_after, step):
     assert loaded_after[step] == []
 
 
 def test_benchmark_with_one_worker_loads_no_optimizer_and_no_pool(loaded_after):
-    # all four methods build their tables, so scipy.linalg and scipy.fft load
-    loaded = loaded_after["benchmark"]
-    assert "scipy.fft" in loaded and "scipy.linalg" in loaded
-    assert not [
-        m for m in loaded
-        if m.startswith(("scipy.optimize", "concurrent.futures.process", "multiprocessing"))
-    ]
+    # all four methods build their tables and run, and none of them loads
+    # scipy; one worker starts no pool
+    assert loaded_after["benchmark"] == []
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # with None in sys.modules, any import of scipy raises ImportError, which
+    # no command catches
+    after = _run_steps(tmp_path, 'import sys\nsys.modules["scipy"] = None\n')
+    assert list(after) == ["import", "--help", "design", "simulate", "bias-predict", "estimate",
+                           "estimate all", "benchmark proposed,ml", "benchmark"]
 
 
 def test_module_help_imports_no_scipy():

@@ -10,7 +10,13 @@ CubicSpline plus quadrature, ``np.correlate`` and ``np.fft``, the residual
 ``reciprocal_series`` per call and bounded Brent on ``ml_negloglik``
 itself.  Where the arithmetic is unchanged the estimates must be bitwise
 equal; the spline projection sums in another order and is held to 5e-14
-of its summands, and its delay to 1e-15 s; the gathered bank rounds its
+of its summands, and its delay to 1e-15 s; the spline slope system, once
+scipy's banded Cholesky solve, is held to 5e-15 of each column's largest
+solution entry, the projection matrix to 4e-15 of each row's largest
+entry and the benchmark's ``lag_spline`` estimates to 1e-15 s; the numpy
+FFT stage and its 5-smooth padded length equal scipy.fft's bitwise, and
+the phase fit that shifts only the candidate bins equals the fit over
+every bin bitwise; the gathered bank rounds its
 time arguments once instead of three times and is held to 2e-14 of its
 largest entry on the section 7 designs, with ML estimates bitwise equal
 but for ``negloglik``; the ML refine objective is held to 1e-12 relative
@@ -35,11 +41,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lagdelay import analysis, estimators
+from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.basis import eval_basis_matrix
 from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
-from lagdelay.errors import NoImprovementWarning
+from lagdelay.errors import FlatCorrelationError, NoImprovementWarning
 from lagdelay.estimators import (
     ESTIMATORS,
+    FREQ_AMP_THRESHOLD,
+    CorrTable,
     MlTable,
     build_replicate_tables,
     corr_table,
@@ -103,6 +112,25 @@ def ref():
     return design, tables, data
 
 
+def _banded_spline_solve(rhs):
+    """The spline slope system solved as ``spline_table`` once did, by
+    scipy's banded Cholesky solve of S = tridiag(1, 4, 1) with halved end
+    rows."""
+    from scipy.linalg import solveh_banded
+
+    s_banded = np.ones((2, rhs.shape[0]))
+    s_banded[1] = 4.0
+    s_banded[1, [0, -1]] = 0.5
+    return solveh_banded(s_banded, rhs)
+
+
+def _banded_spline_table(p, num_funcs, delta, n):
+    """``spline_table`` through ``_banded_spline_solve``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_solve_spline_system", _banded_spline_solve)
+        return spline_table(p, num_funcs, delta, n)
+
+
 class TestSplineProjection:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -126,6 +154,49 @@ class TestSplineProjection:
         want = cubic_spline_projection(z, p, k + 1, delta)
         assert np.all(np.abs(got - want) <= 5e-14 * (np.abs(table) @ np.abs(z)))
 
+    @pytest.mark.parametrize("n", [*range(4, 131), 1667, 5001])
+    def test_system_solve_matches_banded_cholesky(self, n):
+        # worst seen 1.7e-15 over 5 draws per n, columns scaled by up to e^20
+        rng = np.random.default_rng(n)
+        rhs = rng.standard_normal((n, 7)) * np.exp(rng.uniform(-20.0, 20.0, 7))
+        want = _banded_spline_solve(rhs)
+        got = estimators._solve_spline_system(rhs)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 5e-15 * np.max(np.abs(want), axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 200),
+        k=st.integers(0, 15),
+        p=st.floats(1.0, 200.0),
+        delta=st.sampled_from([3e-4, 1e-3, 1e-2]),
+    )
+    @example(n=1667, k=12, p=37.313866137469375, delta=3e-4)
+    def test_matrix_matches_banded_cholesky_route(self, n, k, p, delta):
+        # worst seen 1.1e-15 of the row's largest entry over 3000 draws
+        got = spline_table(p, k + 1, delta, n)
+        want = _banded_spline_table(p, k + 1, delta, n)
+        assert np.all(np.abs(got - want) <= 4e-15 * np.max(np.abs(want), axis=1, keepdims=True))
+
+    def test_benchmark_estimates_within_1e15_of_banded_cholesky_route(self, ref):
+        # 200 replicates at the section 7.2 delay: worst seen 5.2e-18 s per
+        # estimate; bias, variance and MSE move in their last digits only
+        design = ref[0]
+        config = BenchmarkConfig(
+            design=design, true_tau=1.33e-3, noise_var=NOISE_VAR, k_model=K, tau_max=TAU_MAX
+        )
+        new = run_monte_carlo(config, ("lag_spline",), replicates=200, seed=19)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_solve_spline_system", _banded_spline_solve)
+            old = run_monte_carlo(config, ("lag_spline",), replicates=200, seed=19)
+        got, want = new.estimates["lag_spline"], old.estimates["lag_spline"]
+        assert np.all(np.abs(got - want) <= 1e-15)
+        got, want = new.per_method["lag_spline"], old.per_method["lag_spline"]
+        assert (got.failures, got.n_used) == (want.failures, want.n_used) == (0, 200)
+        assert abs(got.bias - want.bias) <= 1e-15
+        for name in ("var", "mse_raw", "mse_normalized"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0)
+
     def test_sec72_spectrum_and_delay(self, ref):
         # worst over 1600 replicates: 9.5e-15 relative in y_hat, 1.7e-16 s
         # in tau_hat
@@ -137,6 +208,54 @@ class TestSplineProjection:
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             h_hat = estimate_markov(want, tables.markov)
             assert abs(est.tau_hat - closed_form_delay(*assemble_ab(h_hat), design.p)) <= 1e-15
+
+
+def _scipy_corr_table(design, delta, n):
+    """``corr_table`` as it was built through scipy.fft."""
+    from scipy.fft import next_fast_len, rfft
+
+    u_samples = synthesize_input(design, np.arange(n) * delta)
+    size = next_fast_len(2 * n - 1, real=True)
+    return CorrTable(
+        padded_len=size, u_spectrum_conj=np.conj(rfft(u_samples)),
+        u_padded_conj=np.conj(rfft(u_samples, size)),
+    )
+
+
+def _scipy_freq_interp_spectra(z, table):
+    """``_freq_interp_spectra`` as it ran through scipy.fft."""
+    from scipy.fft import irfft, rfft
+
+    size = table.padded_len
+    corr = irfft(rfft(z, size) * table.u_padded_conj, size)[..., : z.shape[-1]]
+    return corr, rfft(z) * table.u_spectrum_conj
+
+
+def _all_bins_freq_interp_delay(r, spectrum, delta):
+    """``_freq_interp_delay`` as it was: the shift, its amplitude and the
+    threshold over every bin."""
+    n = r.size
+    if np.ptp(r) == 0.0:
+        raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
+    k_star = int(np.argmax(r))
+    m = np.arange(spectrum.size)
+    shifted = spectrum * np.exp(2j * np.pi * m * k_star / n)
+    amp = np.abs(shifted)
+    usable = np.zeros(spectrum.size, dtype=bool)
+    usable[1 : (n - 1) // 2 + 1] = True
+    if usable.any():
+        usable &= amp >= FREQ_AMP_THRESHOLD * amp[usable].max()
+    if not usable.any():
+        raise FlatCorrelationError("no spectral bins above the amplitude threshold")
+    omega = 2.0 * np.pi * m[usable] / (n * delta)
+    weights = amp[usable] ** 2
+    per_bin = -np.angle(shifted[usable]) / omega
+    delta_tau = float(weights @ per_bin / weights.sum())
+    return estimators.DelayEstimate(
+        tau_hat=k_star * delta + delta_tau,
+        method="freq_interp",
+        diagnostics={"k_star": k_star, "delta_tau": delta_tau, "n_bins": int(usable.sum())},
+    )
 
 
 def _direct_correlation(z, design):
@@ -182,28 +301,75 @@ class TestCorrelation:
             old = estimate_delay_freq_interp(ds, tables)
             _assert_bitwise_equal(new, old)
 
-    def test_scipy_fft_bitwise_equals_numpy_fft(self, ref, monkeypatch):
-        # 200 replicates of the section 7.2 configuration; N = 1667 is
-        # prime, where scipy.fft is the faster of the two.  The estimators
-        # import scipy.fft where they call it, so patching the module's
-        # names swaps the transform under every call
-        import scipy.fft
+    def test_scipy_fft_bitwise_equals_numpy_fft(self, ref):
+        # 1667 is prime and pads to 3375, 5001 pads to 10125; the oracle
+        # builds the table and the FFT stage through scipy.fft
+        design = ref[0]
+        for n in (1667, 5001):
+            table = corr_table(design, design.delta, n)
+            want = _scipy_corr_table(design, design.delta, n)
+            assert table.padded_len == want.padded_len
+            assert _bits(table.u_spectrum_conj) == _bits(want.u_spectrum_conj)
+            assert _bits(table.u_padded_conj) == _bits(want.u_padded_conj)
+            clean = sample_delayed(design, 1.33e-3, n)
+            z = np.stack([
+                add_noise(clean, NOISE_VAR, (6, r), delta=design.delta, true_tau=1.33e-3).z
+                for r in range(16)
+            ])
+            for rows in (z, z[0], z[7]):
+                got = estimators._freq_interp_spectra(rows, table)
+                oracle = _scipy_freq_interp_spectra(rows, table)
+                assert [_bits(a) for a in got] == [_bits(a) for a in oracle], n
 
+    def test_next_fast_len_equals_scipy(self):
+        from scipy.fft import next_fast_len
+
+        got = [estimators._next_fast_len(n) for n in range(1, 20000)]
+        assert got == [next_fast_len(n, real=True) for n in range(1, 20000)]
+
+    def test_delay_tail_bitwise_equals_all_bins_route(self, ref):
+        # 200 replicates of the section 7.2 configuration
         design, tables, _ = ref
-        data = [
-            make_dataset(design, 1.33e-3, NOISE_VAR, (5, r)) for r in range(200)
-        ]
-        fast = [estimate_delay_freq_interp(ds, tables) for ds in data]
-        monkeypatch.setattr(scipy.fft, "rfft", np.fft.rfft)
-        monkeypatch.setattr(scipy.fft, "irfft", np.fft.irfft)
-        np_tables = build_replicate_tables(
-            ("freq_interp",), design, delta=design.delta, n_samples=design.n_samples,
-            k_model=K, tau_max=TAU_MAX,
-        )
-        assert _bits(np_tables.corr.u_spectrum_conj) == _bits(tables.corr.u_spectrum_conj)
-        assert _bits(np_tables.corr.u_padded_conj) == _bits(tables.corr.u_padded_conj)
-        for ds, new in zip(data, fast):
-            _assert_bitwise_equal(new, estimate_delay_freq_interp(ds, np_tables))
+        for r in range(200):
+            ds = make_dataset(design, 1.33e-3, NOISE_VAR, (5, r))
+            corr, spectrum = estimators._freq_interp_spectra(ds.z, tables.corr)
+            _assert_bitwise_equal(
+                estimators._freq_interp_delay(corr, spectrum, ds.delta),
+                _all_bins_freq_interp_delay(corr, spectrum, ds.delta),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 300),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.lists(
+            st.sampled_from([
+                0.0, FREQ_AMP_THRESHOLD, FREQ_AMP_THRESHOLD * (1.0 + 2.0**-52),
+                FREQ_AMP_THRESHOLD * (1.0 - 2.0**-53), FREQ_AMP_THRESHOLD * (1.0 - 1e-9),
+            ]),
+            max_size=8,
+        ),
+    )
+    @example(n=2, seed=0, levels=[])
+    @example(n=3, seed=0, levels=[])
+    def test_delay_tail_property(self, n, seed, levels):
+        # random rows; one bin is made the largest and others are set at, or
+        # within an ulp or a hair of, the threshold times its amplitude
+        rng = np.random.default_rng(seed)
+        corr = rng.standard_normal(n)
+        spectrum = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+        spectrum *= np.exp(rng.uniform(-5.0, 5.0, spectrum.size))
+        bins = rng.permutation(np.arange(1, (n - 1) // 2 + 1))[: len(levels) + 1]
+        peak = 2.0 * np.max(np.abs(spectrum))
+        for m, level in zip(bins, [1.0, *levels]):
+            spectrum[m] = level * peak * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        try:
+            want = _all_bins_freq_interp_delay(corr, spectrum, 3e-4)
+        except FlatCorrelationError as exc:
+            with pytest.raises(FlatCorrelationError, match=str(exc)):
+                estimators._freq_interp_delay(corr, spectrum, 3e-4)
+            return
+        _assert_bitwise_equal(estimators._freq_interp_delay(corr, spectrum, 3e-4), want)
 
 
 def _einsum_scan(table, data):
