@@ -16,12 +16,10 @@ from .analysis import (
 from .basis import (
     BasisConfig,
     SampledBasis,
-    assoc_laguerre_recurrence,
     build_phi,
 )
 from .delay_ops import (
     assemble_ab,
-    build_omega,
     build_toeplitz,
     closed_form_delay,
     markov_params,

@@ -45,6 +45,9 @@ _BIAS_BLOCK_ROWS = 8192
 # blocks of 32 ran no faster than 16
 _REPLICATE_BLOCK = 16
 
+# Bins of each method's histogram of estimates in a benchmark report.
+_HIST_BINS = 40
+
 
 @dataclass(frozen=True, eq=False)
 class MarkovAccuracy:
@@ -95,7 +98,7 @@ class BenchmarkConfig:
 
     ``n_samples`` and ``tau_max`` left at None are resolved at construction,
     in that order, to ``design.n_samples`` and ``default_tau_max(design,
-    n_samples)``; ``hist_bins`` must be at least 1.
+    n_samples)``.
     """
 
     design: InputDesign
@@ -105,11 +108,8 @@ class BenchmarkConfig:
     m_markov: int | None = None
     tau_max: float | None = None
     n_samples: int | None = None
-    hist_bins: int = 40
 
     def __post_init__(self):
-        if not self.hist_bins >= 1:
-            raise ValueError(f"hist_bins must be at least 1, got {self.hist_bins!r}")
         if self.n_samples is None:
             object.__setattr__(self, "n_samples", self.design.n_samples)
         if self.tau_max is None:
@@ -132,7 +132,6 @@ class BenchmarkConfig:
             m_markov=None if d.get("m_markov") is None else int(d["m_markov"]),
             tau_max=None if d.get("tau_max") is None else float(d["tau_max"]),
             n_samples=None if d.get("n_samples") is None else int(d["n_samples"]),
-            hist_bins=int(d.get("hist_bins", 40)),
         )
 
 
@@ -363,9 +362,9 @@ def run_monte_carlo(
             n_used=int(vals.size),
         )
         if vals.size:
-            counts, edges = np.histogram(vals, bins=config.hist_bins)
+            counts, edges = np.histogram(vals, bins=_HIST_BINS)
         else:
-            counts, edges = np.zeros(config.hist_bins, dtype=int), np.linspace(0, 1, config.hist_bins + 1)
+            counts, edges = np.zeros(_HIST_BINS, dtype=int), np.linspace(0, 1, _HIST_BINS + 1)
         histogram[method] = {"edges": edges, "counts": counts}
     return McStats(
         per_method=per_method,

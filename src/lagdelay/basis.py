@@ -52,9 +52,6 @@ class SampledBasis:
     solve against this basis reuses them.
     """
 
-    p: float
-    k_max: int
-    delta: float
     n_samples: int
     matrix: np.ndarray
     cond: float
@@ -64,18 +61,10 @@ class SampledBasis:
     r: np.ndarray = field(repr=False)
 
 
-def assoc_laguerre_recurrence(l_prev: float, l_curr: float, m: int, xi: float) -> float:
-    """Advance the shifted-index polynomials one order: given L_{m-1} and
-    L_m at xi, return L_{m+1}(xi) = ((2m - xi) L_m - (m - 1) L_{m-1}) / (m + 1).
-    """
-    if m < 1:
-        raise ValueError("recurrence starts at m = 1")
-    return ((2.0 * m - xi) * l_curr - (m - 1.0) * l_prev) / (m + 1.0)
-
-
 def assoc_laguerre_sequence(xi: float, count: int) -> np.ndarray:
     """Shifted-index associated Laguerre polynomials L_0(xi) ... L_{count-1}(xi)
-    by the stable upward recurrence.
+    by the stable upward recurrence
+    L_{m+1}(xi) = ((2m - xi) L_m - (m - 1) L_{m-1}) / (m + 1).
 
     These are the alpha = -1 members of the generalized Laguerre family:
     L_0 = 1, L_1 = -xi, L_2 = xi^2/2 - xi, ...
@@ -88,7 +77,7 @@ def assoc_laguerre_sequence(xi: float, count: int) -> np.ndarray:
         return out
     out[1] = -xi
     for m in range(1, count - 1):
-        out[m + 1] = assoc_laguerre_recurrence(out[m - 1], out[m], m, xi)
+        out[m + 1] = ((2.0 * m - xi) * out[m] - (m - 1.0) * out[m - 1]) / (m + 1.0)
     return out
 
 
@@ -179,9 +168,6 @@ def build_phi(
             )
         )
     return SampledBasis(
-        p=cfg.p,
-        k_max=cfg.k_max,
-        delta=delta,
         n_samples=n_samples,
         matrix=matrix,
         cond=cond,

@@ -84,40 +84,24 @@ def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     return v
 
 
-def build_omega(m_count: int) -> np.ndarray:
-    """Coefficient matrix of the three-term relations kappa h_m =
-    -(m-1) h_{m-1} + 2m h_m - (m+1) h_{m+1}, rows m = 0..M-2.
-
-    The h_{M-1} column falls outside the matrix; its contribution is the
-    separate tail term applied by assemble_ab.
-    """
-    if m_count < 3:
-        raise ValueError("need at least three Markov parameters")
-    n = m_count - 1
-    m = np.arange(n, dtype=float)
-    i = np.arange(n)
-    omega = np.zeros((n, n))
-    omega[i, i] = 2.0 * m
-    omega[i[1:], i[:-1]] = -(m[1:] - 1.0)
-    omega[i[:-1], i[1:]] = -(m[:-1] + 1.0)
-    return omega
-
-
 def assemble_ab(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the delay relations: B = h_{0..M-2}, A = Omega B - (M-1) h_{M-1} e.
+    """Stack the delay relations kappa h_m = 2m h_m - (m+1) h_{m+1} -
+    (m-1) h_{m-1}, rows m = 0..M-2, as A = kappa B with B = h_{0..M-2}.
     Returns (A, B).
 
-    The Markov index is the last axis of ``h``; leading axes are a batch and
-    carry over to A and B.  B is a view of ``h``.  For exact Markov
-    sequences A = kappa B holds entrywise.
+    The Markov index is the last axis of ``h``; leading axes are a batch,
+    applied elementwise, so a batch row is bitwise the same row alone.  B is
+    a view of ``h``.  For exact Markov sequences A = kappa B holds entrywise.
     """
     values = np.asarray(h, dtype=float)
     m_count = values.shape[-1]
     if m_count < 3:
         raise ValueError("need at least three Markov parameters")
-    vec_b = values[..., : m_count - 1]
-    vec_a = vec_b @ build_omega(m_count).T
-    vec_a[..., -1] -= (m_count - 1.0) * values[..., m_count - 1]
+    m = np.arange(m_count - 1, dtype=float)
+    vec_b = values[..., :-1]
+    vec_a = 2.0 * m * vec_b - (m + 1.0) * values[..., 1:]
+    # row 0 has no h_{-1} term
+    vec_a[..., 1:] -= (m[1:] - 1.0) * vec_b[..., :-1]
     return vec_a, vec_b
 
 

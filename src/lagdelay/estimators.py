@@ -71,6 +71,10 @@ FREQ_AMP_THRESHOLD = 0.1
 # ``_freq_interp_delay`` shifts only the bins whose unshifted amplitude
 # reaches this level, just under the threshold
 _FREQ_CANDIDATE_LEVEL = FREQ_AMP_THRESHOLD * (1.0 - 1e-9)
+# Bins 0 < m < N / 2 that all stay below this fraction of the largest
+# amplitude on any bin hold only FFT rounding, as for constant data (1e-17
+# there, 0.2 or more on every tested replicate), and carry no phase slope
+_FREQ_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -620,7 +624,7 @@ def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> Del
     # reach it and the largest is never left out: the shift is formed only
     # on the other bins, and the bins kept are the same
     level = np.abs(spectrum[1 : (n - 1) // 2 + 1])
-    if not level.size:
+    if not level.size or level.max() <= _FREQ_FLOOR * np.abs(spectrum).max():
         raise FlatCorrelationError("no spectral bins above the amplitude threshold")
     m = 1 + np.flatnonzero(level >= _FREQ_CANDIDATE_LEVEL * level.max())
     # undo the integer-lag shift so only the subsample phase slope remains
@@ -662,19 +666,17 @@ ESTIMATORS = ("proposed", "ml", "lag_spline", "freq_interp")
 @dataclass(frozen=True, eq=False)
 class ReplicateTables:
     """Everything an estimate needs besides the data, for ``methods``: the
-    design, the sampling (delta, N), K, tau_max, the Markov order M (None
-    unless ``proposed`` or ``lag_spline`` is among them) and each method's
-    tables; ``markov`` is the reciprocal series v of u to K + 1 terms and
-    ``spline`` the projection matrix of ``spline_table``.  A part is None
-    when no method needs it.  ``errors`` maps a method to the LagDelayError
-    that building one of its parts raised."""
+    design, the sampling (delta, N), the Markov order M (None unless
+    ``proposed`` or ``lag_spline`` is among them) and each method's tables,
+    which carry K and tau_max; ``markov`` is the reciprocal series v of u to
+    K + 1 terms and ``spline`` the projection matrix of ``spline_table``.  A
+    part is None when no method needs it.  ``errors`` maps a method to the
+    LagDelayError that building one of its parts raised."""
 
     methods: tuple
     design: InputDesign
     delta: float
     n_samples: int
-    k_model: int
-    tau_max: float
     m_markov: int | None
     phi: SampledBasis | None
     markov: np.ndarray | None
@@ -725,8 +727,7 @@ def build_replicate_tables(
 
     k1 = k_model + 1
     return ReplicateTables(
-        methods=methods, design=design, delta=delta, n_samples=n_samples, k_model=k_model,
-        tau_max=tau_max, m_markov=m,
+        methods=methods, design=design, delta=delta, n_samples=n_samples, m_markov=m,
         phi=part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples),
         markov=part(("proposed", "lag_spline"), reciprocal_series, design.u, k1),
         ml=part(("ml",), ml_table, design, delta, n_samples, tau_max),

@@ -74,7 +74,7 @@ def state_space_basis(
     q, r = qr(matrix, mode="economic", check_finite=False)
     cond = float(np.linalg.cond(r))
     return SampledBasis(
-        p=cfg.p, k_max=cfg.k_max, delta=delta, n_samples=n_samples, matrix=matrix, cond=cond,
+        n_samples=n_samples, matrix=matrix, cond=cond,
         ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
         cond_threshold=cond_threshold, q=q, r=r,
     )

@@ -377,7 +377,7 @@ class TestMonteCarlo:
                 "tau_guess": 0.0003,
             },
             "true_tau": 0.00133, "noise_var": 0.01, "k_model": 12, "m_markov": None,
-            "tau_max": 0.23249999999999998, "n_samples": 1667, "hist_bins": 40,
+            "tau_max": 0.23249999999999998, "n_samples": 1667,
         }
 
     def test_config_default_tau_max_follows_n_samples(self):
@@ -391,14 +391,6 @@ class TestMonteCarlo:
                                 n_samples=500)
         assert short.tau_max == default_tau_max(design, 500)
         assert short.tau_max <= 499 * design.delta
-
-    @pytest.mark.parametrize("hist_bins", [0, -1])
-    def test_nonpositive_hist_bins_refused(self, bench_design, hist_bins):
-        with pytest.raises(ValueError, match="hist_bins"):
-            BenchmarkConfig(
-                design=bench_design, true_tau=TAU, noise_var=0.01, k_model=12,
-                hist_bins=hist_bins,
-            )
 
     def test_replicate_floor(self, bench_design):
         cfg = BenchmarkConfig(

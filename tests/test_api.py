@@ -9,9 +9,9 @@ PUBLIC = {
     "BenchmarkConfig", "BiasPrediction", "MarkovAccuracy", "McStats", "MethodStats",
     "markov_mse", "predict_bias_tau", "run_monte_carlo",
     # basis
-    "BasisConfig", "SampledBasis", "assoc_laguerre_recurrence", "build_phi",
+    "BasisConfig", "SampledBasis", "build_phi",
     # delay_ops: Laguerre-domain quantities are plain arrays
-    "assemble_ab", "build_omega", "build_toeplitz", "closed_form_delay", "markov_params",
+    "assemble_ab", "build_toeplitz", "closed_form_delay", "markov_params",
     # design
     "DesignProblem", "optimize_design", "validate_constraints",
     # errors

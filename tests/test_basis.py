@@ -11,12 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lagdelay.basis import (
     DEFAULT_COND_THRESHOLD,
     BasisConfig,
-    assoc_laguerre_recurrence,
     assoc_laguerre_sequence,
     build_phi,
     eval_basis_derivative_matrix,
@@ -74,19 +75,34 @@ class TestAssocLaguerrePoly:
             assoc_laguerre_sequence(1.0, 0)
 
 
+def _recurrence_step(l_prev, l_curr, m, xi):
+    """One step of the upward recurrence as the package's former one-step
+    helper evaluated it: L_{m+1} = ((2m - xi) L_m - (m - 1) L_{m-1}) / (m + 1)."""
+    return ((2.0 * m - xi) * l_curr - (m - 1.0) * l_prev) / (m + 1.0)
+
+
 class TestRecurrence:
     def test_reproduces_order_two(self):
         for xi in [0.0, 0.7, 2.0, 13.0]:
-            got = assoc_laguerre_recurrence(1.0, -xi, 1, xi)
+            got = assoc_laguerre_sequence(xi, 3)[2]
             assert_allclose(got, xi**2 / 2 - xi, rtol=1e-14, atol=1e-15)
 
     def test_zero_argument(self):
-        assert assoc_laguerre_recurrence(1.0, 0.0, 1, 0.0) == 0.0
+        assert assoc_laguerre_sequence(0.0, 3)[2] == 0.0
 
     def test_order_three_at_one(self):
-        l2 = assoc_laguerre_recurrence(1.0, -1.0, 1, 1.0)
-        l3 = assoc_laguerre_recurrence(-1.0, l2, 2, 1.0)
-        assert_allclose(l3, -1.0 / 6.0, rtol=1e-14)
+        assert_allclose(assoc_laguerre_sequence(1.0, 4)[3], -1.0 / 6.0, rtol=1e-14)
+
+    @settings(max_examples=300, deadline=None)
+    @given(xi=st.floats(-50.0, 50.0), count=st.integers(1, 31))
+    @example(xi=0.0, count=31)
+    @example(xi=50.0, count=31)
+    @example(xi=-50.0, count=31)
+    def test_bitwise_equals_one_step_helper(self, xi, count):
+        want = [1.0, -xi][:count]
+        for m in range(1, count - 1):
+            want.append(_recurrence_step(want[m - 1], want[m], m, xi))
+        assert assoc_laguerre_sequence(xi, count).tobytes() == np.array(want).tobytes()
 
     def test_consistent_with_direct_evaluation(self):
         # recurrence-generated sequence vs exact rational direct sum

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, schemas, reproducibility."""
 
 import json
+from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from lagdelay import cli, estimators
 from lagdelay.analysis import BenchmarkConfig, predict_bias_tau
 from lagdelay.cli import main
+from lagdelay.errors import IllConditionedWarning, NoImprovementWarning
 from lagdelay.simulate import InputDesign
 
 from conftest import OUT_OF_RECORD
@@ -440,10 +442,12 @@ class TestEstimateCommand:
             "--out", str(data),
         ])
         report_path = tmp_path / "r.json"
-        rc = main([
-            "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
-            "--methods", "ml", "--out", str(report_path),
-        ])
+        # on pure noise the ML refine ends on its grid point
+        with pytest.warns(NoImprovementWarning):
+            rc = main([
+                "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
+                "--methods", "ml", "--out", str(report_path),
+            ])
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert report["errors"]["crlb"].startswith("ZeroInformationError: ")
@@ -459,10 +463,13 @@ class TestEstimateCommand:
             "--n-samples", str(n_samples), "--out", str(data),
         ])
         report_path = tmp_path / "r.json"
-        rc = main([
-            "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
-            "--k-model", str(k_model), "--out", str(report_path),
-        ])
+        # 300 samples are too few for the K = 12 basis of proposed (cond 5.6e8)
+        flagged = pytest.warns(IllConditionedWarning) if n_samples == 300 else nullcontext()
+        with flagged:
+            rc = main([
+                "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
+                "--k-model", str(k_model), "--out", str(report_path),
+            ])
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert report["errors"][method].startswith("DelayOutOfRangeError: ")
@@ -598,7 +605,8 @@ class TestBenchmarkCommand:
         assert 0 < report["config"]["benchmark"]["tau_max"] <= 499 * 3e-4
         assert report["per_method"]["ml"]["failures"] == 0
 
-    @pytest.mark.parametrize("key", ["replicate", "noise_variance", "workers"])
+    # hist_bins included: the histogram has a fixed 40 bins
+    @pytest.mark.parametrize("key", ["replicate", "noise_variance", "workers", "hist_bins"])
     def test_unknown_config_key_exit_1(self, bench_config, tmp_path, capsys, key):
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps({**json.loads(bench_config.read_text()), key: 1}))
@@ -628,7 +636,6 @@ class TestBenchmarkCommand:
         ]
         assert list(report["config"]["benchmark"]) == [
             "design", "true_tau", "noise_var", "k_model", "m_markov", "tau_max", "n_samples",
-            "hist_bins",
         ]
         for stats in report["per_method"].values():
             assert list(stats) == ["bias", "var", "mse_raw", "mse_normalized", "failures", "n_used"]
@@ -746,21 +753,6 @@ class TestBenchmarkCommand:
         failures = {m: s["failures"] for m, s in report["per_method"].items()}
         assert failures == {"proposed": 4, "ml": 0, "lag_spline": 4, "freq_interp": 0}
         assert report["per_method"]["ml"]["n_used"] == 4
-
-    @pytest.mark.parametrize("hist_bins", [0, -3])
-    def test_nonpositive_hist_bins_exit_1_without_report(
-        self, bench_config, tmp_path, capsys, hist_bins
-    ):
-        # once ran every replicate, then failed inside np.histogram
-        cfg = json.loads(bench_config.read_text())
-        cfg["hist_bins"] = hist_bins
-        path = tmp_path / "bins.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "mc"
-        rc = main(["benchmark", "--config", str(path), "--replicates", "4", "--out", str(out)])
-        assert rc == 1
-        assert "hist_bins" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_total_failure_exit_3_and_null_stats(self, bench_config, tmp_path):
         # a delay beyond the horizon zeroes the data, so every replicate of

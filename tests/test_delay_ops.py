@@ -10,7 +10,6 @@ from scipy.linalg import toeplitz
 from lagdelay.delay_ops import (
     U0_TOLERANCE,
     assemble_ab,
-    build_omega,
     build_toeplitz,
     closed_form_delay,
     markov_params,
@@ -184,13 +183,54 @@ class TestReciprocalSeries:
         reciprocal_series(rows[:2], 4)  # the regular rows alone are fine
 
 
+def _omega(m_count):
+    """Coefficient matrix of the delay relations kappa h_m = -(m-1) h_{m-1} +
+    2m h_m - (m+1) h_{m+1}, rows m = 0..M-2, without the h_{M-1} column: the
+    route ``assemble_ab`` took before its stencil, A = Omega B - (M-1)
+    h_{M-1} e."""
+    n = m_count - 1
+    m = np.arange(n, dtype=float)
+    i = np.arange(n)
+    omega = np.zeros((n, n))
+    omega[i, i] = 2.0 * m
+    omega[i[1:], i[:-1]] = -(m[1:] - 1.0)
+    omega[i[:-1], i[1:]] = -(m[:-1] + 1.0)
+    return omega
+
+
+def _omega_ab(h):
+    """``assemble_ab`` by the Omega product, the oracle of its stencil."""
+    m_count = h.shape[-1]
+    vec_a = h[..., :-1] @ _omega(m_count).T
+    vec_a[..., -1] -= (m_count - 1.0) * h[..., -1]
+    return vec_a
+
+
+def _stencil_scale(h):
+    """Sum of the magnitudes of the (up to) three terms of each entry of A."""
+    m_count = h.shape[-1]
+    scale = np.abs(h[..., :-1]) @ np.abs(_omega(m_count)).T
+    scale[..., -1] += (m_count - 1.0) * np.abs(h[..., -1])
+    return scale
+
+
+# Each entry of A is at most three products with exact integer weights and
+# two sums; the stencil and the Omega product each round it within about
+# 1.5 eps of the sum of the terms' magnitudes, so they differ by at most
+# 3 eps of it (worst seen 1.86 eps over 56 000 random rows, M = 3..30)
+STENCIL_BOUND = 3 * np.finfo(float).eps
+
+
 class TestOmegaSystem:
     def test_m3_matrix(self):
-        assert_allclose(build_omega(3), [[0.0, -1.0], [0.0, 2.0]])
+        # rows of the map h -> A: A_0 = -h_1, A_1 = 2 h_1 - 2 h_2
+        vec_a, vec_b = assemble_ab(np.eye(3))
+        assert np.array_equal(vec_a.T, [[0.0, -1.0, 0.0], [0.0, 2.0, -2.0]])
+        assert np.array_equal(vec_b.T, np.eye(3)[:2])
 
     def test_m4_row2(self):
-        omega = build_omega(4)
-        assert_allclose(omega[2], [0.0, -1.0, 4.0])
+        vec_a, _ = assemble_ab(np.eye(4))
+        assert np.array_equal(vec_a[:, 2], [0.0, -1.0, 4.0, -3.0])
 
     def test_identity_against_analytic_markov(self):
         for kappa in [0.1, 1.0, 5.0]:
@@ -213,41 +253,57 @@ class TestOmegaSystem:
         with pytest.raises(ValueError):
             assemble_ab(markov_params(1.0, 2))
         with pytest.raises(ValueError):
-            build_omega(2)
+            assemble_ab(np.ones((4, 2)))
 
     def test_batch_rows_match_single_calls(self):
-        # numpy runs a batch as one GEMM and one sequence as a GEMV, which
-        # round the three-term sums of A differently: rows agree to within
-        # the worst-case rounding of two such sums (3 eps of the sum of the
-        # terms' magnitudes; worst seen 1.7 eps), B bitwise
         rng = np.random.default_rng(0)
         for m_count in range(3, 30):
             h = rng.standard_normal((200, m_count))
             batch_a, batch_b = assemble_ab(h)
-            scale = np.abs(h[:, :-1]) @ np.abs(build_omega(m_count)).T
-            scale[:, -1] += (m_count - 1.0) * np.abs(h[:, -1])
             for i, row in enumerate(h):
                 single_a, single_b = assemble_ab(row)
-                assert np.array_equal(batch_b[i], single_b)
-                assert np.all(
-                    np.abs(batch_a[i] - single_a) <= 3 * np.finfo(float).eps * scale[i]
-                )
+                assert batch_a[i].tobytes() == single_a.tobytes()
+                assert batch_b[i].tobytes() == single_b.tobytes()
         stacked_a, stacked_b = assemble_ab(rng.standard_normal((2, 5, 7)))
         assert stacked_a.shape == stacked_b.shape == (2, 5, 6)
 
     def test_stencil_matches_loop_reference(self):
+        # the map h -> A, applied to the unit vectors, is Omega with the
+        # tail column -(M-1) e appended, entry by entry
         for m_count in range(3, 21):
             n = m_count - 1
-            reference = np.zeros((n, n))
+            reference = np.zeros((n, m_count))
             for m in range(n):
                 reference[m, m] = 2.0 * m
                 if m >= 1:
                     reference[m, m - 1] = -(m - 1.0)
-                if m + 1 <= n - 1:
-                    reference[m, m + 1] = -(m + 1.0)
-            omega = build_omega(m_count)
-            assert np.array_equal(omega, reference)
-            assert np.array_equal(np.signbit(omega), np.signbit(reference))
+                reference[m, m + 1] = -(m + 1.0)
+            vec_a, _ = assemble_ab(np.eye(m_count))
+            assert np.array_equal(vec_a.T, reference)
+            assert np.array_equal(reference[:, :n], _omega(m_count))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_count=st.integers(3, 30),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-200.0, 200.0),
+    )
+    @example(m_count=13, rows=32, seed=0, log_scale=0.0)
+    def test_stencil_property(self, m_count, rows, seed, log_scale):
+        # batch rows are single rows bitwise, and within STENCIL_BOUND of
+        # the Omega product
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((rows, m_count)) * np.exp(
+            rng.uniform(-3.0, 3.0, (rows, m_count)) + log_scale
+        )
+        batch_a, batch_b = assemble_ab(h)
+        for i in range(rows):
+            single_a, single_b = assemble_ab(h[i])
+            assert batch_a[i].tobytes() == single_a.tobytes()
+            assert batch_b[i].tobytes() == single_b.tobytes()
+        assert batch_b.tobytes() == h[:, :-1].tobytes()
+        assert np.all(np.abs(batch_a - _omega_ab(h)) <= STENCIL_BOUND * _stencil_scale(h))
 
 
 class TestClosedFormDelay:

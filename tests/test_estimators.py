@@ -520,6 +520,15 @@ class TestFreqInterp:
         with pytest.raises(FlatCorrelationError):
             estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",)))
 
+    def test_constant_data_refused(self, sec72_design):
+        # once gave tau_hat = 0.0722 s from a spectrum whose largest bin off
+        # DC, 1.8e-11, is 1.4e-17 of the DC bin: FFT rounding only
+        n = sec72_design.n_samples
+        ds = Dataset(z=np.full(n, 0.5), delta=sec72_design.delta, n_samples=n, noise_var=0.0,
+                     seed=0)
+        with pytest.raises(FlatCorrelationError):
+            estimate_delay("freq_interp", ds, tables_for(sec72_design, ("freq_interp",)))
+
     def test_seeded_regression(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.01, (42, 0))
         est = estimate_delay_freq_interp(ds, tables_for(bench_design, ("freq_interp",), ds))

@@ -156,20 +156,29 @@ class TestReplicateBlocks:
             assert _bits(pooled.estimates[method]) == _bits(serial.estimates[method]), method
             assert pooled.per_method[method] == serial.per_method[method]
 
-    def test_flat_row_fails_only_its_replicate(self, cfg, serial, monkeypatch):
-        # replicate 40, inside a block, measures nothing: its
-        # correlation is flat
-        def noise_but_flat_40(y, noise_var, seed, **kwargs):
+    def _row_40_fails_alone(self, cfg, serial, monkeypatch, level):
+        # replicate 40, inside a block, measures nothing: it is the constant
+        # ``level`` with no noise
+        def noise_but_constant_40(y, noise_var, seed, **kwargs):
             if seed[1] == 40:
-                return add_noise(np.zeros_like(y), 0.0, seed, **kwargs)
+                return add_noise(np.full_like(y, level), 0.0, seed, **kwargs)
             return add_noise(y, noise_var, seed, **kwargs)
 
-        monkeypatch.setattr(analysis, "add_noise", noise_but_flat_40)
+        monkeypatch.setattr(analysis, "add_noise", noise_but_constant_40)
         stats = run_monte_carlo(cfg, methods=("freq_interp",), replicates=self.REPLICATES,
                                 seed=self.SEED)
         assert stats.per_method["freq_interp"].failures == 1
         want = np.delete(serial.estimates["freq_interp"], 40)
         assert _bits(stats.estimates["freq_interp"]) == _bits(want)
+
+    def test_flat_row_fails_only_its_replicate(self, cfg, serial, monkeypatch):
+        # zeros: the correlation is flat
+        self._row_40_fails_alone(cfg, serial, monkeypatch, 0.0)
+
+    def test_constant_row_fails_only_its_replicate(self, cfg, serial, monkeypatch):
+        # a nonzero constant: the correlation varies, but the spectrum off
+        # DC is FFT rounding only
+        self._row_40_fails_alone(cfg, serial, monkeypatch, 0.5)
 
 
 def _other_design(design, u):
