@@ -34,7 +34,9 @@ from .estimators import (
     ESTIMATORS, _freq_interp_delay, _freq_interp_spectra, build_replicate_tables,
     estimate_delay, markov_order,
 )
-from .simulate import InputDesign, add_noise, default_tau_max, sample_delayed
+from .simulate import (
+    InputDesign, _json_int, _json_number, add_noise, default_tau_max, sample_delayed,
+)
 
 # Draws of predict_bias_tau pushed through the ratio terms at a time; the
 # generator fills in C order, so blocks give the stream of one full draw.
@@ -126,12 +128,12 @@ class BenchmarkConfig:
             raise ValueError(f"unknown benchmark config key(s) {unknown}")
         return cls(
             design=InputDesign.from_dict(d["design"]),
-            true_tau=float(d["true_tau"]),
-            noise_var=float(d["noise_var"]),
-            k_model=int(d["k_model"]),
-            m_markov=None if d.get("m_markov") is None else int(d["m_markov"]),
-            tau_max=None if d.get("tau_max") is None else float(d["tau_max"]),
-            n_samples=None if d.get("n_samples") is None else int(d["n_samples"]),
+            true_tau=_json_number(d, "true_tau"),
+            noise_var=_json_number(d, "noise_var"),
+            k_model=_json_int(d, "k_model"),
+            m_markov=None if d.get("m_markov") is None else _json_int(d, "m_markov"),
+            tau_max=None if d.get("tau_max") is None else _json_number(d, "tau_max"),
+            n_samples=None if d.get("n_samples") is None else _json_int(d, "n_samples"),
         )
 
 
@@ -198,8 +200,8 @@ def markov_mse(
     """
     if tau_check < 0:
         raise ValueError("tau_check must be nonnegative")
-    if not noise_var >= 0:  # NaN too
-        raise ValueError(f"noise variance must be nonnegative, got {noise_var}")
+    if not 0 <= noise_var < np.inf:  # NaN too
+        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
     if not model.usable:

@@ -96,39 +96,19 @@ def _std_laguerre_table(x: np.ndarray, j_max: int) -> np.ndarray:
     return table
 
 
-def _causal_times(t) -> tuple[np.ndarray, np.ndarray]:
-    """The mask t >= 0 and t with the rest set to 0, so that e^{-pt} is never
-    taken at a negative time, where it can overflow."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    pos = t >= 0
-    return pos, np.where(pos, t, 0.0)
-
-
 def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     """Analytic basis values ell_j(t) for j = 0..K, shape (len(t), K+1).
 
     ell_j(t) = sqrt(2p) e^{-pt} L_j(2pt) for t >= 0 and 0 for t < 0, with
-    L_j the standard Laguerre polynomial.
+    L_j the standard Laguerre polynomial.  Negative times are set to 0
+    before e^{-pt} is taken, where it could overflow.
     """
-    pos, t = _causal_times(t)
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pos = t >= 0
+    t = np.where(pos, t, 0.0)
     table = _std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
     envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
     return envelope[..., None] * table
-
-
-def eval_basis_derivative_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
-    """Time derivatives d ell_j / dt, shape (len(t), K+1); 0 for t < 0.
-
-    Uses L_j'(x) = -sum_{i<j} L_i(x), so
-    ell_j'(t) = sqrt(2p) e^{-pt} (-p L_j(2pt) - 2p sum_{i<j} L_i(2pt)).
-    """
-    pos, t = _causal_times(t)
-    table = _std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
-    partial = np.zeros_like(table)
-    if cfg.k_max >= 1:
-        partial[..., 1:] = np.cumsum(table[..., :-1], axis=-1)
-    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
-    return envelope[..., None] * (-cfg.p * table - 2.0 * cfg.p * partial)
 
 
 def build_phi(

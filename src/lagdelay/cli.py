@@ -28,7 +28,7 @@ from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
 from .estimators import ESTIMATORS, build_replicate_tables, crlb, estimate_delay
 from .simulate import (
-    InputDesign, default_tau_max, load_dataset, make_dataset, save_dataset,
+    InputDesign, _json_int, default_tau_max, load_dataset, make_dataset, save_dataset,
 )
 
 log = logging.getLogger("lagdelay")
@@ -191,17 +191,19 @@ def cmd_benchmark(args) -> int:
     if "design" not in cfg:
         cfg["design"] = _load_json(cfg["design_path"])
     bench = BenchmarkConfig.from_dict(cfg)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
+    if args.seed is None and cfg.get("seed") is None:
         print("error: benchmark seed is mandatory (config 'seed' or --seed)", file=sys.stderr)
         return EXIT_ERROR
-    replicates = args.replicates if args.replicates is not None else int(cfg.get("replicates", 1000))
+    seed = args.seed if args.seed is not None else _json_int(cfg, "seed")
+    replicates = args.replicates
+    if replicates is None:
+        replicates = _json_int(cfg, "replicates") if "replicates" in cfg else 1000
     methods = _parse_methods(args.methods or cfg.get("methods", "all"))
     resolved = {"benchmark": bench.to_dict(), "methods": list(methods),
-                "replicates": replicates, "seed": int(seed)}
+                "replicates": replicates, "seed": seed}
     started = time.perf_counter()
     stats = run_monte_carlo(bench, methods=methods, replicates=replicates,
-                            seed=int(seed), workers=args.workers)
+                            seed=seed, workers=args.workers)
     runtime = time.perf_counter() - started
     crlb_value = None
     if bench.noise_var > 0:
@@ -213,7 +215,7 @@ def cmd_benchmark(args) -> int:
     report = {
         "config": resolved,
         "config_hash": config_hash(resolved),
-        "seed": int(seed),
+        "seed": seed,
         "replicates": replicates,
         "per_method": stats.per_method,
         "histogram": stats.histogram,

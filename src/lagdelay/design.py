@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import MarkovErrorModel
 from .errors import InfeasibleDesignError
 from .estimators import minimize_bounded
-from .simulate import InputDesign, sample_count
+from .simulate import InputDesign, _json_int, _json_number, sample_count
 
 log = logging.getLogger("lagdelay.design")
 
@@ -33,7 +33,16 @@ def _p_grid(spec: dict) -> np.ndarray:
     if unknown := sorted(set(spec) - set(P_GRID_DEFAULT)):
         raise ValueError(f"unknown p_grid key(s) {unknown}")
     spec = {**P_GRID_DEFAULT, **spec}
-    return np.geomspace(float(spec["min"]), float(spec["max"]), int(spec["count"]))
+
+    def refuse(msg):
+        return ValueError(f"p_grid {msg}")
+
+    lo, hi = (_json_number(spec, key, lambda v: 0 < v < np.inf, "a finite positive number",
+                           refuse) for key in ("min", "max"))
+    count = _json_int(spec, "count", refuse)
+    if count < 1:
+        raise refuse(f"count must be at least 1, got {count}")
+    return np.geomspace(lo, hi, count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +72,10 @@ class DesignProblem:
             raise ValueError(f"energy_bound must be finite and positive, got {self.energy_bound}")
         if not 0 <= self.tau_guess < np.inf:  # NaN too
             raise ValueError(f"tau_guess must be finite and nonnegative, got {self.tau_guess}")
-        if not self.noise_var >= 0:  # NaN too
-            raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
+        if not 0 <= self.noise_var < np.inf:  # NaN too
+            raise ValueError(
+                f"noise variance must be finite and nonnegative, got {self.noise_var}"
+            )
         if self.k_model < max(2, self.i_order):
             raise ValueError("k_model must cover the input order and allow M >= 3")
         grid = _p_grid({}) if self.p_grid is None else np.asarray(self.p_grid, dtype=float)
@@ -74,22 +85,26 @@ class DesignProblem:
     def from_dict(cls, d: dict) -> "DesignProblem":
         """The problem of a design-problem config: ``n_samples`` or else
         ``horizon``; ``p_grid`` as {min, max, count}, any of them absent.
-        An unknown key, at the top or in ``p_grid``, raises ValueError."""
+        An unknown key, at the top or in ``p_grid``, or a value of the wrong
+        JSON type (a fractional or boolean integer, a non-boolean
+        ``refine``) raises ValueError."""
         if unknown := sorted(set(d) - {f.name for f in fields(cls)} - {"horizon"}):
             raise ValueError(f"unknown design-problem key(s) {unknown}")
-        delta = float(d["delta"])
+        delta = _json_number(d, "delta")
         if "n_samples" in d:
-            n_samples = int(d["n_samples"])
+            n_samples = _json_int(d, "n_samples")
         else:
-            n_samples = sample_count(float(d["horizon"]), delta)
-        p_grid = _p_grid(d.get("p_grid", {}))
-        optional = {key: cast(d[key]) for key, cast in
-                    (("u_grid_points", int), ("refine", bool)) if key in d}
+            n_samples = sample_count(_json_number(d, "horizon"), delta)
+        optional = {"u_grid_points": _json_int(d, "u_grid_points")} if "u_grid_points" in d else {}
+        if "refine" in d:
+            if not isinstance(d["refine"], bool):
+                raise ValueError(f"refine must be true or false, got {d['refine']!r}")
+            optional["refine"] = d["refine"]
         return cls(
-            delta=delta, n_samples=n_samples, i_order=int(d["i_order"]),
-            energy_bound=float(d["energy_bound"]), tau_guess=float(d["tau_guess"]),
-            noise_var=float(d["noise_var"]), k_model=int(d["k_model"]), p_grid=p_grid,
-            **optional,
+            delta=delta, n_samples=n_samples, i_order=_json_int(d, "i_order"),
+            energy_bound=_json_number(d, "energy_bound"),
+            tau_guess=_json_number(d, "tau_guess"), noise_var=_json_number(d, "noise_var"),
+            k_model=_json_int(d, "k_model"), p_grid=_p_grid(d.get("p_grid", {})), **optional,
         )
 
 

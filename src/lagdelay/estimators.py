@@ -407,8 +407,8 @@ def crlb(
 ) -> CrlbReport:
     """Variance lower bound for unbiased delay estimators:
     noise_var / sum_n u'(t_n - tau)^2."""
-    if not noise_var > 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var!r}")
+    if not 0 < noise_var < np.inf:  # NaN too
+        raise ValueError(f"noise variance must be finite and positive, got {noise_var!r}")
     n = design.n_samples if n_samples is None else n_samples
     t = np.arange(n) * design.delta
     d = input_derivative(design, t - tau)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import BasisConfig, eval_basis_derivative_matrix, eval_basis_matrix
+from .basis import BasisConfig, eval_basis_matrix
 from .errors import InvalidDatasetError
 
 # |u(0)| above this (relative to the coefficient norm) triggers the
@@ -30,6 +30,26 @@ SUPPORT_ENERGY_FRACTION = 0.999
 # A CSV time stamp t_n may differ from n * delta by this much, relative to
 # max(|t_n|, delta).
 T_GRID_RTOL = 1e-9
+
+
+def _json_number(d: dict, key: str, valid=lambda v: True, what="a number",
+                 error=ValueError) -> float:
+    """d[key] as a float when JSON holds a number there (not a bool) that
+    passes ``valid``; else ``error`` names the key."""
+    val = d[key]
+    if isinstance(val, bool) or not isinstance(val, (int, float)) or not valid(val):
+        raise error(f"{key} must be {what}, got {val!r}")
+    return float(val)
+
+
+def _json_int(d: dict, key: str, error=ValueError) -> int:
+    """d[key] when JSON holds an integer there: no bool, no fractional part."""
+    val = d[key]
+    if isinstance(val, bool) or not (
+        isinstance(val, int) or isinstance(val, float) and val.is_integer()
+    ):
+        raise error(f"{key} must be an integer, got {val!r}")
+    return int(val)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +137,10 @@ class Dataset:
             raise InvalidDatasetError(
                 f"{self.z.size} samples given but n_samples is {self.n_samples}"
             )
-        if not self.noise_var >= 0:  # NaN too
-            raise ValueError(f"noise variance must be nonnegative, got {self.noise_var}")
+        if not 0 <= self.noise_var < np.inf:  # NaN too
+            raise ValueError(
+                f"noise variance must be finite and nonnegative, got {self.noise_var}"
+            )
         bad = np.flatnonzero(~np.isfinite(self.z))
         if bad.size:
             raise InvalidDatasetError(f"sample z[{bad[0]}] = {self.z[bad[0]]} is not finite")
@@ -156,8 +178,15 @@ def synthesize_input(design: InputDesign, t) -> float | np.ndarray:
 
 
 def input_derivative(design: InputDesign, t) -> float | np.ndarray:
-    """Exact du/dt at t (one-sided at t = 0, zero for t < 0)."""
-    vals = eval_basis_derivative_matrix(design.basis_config, np.atleast_1d(t)) @ design.u
+    """Exact du/dt at t (one-sided at t = 0, zero for t < 0).
+
+    The basis obeys ell_j' = -p ell_j - 2p sum_{i<j} ell_i, so u' has the
+    finite spectrum d_i = -p u_i - 2p sum_{j>i} u_j.
+    """
+    u = design.u
+    tail = np.append(np.cumsum(u[:0:-1])[::-1], 0.0)  # sum_{j>i} u_j
+    d = -design.p * u - 2.0 * design.p * tail
+    vals = eval_basis_matrix(design.basis_config, np.atleast_1d(t)) @ d
     return float(vals[0]) if np.isscalar(t) else vals
 
 
@@ -184,8 +213,8 @@ def add_noise(
     ``seed`` may be an int or a tuple (base_seed, replicate) for
     parallel-safe per-replicate streams.
     """
-    if not noise_var >= 0:  # NaN too
-        raise ValueError(f"noise variance must be nonnegative, got {noise_var}")
+    if not 0 <= noise_var < np.inf:  # NaN too
+        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
     y = np.asarray(y, dtype=float)
     if noise_var == 0:
         z = y.copy()
@@ -314,16 +343,31 @@ def _read_samples(csv_path: Path) -> tuple[np.ndarray, np.ndarray]:
 def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
-    Raises InvalidDatasetError when the CSV is empty or lacks the t,z
-    header, a CSV row lacks its t or z field or has one that is not a
-    number, a time stamp is off the grid n * delta, a sample is not finite
-    or the CSV has another number of rows than the sidecar's n_samples.
+    Raises InvalidDatasetError when the sidecar's delta is not a finite
+    positive number, its n_samples not an integer, its noise_var not a
+    finite number >= 0 or its true_tau neither null nor a finite number;
+    when the CSV is empty or lacks the t,z header, a CSV row lacks its t or
+    z field or has one that is not a number, a time stamp is off the grid
+    n * delta, a sample is not finite or the CSV has another number of rows
+    than the sidecar's n_samples.
     """
     csv_path = Path(csv_path)
-    with open(csv_path.with_suffix(".json")) as f:
+    meta_path = csv_path.with_suffix(".json")
+    with open(meta_path) as f:
         meta = json.load(f)
+
+    def refuse(msg):
+        return InvalidDatasetError(f"{meta_path}: {msg}")
+
+    delta = _json_number(meta, "delta", lambda v: 0 < v < np.inf,
+                         "a finite positive number", refuse)
+    n_samples = _json_int(meta, "n_samples", refuse)
+    noise_var = _json_number(meta, "noise_var", lambda v: 0 <= v < np.inf,
+                             "a finite number >= 0", refuse)
+    true_tau = meta.get("true_tau")
+    if true_tau is not None:
+        true_tau = _json_number(meta, "true_tau", np.isfinite, "null or a finite number", refuse)
     t, z = _read_samples(csv_path)
-    delta = float(meta["delta"])
     grid = np.arange(t.size) * delta
     # sample n is on CSV line n + 2, after the header; the grid test is
     # written as "not within" so that a NaN time stamp is off the grid too
@@ -346,8 +390,8 @@ def load_dataset(csv_path) -> Dataset:
     return Dataset(
         z=z,
         delta=delta,
-        n_samples=int(meta["n_samples"]),
-        noise_var=float(meta["noise_var"]),
+        n_samples=n_samples,
+        noise_var=noise_var,
         seed=seed,
-        true_tau=meta.get("true_tau"),
+        true_tau=true_tau,
     )

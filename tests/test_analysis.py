@@ -152,7 +152,7 @@ class TestMarkovMse:
         want = run()
         assert got == pytest.approx(want, rel=1e-11)
 
-    @pytest.mark.parametrize("noise_var", [-0.01, float("nan")])
+    @pytest.mark.parametrize("noise_var", [-0.01, float("nan"), float("inf")])
     def test_negative_noise_variance_rejected(self, bench_design, noise_var):
         with pytest.raises(ValueError, match="noise variance"):
             markov_mse(bench_design, 12, noise_var, TAU)

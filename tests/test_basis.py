@@ -20,12 +20,11 @@ from lagdelay.basis import (
     BasisConfig,
     assoc_laguerre_sequence,
     build_phi,
-    eval_basis_derivative_matrix,
     eval_basis_matrix,
 )
 from lagdelay.errors import IllConditionedWarning, ZeroInformationError
 from lagdelay.estimators import crlb
-from lagdelay.simulate import InputDesign, sample_delayed
+from lagdelay.simulate import InputDesign, input_derivative, sample_delayed
 
 from conftest import (
     exact_assoc_laguerre,
@@ -152,14 +151,17 @@ class TestClosedForms:
             with pytest.raises(ZeroInformationError):
                 crlb(design, 20.0, 0.01, n_samples=1667)
             assert not eval_basis_matrix(cfg, t).any()
-            assert not eval_basis_derivative_matrix(cfg, t).any()
+            assert not input_derivative(design, t).any()
 
     def test_derivative_matches_finite_differences(self):
+        # ell' = A_c ell: the derivative of each basis function is a finite
+        # combination of the basis, which input_derivative relies on
         cfg = BasisConfig(p=4.0, num_funcs=8)
+        a_c, _ = state_space_realization(cfg)
         t = np.linspace(0.05, 2.0, 23)
         h = 1e-7
         fd = (eval_basis_matrix(cfg, t + h) - eval_basis_matrix(cfg, t - h)) / (2 * h)
-        assert_allclose(eval_basis_derivative_matrix(cfg, t), fd, rtol=1e-6, atol=1e-8)
+        assert_allclose(eval_basis_matrix(cfg, t) @ a_c.T, fd, rtol=1e-6, atol=1e-8)
 
 
 class TestStateSpace:

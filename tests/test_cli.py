@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, schemas, reproducibility."""
 
 import json
+import re
 from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
@@ -142,6 +143,24 @@ class TestDesignCommand:
         assert "horizon must be finite and nonnegative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        # "false" was once read as True and the design refined
+        ({"refine": "false"}, "refine must be true or false, got 'false'"),
+        ({"k_model": 12.9}, "k_model must be an integer, got 12.9"),
+        # once exited 2, asking to revise the grids
+        ({"p_grid": {"count": 0}}, "p_grid count must be at least 1"),
+        # once exited 0 and wrote "objective": null
+        ({"noise_var": float("inf")}, "noise variance must be finite and nonnegative"),
+    ], ids=["refine=str", "k_model=12.9", "p_grid.count=0", "noise_var=inf"])
+    def test_wrong_problem_value_exit_1(self, tmp_path, capsys, bad, message):
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps({**PROBLEM, **bad}))
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and message in err
+        assert not out.exists()
+
     def test_missing_config_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
         out = tmp_path / "d.json"
@@ -206,6 +225,17 @@ class TestSimulateCommand:
         ])
         assert rc == 1
         assert "noise variance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_noise_variance_exit_1(self, design_file, tmp_path, capsys):
+        # once refused only by the dataset, as "sample z[0] = inf is not finite"
+        out = tmp_path / "sim"
+        rc = main([
+            "simulate", "--design", str(design_file), "--tau", "1e-3",
+            "--noise-var", "inf", "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 1
+        assert "noise variance must be finite and nonnegative, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -514,6 +544,42 @@ class TestEstimateCommand:
         assert str(tmp_path / "dataset.csv") in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        # "x" once escaped main as a numpy error and [1] wrote a report that
+        # its schema refuses
+        ("true_tau", "x", "null or a finite number"),
+        ("true_tau", [1], "null or a finite number"),
+        ("true_tau", True, "null or a finite number"),
+        ("true_tau", float("inf"), "null or a finite number"),
+        # null once escaped main as a TypeError
+        ("delta", None, "a finite positive number"),
+        ("delta", "3e-4", "a finite positive number"),
+        ("delta", 0.0, "a finite positive number"),
+        ("delta", float("nan"), "a finite positive number"),
+        ("n_samples", None, "an integer"),
+        ("n_samples", 1666.5, "an integer"),
+        ("n_samples", True, "an integer"),
+        ("noise_var", None, "a finite number >= 0"),
+        ("noise_var", -0.01, "a finite number >= 0"),
+        ("noise_var", float("inf"), "a finite number >= 0"),
+    ])
+    def test_bad_sidecar_value_exit_1(
+        self, design_file, dataset_dir, tmp_path, capsys, key, value, rule
+    ):
+        (tmp_path / "dataset.csv").write_bytes((dataset_dir / "dataset.csv").read_bytes())
+        meta = json.loads((dataset_dir / "dataset.json").read_text())
+        (tmp_path / "dataset.json").write_text(json.dumps({**meta, key: value}))
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--out", str(report),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InvalidDatasetError" in err and f"{key} must be {rule}, got {value!r}" in err
+        assert str(tmp_path / "dataset.json") in err
+        assert not report.exists()
+
     def test_truncated_csv_exit_1(self, design_file, dataset_dir, tmp_path, capsys):
         rows = (dataset_dir / "dataset.csv").read_text().splitlines()
         (tmp_path / "dataset.csv").write_text("\n".join(rows[:-10]) + "\n")
@@ -614,6 +680,44 @@ class TestBenchmarkCommand:
         rc = main(["benchmark", "--config", str(cfg_path), "--replicates", "2", "--out", str(out)])
         assert rc == 1
         assert f"unknown benchmark config key(s) ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, message", [
+        # each was once truncated or cast to an integer
+        ({"k_model": 12.9}, "k_model must be an integer, got 12.9"),
+        ({"k_model": True}, "k_model must be an integer, got True"),
+        ({"m_markov": 4.5}, "m_markov must be an integer, got 4.5"),
+        ({"n_samples": 1666.5}, "n_samples must be an integer, got 1666.5"),
+        ({"true_tau": "1e-3"}, "true_tau must be a number, got '1e-3'"),
+        ({"noise_var": None}, "noise_var must be a number, got None"),
+        ({"tau_max": False}, "tau_max must be a number, got False"),
+    ])
+    def test_config_types_checked(self, bad, message):
+        cfg = json.loads((INPUTS / "montecarlo.json").read_text())
+        cfg["design"] = json.loads((INPUTS / "design72_ref.json").read_text())
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BenchmarkConfig.from_dict({**cfg, **bad})
+
+    @pytest.mark.parametrize("bad, flags, message", [
+        ({"k_model": 6.5}, ["--replicates", "2"], "k_model must be an integer, got 6.5"),
+        ({"seed": 1.5}, ["--replicates", "2"], "seed must be an integer, got 1.5"),
+        ({"seed": True}, ["--replicates", "2"], "seed must be an integer, got True"),
+        ({"replicates": 2.5}, [], "replicates must be an integer, got 2.5"),
+        ({"replicates": "2"}, [], "replicates must be an integer, got '2'"),
+        ({"noise_var": float("inf")}, ["--replicates", "2"],
+         "noise variance must be finite and nonnegative, got inf"),
+    ], ids=["k_model", "seed=1.5", "seed=true", "replicates=2.5", "replicates=str",
+            "noise_var=inf"])
+    def test_wrong_config_value_exit_1_without_report(
+        self, bench_config, tmp_path, capsys, bad, flags, message
+    ):
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps({**json.loads(bench_config.read_text()), **bad}))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(cfg_path), *flags, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and message in err
         assert not out.exists()
 
     def test_committed_config_keys_known(self):
@@ -840,7 +944,8 @@ class TestBiasPredictCommand:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("noise_var", ["-0.01", "nan"])
+    # inf once exited 0 after a RuntimeWarning and wrote a null predicted_bias
+    @pytest.mark.parametrize("noise_var", ["-0.01", "nan", "inf"])
     def test_negative_noise_variance_exit_1(self, design_file, tmp_path, capsys, noise_var):
         out = tmp_path / "b.json"
         rc = main([

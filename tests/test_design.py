@@ -223,7 +223,7 @@ class TestOptimizeDesign:
             tiny_problem(energy_bound=0.0)
         with pytest.raises(ValueError):
             tiny_problem(tau_guess=-1e-4)
-        for noise_var in (-0.01, float("nan")):
+        for noise_var in (-0.01, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="noise variance"):
                 tiny_problem(noise_var=noise_var)
 
@@ -273,6 +273,38 @@ class TestFromDict:
         # such a typo once ran the default experiment without notice
         with pytest.raises(ValueError, match=re.escape(named)):
             DesignProblem.from_dict({**REQUIRED, **extra})
+
+    @pytest.mark.parametrize("bad, named", [
+        # "false" once refined, as bool("false") is True
+        ({"refine": "false"}, "refine must be true or false, got 'false'"),
+        ({"refine": 0}, "refine must be true or false, got 0"),
+        # fractional integers were once truncated
+        ({"k_model": 12.9}, "k_model must be an integer, got 12.9"),
+        ({"n_samples": 1666.6}, "n_samples must be an integer, got 1666.6"),
+        ({"u_grid_points": 2.7}, "u_grid_points must be an integer, got 2.7"),
+        ({"k_model": True}, "k_model must be an integer, got True"),
+        ({"i_order": "3"}, "i_order must be an integer, got '3'"),
+        ({"noise_var": "0.01"}, "noise_var must be a number, got '0.01'"),
+        ({"delta": None}, "delta must be a number, got None"),
+        ({"horizon": False}, "horizon must be a number, got False"),
+        # a count of 0 once ended in InfeasibleDesignError (exit 2)
+        ({"p_grid": {"count": 0}}, "p_grid count must be at least 1, got 0"),
+        ({"p_grid": {"count": 2.5}}, "p_grid count must be an integer, got 2.5"),
+        ({"p_grid": {"min": 0.0}}, "p_grid min must be a finite positive number, got 0.0"),
+        ({"p_grid": {"max": float("inf")}}, "p_grid max must be a finite positive number, got inf"),
+        ({"p_grid": {"min": float("nan")}}, "p_grid min must be a finite positive number, got nan"),
+        ({"p_grid": {"max": "200"}}, "p_grid max must be a finite positive number, got '200'"),
+    ])
+    def test_wrong_json_type_refused(self, bad, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            DesignProblem.from_dict({**REQUIRED, **bad})
+
+    def test_integral_float_read_as_integer(self):
+        problem = DesignProblem.from_dict(
+            {**REQUIRED, "n_samples": 600.0, "k_model": 12.0, "p_grid": {"count": 3.0}}
+        )
+        assert (problem.n_samples, problem.k_model, problem.p_grid.size) == (600, 12, 3)
+        assert isinstance(problem.n_samples, int) and isinstance(problem.k_model, int)
 
     @pytest.mark.parametrize("name", ["design71", "design72", "design_warmup"])
     def test_committed_problems(self, name):

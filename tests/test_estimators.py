@@ -428,7 +428,7 @@ class TestCrlb:
         assert rep.window[0] <= rep.window[1] < bench_design.n_samples
         assert rep.bound > 0
 
-    @pytest.mark.parametrize("noise_var", [np.nan, 0.0, -0.01])
+    @pytest.mark.parametrize("noise_var", [np.nan, 0.0, -0.01, np.inf])
     def test_noise_variance_must_be_positive(self, bench_design, noise_var):
         # NaN once gave bound = nan without a word
         with pytest.raises(ValueError, match="noise variance"):

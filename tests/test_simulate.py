@@ -4,6 +4,7 @@ import csv
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from lagdelay import simulate
-from lagdelay.basis import BasisConfig, eval_basis_matrix
+from lagdelay.basis import BasisConfig, _std_laguerre_table, eval_basis_matrix
 from lagdelay.cli import main
 from lagdelay.errors import InvalidDatasetError
 from lagdelay.simulate import (
@@ -23,6 +24,7 @@ from lagdelay.simulate import (
     add_noise,
     continuity_defect,
     default_tau_max,
+    input_derivative,
     load_dataset,
     make_dataset,
     sample_delayed,
@@ -121,6 +123,67 @@ class TestSynthesize:
             )
 
 
+def _basis_derivative_matrix(cfg, t):
+    """ell_j'(t) = sqrt(2p) e^{-pt} (-p L_j(2pt) - 2p sum_{i<j} L_i(2pt)), 0
+    for t < 0: the closed-form derivative table that input_derivative
+    replaced with the spectrum A_c^T u."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pos = t >= 0
+    t = np.where(pos, t, 0.0)
+    table = _std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
+    partial = np.zeros_like(table)
+    partial[..., 1:] = np.cumsum(table[..., :-1], axis=-1)
+    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
+    return envelope[..., None] * (-cfg.p * table - 2.0 * cfg.p * partial)
+
+
+def _k12_design():
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, 13)
+    u[0] = 1.0
+    u[-1] -= u.sum()  # u(0) = 0
+    return InputDesign(p=20.0, u=u, energy_bound=float(u @ u), horizon=1.0,
+                       delta=1e-3, tau_guess=0.0)
+
+
+# input_derivative against the removed closed-form table, relative to max|u'|
+# (4.5e-13 of 1.9e3, i.e. 2.4e-16, on the section 7.2 design)
+DERIVATIVE_BOUND = 1e-12
+
+
+class TestInputDerivative:
+    @pytest.fixture(params=["design72_ref", "design71_ref", "k12"])
+    def design(self, request):
+        if request.param == "k12":
+            return _k12_design()
+        return InputDesign.from_dict(json.loads((INPUTS / f"{request.param}.json").read_text()))
+
+    def test_matches_central_differences(self, design):
+        t = np.linspace(0.2, 8.0, 40) / design.p
+        h = 1e-6 / design.p
+        fd = (synthesize_input(design, t + h) - synthesize_input(design, t - h)) / (2 * h)
+        slope = input_derivative(design, t)
+        assert_allclose(slope, fd, rtol=0, atol=1e-6 * np.abs(slope).max())
+
+    def test_matches_removed_closed_form(self, design):
+        t = np.arange(design.n_samples) * design.delta - 1.33e-3
+        slope = input_derivative(design, t)
+        oracle = _basis_derivative_matrix(design.basis_config, t) @ design.u
+        assert np.abs(slope - oracle).max() <= DERIVATIVE_BOUND * np.abs(oracle).max()
+
+    def test_scalar_and_one_sided_at_origin(self, design):
+        assert isinstance(input_derivative(design, 0.0), float)
+        assert input_derivative(design, 0.0) == pytest.approx(
+            float(_basis_derivative_matrix(design.basis_config, 0.0)[0] @ design.u), rel=1e-12
+        )
+
+    def test_zero_before_origin_without_warning(self, design):
+        t = np.array([-1e300, -1e3, -1.0, -1e-12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not input_derivative(design, t).any()
+            assert input_derivative(design, -1e300) == 0.0
+
+
 class TestSampleDelayed:
     def test_zero_delay(self, bench_design):
         y = sample_delayed(bench_design, 0.0, 50)
@@ -172,7 +235,7 @@ class TestNoise:
         b = add_noise(y, 1.0, (7, 1), delta=0.1)
         assert not np.array_equal(a.z, b.z)
 
-    @pytest.mark.parametrize("noise_var", [-0.01, float("nan")])
+    @pytest.mark.parametrize("noise_var", [-0.01, float("nan"), float("inf")])
     def test_negative_or_nan_variance_rejected(self, noise_var):
         with pytest.raises(ValueError, match="noise variance"):
             add_noise(np.zeros(3), noise_var, 1, delta=0.1)
