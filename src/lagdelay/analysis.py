@@ -31,8 +31,7 @@ from .delay_ops import (
 )
 from .errors import DegenerateBError, IllConditionedError, LagDelayError
 from .estimators import (
-    ESTIMATORS, _freq_interp_delay, _freq_interp_spectra, build_replicate_tables,
-    estimate_delay, markov_order,
+    ESTIMATORS, _block_stage, build_replicate_tables, estimate_delay, markov_order,
 )
 from .simulate import (
     InputDesign, _json_int, _json_number, add_noise, default_tau_max, sample_delayed,
@@ -276,7 +275,8 @@ def predict_bias_tau(
 def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -> list[dict]:
     """Each replicate's estimates, in the order of ``replicates``, a failed
     estimate as None.  Per block: one noise draw per replicate, then each
-    method over the block, ``freq_interp`` with one batched FFT stage.  The
+    method over the block: its block stage in one batched pass (the ML scan,
+    the ``freq_interp`` FFT stage), then ``estimate_delay`` per row.  The
     clean signal and the tables are built once per call; a method whose
     tables failed to build fails on every replicate."""
     design = config.design
@@ -290,15 +290,12 @@ def _run_replicates(config: BenchmarkConfig, methods: tuple, seed, replicates) -
     results = [{} for _ in replicates]
     for lo in range(0, len(results), _REPLICATE_BLOCK):
         block = [draw((seed, r)) for r in replicates[lo : lo + _REPLICATE_BLOCK]]
+        z = np.stack([ds.z for ds in block])
         for method in methods:
-            if method == "freq_interp" and method not in tables.errors:
-                spectra = _freq_interp_spectra(np.stack([ds.z for ds in block]), tables.corr)
-                runs = [partial(_freq_interp_delay, *row, design.delta) for row in zip(*spectra)]
-            else:
-                runs = [partial(estimate_delay, method, ds, tables) for ds in block]
-            for estimates, run in zip(results[lo:], runs):
+            stages = _block_stage(method, z, tables)
+            for estimates, ds, stage in zip(results[lo:], block, stages):
                 try:
-                    estimates[method] = run().tau_hat
+                    estimates[method] = estimate_delay(method, ds, tables, stage).tau_hat
                 except LagDelayError:
                     estimates[method] = None
     return results

@@ -27,8 +27,9 @@ for one dataset or for many; every estimator takes the resulting
 ``estimate_delay`` checks that the data are sampled as the tables were
 built.  Per dataset only the data-dependent work runs: a QR solve, a
 matrix-vector product or an FFT, the ML refine's one pass over the
-samples, and the scalar steps.  The FFT stage of ``freq_interp`` also
-transforms a block of datasets at once, as the benchmark does.
+samples, and the scalar steps.  The ML scan and the FFT stage of
+``freq_interp`` also run over a block of datasets at once, as the benchmark
+does (``_block_stage``), and each row equals the single row bitwise.
 
 Nothing here imports scipy: the FFTs are numpy's, and the spline slope
 system is solved through the Green's function of its tridiagonal matrix,
@@ -176,43 +177,46 @@ def ml_negloglik(data: Dataset, design: InputDesign, tau: float) -> float:
     return float(data.delta * (resid @ resid))
 
 
-def _refine_objective(data: Dataset, design: InputDesign, lo: float):
-    """``ml_negloglik`` as a function of tau >= lo, evaluated in the Laguerre
-    domain around the bracket's low end: one pass over the samples here,
-    O(I^2) per evaluation after it.
+def _refine_objective(data: Dataset, table: MlTable, i_lo: int):
+    """``ml_negloglik`` as a function of tau in a refine bracket [lo, hi]
+    with lo = ``table.grid[i_lo]``, hi < lo + delta, evaluated in the
+    Laguerre domain around lo: a slice of the scan's tables here, O(I^2)
+    per evaluation after it.
 
     Write tau = lo + d.  For t_n >= tau the addition formula
     L_k(x - s) = sum_{i<=k} L_i(x) L^{(-1)}_{k-i}(-s) (DLMF sec. 18.18) gives
     u(t_n - tau) = sum_i (u_i + a_i(d)) ell_i(t_n - lo), with
-    a(d) = e^{pd} H L^{(-1)}(-2pd) - u, H_ij = u_{i+j}.  B = ell(t_n - lo)
-    and q = z - B u are tabulated once, on the rows t_n >= lo.  With
-    n0 = #{t_n < tau}, the same t_n >= tau cutoff as ``ml_negloglik``,
-    the objective is
+    a(d) = e^{pd} H L^{(-1)}(-2pd) - u, H_ij = u_{i+j}.  On the rows
+    t_n >= lo, B = ell(t_n - lo) and q = z - B u are read from the scan's
+    delta / 4 lattice: lo = i_lo delta / 4 (only the last grid point can be
+    clamped off the lattice, and lo lies below it), so t_n - lo is lattice
+    point 4n - i_lo and B u is the bank row of lo.  With n0 = #{t_n < tau},
+    the same t_n >= tau cutoff as ``ml_negloglik``, the objective is
     delta (sum_{n<n0} z_n^2 + |q'|^2 - 2 a.B'^T q' + a.B'^T B' a)
     over the rows n >= n0 (primed).  Expanding about the residual q keeps
-    the sum free of the |z|^2 cancellation.  n0 takes at most two values in
-    a bracket narrower than delta, and its sums are cached.
+    the sum free of the |z|^2 cancellation.  In a bracket narrower than
+    delta, n0 is n_lo = #{t_n < lo} or n_lo + 1, and its sums are cached.
     """
-    p, u = design.p, design.u
-    t, z = data.t, data.z
-    n_lo = int(t.searchsorted(lo))
-    basis = eval_basis_matrix(design.basis_config, t[n_lo:] - lo)
-    resid = z[n_lo:] - basis @ u
-    # the Hankel matrix H_ij = u_{i+j}, zero past the end of u
-    index = np.add.outer(np.arange(u.size), np.arange(u.size))
-    hankel_u = np.concatenate([u, np.zeros(u.size - 1)])[index]
+    p, hankel = table.p, table.hankel
+    u = hankel[0]
+    z, delta = data.z, data.delta
+    lo = table.grid[i_lo]
+    n_lo = -(-i_lo // 4)
+    t_lo = n_lo * delta
+    basis = table.basis[4 * n_lo - i_lo : 4 * z.size - 3 - i_lo : 4]
+    resid = z[n_lo:] - table.model[i_lo, n_lo:]
     sums = {}
 
     def negloglik(tau: float) -> float:
-        n0 = int(t.searchsorted(tau))
+        n0 = n_lo + (t_lo < tau)
         if n0 not in sums:
             b, q = basis[n0 - n_lo :], resid[n0 - n_lo :]
             sums[n0] = (z[:n0] @ z[:n0] + q @ q, b.T @ q, b.T @ b)
         head, cross, gram = sums[n0]
         shift = tau - lo
-        w = hankel_u @ assoc_laguerre_sequence(-2.0 * p * shift, u.size)
+        w = hankel @ assoc_laguerre_sequence(-2.0 * p * shift, u.size)
         a = np.expm1(p * shift) * w + (w - u)
-        return float(data.delta * (head - 2.0 * (a @ cross) + a @ gram @ a))
+        return float(delta * (head - 2.0 * (a @ cross) + a @ gram @ a))
 
     return negloglik
 
@@ -295,24 +299,32 @@ def minimize_bounded(fn, a: float, b: float, xatol: float):
 
 @dataclass(frozen=True, eq=False)
 class MlTable:
-    """ML grid scan: the grid at delta / 4 on [0, tau_max], the noise-free
-    model u(t_n - tau_i), one row per grid point, gathered from one delta / 4
-    lattice of u, and the squared row norms ||u(t_n - tau_i)||^2."""
+    """ML scan and refine tables for one sampling: the grid at delta / 4 on
+    [0, tau_max]; the basis ell_i(k delta / 4) on the delta / 4 lattice,
+    k = 0 .. 4(N - 1), shape (4N - 3, I + 1); the noise-free model
+    u(t_n - tau_i), one row per grid point, gathered from that lattice; the
+    squared row norms ||u(t_n - tau_i)||^2; and the refine's p and Hankel
+    matrix H_ij = u_{i+j} (zero past the end of u; its first row is u)."""
 
     grid: np.ndarray
     model: np.ndarray = field(repr=False)
     model_sq: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    hankel: np.ndarray = field(repr=False)
+    p: float
 
 
 def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) -> MlTable:
-    """Scan grid and model bank of ``estimate_delay_ml`` for one sampling.
+    """Scan grid, model bank and refine lattice of ``estimate_delay_ml`` for
+    one sampling.
 
     With tau_i = i delta / 4 and t_n = n delta, u(t_n - tau_i) = u((4n - i)
-    delta / 4): u is evaluated once on that lattice, for 0 <= 4n - i <=
-    4(N - 1) and zero below by causality, and the G x N bank gathered from
-    it.  Only a last grid point clamped to tau_max lies off the lattice; its
-    row is evaluated directly.  tau_max must lie in (0, (N - 1) delta], the
-    span of the data; NaN and infinity are refused with it.
+    delta / 4): the basis is evaluated once on that lattice, for
+    0 <= 4n - i <= 4(N - 1), u with it, zero below by causality, and the
+    G x N bank gathered from it.  Only a last grid point clamped to tau_max
+    lies off the lattice; its row is evaluated directly.  tau_max must lie
+    in (0, (N - 1) delta], the span of the data; NaN and infinity are
+    refused with it.
     """
     span = (n_samples - 1) * delta
     if not 0.0 < tau_max <= span:
@@ -324,28 +336,52 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
     g = grid.size
     grid[-1] = min(grid[-1], tau_max)
     cfg, u = design.basis_config, design.u
-    lattice = eval_basis_matrix(cfg, np.arange(4 * n_samples - 3) * step) @ u
-    model = np.concatenate([np.zeros(g - 1), lattice])[
+    basis = eval_basis_matrix(cfg, np.arange(4 * n_samples - 3) * step)
+    model = np.concatenate([np.zeros(g - 1), basis @ u])[
         4 * np.arange(n_samples) - np.arange(g)[:, None] + g - 1
     ]
     if grid[-1] != (g - 1) * step:
         model[-1] = eval_basis_matrix(cfg, np.arange(n_samples) * delta - grid[-1]) @ u
-    return MlTable(grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model))
+    index = np.add.outer(np.arange(u.size), np.arange(u.size))
+    return MlTable(
+        grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model), basis=basis,
+        hankel=np.concatenate([u, np.zeros(u.size - 1)])[index], p=design.p,
+    )
 
 
-def _scan_minimum(table: MlTable, data: Dataset) -> tuple[int, float]:
-    """Grid index of the least negative log-likelihood and its value.
+def _ml_scan(table: MlTable, z: np.ndarray, delta: float) -> list[tuple[int, float]]:
+    """Grid index of the least negative log-likelihood and its value, for
+    each row of z, shape (b, N).
 
-    The grid is ranked by ||m_i||^2 - 2 m_i . z, which is the residual
-    ||z - m_i||^2 less the constant ||z||^2, with one matrix-vector
-    product; only the winning row's objective is then evaluated.
+    The grid is ranked by s_i = ||m_i||^2 - 2 m_i . z, which is the residual
+    ||z - m_i||^2 less the constant ||z||^2, with one matrix product of the
+    block against the bank.  The product's rows change bits with the block
+    size, so s only picks the rows that can win: each row whose s lies within
+    8 N eps (||z|| + max_i ||m_i||)^2 of the least s is scored again as
+    delta ||z - m_i||^2, the ``einsum`` over that one row, and the first
+    least of these wins.  In any summation order s is off by at most about
+    (N + 1) eps / 2 (||z|| + ||m_i||)^2 and the exact score's sum by
+    (N + 3) eps / 2 ||z - m_i||^2, so the exact grid minimum lies within
+    (2N + 5) eps (||z|| + max_i ||m_i||)^2 of the least s, which the bound
+    covers about four times over.  So the result equals the first least of
+    the exact objective over the whole grid bitwise, for any block size.
     """
-    best = int(np.argmin(table.model_sq - 2.0 * (table.model @ data.z)))
-    resid = data.z[None, :] - table.model[best : best + 1]
-    return best, float(data.delta * np.einsum("ij,ij->i", resid, resid)[0])
+    scores = table.model_sq - 2.0 * (z @ table.model.T)
+    reach = np.linalg.norm(z, axis=-1) + math.sqrt(table.model_sq.max())
+    bound = 8.0 * z.shape[-1] * np.finfo(float).eps * reach**2
+    out = []
+    for row, score, tol in zip(z, scores, bound):
+        near = np.flatnonzero(score <= score.min() + tol)
+        resid = row - table.model[near]
+        objective = delta * np.einsum("ij,ij->i", resid, resid)
+        k = int(np.argmin(objective))
+        out.append((int(near[k]), float(objective[k])))
+    return out
 
 
-def estimate_delay_ml(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
+def estimate_delay_ml(
+    data: Dataset, tables: ReplicateTables, stage: tuple[int, float] | None = None
+) -> DelayEstimate:
     """Time-domain maximum likelihood.
 
     The objective ``ml_negloglik`` is non-convex, so a coarse scan at
@@ -354,7 +390,9 @@ def estimate_delay_ml(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     objective in the Laguerre domain (``_refine_objective``): a shift of the
     delay recombines the input's basis functions exactly, so after one pass
     over the samples each evaluation costs O(I^2).  The scan grid and model
-    bank are ``tables.ml``.  ``boundary_hit`` is true when the scan minimum
+    bank are ``tables.ml``; ``stage`` is this row's scan minimum from
+    ``_ml_scan``, which a block of replicates computes at once, and is
+    computed here when None.  ``boundary_hit`` is true when the scan minimum
     is an end of the grid, tau = 0 or tau = tau_max: the estimate is then
     clamped to the search range, and the unconstrained minimum may lie
     outside it.
@@ -362,12 +400,14 @@ def estimate_delay_ml(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     end; unless that beats the scan, the estimate stays on the grid end
     without Brent.  ``refine_evals`` counts every refine evaluation.
     """
-    grid = tables.ml.grid
-    best, f_best = _scan_minimum(tables.ml, data)
+    table = tables.ml
+    grid = table.grid
+    best, f_best = _ml_scan(table, data.z[None], data.delta)[0] if stage is None else stage
     boundary_hit = best in (0, grid.size - 1)
-    lo = grid[max(best - 1, 0)]
+    i_lo = max(best - 1, 0)
+    lo = grid[i_lo]
     hi = grid[min(best + 1, grid.size - 1)]
-    fn = _refine_objective(data, tables.design, lo)
+    fn = _refine_objective(data, table, i_lo)
     evals = 0
     converged = True
     if boundary_hit:
@@ -611,22 +651,37 @@ def _freq_interp_spectra(z: np.ndarray, table: CorrTable) -> tuple[np.ndarray, n
     return _linear_correlation(z, table), np.fft.rfft(z) * table.u_spectrum_conj
 
 
-def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> DelayEstimate:
-    """The per-row tail of ``estimate_delay_freq_interp``: correlation peak,
-    then the phase-slope fit, from one row of ``_freq_interp_spectra``."""
-    n = r.size
-    if np.ptp(r) == 0.0:
+def _freq_interp_stage(r: np.ndarray, spectrum: np.ndarray) -> list[tuple]:
+    """The stage of ``estimate_delay_freq_interp`` for each row of a block
+    of ``_freq_interp_spectra``, shape (b, ...): per row the spectrum, its
+    amplitude on the bins 0 < m < N / 2, and the row reductions ptp(r), the
+    first argmax of r and the largest amplitude on those bins (0 when there
+    are none) and on every bin.  Each reduction is exact, so a row of a
+    block equals the single row bitwise."""
+    n = r.shape[-1]
+    amp = np.abs(spectrum)
+    level = amp[:, 1 : (n - 1) // 2 + 1]
+    return list(zip(
+        spectrum, level, np.ptp(r, axis=-1), np.argmax(r, axis=-1).tolist(),
+        level.max(axis=-1, initial=0.0), amp.max(axis=-1),
+    ))
+
+
+def _freq_interp_delay(stage: tuple, n: int, delta: float) -> DelayEstimate:
+    """The per-row tail of ``estimate_delay_freq_interp`` for N = n samples:
+    correlation peak, then the phase-slope fit, from one row of
+    ``_freq_interp_stage``."""
+    spectrum, level, ptp, k_star, level_max, amp_max = stage
+    if ptp == 0.0:
         raise FlatCorrelationError("cross-correlation is constant; data carry no alignment")
-    k_star = int(np.argmax(r))
     # the fit uses the bins 0 < m < N / 2 whose shifted amplitude reaches the
     # threshold times the largest.  The shift leaves each amplitude within a
     # few ulp, so a bin below a hair under the threshold on |spectrum| cannot
     # reach it and the largest is never left out: the shift is formed only
     # on the other bins, and the bins kept are the same
-    level = np.abs(spectrum[1 : (n - 1) // 2 + 1])
-    if not level.size or level.max() <= _FREQ_FLOOR * np.abs(spectrum).max():
+    if level_max <= _FREQ_FLOOR * amp_max:
         raise FlatCorrelationError("no spectral bins above the amplitude threshold")
-    m = 1 + np.flatnonzero(level >= _FREQ_CANDIDATE_LEVEL * level.max())
+    m = 1 + np.flatnonzero(level >= _FREQ_CANDIDATE_LEVEL * level_max)
     # undo the integer-lag shift so only the subsample phase slope remains
     shifted = spectrum[m] * np.exp(2j * np.pi * m * k_star / n)
     amp = np.abs(shifted)
@@ -648,16 +703,23 @@ def _freq_interp_delay(r: np.ndarray, spectrum: np.ndarray, delta: float) -> Del
     )
 
 
-def estimate_delay_freq_interp(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
+def estimate_delay_freq_interp(
+    data: Dataset, tables: ReplicateTables, stage: tuple | None = None
+) -> DelayEstimate:
     """Cross-correlation baseline with frequency-domain interpolation.
 
     The integer part is the first maximizer of the linear cross-correlation
     r(k) = sum_n z_{n+k} u(t_n), k >= 0, computed by zero-padded FFT; the
     subsample part is a power-weighted phase-slope fit on the circular
     cross-power spectrum after removing the integer shift.  The reference
-    FFTs are ``tables.corr``.
+    FFTs are ``tables.corr``.  ``stage`` is this row's FFT stage from
+    ``_freq_interp_stage``, which a block of replicates computes at once,
+    and is computed here when None.
     """
-    return _freq_interp_delay(*_freq_interp_spectra(data.z, tables.corr), data.delta)
+    if stage is None:
+        r, spectrum = _freq_interp_spectra(data.z, tables.corr)
+        stage = _freq_interp_stage(r[None], spectrum[None])[0]
+    return _freq_interp_delay(stage, data.n_samples, data.delta)
 
 
 ESTIMATORS = ("proposed", "ml", "lag_spline", "freq_interp")
@@ -737,13 +799,32 @@ def build_replicate_tables(
     )
 
 
-def estimate_delay(method: str, data: Dataset, tables: ReplicateTables) -> DelayEstimate:
+def _block_stage(method: str, z: np.ndarray, tables: ReplicateTables) -> list:
+    """The stage of ``method`` for each row of z, shape (b, N), from one
+    batched pass over the block: for ``ml`` the scan minimum of
+    ``_ml_scan``, for ``freq_interp`` the FFT stage of
+    ``_freq_interp_stage``.  None per row for a method with no stage, and
+    for a method without tables, which ``estimate_delay`` then refuses.
+    Each row equals the 1-row stage of that row bitwise."""
+    if method in tables.methods and method not in tables.errors:
+        if method == "ml":
+            return _ml_scan(tables.ml, z, tables.delta)
+        if method == "freq_interp":
+            return _freq_interp_stage(*_freq_interp_spectra(z, tables.corr))
+    return [None] * len(z)
+
+
+def estimate_delay(
+    method: str, data: Dataset, tables: ReplicateTables, stage=None
+) -> DelayEstimate:
     """Run the estimator named ``method`` on ``data`` with ``tables`` from
     ``build_replicate_tables``.
 
     The data must be sampled as the tables were built, at the same delta
     and N; everything else is read from the tables.  A method whose tables
     failed to build raises the LagDelayError kept in ``tables.errors``.
+    ``stage`` is the data's row of ``_block_stage``, from a block of
+    replicates; when None, the estimator computes the 1-row stage itself.
     The estimators are looked up by their module-global names at call time, so a patched
     estimator is the one that runs.
     """
@@ -758,7 +839,7 @@ def estimate_delay(method: str, data: Dataset, tables: ReplicateTables) -> Delay
     if method == "proposed":
         return estimate_delay_proposed(data, tables)
     if method == "ml":
-        return estimate_delay_ml(data, tables)
+        return estimate_delay_ml(data, tables, stage)
     if method == "lag_spline":
         return estimate_delay_lag_spline(data, tables)
-    return estimate_delay_freq_interp(data, tables)
+    return estimate_delay_freq_interp(data, tables, stage)

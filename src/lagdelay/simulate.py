@@ -110,13 +110,23 @@ class InputDesign:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputDesign":
+        """The design of a design file or a ``design`` report (whose
+        ``config_hash``, ``objective`` and ``constraints`` are not read).
+        A value of the wrong JSON type raises ValueError naming its key:
+        ``p``, ``eta``, ``horizon``, ``delta`` and ``tau_guess`` are numbers
+        (no string or bool), ``u`` is an array of numbers."""
+        u = d["u"]
+        if not isinstance(u, list) or not all(
+            isinstance(c, (int, float)) and not isinstance(c, bool) for c in u
+        ):
+            raise ValueError(f"u must be an array of numbers, got {u!r}")
         return cls(
-            p=float(d["p"]),
-            u=d["u"],
-            energy_bound=float(d["eta"]),
-            horizon=float(d["horizon"]),
-            delta=float(d["delta"]),
-            tau_guess=float(d["tau_guess"]),
+            p=_json_number(d, "p"),
+            u=u,
+            energy_bound=_json_number(d, "eta"),
+            horizon=_json_number(d, "horizon"),
+            delta=_json_number(d, "delta"),
+            tau_guess=_json_number(d, "tau_guess"),
         )
 
 

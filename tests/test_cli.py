@@ -171,6 +171,22 @@ class TestDesignCommand:
 
 
 class TestSimulateCommand:
+    @pytest.mark.parametrize("bad, message", [
+        ({"p": "37.31"}, "p must be a number, got '37.31'"),
+        ({"delta": True}, "delta must be a number, got True"),
+        ({"u": ["1", "0", "0", "-1"]}, "u must be an array of numbers"),
+    ], ids=["p=str", "delta=true", "u=str"])
+    def test_wrong_design_value_exit_1(self, tmp_path, capsys, bad, message):
+        design = json.loads((INPUTS / "design72_ref.json").read_text())
+        design_path = tmp_path / "design.json"
+        design_path.write_text(json.dumps({**design, **bad}))
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--design", str(design_path), "--tau", "1e-3", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and message in err
+        assert not out.exists()
+
     def test_sample_count_from_horizon(self, design_file, tmp_path):
         out = tmp_path / "sim"
         rc = main([

@@ -1,10 +1,11 @@
 """Each replicate fast path against the route it replaced.
 
 The replicate tables reduce the spline projection to one matrix, the
-linear correlation to a zero-padded FFT, the ML scan to one matrix-vector
-product on a model bank gathered from one delta / 4 lattice of the input
-and the reciprocal input series to a table entry; the ML refine shifts the
-input in the Laguerre domain.  The old routes are the oracles here:
+linear correlation to a zero-padded FFT, the ML scan to one matrix product
+of a block of replicates with a model bank gathered from one delta / 4
+lattice of the input, and the reciprocal input series to a table entry;
+the ML refine shifts the input in the Laguerre domain, with its basis read
+from the same lattice.  The old routes are the oracles here:
 CubicSpline plus quadrature, ``np.correlate`` and ``np.fft``, the residual
 ``einsum`` over the whole grid, the bank evaluated point by point,
 ``reciprocal_series`` per call and bounded Brent on ``ml_negloglik``
@@ -19,8 +20,10 @@ the phase fit that shifts only the candidate bins equals the fit over
 every bin bitwise; the gathered bank rounds its
 time arguments once instead of three times and is held to 2e-14 of its
 largest entry on the section 7 designs, with ML estimates bitwise equal
-but for ``negloglik``; the ML refine objective is held to 1e-12 relative
-and its delay to 1e-10 s.
+but for ``negloglik``; the block scan equals the ``einsum`` scan bitwise
+for any block size; the ML refine objective is held to 1e-12 relative of
+``ml_negloglik`` and to GATHER_RTOL of the objective set up by evaluating
+the basis directly, and its delay to 1e-10 s.
 The blocked bias pass is held to the full draw of the old
 ``predict_bias_tau``: its eps2 mean bitwise, the eps1 mean and the
 predicted bias to 1e-14 of their mean absolute summand.
@@ -42,14 +45,13 @@ from hypothesis import strategies as st
 
 from lagdelay import analysis, estimators
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
-from lagdelay.basis import eval_basis_matrix
+from lagdelay.basis import assoc_laguerre_sequence, eval_basis_matrix
 from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from lagdelay.errors import FlatCorrelationError, NoImprovementWarning
 from lagdelay.estimators import (
     ESTIMATORS,
     FREQ_AMP_THRESHOLD,
     CorrTable,
-    MlTable,
     build_replicate_tables,
     corr_table,
     estimate_delay_freq_interp,
@@ -79,6 +81,9 @@ NOISE_VAR = 0.01
 # (true tau, noise seed): the section 7.2 delay, a delay at 0, one sample
 # and a delay past the input's first lobe
 CASES = [(1.33e-3, 1), (0.0, 2), (3e-4, 3), (4e-3, 4)]
+# relative bound of the refine objective read from the delta / 4 lattice
+# against the objective set up by evaluating the basis directly
+GATHER_RTOL = 2e-13
 
 
 def _bits(value):
@@ -258,6 +263,12 @@ def _all_bins_freq_interp_delay(r, spectrum, delta):
     )
 
 
+def _tail(r, spectrum, delta):
+    """``_freq_interp_delay`` on one row (r, spectrum) of the FFT stage."""
+    stage = estimators._freq_interp_stage(r[None], spectrum[None])[0]
+    return estimators._freq_interp_delay(stage, r.size, delta)
+
+
 def _direct_correlation(z, design):
     u_samples = synthesize_input(design, np.arange(z.size) * design.delta)
     return np.correlate(z, u_samples, mode="full")[z.size - 1 :]
@@ -286,10 +297,22 @@ class TestCorrelation:
         corr, spectra = estimators._freq_interp_spectra(z, table)
         assert corr.shape == (rows, n)
         assert np.array_equal(corr, estimators._linear_correlation(z, table))
+        stages = estimators._freq_interp_stage(corr, spectra)
         for i in range(rows):
             single = estimators._freq_interp_spectra(z[i], table)
             assert corr[i].tobytes() == single[0].tobytes()
             assert spectra[i].tobytes() == single[1].tobytes()
+            # the stage's row reductions, as ``estimate`` forms them alone
+            # and as the per-row tail once formed them
+            alone = estimators._freq_interp_stage(single[0][None], single[1][None])[0]
+            assert [_bits(a) for a in stages[i]] == [_bits(a) for a in alone]
+            spectrum, level, ptp, k_star, level_max, amp_max = stages[i]
+            assert _bits(spectrum) == _bits(single[1])
+            assert _bits(level) == _bits(np.abs(single[1][1 : (n - 1) // 2 + 1]))
+            assert _bits(ptp) == _bits(np.ptp(single[0]))
+            assert k_star == int(np.argmax(single[0]))
+            assert _bits(level_max) == _bits(level.max() if level.size else 0.0)
+            assert _bits(amp_max) == _bits(np.abs(single[1]).max())
 
     def test_estimate_bitwise_equals_direct_route(self, ref, monkeypatch):
         design, tables, data = ref
@@ -334,7 +357,7 @@ class TestCorrelation:
             ds = make_dataset(design, 1.33e-3, NOISE_VAR, (5, r))
             corr, spectrum = estimators._freq_interp_spectra(ds.z, tables.corr)
             _assert_bitwise_equal(
-                estimators._freq_interp_delay(corr, spectrum, ds.delta),
+                _tail(corr, spectrum, ds.delta),
                 _all_bins_freq_interp_delay(corr, spectrum, ds.delta),
             )
 
@@ -367,16 +390,24 @@ class TestCorrelation:
             want = _all_bins_freq_interp_delay(corr, spectrum, 3e-4)
         except FlatCorrelationError as exc:
             with pytest.raises(FlatCorrelationError, match=str(exc)):
-                estimators._freq_interp_delay(corr, spectrum, 3e-4)
+                _tail(corr, spectrum, 3e-4)
             return
-        _assert_bitwise_equal(estimators._freq_interp_delay(corr, spectrum, 3e-4), want)
+        _assert_bitwise_equal(_tail(corr, spectrum, 3e-4), want)
 
 
-def _einsum_scan(table, data):
-    resid = data.z[None, :] - table.model
-    objective = data.delta * np.einsum("ij,ij->i", resid, resid)
+def _einsum_scan(table, z, delta):
+    """The scan as it was: delta ||z - m_i||^2 over the whole grid by one
+    ``einsum``, and its first least."""
+    resid = z[None, :] - table.model
+    objective = delta * np.einsum("ij,ij->i", resid, resid)
     best = int(np.argmin(objective))
     return best, float(objective[best])
+
+
+# delays of the block-scan test: at the grid origin, on the grid, between
+# grid points, past the input's first lobe and past tau_max = 0.01, where
+# the minimum is the clamped grid end
+SCAN_TAUS = (0.0, 3e-4, 1.33e-3, 4e-3, 1.05e-2, 1.2e-2)
 
 
 @pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
@@ -387,14 +418,62 @@ class TestMlScan:
         design, tables, data = ref
         fast = [estimate_delay_ml(ds, tables) for ds in data]
         assert not all(est.diagnostics["converged"] for est in fast)
-        monkeypatch.setattr(estimators, "_scan_minimum", _einsum_scan)
+        monkeypatch.setattr(estimators, "_ml_scan", lambda table, z, delta: [
+            _einsum_scan(table, row, delta) for row in z
+        ])
         for ds, new in zip(data, fast):
             _assert_bitwise_equal(new, estimate_delay_ml(ds, tables))
 
     def test_scan_argmin_and_objective(self, ref):
         design, tables, data = ref
         for ds in data:
-            assert estimators._scan_minimum(tables.ml, ds) == _einsum_scan(tables.ml, ds)
+            got = estimators._ml_scan(tables.ml, ds.z[None], ds.delta)
+            assert got == [_einsum_scan(tables.ml, ds.z, ds.delta)]
+
+    def test_block_scan_bitwise_equals_einsum_scan(self, ref):
+        # 840 replicates at each of SCAN_TAUS (5040 rows), scanned in blocks
+        # of 1, 7 and 16 rows, the last block of each size partial
+        design, tables, _ = ref
+        z = np.stack([
+            add_noise(sample_delayed(design, tau, design.n_samples), NOISE_VAR, (1, r),
+                      delta=design.delta, true_tau=tau).z
+            for tau in SCAN_TAUS for r in range(840)
+        ])
+        want = [_einsum_scan(tables.ml, row, design.delta) for row in z]
+        for size in (1, 7, 16):
+            got = [
+                best for lo in range(0, len(z), size)
+                for best in estimators._ml_scan(tables.ml, z[lo : lo + size], design.delta)
+            ]
+            assert got == want, size
+
+    def test_near_ties_are_scored_exactly(self, ref):
+        # z halfway between two neighbouring bank rows (the last one clamped
+        # to tau_max) is equally far from both and nearer to them than to
+        # any other row, so both rows' scores lie within the rounding bound
+        # of the least, and the exact scores decide.  Ranked by the matrix
+        # product alone, 66 to 76 of these 153 rows per block size picked
+        # the wrong row
+        design, tables, data = ref
+        table, n = tables.ml, design.n_samples
+        ties = 0.5 * (table.model[:-1] + table.model[1:])
+        scores = table.model_sq - 2.0 * (ties @ table.model.T)
+        reach = np.linalg.norm(ties, axis=1) + math.sqrt(table.model_sq.max())
+        bound = 8.0 * n * np.finfo(float).eps * reach**2
+        near = scores <= scores.min(axis=1)[:, None] + bound[:, None]
+        pairs = np.arange(len(ties))
+        assert near[pairs, pairs].all() and near[pairs, pairs + 1].all()
+        # the ties among noisy rows, in blocks that mix them
+        z = np.concatenate([ties, [ds.z for ds in data[:20]]])[
+            np.random.default_rng(0).permutation(len(ties) + 20)
+        ]
+        want = [_einsum_scan(table, row, design.delta) for row in z]
+        for size in (1, 4, 7, 16):
+            got = [
+                best for lo in range(0, len(z), size)
+                for best in estimators._ml_scan(table, z[lo : lo + size], design.delta)
+            ]
+            assert got == want, size
 
 
 def _design(name):
@@ -458,19 +537,26 @@ class TestMlBank:
         scale = math.sqrt(2.0 * p) * np.abs(coeffs).sum() * (1.0 + p * span)
         assert np.max(np.abs(table.model - model)) <= 16 * np.finfo(float).eps * scale
 
-    def test_estimates_bitwise_equal_per_point_bank_but_negloglik(self, ref):
-        # 200 replicates of CASES.  negloglik is the scan's value wherever
-        # Brent does not improve on it: equal here, within 5.2e-16 relative
-        # on the benchmark's 1600 seed-1 replicates of CASES' delays
+    def test_estimates_bitwise_equal_per_point_bank_but_negloglik(self, ref, monkeypatch):
+        # 200 replicates of CASES, scanned on either bank; the refine reads
+        # the lattice in both runs, since it takes B u from the bank row of
+        # its bracket.  negloglik is the scan's value wherever Brent does
+        # not improve on it: equal here, within 5.2e-16 relative on the
+        # benchmark's 1600 seed-1 replicates of CASES' delays
         design, tables, data = ref
         grid, model = per_point_ml_bank(design, design.delta, design.n_samples, TAU_MAX)
-        oracle = dataclasses.replace(tables, ml=MlTable(
-            grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model)
-        ))
+        oracle = dataclasses.replace(
+            tables.ml, grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model)
+        )
+        scan = estimators._ml_scan
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", NoImprovementWarning)
-            for ds in data:
-                new, old = estimate_delay_ml(ds, tables), estimate_delay_ml(ds, oracle)
+            fast = [estimate_delay_ml(ds, tables) for ds in data]
+            monkeypatch.setattr(
+                estimators, "_ml_scan", lambda table, z, delta: scan(oracle, z, delta)
+            )
+            for ds, new in zip(data, fast):
+                old = estimate_delay_ml(ds, tables)
                 assert _bits(new.tau_hat) == _bits(old.tau_hat)
                 f_new, f_old = new.diagnostics.pop("negloglik"), old.diagnostics.pop("negloglik")
                 assert abs(f_new - f_old) <= 1e-14 * f_old
@@ -501,7 +587,7 @@ def _time_domain_ml(data, design, table):
     ``ml_negloglik`` itself.  Returns tau_hat and the diagnostics it shares
     with ``estimate_delay_ml``."""
     grid = table.grid
-    best, f_best = estimators._scan_minimum(table, data)
+    best, f_best = estimators._ml_scan(table, data.z[None], data.delta)[0]
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
     tau, f_ref, _ = estimators.minimize_bounded(
         lambda x: ml_negloglik(data, design, x), lo, hi, estimators.ML_TAU_XATOL
@@ -514,15 +600,39 @@ def _time_domain_ml(data, design, table):
     }
 
 
+def _direct_refine_objective(data, design, lo):
+    """The refine objective as it was set up before the lattice gather: the
+    basis ell(t_n - lo) evaluated on the rows t_n >= lo, q = z - B u, and
+    the sample cutoff n0 by ``searchsorted``."""
+    p, u = design.p, design.u
+    t, z = data.t, data.z
+    n_lo = int(t.searchsorted(lo))
+    basis = eval_basis_matrix(design.basis_config, t[n_lo:] - lo)
+    resid = z[n_lo:] - basis @ u
+    index = np.add.outer(np.arange(u.size), np.arange(u.size))
+    hankel_u = np.concatenate([u, np.zeros(u.size - 1)])[index]
+
+    def negloglik(tau):
+        n0 = int(t.searchsorted(tau))
+        b, q = basis[n0 - n_lo :], resid[n0 - n_lo :]
+        head, cross, gram = z[:n0] @ z[:n0] + q @ q, b.T @ q, b.T @ b
+        shift = tau - lo
+        w = hankel_u @ assoc_laguerre_sequence(-2.0 * p * shift, u.size)
+        a = np.expm1(p * shift) * w + (w - u)
+        return float(data.delta * (head - 2.0 * (a @ cross) + a @ gram @ a))
+
+    return negloglik
+
+
 def _brent_refine_ml(data, design, table):
     """The refine before the grid-end probe: bounded Brent on the
     Laguerre-domain objective over every bracket, the grid point kept when
     Brent does not improve on the scan.  Returns tau_hat, negloglik,
     converged and Brent's evaluation count."""
     grid = table.grid
-    best, f_best = estimators._scan_minimum(table, data)
+    best, f_best = estimators._ml_scan(table, data.z[None], data.delta)[0]
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
-    fn = estimators._refine_objective(data, design, lo)
+    fn = estimators._refine_objective(data, table, max(best - 1, 0))
     tau, f_ref, evals = estimators.minimize_bounded(fn, lo, hi, estimators.ML_TAU_XATOL)
     if f_ref > f_best:
         return float(grid[best]), f_best, False, evals
@@ -604,9 +714,11 @@ class TestMlRefineLaguerre:
     def test_objective_matches_negloglik(
         self, rest, lead, p, best, frac, on_sample, continuous, seed
     ):
-        # the shift identity against the direct sum over the samples,
-        # for any tau of a refine bracket; worst seen 2.2e-14 relative over
-        # 3000 random cases of seven delays each
+        # the shift identity against the direct sum over the samples, and
+        # the basis and residual read from the lattice against the direct
+        # route that evaluates them, for any tau of a refine bracket; worst
+        # seen 4.5e-14 and 4.1e-14 relative over 3000 random cases of seven
+        # delays each
         coeffs = np.array([lead, *rest])
         if continuous:
             coeffs[-1] -= coeffs.sum()
@@ -617,17 +729,21 @@ class TestMlRefineLaguerre:
                 p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
                 horizon=0.15, delta=delta, tau_guess=delta,
             )
-        grid = ml_table(design, delta, design.n_samples, tau_max).grid
+        table = ml_table(design, delta, design.n_samples, tau_max)
+        grid = table.grid
         assert grid.size == 161
-        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        i_lo = max(best - 1, 0)
+        lo, hi = grid[i_lo], grid[min(best + 1, grid.size - 1)]
         tau = lo + frac * (hi - lo)
         if on_sample:
             tau = np.ceil(lo / delta) * delta
             assume(tau <= hi)
         data = make_dataset(design, grid[best], 1e-2, seed)
-        got = estimators._refine_objective(data, design, lo)(tau)
+        got = estimators._refine_objective(data, table, i_lo)(tau)
         want = ml_negloglik(data, design, tau)
         assert abs(got - want) <= 1e-12 * want
+        direct = _direct_refine_objective(data, design, lo)(tau)
+        assert abs(got - direct) <= GATHER_RTOL * direct
 
 
 def _scipy_bounded(fn, a, b, xatol):

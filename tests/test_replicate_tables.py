@@ -11,12 +11,14 @@ tables is refused; a LagDelayError while building a part fails only the
 methods that need that part.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lagdelay import analysis
+from lagdelay import analysis, estimators
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.errors import LagDelayError, SingularInputError
 from lagdelay.estimators import ESTIMATORS, estimate_delay
@@ -113,8 +115,9 @@ class TestPrebuiltEqualsPerCall:
 
 class TestReplicateBlocks:
     """``_run_replicates`` draws a block of replicates and then runs one
-    method at a time over it, ``freq_interp`` with one FFT stage for the
-    whole block.  69 replicates are several full blocks and a partial one."""
+    method at a time over it, the ``ml`` scan and the ``freq_interp`` FFT
+    stage once for the whole block.  69 replicates are several full blocks
+    and a partial one."""
 
     SEED, REPLICATES = 5, 69
 
@@ -155,6 +158,25 @@ class TestReplicateBlocks:
         for method in ESTIMATORS:
             assert _bits(pooled.estimates[method]) == _bits(serial.estimates[method]), method
             assert pooled.per_method[method] == serial.per_method[method]
+
+    def test_every_row_enters_its_estimator(self, cfg, monkeypatch):
+        # through estimate_delay, so a tracer of the four estimators sees
+        # every replicate; ml and freq_interp get their row of the block
+        # stage
+        calls = Counter()
+        for method in ESTIMATORS:
+            name = f"estimate_delay_{method}"
+
+            def counting(data, tables, *stage, _run=getattr(estimators, name), _name=name):
+                calls[_name, bool(stage) and stage[0] is not None] += 1
+                return _run(data, tables, *stage)
+
+            monkeypatch.setattr(estimators, name, counting)
+        run_monte_carlo(cfg, replicates=20, seed=self.SEED)
+        assert calls == {
+            ("estimate_delay_proposed", False): 20, ("estimate_delay_ml", True): 20,
+            ("estimate_delay_lag_spline", False): 20, ("estimate_delay_freq_interp", True): 20,
+        }
 
     def _row_40_fails_alone(self, cfg, serial, monkeypatch, level):
         # replicate 40, inside a block, measures nothing: it is the constant

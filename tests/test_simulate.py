@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -110,6 +111,32 @@ class TestSynthesize:
                 p=50.0, u=np.array([1.0, 0.5, -0.5, -1.0]), energy_bound=2.0,
                 horizon=0.5, delta=3e-4, tau_guess=3e-4,
             )
+
+    @pytest.mark.parametrize("name", ["design72_ref.json", "design71_ref.json"])
+    def test_committed_design_loads_unchanged(self, name):
+        # a design report: the design's keys plus config_hash, objective
+        # and constraints, which the reader skips
+        d = json.loads((INPUTS / name).read_text())
+        assert {"config_hash", "objective", "constraints"} <= set(d)
+        got = InputDesign.from_dict(d).to_dict()
+        assert got == {key: d[key] for key in got}
+
+    @pytest.mark.parametrize("bad, named", [
+        # each was once coerced: "37.31" read as p = 37.31, true as delta = 1
+        ({"p": "37.31"}, "p must be a number, got '37.31'"),
+        ({"delta": True}, "delta must be a number, got True"),
+        ({"eta": None}, "eta must be a number, got None"),
+        ({"horizon": [0.5]}, "horizon must be a number, got [0.5]"),
+        ({"tau_guess": "3e-4"}, "tau_guess must be a number, got '3e-4'"),
+        ({"u": ["1", "0", "0", "-1"]}, "u must be an array of numbers, got ['1'"),
+        ({"u": [1.0, False, 0.0, -1.0]}, "u must be an array of numbers, got [1.0, False"),
+        ({"u": 1.0}, "u must be an array of numbers, got 1.0"),
+        ({"u": [[1.0, -1.0]]}, "u must be an array of numbers, got [[1.0, -1.0]]"),
+    ])
+    def test_wrong_json_type_refused(self, bad, named):
+        d = json.loads((INPUTS / "design72_ref.json").read_text())
+        with pytest.raises(ValueError, match=re.escape(named)):
+            InputDesign.from_dict({**d, **bad})
 
     def test_unbalanced_design_warns(self):
         with pytest.warns(UserWarning, match="vanish"):
@@ -278,9 +305,14 @@ class TestDatasetIO:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        z=(st.integers(1, 50) | st.just(1667)).flatmap(
+        # the 1667-row case draws a few elements over a fill value: a list
+        # of 1667 floats drawn one by one overran hypothesis's entropy budget
+        z=st.integers(1, 50).flatmap(
             lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                min_size=n, max_size=n)
+        ) | arrays(
+            np.float64, 1667, elements=st.floats(allow_nan=False, allow_infinity=False),
+            fill=st.floats(allow_nan=False, allow_infinity=False),
         ),
         delta=st.floats(1e-9, 1e2),
         seed=st.integers() | st.tuples(st.integers(), st.integers()),
