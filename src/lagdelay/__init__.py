@@ -30,7 +30,6 @@ from .errors import (
     DelayOutOfRangeError,
     FlatCorrelationError,
     IllConditionedError,
-    IllConditionedWarning,
     InfeasibleDesignError,
     InvalidDatasetError,
     LagDelayError,

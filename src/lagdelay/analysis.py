@@ -15,7 +15,6 @@ statistics identical for any worker count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields
 from functools import partial
 
@@ -145,20 +144,17 @@ class MarkovErrorModel:
     the order-I basis sampled at t_n - tau.  The Markov estimate is
     T^{-1}(U) P u, with covariance noise_var G G^T for G = T^{-1}(U) R^{-1}.
     T^{-1}(U) is applied as T(v), v the reciprocal power series of u.  Only
-    cond(Phi) and its threshold are kept from the basis, not the basis.
+    cond(Phi) is kept from the basis, not the basis; a flagged basis raises
+    IllConditionedError.
     """
 
     def __init__(self, p: float, k_model: int, delta: float, n_samples: int,
                  tau: float, i_order: int):
         k1 = k_model + 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n_samples)
+        phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n_samples)
+        if phi.ill_conditioned:
+            raise IllConditionedError(phi.cond, phi.cond_threshold)
         self.cond = phi.cond
-        self.cond_threshold = phi.cond_threshold
-        self.usable = not phi.ill_conditioned
-        if not self.usable:
-            return
         t = np.arange(n_samples) * delta
         delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
         self.projector = np.linalg.solve(phi.r, phi.q.T @ delayed)
@@ -181,6 +177,11 @@ class MarkovErrorModel:
         )
 
 
+def _check_tau_check(tau_check: float) -> None:
+    if not 0 <= tau_check < np.inf:  # NaN too
+        raise ValueError(f"tau_check must be nonnegative and finite, got {tau_check!r}")
+
+
 def markov_mse(
     design: InputDesign,
     k_model: int,
@@ -197,14 +198,11 @@ def markov_mse(
     Both come from one ``MarkovErrorModel``.  Raises IllConditionedError
     when the sampled basis is flagged.
     """
-    if tau_check < 0:
-        raise ValueError("tau_check must be nonnegative")
+    _check_tau_check(tau_check)
     if not 0 <= noise_var < np.inf:  # NaN too
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
-    if not model.usable:
-        raise IllConditionedError(model.cond, model.cond_threshold)
     bias_vec, g = model.errors(design.u)
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
@@ -235,6 +233,7 @@ def predict_bias_tau(
 
     with eps1 = E_B'A + E_A'B + E_B'E_A and eps2 = 2 E_B'B + E_B'E_B.
     """
+    _check_tau_check(tau_check)
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
     m = markov_order(k_model, m_markov, len(design.u) - 1)

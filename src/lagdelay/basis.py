@@ -12,12 +12,9 @@ parameters are mutually consistent under it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import IllConditionedWarning
 
 # Default ceiling on cond(Phi) before the basis is flagged as unusable for
 # least squares.
@@ -32,8 +29,8 @@ class BasisConfig:
     num_funcs: int
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError(f"Laguerre parameter must be positive, got {self.p}")
+        if not 0 < self.p < np.inf:  # NaN too
+            raise ValueError(f"p must be finite and positive, got {self.p!r}")
         if self.num_funcs < 1:
             raise ValueError(f"need at least one basis function, got {self.num_funcs}")
 
@@ -121,9 +118,9 @@ def build_phi(
     closed form, and its thin QR factorization.
 
     cond(Phi) is read from R, which has the same singular values.  A
-    condition number above ``cond_threshold`` flags the basis and emits
-    an IllConditionedWarning; downstream least squares refuses flagged
-    bases, signalling that delta, n_samples or p must be revised.
+    condition number above ``cond_threshold`` flags the basis; downstream
+    least squares refuses a flagged basis with IllConditionedError,
+    signalling that delta, n_samples or p must be revised.
     """
     if not 0 < delta < np.inf:  # NaN too
         raise ValueError(f"delta must be finite and positive, got {delta!r}")
@@ -139,19 +136,11 @@ def build_phi(
     # is kept in the Fortran order that LAPACK itself returns it in
     q = np.asfortranarray(q)
     cond = float(np.linalg.cond(r))
-    flagged = not np.isfinite(cond) or cond > cond_threshold
-    if flagged:
-        warnings.warn(
-            IllConditionedWarning(
-                f"cond(Phi) = {cond:.3e} exceeds {cond_threshold:.3e}; "
-                "revise delta, n_samples or p"
-            )
-        )
     return SampledBasis(
         n_samples=n_samples,
         matrix=matrix,
         cond=cond,
-        ill_conditioned=flagged,
+        ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
         cond_threshold=cond_threshold,
         q=q,
         r=r,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import MarkovErrorModel
-from .errors import InfeasibleDesignError
+from .errors import IllConditionedError, InfeasibleDesignError
 from .estimators import minimize_bounded
 from .simulate import InputDesign, _json_int, _json_number, sample_count
 
@@ -186,10 +186,11 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     best = None  # (objective, cand_index, p)
     unusable = 0
     for p in problem.p_grid:
-        model = _model(float(p), problem)
-        if not model.usable:
+        try:
+            model = _model(float(p), problem)
+        except IllConditionedError as exc:
             unusable += 1
-            log.debug("p=%.6g cond(R)=%.4e usable=False", p, model.cond)
+            log.debug("p=%.6g cond(R)=%.4e usable=False", p, exc.cond)
             continue
         objs = model.mse(cand_u, problem.noise_var)
         ci = int(np.argmin(objs))
@@ -242,13 +243,17 @@ def _refine(problem, p, u0, odds, obj):
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
     odds = np.asarray(odds, dtype=float).copy()
-    models: dict[float, MarkovErrorModel] = {}
+    # a p whose basis is refused is cached as None and scores infinite
+    models: dict[float, MarkovErrorModel | None] = {}
 
     def objective(p_val, u0_val, odds_val):
-        model = models.get(p_val)
+        if p_val not in models:
+            try:
+                models[p_val] = _model(p_val, problem)
+            except IllConditionedError:
+                models[p_val] = None
+        model = models[p_val]
         if model is None:
-            model = models[p_val] = _model(p_val, problem)
-        if not model.usable:
             return np.inf
         return float(model.mse(_coefficients(u0_val, odds_val, problem), problem.noise_var))
 

@@ -21,11 +21,6 @@ class IllConditionedError(LagDelayError):
         self.threshold = threshold
 
 
-class IllConditionedWarning(UserWarning):
-    """Emitted when a freshly built sampled basis crosses the condition
-    threshold; the basis is still returned but flagged."""
-
-
 class SingularInputError(LagDelayError):
     """Input spectrum has u_0 = 0, so the triangular input operator is
     singular and the Markov parameters cannot be recovered."""

@@ -354,8 +354,9 @@ def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
     Raises InvalidDatasetError when the sidecar's delta is not a finite
-    positive number, its n_samples not an integer, its noise_var not a
-    finite number >= 0 or its true_tau neither null nor a finite number;
+    positive number, its n_samples not an integer >= 1, its noise_var not a
+    finite number >= 0 or its true_tau neither null nor a finite number
+    >= 0;
     when the CSV is empty or lacks the t,z header, a CSV row lacks its t or
     z field or has one that is not a number, a time stamp is off the grid
     n * delta, a sample is not finite or the CSV has another number of rows
@@ -372,11 +373,14 @@ def load_dataset(csv_path) -> Dataset:
     delta = _json_number(meta, "delta", lambda v: 0 < v < np.inf,
                          "a finite positive number", refuse)
     n_samples = _json_int(meta, "n_samples", refuse)
+    if n_samples < 1:
+        raise refuse(f"n_samples must be at least 1, got {n_samples}")
     noise_var = _json_number(meta, "noise_var", lambda v: 0 <= v < np.inf,
                              "a finite number >= 0", refuse)
     true_tau = meta.get("true_tau")
     if true_tau is not None:
-        true_tau = _json_number(meta, "true_tau", np.isfinite, "null or a finite number", refuse)
+        true_tau = _json_number(meta, "true_tau", lambda v: 0 <= v < np.inf,
+                                "null or a finite number >= 0", refuse)
     t, z = _read_samples(csv_path)
     grid = np.arange(t.size) * delta
     # sample n is on CSV line n + 2, after the header; the grid test is

@@ -15,7 +15,7 @@ from lagdelay.analysis import (
     predict_bias_tau,
     run_monte_carlo,
 )
-from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
 from lagdelay.estimators import (
@@ -161,6 +161,12 @@ class TestMarkovMse:
         with pytest.raises(ValueError, match="tau_check must be nonnegative"):
             markov_mse(bench_design, 12, 0.01, -1e-4)
 
+    @pytest.mark.parametrize("tau_check", [float("nan"), float("inf")])
+    def test_non_finite_tau_check_rejected(self, bench_design, tau_check):
+        # a NaN tau_check once passed the nonnegativity test
+        with pytest.raises(ValueError, match="tau_check must be nonnegative and finite"):
+            markov_mse(bench_design, 12, 0.01, tau_check)
+
     def test_flagged_basis_raises(self):
         # p = 0.05 cannot separate 13 functions over 200 samples
         p = 0.05
@@ -173,6 +179,12 @@ class TestMarkovMse:
 
 
 class TestMarkovErrorModel:
+    def test_flagged_basis_raises(self):
+        # p = 0.05 cannot separate 13 functions over 200 samples
+        with pytest.raises(IllConditionedError) as exc:
+            analysis.MarkovErrorModel(0.05, 12, 3e-4, 200, 3e-4, 3)
+        assert exc.value.cond > exc.value.threshold == DEFAULT_COND_THRESHOLD
+
     @pytest.mark.parametrize("delta,n,k_model", [(3e-4, 1667, 12), (1e-4, 5001, 6)])
     def test_solve_within_1e13_of_triangular_solve(self, delta, n, k_model):
         # the projector R^{-1} Q^T D and R^{-1} against the triangular solve
@@ -180,8 +192,9 @@ class TestMarkovErrorModel:
         # optimizer's default p grid
         checked = 0
         for p in np.geomspace(1.0, 200.0, 40):
-            model = analysis.MarkovErrorModel(float(p), k_model, delta, n, 3e-4, 3)
-            if not model.usable:
+            try:
+                model = analysis.MarkovErrorModel(float(p), k_model, delta, n, 3e-4, 3)
+            except IllConditionedError:
                 continue
             phi = build_phi(BasisConfig(p=float(p), num_funcs=k_model + 1), delta, n)
             delayed = eval_basis_matrix(

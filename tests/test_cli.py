@@ -2,7 +2,7 @@
 
 import json
 import re
-from contextlib import nullcontext
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -13,7 +13,7 @@ import pytest
 from lagdelay import cli, estimators
 from lagdelay.analysis import BenchmarkConfig, predict_bias_tau
 from lagdelay.cli import main
-from lagdelay.errors import IllConditionedWarning, NoImprovementWarning
+from lagdelay.errors import NoImprovementWarning
 from lagdelay.simulate import InputDesign
 
 from conftest import OUT_OF_RECORD
@@ -509,9 +509,9 @@ class TestEstimateCommand:
             "--n-samples", str(n_samples), "--out", str(data),
         ])
         report_path = tmp_path / "r.json"
-        # 300 samples are too few for the K = 12 basis of proposed (cond 5.6e8)
-        flagged = pytest.warns(IllConditionedWarning) if n_samples == 300 else nullcontext()
-        with flagged:
+        # a flagged basis is reported as IllConditionedError, never warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main([
                 "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
                 "--k-model", str(k_model), "--out", str(report_path),
@@ -520,6 +520,9 @@ class TestEstimateCommand:
         report = json.loads(report_path.read_text())
         assert report["errors"][method].startswith("DelayOutOfRangeError: ")
         assert method not in report["estimates"]
+        if n_samples == 300:
+            # too few samples for the K = 12 basis of proposed (cond 5.6e8)
+            assert report["errors"]["proposed"].startswith("IllConditionedError: ")
         assert report["estimates"]["ml"]["tau_hat"] == pytest.approx(1.33e-3, abs=1e-6)
 
     def test_unknown_method_exit_1(self, design_file, dataset_dir, tmp_path):
@@ -563,10 +566,12 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("key, value, rule", [
         # "x" once escaped main as a numpy error and [1] wrote a report that
         # its schema refuses
-        ("true_tau", "x", "null or a finite number"),
-        ("true_tau", [1], "null or a finite number"),
-        ("true_tau", True, "null or a finite number"),
-        ("true_tau", float("inf"), "null or a finite number"),
+        ("true_tau", "x", "null or a finite number >= 0"),
+        ("true_tau", [1], "null or a finite number >= 0"),
+        ("true_tau", True, "null or a finite number >= 0"),
+        ("true_tau", float("inf"), "null or a finite number >= 0"),
+        # -0.2 once exited 0 with a CRLB at the negative delay
+        ("true_tau", -1e-3, "null or a finite number >= 0"),
         # null once escaped main as a TypeError
         ("delta", None, "a finite positive number"),
         ("delta", "3e-4", "a finite positive number"),
@@ -593,6 +598,22 @@ class TestEstimateCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert "InvalidDatasetError" in err and f"{key} must be {rule}, got {value!r}" in err
+        assert str(tmp_path / "dataset.json") in err
+        assert not report.exists()
+
+    def test_header_only_dataset_exit_1(self, design_file, dataset_dir, tmp_path, capsys):
+        # once loaded as an empty dataset, on which ml named a negative tau_max
+        (tmp_path / "dataset.csv").write_text("t,z\r\n")
+        meta = json.loads((dataset_dir / "dataset.json").read_text())
+        (tmp_path / "dataset.json").write_text(json.dumps({**meta, "n_samples": 0}))
+        report = tmp_path / "r.json"
+        rc = main([
+            "estimate", "--dataset", str(tmp_path / "dataset.csv"),
+            "--design", str(design_file), "--methods", "ml", "--out", str(report),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InvalidDatasetError" in err and "n_samples must be at least 1, got 0" in err
         assert str(tmp_path / "dataset.json") in err
         assert not report.exists()
 
@@ -972,16 +993,18 @@ class TestBiasPredictCommand:
         assert "ValueError" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("tau_check", ["nan", "inf"])
+    @pytest.mark.parametrize("tau_check", ["nan", "inf", "-1"])
     def test_non_finite_delay_exit_1(self, design_file, tmp_path, capsys, tau_check):
-        # once wrote "predicted_bias": null against its schema
+        # nan and inf once wrote "predicted_bias": null against its schema;
+        # -1 once named kappa = 2 p tau_check, an internal quantity
         out = tmp_path / "b.json"
         rc = main([
             "bias-predict", "--design", str(design_file), "--tau-check", tau_check,
             "--noise-var", "1e-4", "--mc-samples", "2000", "--out", str(out),
         ])
         assert rc == 1
-        assert "ValueError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ValueError: tau_check must be nonnegative and finite" in err
         assert not out.exists()
 
     def test_fixed_seed_reproducible(self, design_file, tmp_path):
@@ -1034,13 +1057,20 @@ class TestBasisCheck:
         assert "cond(Phi)" in out
         assert "FAIL" not in out
 
-    def test_flagged_configuration_exit_1(self):
-        with pytest.warns(Warning):
+    def test_flagged_configuration_exit_1(self, capsys):
+        # the flag is the only signal: no warning, the FAIL line and exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main([
                 "basis-check", "--p", "20", "--num-funcs", "26",
                 "--delta", "1e-4", "--n-samples", "5001",
             ])
         assert rc == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[1].endswith("(flagged)")
+        assert lines[2] == "  [FAIL] condition number below threshold"
+        assert captured.err == ""
 
     def test_prints_only_what_depends_on_the_arguments(self, capsys):
         # no self-test of the recurrence on fixed inputs, no check of row 0
@@ -1065,7 +1095,9 @@ class TestBasisCheck:
         # printed FAIL lines for a basis full of NaN
         (["--delta", "inf"], "delta must be finite and positive"),
         (["--delta", "nan"], "delta must be finite and positive"),
-    ], ids=["threshold=nan", "delta=inf", "delta=nan"])
+        # an infinite p ended the same way, after two numpy RuntimeWarnings
+        (["--p", "inf"], "p must be finite and positive"),
+    ], ids=["threshold=nan", "delta=inf", "delta=nan", "p=inf"])
     def test_unusable_argument_exit_1(self, capsys, flag, message):
         rc = main([
             "basis-check", "--p", "20", "--num-funcs", "26", "--delta", "1e-4",

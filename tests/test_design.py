@@ -3,7 +3,6 @@
 import json
 import logging
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from lagdelay.design import (
     optimize_design,
     validate_constraints,
 )
-from lagdelay.errors import InfeasibleDesignError
+from lagdelay.errors import IllConditionedError, InfeasibleDesignError
 from lagdelay.simulate import sample_count
 
 from conftest import state_space_basis
@@ -90,9 +89,7 @@ class ScalarObjective:
     def __init__(self, p: float, problem: DesignProblem):
         self.p = p
         k1 = problem.k_model + 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            phi = build_phi(BasisConfig(p=p, num_funcs=k1), problem.delta, problem.n_samples)
+        phi = build_phi(BasisConfig(p=p, num_funcs=k1), problem.delta, problem.n_samples)
         t = np.arange(problem.n_samples) * problem.delta
         cfg_in = BasisConfig(p=p, num_funcs=problem.i_order + 1)
         delayed = eval_basis_matrix(cfg_in, t - problem.tau_guess)
@@ -163,8 +160,9 @@ class TestOptimizeDesign:
         ).mse
         # returned objective beats every evaluated grid candidate
         for p in problem.p_grid:
-            model = _model(float(p), problem)
-            if not model.usable:
+            try:
+                model = _model(float(p), problem)
+            except IllConditionedError:
                 continue
             for u in _candidates(problem):
                 assert best <= model.mse(u, problem.noise_var) * (1 + 1e-9)
@@ -372,16 +370,16 @@ class TestRefine:
         problem = DesignProblem(**json.loads((INPUTS / f"{name}_problem.json").read_text()))
 
         def triangular_model(p, problem):
+            # a flagged p raises IllConditionedError here, as from _model
             model = _model(p, problem)
-            if model.usable:
-                phi = build_phi(BasisConfig(p=p, num_funcs=model.k1), problem.delta,
-                                problem.n_samples)
-                t = np.arange(problem.n_samples) * problem.delta
-                delayed = eval_basis_matrix(
-                    BasisConfig(p=p, num_funcs=problem.i_order + 1), t - problem.tau_guess
-                )
-                model.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
-                model.r_inv = solve_triangular(phi.r, np.eye(model.k1), lower=False)
+            phi = build_phi(BasisConfig(p=p, num_funcs=model.k1), problem.delta,
+                            problem.n_samples)
+            t = np.arange(problem.n_samples) * problem.delta
+            delayed = eval_basis_matrix(
+                BasisConfig(p=p, num_funcs=problem.i_order + 1), t - problem.tau_guess
+            )
+            model.projector = solve_triangular(phi.r, phi.q.T @ delayed, lower=False)
+            model.r_inv = solve_triangular(phi.r, np.eye(model.k1), lower=False)
             return model
 
         def objective(design):
@@ -402,8 +400,12 @@ class TestRefine:
         seen = []
 
         def recording_model(p, problem):
-            model = _model(p, problem)
-            seen.append(model.usable)
+            try:
+                model = _model(p, problem)
+            except IllConditionedError:
+                seen.append(False)
+                raise
+            seen.append(True)
             return model
 
         monkeypatch.setattr(design_module, "_model", recording_model)
@@ -431,8 +433,9 @@ class TestBatchedObjective:
         assert len(cand_u) == 576
         usable = 0
         for p in problem.p_grid:
-            model = _model(float(p), problem)
-            if not model.usable:
+            try:
+                model = _model(float(p), problem)
+            except IllConditionedError:
                 continue
             usable += 1
             batched = model.mse(cand_u, problem.noise_var)
