@@ -143,9 +143,10 @@ class MarkovErrorModel:
     delayed input is linear in u: P u with the projector P = R^{-1} Q^T D, D
     the order-I basis sampled at t_n - tau.  The Markov estimate is
     T^{-1}(U) P u, with covariance noise_var G G^T for G = T^{-1}(U) R^{-1}.
-    T^{-1}(U) is applied as T(v), v the reciprocal power series of u.  Only
-    cond(Phi) is kept from the basis, not the basis; a flagged basis raises
-    IllConditionedError.
+    T^{-1}(U) is applied as T(v), v the reciprocal power series of u, which
+    the caller passes in: v depends on u alone, so one T(v) serves every p.
+    Only cond(Phi) is kept from the basis, not the basis; a flagged basis
+    raises IllConditionedError.
     """
 
     def __init__(self, p: float, k_model: int, delta: float, n_samples: int,
@@ -162,16 +163,17 @@ class MarkovErrorModel:
         self.h_true = markov_params(2.0 * p * tau, k1)
         self.k1 = k1
 
-    def errors(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def errors(self, u: np.ndarray, t_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bias of the Markov estimate and the covariance factor
-        G = T(v) R^{-1} of each input; u has shape (..., I + 1)."""
-        t_inv = build_toeplitz(reciprocal_series(u, self.k1), self.k1)
+        G = T(v) R^{-1} of each input; u has shape (..., I + 1) and t_inv,
+        T(v) = ``build_toeplitz(reciprocal_series(u, k1), k1)``, shape
+        (..., k1, k1)."""
         bias = np.einsum("...ij,...j->...i", t_inv, u @ self.projector.T) - self.h_true
         return bias, t_inv @ self.r_inv
 
-    def mse(self, u: np.ndarray, noise_var: float) -> np.ndarray:
-        """Markov-estimate MSE of each input; u has shape (..., I + 1)."""
-        bias, g = self.errors(u)
+    def mse(self, u: np.ndarray, t_inv: np.ndarray, noise_var: float) -> np.ndarray:
+        """Markov-estimate MSE of each input, t_inv as for ``errors``."""
+        bias, g = self.errors(u, t_inv)
         return np.einsum("...i,...i->...", bias, bias) + noise_var * np.einsum(
             "...ij,...ij->...", g, g
         )
@@ -203,7 +205,8 @@ def markov_mse(
         raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
-    bias_vec, g = model.errors(design.u)
+    t_inv = build_toeplitz(reciprocal_series(design.u, model.k1), model.k1)
+    bias_vec, g = model.errors(design.u, t_inv)
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
     mse = float(bias_vec @ bias_vec + np.trace(covariance))

@@ -31,6 +31,8 @@ class BasisConfig:
     def __post_init__(self):
         if not 0 < self.p < np.inf:  # NaN too
             raise ValueError(f"p must be finite and positive, got {self.p!r}")
+        if self.p > np.finfo(float).max / 2:
+            raise ValueError(f"p = {self.p!r} is too large: 2p overflows")
         if self.num_funcs < 1:
             raise ValueError(f"need at least one basis function, got {self.num_funcs}")
 
@@ -98,13 +100,15 @@ def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
 
     ell_j(t) = sqrt(2p) e^{-pt} L_j(2pt) for t >= 0 and 0 for t < 0, with
     L_j the standard Laguerre polynomial.  Negative times are set to 0
-    before e^{-pt} is taken, where it could overflow.
+    before e^{-pt} is taken, where it could overflow.  Rows whose envelope
+    is 0, negative or underflowed, are exactly 0: L_j is evaluated at 0
+    there, since L_j(2pt) may overflow where e^{-pt} has underflowed.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     pos = t >= 0
     t = np.where(pos, t, 0.0)
-    table = _std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
     envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
+    table = _std_laguerre_table(np.where(envelope != 0, 2.0 * cfg.p * t, 0.0), cfg.k_max)
     return envelope[..., None] * table
 
 

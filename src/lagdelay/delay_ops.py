@@ -79,7 +79,7 @@ def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     v[..., 0] = 1.0 / u[..., 0]
     for n in range(1, size):
         k = min(n, u.shape[-1] - 1)
-        acc = np.sum(u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1], axis=-1)
+        acc = np.add.reduce(u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1], axis=-1)
         v[..., n] = -acc / u[..., 0]
     return v
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import MarkovErrorModel
+from .delay_ops import build_toeplitz, reciprocal_series
 from .errors import IllConditionedError, InfeasibleDesignError
 from .estimators import minimize_bounded
 from .simulate import InputDesign, _json_int, _json_number, sample_count
@@ -161,14 +162,26 @@ def _candidates(problem: DesignProblem) -> np.ndarray:
     u0 = (raw[:, 0] - raw[:, 1]) / 2.0  # continuity projection of (u0, uI)
     keep = u0 > 0
     u = _coefficients(u0[keep], raw[keep, 2:], problem)
-    _, first = np.unique(np.round(u, 12), axis=0, return_index=True)
-    return u[np.sort(first)]
+    # rows compared by their bytes, so 0.0 and -0.0 differ; the stable sort
+    # puts each row's first occurrence at the head of its run of equals
+    bits = np.round(u, 12).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ranked = bits[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    return u[np.sort(order[head])]
 
 
 def _model(p: float, problem: DesignProblem) -> MarkovErrorModel:
     return MarkovErrorModel(
         p, problem.k_model, problem.delta, problem.n_samples, problem.tau_guess, problem.i_order
     )
+
+
+def _t_inv(u: np.ndarray, problem: DesignProblem) -> np.ndarray:
+    """T(U)^{-1} = T(v) of each coefficient row, as the error models take it."""
+    k1 = problem.k_model + 1
+    return build_toeplitz(reciprocal_series(u, k1), k1)
 
 
 def optimize_design(problem: DesignProblem) -> InputDesign:
@@ -183,6 +196,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         raise InfeasibleDesignError(
             "the coefficient grid has no candidate with u_0 > 0; raise u_grid_points"
         )
+    cand_t_inv = _t_inv(cand_u, problem)
     best = None  # (objective, cand_index, p)
     unusable = 0
     for p in problem.p_grid:
@@ -192,7 +206,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
             unusable += 1
             log.debug("p=%.6g cond(R)=%.4e usable=False", p, exc.cond)
             continue
-        objs = model.mse(cand_u, problem.noise_var)
+        objs = model.mse(cand_u, cand_t_inv, problem.noise_var)
         ci = int(np.argmin(objs))
         log.debug(
             "p=%.6g cond(R)=%.4e usable=True best_objective=%.6e candidate=%d",
@@ -237,8 +251,9 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
 def _refine(problem, p, u0, odds, obj):
     """Coordinate descent around the best grid point; each coordinate is
     minimized by bounded Brent within one grid spacing and moves only when
-    that beats the current objective.  Also returns the number of per-p
-    error models the descent built."""
+    that beats the current objective.  The p descent keeps u, and so its
+    T(v), fixed.  Also returns the number of per-p error models the descent
+    built."""
     p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
@@ -246,7 +261,7 @@ def _refine(problem, p, u0, odds, obj):
     # a p whose basis is refused is cached as None and scores infinite
     models: dict[float, MarkovErrorModel | None] = {}
 
-    def objective(p_val, u0_val, odds_val):
+    def score(p_val, u, t_inv):
         if p_val not in models:
             try:
                 models[p_val] = _model(p_val, problem)
@@ -255,7 +270,11 @@ def _refine(problem, p, u0, odds, obj):
         model = models[p_val]
         if model is None:
             return np.inf
-        return float(model.mse(_coefficients(u0_val, odds_val, problem), problem.noise_var))
+        return float(model.mse(u, t_inv, problem.noise_var))
+
+    def objective(p_val, u0_val, odds_val):
+        u = _coefficients(u0_val, odds_val, problem)
+        return score(p_val, u, _t_inv(u, problem))
 
     def descend(fn, x, f_x, lo, hi, rtol):
         # x lies in [lo, hi] and fn(x) = f_x is known, so keeping x costs no
@@ -265,8 +284,10 @@ def _refine(problem, p, u0, odds, obj):
 
     for _ in range(20):
         prev = obj
+        u = _coefficients(u0, odds, problem)
+        t_inv = _t_inv(u, problem)
         p, obj = descend(
-            lambda x: objective(x, u0, odds), p, obj, p / p_ratio, p * p_ratio, 1e-3
+            lambda x: score(x, u, t_inv), p, obj, p / p_ratio, p * p_ratio, 1e-3
         )
         u0, obj = descend(
             lambda x: objective(p, x, odds),

@@ -42,12 +42,17 @@ def _json_number(d: dict, key: str, valid=lambda v: True, what="a number",
     return float(val)
 
 
+def _is_json_int(val) -> bool:
+    """Whether JSON holds an integer in val: no bool, no fractional part."""
+    return not isinstance(val, bool) and (
+        isinstance(val, int) or isinstance(val, float) and val.is_integer()
+    )
+
+
 def _json_int(d: dict, key: str, error=ValueError) -> int:
     """d[key] when JSON holds an integer there: no bool, no fractional part."""
     val = d[key]
-    if isinstance(val, bool) or not (
-        isinstance(val, int) or isinstance(val, float) and val.is_integer()
-    ):
+    if not _is_json_int(val):
         raise error(f"{key} must be an integer, got {val!r}")
     return int(val)
 
@@ -150,6 +155,10 @@ class Dataset:
         if not 0 <= self.noise_var < np.inf:  # NaN too
             raise ValueError(
                 f"noise variance must be finite and nonnegative, got {self.noise_var}"
+            )
+        if self.true_tau is not None and not 0 <= self.true_tau < np.inf:  # NaN too
+            raise ValueError(
+                f"true_tau must be null or a finite number >= 0, got {self.true_tau!r}"
             )
         bad = np.flatnonzero(~np.isfinite(self.z))
         if bad.size:
@@ -355,8 +364,8 @@ def load_dataset(csv_path) -> Dataset:
 
     Raises InvalidDatasetError when the sidecar's delta is not a finite
     positive number, its n_samples not an integer >= 1, its noise_var not a
-    finite number >= 0 or its true_tau neither null nor a finite number
-    >= 0;
+    finite number >= 0, its seed neither an integer, an array of integers
+    nor null, or its true_tau neither null nor a finite number >= 0;
     when the CSV is empty or lacks the t,z header, a CSV row lacks its t or
     z field or has one that is not a number, a time stamp is off the grid
     n * delta, a sample is not finite or the CSV has another number of rows
@@ -381,6 +390,12 @@ def load_dataset(csv_path) -> Dataset:
     if true_tau is not None:
         true_tau = _json_number(meta, "true_tau", lambda v: 0 <= v < np.inf,
                                 "null or a finite number >= 0", refuse)
+    seed = meta.get("seed")
+    if not (seed is None or _is_json_int(seed)
+            or isinstance(seed, list) and all(map(_is_json_int, seed))):
+        raise refuse(f"seed must be an integer, an array of integers or null, got {seed!r}")
+    if isinstance(seed, list):
+        seed = tuple(seed)
     t, z = _read_samples(csv_path)
     grid = np.arange(t.size) * delta
     # sample n is on CSV line n + 2, after the header; the grid test is
@@ -398,9 +413,6 @@ def load_dataset(csv_path) -> Dataset:
         raise InvalidDatasetError(
             f"{csv_path}: CSV line {n + 2} has sample z[{n}] = {z[n]}, which is not finite"
         )
-    seed = meta.get("seed")
-    if isinstance(seed, list):
-        seed = tuple(seed)
     return Dataset(
         z=z,
         delta=delta,

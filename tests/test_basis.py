@@ -6,6 +6,7 @@ lower-triangular realization) is the independent oracle it is checked
 against."""
 
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -152,6 +153,19 @@ class TestClosedForms:
                 crlb(design, 20.0, 0.01, n_samples=1667)
             assert not eval_basis_matrix(cfg, t).any()
             assert not input_derivative(design, t).any()
+
+    @pytest.mark.parametrize("p, k1, delta, n", [(1e300, 3, 1e-3, 100), (1e27, 13, 3e-4, 1667)])
+    def test_zero_where_the_envelope_underflows(self, p, k1, delta, n):
+        # L_j(2pt) overflows where e^{-pt} has underflowed, and inf * 0 once
+        # gave NaN rows, two RuntimeWarnings and "SVD did not converge"
+        cfg = BasisConfig(p=p, num_funcs=k1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = eval_basis_matrix(cfg, np.arange(n) * delta)
+            phi = build_phi(cfg, delta, n)
+        assert np.array_equal(matrix[0], np.full(k1, np.sqrt(2.0 * p)))
+        assert not matrix[1:].any()
+        assert phi.ill_conditioned
 
     def test_derivative_matches_finite_differences(self):
         # ell' = A_c ell: the derivative of each basis function is a finite
@@ -355,6 +369,12 @@ class TestConfigValidation:
         for p in [0.0, -2.0, np.inf, np.nan]:
             with pytest.raises(ValueError, match=f"p must be finite and positive, got {p!r}"):
                 BasisConfig(p=p, num_funcs=3)
+
+    def test_p_whose_double_overflows_rejected(self):
+        for p in [1e308, float(np.finfo(float).max)]:
+            with pytest.raises(ValueError, match=re.escape(f"p = {p!r} is too large")):
+                BasisConfig(p=p, num_funcs=3)
+        BasisConfig(p=float(np.finfo(float).max) / 2, num_funcs=3)
 
     def test_num_funcs_floor(self):
         with pytest.raises(ValueError):

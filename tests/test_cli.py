@@ -583,6 +583,12 @@ class TestEstimateCommand:
         ("noise_var", None, "a finite number >= 0"),
         ("noise_var", -0.01, "a finite number >= 0"),
         ("noise_var", float("inf"), "a finite number >= 0"),
+        # "abc" once loaded, and estimate exited 0
+        ("seed", "abc", "an integer, an array of integers or null"),
+        ("seed", 1.5, "an integer, an array of integers or null"),
+        ("seed", True, "an integer, an array of integers or null"),
+        ("seed", [1, "2"], "an integer, an array of integers or null"),
+        ("seed", {"a": 1}, "an integer, an array of integers or null"),
     ])
     def test_bad_sidecar_value_exit_1(
         self, design_file, dataset_dir, tmp_path, capsys, key, value, rule
@@ -1087,6 +1093,21 @@ class TestBasisCheck:
         assert not lines[1].endswith("(flagged)")
         assert lines[2] == "  [PASS] condition number below threshold"
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "1e300", "--num-funcs", "3", "--delta", "1e-3", "--n-samples", "100"],
+        ["--p", "1e27", "--num-funcs", "13", "--delta", "3e-4", "--n-samples", "1667"],
+    ], ids=["p=1e300", "p=1e27"])
+    def test_huge_p_flagged_exit_1(self, capsys, argv):
+        # e^{-pt} underflows past row 0, where L_j(2pt) overflows: these
+        # once printed two RuntimeWarnings and ended in "SVD did not converge"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["basis-check", *argv])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].endswith("(flagged)")
+        assert captured.err == ""
+
     @pytest.mark.parametrize("flag, message", [
         # cond > nan is always false: a NaN threshold once passed this
         # configuration, which exits 1 without the flag
@@ -1097,7 +1118,8 @@ class TestBasisCheck:
         (["--delta", "nan"], "delta must be finite and positive"),
         # an infinite p ended the same way, after two numpy RuntimeWarnings
         (["--p", "inf"], "p must be finite and positive"),
-    ], ids=["threshold=nan", "delta=inf", "delta=nan", "p=inf"])
+        (["--p", "1e308"], "p = 1e+308 is too large: 2p overflows"),
+    ], ids=["threshold=nan", "delta=inf", "delta=nan", "p=inf", "p=1e308"])
     def test_unusable_argument_exit_1(self, capsys, flag, message):
         rc = main([
             "basis-check", "--p", "20", "--num-funcs", "26", "--delta", "1e-4",

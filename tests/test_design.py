@@ -14,12 +14,13 @@ from lagdelay import design as design_module
 from lagdelay.analysis import markov_mse
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import main
-from lagdelay.delay_ops import build_toeplitz, markov_params
+from lagdelay.delay_ops import build_toeplitz, markov_params, reciprocal_series
 from lagdelay.design import (
     DesignProblem,
     _candidates,
     _coefficients,
     _model,
+    _t_inv,
     optimize_design,
     validate_constraints,
 )
@@ -165,7 +166,8 @@ class TestOptimizeDesign:
             except IllConditionedError:
                 continue
             for u in _candidates(problem):
-                assert best <= model.mse(u, problem.noise_var) * (1 + 1e-9)
+                t_inv = _t_inv(u, problem)
+                assert best <= model.mse(u, t_inv, problem.noise_var) * (1 + 1e-9)
 
     def test_deterministic(self):
         a = optimize_design(tiny_problem())
@@ -177,7 +179,7 @@ class TestOptimizeDesign:
         problem = tiny_problem()
         model = _model(35.0, problem)
         u = _coefficients(0.9, np.array([0.3]), problem)
-        fast = model.mse(u, problem.noise_var)
+        fast = model.mse(u, _t_inv(u, problem), problem.noise_var)
         from lagdelay.simulate import InputDesign
 
         design = InputDesign(
@@ -383,7 +385,9 @@ class TestRefine:
             return model
 
         def objective(design):
-            return float(triangular_model(design.p, problem).mse(design.u, problem.noise_var))
+            model = triangular_model(design.p, problem)
+            t_inv = _t_inv(design.u, problem)
+            return float(model.mse(design.u, t_inv, problem.noise_var))
 
         got = optimize_design(problem)
         monkeypatch.setattr(design_module, "_model", triangular_model)
@@ -431,6 +435,7 @@ class TestBatchedObjective:
         problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
         cand_u = _candidates(problem)
         assert len(cand_u) == 576
+        t_inv = _t_inv(cand_u, problem)
         usable = 0
         for p in problem.p_grid:
             try:
@@ -438,7 +443,7 @@ class TestBatchedObjective:
             except IllConditionedError:
                 continue
             usable += 1
-            batched = model.mse(cand_u, problem.noise_var)
+            batched = model.mse(cand_u, t_inv, problem.noise_var)
             oracle = ScalarObjective(float(p), problem)
             scalar = np.array([oracle.mse(u) for u in cand_u])
             rel = np.abs(batched - scalar) / np.abs(scalar)
@@ -446,13 +451,54 @@ class TestBatchedObjective:
             assert np.argmin(batched) == np.argmin(scalar)
         assert usable == usable_expected
 
+    @pytest.mark.parametrize("section", sorted(SECTION7_PROBLEMS))
+    def test_equals_per_p_route_bitwise(self, section):
+        # the route that rebuilt every candidate's T(v) inside each per-p model
+        def per_p_mse(model, u, noise_var):
+            t_inv = build_toeplitz(reciprocal_series(u, model.k1), model.k1)
+            bias = np.einsum("...ij,...j->...i", t_inv, u @ model.projector.T) - model.h_true
+            g = t_inv @ model.r_inv
+            return np.einsum("...i,...i->...", bias, bias) + noise_var * np.einsum(
+                "...ij,...ij->...", g, g
+            )
+
+        sampling, usable_expected = SECTION7_PROBLEMS[section]
+        problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
+        cand_u = _candidates(problem)
+        t_inv = _t_inv(cand_u, problem)
+        usable = 0
+        for p in problem.p_grid:
+            try:
+                model = _model(float(p), problem)
+            except IllConditionedError:
+                continue
+            usable += 1
+            want = per_p_mse(model, cand_u, problem.noise_var)
+            assert np.array_equal(model.mse(cand_u, t_inv, problem.noise_var), want), p
+        assert usable == usable_expected
+
+    @pytest.mark.parametrize("section", sorted(SECTION7_PROBLEMS))
+    def test_candidates_t_inv_built_once_per_problem(self, section, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return build_toeplitz(*args)
+
+        monkeypatch.setattr(design_module, "build_toeplitz", counting)
+        sampling, _ = SECTION7_PROBLEMS[section]
+        optimize_design(DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01,
+                                      refine=False, **sampling))
+        assert calls == [(576, sampling["k_model"] + 1)]
+
     def test_single_candidate_matches_its_batch_row(self):
         problem = tiny_problem()
         model = _model(35.0, problem)
         cand_u = _candidates(problem)
-        batched = model.mse(cand_u, problem.noise_var)
+        batched = model.mse(cand_u, _t_inv(cand_u, problem), problem.noise_var)
         for i, u in enumerate(cand_u):
-            assert model.mse(u, problem.noise_var) == pytest.approx(batched[i], rel=1e-14)
+            single = model.mse(u, _t_inv(u, problem), problem.noise_var)
+            assert single == pytest.approx(batched[i], rel=1e-14)
 
 
 class TestCandidates:

@@ -269,6 +269,16 @@ class TestNoise:
         with pytest.raises(ValueError, match="noise variance"):
             Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=noise_var, seed=1)
 
+    @pytest.mark.parametrize("true_tau", [-0.2, -np.inf, np.nan, np.inf])
+    def test_negative_or_non_finite_delay_rejected(self, true_tau):
+        # a negative delay was once written to a sidecar that load_dataset refuses
+        rule = re.escape(f"true_tau must be null or a finite number >= 0, got {true_tau!r}")
+        with pytest.raises(ValueError, match=rule):
+            add_noise(np.zeros(3), 0.01, 1, delta=0.1, true_tau=true_tau)
+        with pytest.raises(ValueError, match=rule):
+            Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=0.0, seed=1,
+                    true_tau=true_tau)
+
     def test_variance_law_of_large_numbers(self):
         lam = 0.37
         ds = add_noise(np.zeros(1_000_000), lam, 2024, delta=1.0)
@@ -302,6 +312,26 @@ class TestDatasetIO:
         assert back.noise_var == ds.noise_var
         assert back.seed == seed
         assert back.true_tau == true_tau
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        noise_var=st.floats(),
+        seed=st.none() | st.integers() | st.tuples(st.integers(), st.integers()),
+        true_tau=st.none() | st.floats(),
+    )
+    @example(noise_var=0.0, seed=0, true_tau=-0.2)
+    def test_every_constructed_dataset_loads_back(self, noise_var, seed, true_tau):
+        # whatever noise_var, seed and true_tau, the sidecar of a Dataset that
+        # constructs passes load_dataset's checks
+        try:
+            ds = Dataset(z=[0.5, -1.0, 2.0], delta=1e-3, n_samples=3, noise_var=noise_var,
+                         seed=seed, true_tau=true_tau)
+        except ValueError:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            save_dataset(ds, Path(tmp) / "data.csv")
+            back = load_dataset(Path(tmp) / "data.csv")
+        assert (back.noise_var, back.seed, back.true_tau) == (noise_var, seed, true_tau)
 
     @settings(max_examples=100, deadline=None)
     @given(
