@@ -28,9 +28,10 @@ from .delay_ops import (
     markov_params,
     reciprocal_series,
 )
-from .errors import DegenerateBError, IllConditionedError, LagDelayError
+from .errors import DegenerateBError, IllConditionedError, LagDelayError, _require
 from .estimators import (
-    ESTIMATORS, _block_stage, build_replicate_tables, estimate_delay, markov_order,
+    ESTIMATORS, _block_stage, _check_scan_range, build_replicate_tables, estimate_delay,
+    markov_order,
 )
 from .simulate import (
     InputDesign, _json_int, _json_number, add_noise, default_tau_max, sample_delayed,
@@ -98,7 +99,9 @@ class BenchmarkConfig:
 
     ``n_samples`` and ``tau_max`` left at None are resolved at construction,
     in that order, to ``design.n_samples`` and ``default_tau_max(design,
-    n_samples)``.
+    n_samples)``.  true_tau and noise_var must be finite and nonnegative,
+    K and M pass ``markov_order`` for the design's input order, and N and
+    tau_max the ML scan's rule: N >= 1 and tau_max in (0, (N - 1) delta].
     """
 
     design: InputDesign
@@ -110,10 +113,13 @@ class BenchmarkConfig:
     n_samples: int | None = None
 
     def __post_init__(self):
+        _require("nonnegative", true_tau=self.true_tau, noise_var=self.noise_var)
+        markov_order(self.k_model, self.m_markov, len(self.design.u) - 1)
         if self.n_samples is None:
             object.__setattr__(self, "n_samples", self.design.n_samples)
         if self.tau_max is None:
             object.__setattr__(self, "tau_max", default_tau_max(self.design, self.n_samples))
+        _check_scan_range(self.tau_max, self.design.delta, self.n_samples)
 
     def to_dict(self) -> dict:
         return {**vars(self), "design": self.design.to_dict()}
@@ -179,11 +185,6 @@ class MarkovErrorModel:
         )
 
 
-def _check_tau_check(tau_check: float) -> None:
-    if not 0 <= tau_check < np.inf:  # NaN too
-        raise ValueError(f"tau_check must be nonnegative and finite, got {tau_check!r}")
-
-
 def markov_mse(
     design: InputDesign,
     k_model: int,
@@ -200,9 +201,7 @@ def markov_mse(
     Both come from one ``MarkovErrorModel``.  Raises IllConditionedError
     when the sampled basis is flagged.
     """
-    _check_tau_check(tau_check)
-    if not 0 <= noise_var < np.inf:  # NaN too
-        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
+    _require("nonnegative", tau_check=tau_check, noise_var=noise_var)
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
     t_inv = build_toeplitz(reciprocal_series(design.u, model.k1), model.k1)
@@ -236,7 +235,7 @@ def predict_bias_tau(
 
     with eps1 = E_B'A + E_A'B + E_B'E_A and eps2 = 2 E_B'B + E_B'E_B.
     """
-    _check_tau_check(tau_check)
+    _require("nonnegative", tau_check=tau_check)
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
     m = markov_order(k_model, m_markov, len(design.u) - 1)

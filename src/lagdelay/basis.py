@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _require
+
 # Default ceiling on cond(Phi) before the basis is flagged as unusable for
 # least squares.
 DEFAULT_COND_THRESHOLD = 1e8
@@ -29,8 +31,7 @@ class BasisConfig:
     num_funcs: int
 
     def __post_init__(self):
-        if not 0 < self.p < np.inf:  # NaN too
-            raise ValueError(f"p must be finite and positive, got {self.p!r}")
+        _require("positive", p=self.p)
         if self.p > np.finfo(float).max / 2:
             raise ValueError(f"p = {self.p!r} is too large: 2p overflows")
         if self.num_funcs < 1:
@@ -126,8 +127,7 @@ def build_phi(
     least squares refuses a flagged basis with IllConditionedError,
     signalling that delta, n_samples or p must be revised.
     """
-    if not 0 < delta < np.inf:  # NaN too
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    _require("positive", delta=delta)
     if not cond_threshold > 0:  # NaN too
         raise ValueError(f"cond_threshold must be positive, got {cond_threshold!r}")
     if n_samples < cfg.num_funcs:

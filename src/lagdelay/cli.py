@@ -76,6 +76,17 @@ def _load_json(path) -> dict:
         return json.load(f)
 
 
+def _read(reader, path, data=None):
+    """``reader`` applied to ``data``, by default the JSON of ``path``; a
+    ValueError it raises, a constructor's range rule among them, names the
+    file."""
+    data = _load_json(path) if data is None else data
+    try:
+        return reader(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_methods(raw: str | list) -> tuple:
     """Estimator names from a comma-separated ``--methods`` value or a
     config list, each once; 'all' selects every estimator."""
@@ -93,7 +104,7 @@ def _parse_methods(raw: str | list) -> tuple:
 
 
 def cmd_design(args) -> int:
-    problem = DesignProblem.from_dict(_load_json(args.config))
+    problem = _read(DesignProblem.from_dict, args.config)
     resolved = {**vars(problem), "p_grid": problem.p_grid.tolist()}
     design = optimize_design(problem)
     objective = markov_mse(
@@ -114,7 +125,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    design = InputDesign.from_dict(_load_json(args.design))
+    design = _read(InputDesign.from_dict, args.design)
     resolved = {
         "design": design.to_dict(),
         "tau": args.tau,
@@ -132,7 +143,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    design = InputDesign.from_dict(_load_json(args.design))
+    design = _read(InputDesign.from_dict, args.design)
     ds = load_dataset(args.dataset)
     if abs(ds.delta - design.delta) > 1e-12 * design.delta:
         print(
@@ -190,7 +201,7 @@ def cmd_benchmark(args) -> int:
     cfg = _load_json(args.config)
     if "design" not in cfg:
         cfg["design"] = _load_json(cfg["design_path"])
-    bench = BenchmarkConfig.from_dict(cfg)
+    bench = _read(BenchmarkConfig.from_dict, args.config, cfg)
     if args.seed is None and cfg.get("seed") is None:
         print("error: benchmark seed is mandatory (config 'seed' or --seed)", file=sys.stderr)
         return EXIT_ERROR
@@ -244,7 +255,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_bias_predict(args) -> int:
-    design = InputDesign.from_dict(_load_json(args.design))
+    design = _read(InputDesign.from_dict, args.design)
     k_model = args.k_model if args.k_model is not None else max(len(design.u) - 1, 2)
     resolved = {
         "design": design.to_dict(),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .basis import assoc_laguerre_sequence
-from .errors import DegenerateBError, SingularInputError
+from .errors import DegenerateBError, SingularInputError, _require
 
 # |u_0| below this is treated as a singular input operator.
 U0_TOLERANCE = 1e-12
@@ -24,8 +24,7 @@ BTB_TOLERANCE = 1e-20
 def markov_params(kappa: float, m_count: int) -> np.ndarray:
     """First m_count Markov parameters h_0 ... h_{M-1} of a delay with
     normalized value kappa = 2 p tau."""
-    if not 0 <= kappa < np.inf:  # NaN too
-        raise ValueError(f"kappa must be finite and nonnegative, got {kappa}")
+    _require("nonnegative", kappa=kappa)
     if m_count < 1:
         raise ValueError("need at least one Markov parameter")
     return np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import MarkovErrorModel
 from .delay_ops import build_toeplitz, reciprocal_series
-from .errors import IllConditionedError, InfeasibleDesignError
+from .errors import IllConditionedError, InfeasibleDesignError, _require
 from .estimators import minimize_bounded
 from .simulate import InputDesign, _json_int, _json_number, sample_count
 
@@ -63,23 +63,20 @@ class DesignProblem:
     refine: bool = True
 
     def __post_init__(self):
-        if not 0 < self.delta < np.inf:  # NaN too
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+        _require("positive", delta=self.delta, energy_bound=self.energy_bound)
+        _require("nonnegative", tau_guess=self.tau_guess, noise_var=self.noise_var)
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if self.i_order < 1 or self.i_order % 2 == 0:
             raise ValueError("input order I must be odd and >= 1")
-        if not 0 < self.energy_bound < np.inf:  # NaN too
-            raise ValueError(f"energy_bound must be finite and positive, got {self.energy_bound}")
-        if not 0 <= self.tau_guess < np.inf:  # NaN too
-            raise ValueError(f"tau_guess must be finite and nonnegative, got {self.tau_guess}")
-        if not 0 <= self.noise_var < np.inf:  # NaN too
-            raise ValueError(
-                f"noise variance must be finite and nonnegative, got {self.noise_var}"
-            )
         if self.k_model < max(2, self.i_order):
             raise ValueError("k_model must cover the input order and allow M >= 3")
         grid = _p_grid({}) if self.p_grid is None else np.asarray(self.p_grid, dtype=float)
+        # NaN fails both comparisons
+        if grid.ndim != 1 or not grid.size or not np.all((grid > 0) & (grid < np.inf)):
+            raise ValueError(
+                f"p_grid must be a nonempty 1-D array of finite positive numbers, got {grid}"
+            )
         object.__setattr__(self, "p_grid", grid)
 
     @classmethod

@@ -1,4 +1,16 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the range
+rule that the constructors of its input types apply."""
+
+import math
+
+
+def _require(rule: str, **values) -> None:
+    """Refuse, by a ValueError naming it, the first of ``values`` that is
+    not finite and ``rule``: "positive" (> 0) or "nonnegative" (>= 0); NaN
+    is neither."""
+    for name, val in values.items():
+        if not (0 < val if rule == "positive" else 0 <= val) or not val < math.inf:
+            raise ValueError(f"{name} must be finite and {rule}, got {val!r}")
 
 
 class LagDelayError(Exception):

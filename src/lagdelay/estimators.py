@@ -43,6 +43,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import (
     BasisConfig,
@@ -59,6 +60,7 @@ from .errors import (
     LagDelayError,
     NoImprovementWarning,
     ZeroInformationError,
+    _require,
 )
 from .simulate import Dataset, InputDesign, input_derivative, synthesize_input
 
@@ -121,7 +123,9 @@ def markov_order(k_model: int, m_markov: int | None, i_order: int) -> int:
     """Number M of Markov parameters entering the delay ratio: K + 1 unless
     ``m_markov`` is given, and always within [3, K + 1]; K >= input order I."""
     if k_model < i_order:
-        raise ValueError("model order must cover the input spectrum length")
+        raise ValueError(
+            f"model order must cover the input spectrum length: k_model = {k_model} < I = {i_order}"
+        )
     m = k_model + 1 if m_markov is None else m_markov
     if not 3 <= m <= k_model + 1:
         raise ValueError(f"m_markov must lie in [3, {k_model + 1}], got {m}")
@@ -314,6 +318,18 @@ class MlTable:
     p: float
 
 
+def _check_scan_range(tau_max: float, delta: float, n_samples: int) -> None:
+    """Refuse n_samples below 1, and tau_max outside (0, (N - 1) delta], the
+    span of the data; NaN and infinity with it."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    span = (n_samples - 1) * delta
+    if not 0.0 < tau_max <= span:
+        raise ValueError(
+            f"tau_max must lie in (0, (N - 1) * delta] = (0, {span:g}] s, got {tau_max!r}"
+        )
+
+
 def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) -> MlTable:
     """Scan grid, model bank and refine lattice of ``estimate_delay_ml`` for
     one sampling.
@@ -326,20 +342,16 @@ def ml_table(design: InputDesign, delta: float, n_samples: int, tau_max: float) 
     in (0, (N - 1) delta], the span of the data; NaN and infinity are
     refused with it.
     """
-    span = (n_samples - 1) * delta
-    if not 0.0 < tau_max <= span:
-        raise ValueError(
-            f"tau_max must lie in (0, (N - 1) * delta] = (0, {span:g}] s, got {tau_max!r}"
-        )
+    _check_scan_range(tau_max, delta, n_samples)
     step = delta / 4.0
     grid = np.arange(0.0, tau_max + step / 2.0, step)
     g = grid.size
     grid[-1] = min(grid[-1], tau_max)
     cfg, u = design.basis_config, design.u
     basis = eval_basis_matrix(cfg, np.arange(4 * n_samples - 3) * step)
-    model = np.concatenate([np.zeros(g - 1), basis @ u])[
-        4 * np.arange(n_samples) - np.arange(g)[:, None] + g - 1
-    ]
+    # row i, column n is lattice point 4n - i of u, shifted by the g - 1 zeros
+    lattice = np.concatenate([np.zeros(g - 1), basis @ u])
+    model = np.ascontiguousarray(sliding_window_view(lattice, 4 * n_samples - 3)[::-1, ::4])
     if grid[-1] != (g - 1) * step:
         model[-1] = eval_basis_matrix(cfg, np.arange(n_samples) * delta - grid[-1]) @ u
     index = np.add.outer(np.arange(u.size), np.arange(u.size))
@@ -447,8 +459,7 @@ def crlb(
 ) -> CrlbReport:
     """Variance lower bound for unbiased delay estimators:
     noise_var / sum_n u'(t_n - tau)^2."""
-    if not 0 < noise_var < np.inf:  # NaN too
-        raise ValueError(f"noise variance must be finite and positive, got {noise_var!r}")
+    _require("positive", noise_var=noise_var)
     n = design.n_samples if n_samples is None else n_samples
     t = np.arange(n) * design.delta
     d = input_derivative(design, t - tau)

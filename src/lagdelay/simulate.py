@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisConfig, eval_basis_matrix
-from .errors import InvalidDatasetError
+from .errors import InvalidDatasetError, _require
 
 # |u(0)| above this (relative to the coefficient norm) triggers the
 # discontinuity warning: a jump at t = tau in the delayed output produces a
@@ -60,8 +60,9 @@ def _json_int(d: dict, key: str, error=ValueError) -> int:
 @dataclass(frozen=True, eq=False)
 class InputDesign:
     """Designed excitation: coefficient vector u, energy bound, and sampling
-    context.  p, delta and energy_bound (eta in JSON) must be finite and
-    positive, horizon and tau_guess finite and nonnegative."""
+    context.  delta and energy_bound (eta in JSON) must be finite and
+    positive, horizon and tau_guess finite and nonnegative, u finite and p
+    as ``BasisConfig`` requires."""
 
     p: float
     u: np.ndarray
@@ -71,23 +72,22 @@ class InputDesign:
     tau_guess: float
 
     def __post_init__(self):
-        for name, val in (("p", self.p), ("delta", self.delta), ("eta", self.energy_bound)):
-            if not 0 < val < np.inf:  # NaN too
-                raise ValueError(f"{name} must be finite and positive, got {val!r}")
-        for name, val in (("horizon", self.horizon), ("tau_guess", self.tau_guess)):
-            if not 0 <= val < np.inf:  # NaN too
-                raise ValueError(f"{name} must be finite and nonnegative, got {val!r}")
+        _require("positive", delta=self.delta, eta=self.energy_bound)
+        _require("nonnegative", horizon=self.horizon, tau_guess=self.tau_guess)
         object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if self.u.ndim != 1 or self.u.size == 0:
-            raise ValueError(f"u must be a nonempty coefficient vector, got shape {self.u.shape}")
+        if self.u.ndim != 1 or self.u.size == 0 or not np.isfinite(self.u).all():
+            raise ValueError(f"u must be a nonempty vector of finite numbers, got {self.u!r}")
+        BasisConfig(p=self.p, num_funcs=self.u.size)  # its rules on p
         if self.u[0] <= 0:
             raise ValueError("leading input coefficient must be positive")
-        energy = self.u @ self.u
-        if energy > self.energy_bound * (1 + 1e-9):
+        # an overflow is inf, which exceeds any bound and any tolerance
+        with np.errstate(over="ignore"):
+            energy = self.u @ self.u
+            defect = continuity_defect(self)
+        if energy - self.energy_bound > 1e-9 * self.energy_bound:
             raise ValueError(
                 f"input energy {energy:.6g} exceeds bound {self.energy_bound:.6g}"
             )
-        defect = continuity_defect(self)
         if defect > CONTINUITY_TOLERANCE * max(1.0, np.linalg.norm(self.u)):
             warnings.warn(
                 f"input does not vanish at t = 0 (u(0) = {defect:.3e}); the delayed "
@@ -137,7 +137,11 @@ class InputDesign:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sampled, possibly noisy measurements of the delayed input."""
+    """Sampled, possibly noisy measurements of the delayed input.  delta
+    must be finite and positive, n_samples at least 1 with a finite span
+    (n_samples - 1) * delta, noise_var and a given true_tau finite and
+    nonnegative (ValueError), and z n_samples finite values
+    (InvalidDatasetError)."""
 
     z: np.ndarray
     delta: float
@@ -147,18 +151,27 @@ class Dataset:
     true_tau: float | None = None
 
     def __post_init__(self):
+        # worded as the sidecar rules of dataset_meta.json; NaN fails each test
+        if not 0 < self.delta < np.inf:
+            raise ValueError(f"delta must be a finite positive number, got {self.delta!r}")
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples!r}")
+        # Python floats, so that an overflow gives inf without a numpy warning
+        if float(self.n_samples - 1) * float(self.delta) == np.inf:
+            raise ValueError(
+                f"(n_samples - 1) * delta overflows: n_samples {self.n_samples!r}, "
+                f"delta {self.delta!r}"
+            )
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var must be a finite number >= 0, got {self.noise_var!r}")
+        if self.true_tau is not None and not 0 <= self.true_tau < np.inf:
+            raise ValueError(
+                f"true_tau must be null or a finite number >= 0, got {self.true_tau!r}"
+            )
         object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
         if self.z.size != self.n_samples:
             raise InvalidDatasetError(
                 f"{self.z.size} samples given but n_samples is {self.n_samples}"
-            )
-        if not 0 <= self.noise_var < np.inf:  # NaN too
-            raise ValueError(
-                f"noise variance must be finite and nonnegative, got {self.noise_var}"
-            )
-        if self.true_tau is not None and not 0 <= self.true_tau < np.inf:  # NaN too
-            raise ValueError(
-                f"true_tau must be null or a finite number >= 0, got {self.true_tau!r}"
             )
         bad = np.flatnonzero(~np.isfinite(self.z))
         if bad.size:
@@ -175,10 +188,8 @@ class Dataset:
 def sample_count(horizon: float, delta: float) -> int:
     """Samples on [0, horizon] at step delta: floor(horizon/delta) + 1.
     delta must be finite and positive, horizon finite and nonnegative."""
-    if not 0 < delta < np.inf:  # NaN too
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
-    if not 0 <= horizon < np.inf:  # NaN too
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    _require("positive", delta=delta)
+    _require("nonnegative", horizon=horizon)
     steps = horizon / delta
     if steps == np.inf:
         raise ValueError(f"horizon / delta overflows: horizon {horizon!r}, delta {delta!r}")
@@ -211,8 +222,7 @@ def input_derivative(design: InputDesign, t) -> float | np.ndarray:
 
 def sample_delayed(design: InputDesign, tau: float, n_samples: int) -> np.ndarray:
     """Noise-free samples y_n = u(n*delta - tau), exactly zero before tau."""
-    if not 0 <= tau < np.inf:  # NaN too
-        raise ValueError(f"delay must be finite and nonnegative, got {tau}")
+    _require("nonnegative", tau=tau)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     t = np.arange(n_samples) * design.delta
@@ -232,8 +242,7 @@ def add_noise(
     ``seed`` may be an int or a tuple (base_seed, replicate) for
     parallel-safe per-replicate streams.
     """
-    if not 0 <= noise_var < np.inf:  # NaN too
-        raise ValueError(f"noise variance must be finite and nonnegative, got {noise_var}")
+    _require("nonnegative", noise_var=noise_var)
     y = np.asarray(y, dtype=float)
     if noise_var == 0:
         z = y.copy()
@@ -362,14 +371,17 @@ def _read_samples(csv_path: Path) -> tuple[np.ndarray, np.ndarray]:
 def load_dataset(csv_path) -> Dataset:
     """Round-trip counterpart of save_dataset.
 
-    Raises InvalidDatasetError when the sidecar's delta is not a finite
-    positive number, its n_samples not an integer >= 1, its noise_var not a
-    finite number >= 0, its seed neither an integer, an array of integers
-    nor null, or its true_tau neither null nor a finite number >= 0;
-    when the CSV is empty or lacks the t,z header, a CSV row lacks its t or
-    z field or has one that is not a number, a time stamp is off the grid
-    n * delta, a sample is not finite or the CSV has another number of rows
-    than the sidecar's n_samples.
+    The sidecar's values go to ``Dataset``, which holds their range rules;
+    this reader checks only their JSON types (``delta`` and ``noise_var``
+    numbers, ``n_samples`` an integer, ``true_tau`` null or a number,
+    ``seed`` an integer, an array of integers or null; a type error is
+    worded as the rule) and the CSV.  Raises
+    InvalidDatasetError naming the sidecar and its key for a value of the
+    wrong type or one that ``Dataset`` refuses, and naming the CSV when it
+    has another number of rows than the sidecar's n_samples, and its line
+    when it is empty or lacks the t,z header, a row lacks its t or z field
+    or has one that is not a number, a sample is not finite or a time stamp
+    is off the grid n * delta.
     """
     csv_path = Path(csv_path)
     meta_path = csv_path.with_suffix(".json")
@@ -379,45 +391,41 @@ def load_dataset(csv_path) -> Dataset:
     def refuse(msg):
         return InvalidDatasetError(f"{meta_path}: {msg}")
 
-    delta = _json_number(meta, "delta", lambda v: 0 < v < np.inf,
-                         "a finite positive number", refuse)
-    n_samples = _json_int(meta, "n_samples", refuse)
-    if n_samples < 1:
-        raise refuse(f"n_samples must be at least 1, got {n_samples}")
-    noise_var = _json_number(meta, "noise_var", lambda v: 0 <= v < np.inf,
-                             "a finite number >= 0", refuse)
     true_tau = meta.get("true_tau")
     if true_tau is not None:
-        true_tau = _json_number(meta, "true_tau", lambda v: 0 <= v < np.inf,
-                                "null or a finite number >= 0", refuse)
+        true_tau = _json_number(meta, "true_tau", what="null or a finite number >= 0",
+                                error=refuse)
     seed = meta.get("seed")
     if not (seed is None or _is_json_int(seed)
             or isinstance(seed, list) and all(map(_is_json_int, seed))):
         raise refuse(f"seed must be an integer, an array of integers or null, got {seed!r}")
-    if isinstance(seed, list):
-        seed = tuple(seed)
+    fields = dict(
+        delta=_json_number(meta, "delta", what="a finite positive number", error=refuse),
+        n_samples=_json_int(meta, "n_samples", refuse),
+        noise_var=_json_number(meta, "noise_var", what="a finite number >= 0", error=refuse),
+        seed=tuple(seed) if isinstance(seed, list) else seed,
+        true_tau=true_tau,
+    )
     t, z = _read_samples(csv_path)
-    grid = np.arange(t.size) * delta
-    # sample n is on CSV line n + 2, after the header; the grid test is
-    # written as "not within" so that a NaN time stamp is off the grid too
-    off = np.flatnonzero(~(np.abs(t - grid) <= T_GRID_RTOL * np.maximum(np.abs(t), delta)))
-    if off.size:
-        n = off[0]
-        raise InvalidDatasetError(
-            f"{csv_path}: CSV line {n + 2} has time stamp t[{n}] = {t[n]:.17g}, "
-            f"not n * delta = {grid[n]:.17g}"
-        )
+    # sample n is on CSV line n + 2, after the header
     bad = np.flatnonzero(~np.isfinite(z))
     if bad.size:
         n = bad[0]
         raise InvalidDatasetError(
             f"{csv_path}: CSV line {n + 2} has sample z[{n}] = {z[n]}, which is not finite"
         )
-    return Dataset(
-        z=z,
-        delta=delta,
-        n_samples=n_samples,
-        noise_var=noise_var,
-        seed=seed,
-        true_tau=true_tau,
-    )
+    try:
+        ds = Dataset(z=z, **fields)
+    except ValueError as exc:
+        raise refuse(exc) from None
+    except InvalidDatasetError as exc:  # the CSV's row count is not n_samples
+        raise InvalidDatasetError(f"{csv_path}: {exc}") from None
+    # written as "not within" so that a NaN time stamp is off the grid too
+    off = np.flatnonzero(~(np.abs(t - ds.t) <= T_GRID_RTOL * np.maximum(np.abs(t), ds.delta)))
+    if off.size:
+        n = off[0]
+        raise InvalidDatasetError(
+            f"{csv_path}: CSV line {n + 2} has time stamp t[{n}] = {t[n]:.17g}, "
+            f"not n * delta = {ds.t[n]:.17g}"
+        )
+    return ds

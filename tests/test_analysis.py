@@ -154,17 +154,17 @@ class TestMarkovMse:
 
     @pytest.mark.parametrize("noise_var", [-0.01, float("nan"), float("inf")])
     def test_negative_noise_variance_rejected(self, bench_design, noise_var):
-        with pytest.raises(ValueError, match="noise variance"):
+        with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
             markov_mse(bench_design, 12, noise_var, TAU)
 
     def test_negative_tau_check_rejected(self, bench_design):
-        with pytest.raises(ValueError, match="tau_check must be nonnegative"):
+        with pytest.raises(ValueError, match="tau_check must be finite and nonnegative"):
             markov_mse(bench_design, 12, 0.01, -1e-4)
 
     @pytest.mark.parametrize("tau_check", [float("nan"), float("inf")])
     def test_non_finite_tau_check_rejected(self, bench_design, tau_check):
         # a NaN tau_check once passed the nonnegativity test
-        with pytest.raises(ValueError, match="tau_check must be nonnegative and finite"):
+        with pytest.raises(ValueError, match="tau_check must be finite and nonnegative"):
             markov_mse(bench_design, 12, 0.01, tau_check)
 
     def test_flagged_basis_raises(self):

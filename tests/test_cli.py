@@ -150,7 +150,7 @@ class TestDesignCommand:
         # once exited 2, asking to revise the grids
         ({"p_grid": {"count": 0}}, "p_grid count must be at least 1"),
         # once exited 0 and wrote "objective": null
-        ({"noise_var": float("inf")}, "noise variance must be finite and nonnegative"),
+        ({"noise_var": float("inf")}, "noise_var must be finite and nonnegative, got inf"),
     ], ids=["refine=str", "k_model=12.9", "p_grid.count=0", "noise_var=inf"])
     def test_wrong_problem_value_exit_1(self, tmp_path, capsys, bad, message):
         cfg_path = tmp_path / "p.json"
@@ -240,7 +240,7 @@ class TestSimulateCommand:
             "--noise-var", "nan", "--seed", "1", "--out", str(out),
         ])
         assert rc == 1
-        assert "noise variance" in capsys.readouterr().err
+        assert "noise_var must be finite and nonnegative, got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_noise_variance_exit_1(self, design_file, tmp_path, capsys):
@@ -251,7 +251,7 @@ class TestSimulateCommand:
             "--noise-var", "inf", "--seed", "1", "--out", str(out),
         ])
         assert rc == 1
-        assert "noise variance must be finite and nonnegative, got inf" in capsys.readouterr().err
+        assert "noise_var must be finite and nonnegative, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -748,7 +748,7 @@ class TestBenchmarkCommand:
         ({"replicates": 2.5}, [], "replicates must be an integer, got 2.5"),
         ({"replicates": "2"}, [], "replicates must be an integer, got '2'"),
         ({"noise_var": float("inf")}, ["--replicates", "2"],
-         "noise variance must be finite and nonnegative, got inf"),
+         "noise_var must be finite and nonnegative, got inf"),
     ], ids=["k_model", "seed=1.5", "seed=true", "replicates=2.5", "replicates=str",
             "noise_var=inf"])
     def test_wrong_config_value_exit_1_without_report(
@@ -1010,7 +1010,7 @@ class TestBiasPredictCommand:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "ValueError: tau_check must be nonnegative and finite" in err
+        assert "ValueError: tau_check must be finite and nonnegative" in err
         assert not out.exists()
 
     def test_fixed_seed_reproducible(self, design_file, tmp_path):

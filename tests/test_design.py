@@ -224,7 +224,7 @@ class TestOptimizeDesign:
         with pytest.raises(ValueError):
             tiny_problem(tau_guess=-1e-4)
         for noise_var in (-0.01, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="noise variance"):
+            with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
                 tiny_problem(noise_var=noise_var)
 
     @pytest.mark.parametrize("i_order, k_model", [(3, 2), (5, 4), (1, 1)])

@@ -430,7 +430,7 @@ class TestCrlb:
     @pytest.mark.parametrize("noise_var", [np.nan, 0.0, -0.01, np.inf])
     def test_noise_variance_must_be_positive(self, bench_design, noise_var):
         # NaN once gave bound = nan without a word
-        with pytest.raises(ValueError, match="noise variance"):
+        with pytest.raises(ValueError, match="noise_var must be finite and positive"):
             crlb(bench_design, TAU, noise_var)
 
     def test_zero_information(self, bench_design):

@@ -480,6 +480,25 @@ def _design(name):
     return InputDesign.from_dict(json.loads((INPUTS / name).read_text()))
 
 
+def _index_gather_bank(design, delta, n_samples, tau_max):
+    """The ML model bank as ``ml_table`` gathered it before it took a
+    strided window of the lattice: through a (G, N) int64 index array into
+    the delta / 4 lattice of u, the last row evaluated directly when
+    tau_max clamps it off the lattice."""
+    step = delta / 4.0
+    grid = np.arange(0.0, tau_max + step / 2.0, step)
+    g = grid.size
+    grid[-1] = min(grid[-1], tau_max)
+    cfg, u = design.basis_config, design.u
+    basis = eval_basis_matrix(cfg, np.arange(4 * n_samples - 3) * step)
+    model = np.concatenate([np.zeros(g - 1), basis @ u])[
+        4 * np.arange(n_samples) - np.arange(g)[:, None] + g - 1
+    ]
+    if grid[-1] != (g - 1) * step:
+        model[-1] = eval_basis_matrix(cfg, np.arange(n_samples) * delta - grid[-1]) @ u
+    return model
+
+
 class TestMlBank:
     # section 7.2 at the benchmark's tau_max, the default one (3101 grid
     # points), a clamped last row, the data span and below delta / 8, which
@@ -536,6 +555,22 @@ class TestMlBank:
         assert _bits(table.grid) == _bits(grid)
         scale = math.sqrt(2.0 * p) * np.abs(coeffs).sum() * (1.0 + p * span)
         assert np.max(np.abs(table.model - model)) <= 16 * np.finfo(float).eps * scale
+
+    # N up to 600 keeps the bank and its oracle near 10 MB each
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 600), frac=st.floats(1e-6, 1.0))
+    # the benchmark's tau_max, 0.01 (G = 134), a last grid point clamped off
+    # the delta / 4 lattice, the data span, and the one grid point tau = 0
+    @example(n=1667, frac=0.01 / (1666 * 3e-4))
+    @example(n=1667, frac=0.01003 / (1666 * 3e-4))
+    @example(n=600, frac=1.0)
+    @example(n=2, frac=1e-6)
+    def test_strided_bank_equals_index_gather(self, n, frac):
+        design = _design("design72_ref.json")
+        tau_max = frac * (n - 1) * design.delta
+        table = ml_table(design, design.delta, n, tau_max)
+        assert _bits(table.model) == _bits(_index_gather_bank(design, design.delta, n, tau_max))
+        assert table.model.flags.c_contiguous and table.model.flags.writeable
 
     def test_estimates_bitwise_equal_per_point_bank_but_negloglik(self, ref, monkeypatch):
         # 200 replicates of CASES, scanned on either bank; the refine reads

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -37,6 +38,10 @@ from lagdelay.simulate import (
 from conftest import csv_writer_save_dataset
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
 def _saved_bytes(save, ds, directory, extra_meta=None):
@@ -264,9 +269,9 @@ class TestNoise:
 
     @pytest.mark.parametrize("noise_var", [-0.01, float("nan"), float("inf")])
     def test_negative_or_nan_variance_rejected(self, noise_var):
-        with pytest.raises(ValueError, match="noise variance"):
+        with pytest.raises(ValueError, match="noise_var must be finite and nonnegative"):
             add_noise(np.zeros(3), noise_var, 1, delta=0.1)
-        with pytest.raises(ValueError, match="noise variance"):
+        with pytest.raises(ValueError, match="noise_var must be a finite number >= 0"):
             Dataset(z=np.zeros(3), delta=0.1, n_samples=3, noise_var=noise_var, seed=1)
 
     @pytest.mark.parametrize("true_tau", [-0.2, -np.inf, np.nan, np.inf])
@@ -288,17 +293,20 @@ class TestNoise:
 class TestDatasetIO:
     @settings(max_examples=100, deadline=None)
     @given(
-        z=st.integers(1, 50).flatmap(
-            lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                               min_size=n, max_size=n)
-        ),
-        delta=st.floats(1e-9, 1e2),
+        z=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1),
+        delta=st.floats(0.0, exclude_min=True, allow_infinity=False),
         seed=st.integers() | st.tuples(st.integers(), st.integers()),
         true_tau=st.none() | st.floats(0.0, 1e3),
     )
     @example(z=[0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308],
              delta=3e-4, seed=(5, 3), true_tau=1.33e-3)
+    # the least and the largest delta, and the largest span (N - 1) delta
+    @example(z=[1.0, -0.0, 2.5], delta=5e-324, seed=0, true_tau=None)
+    @example(z=[1.0, 2.0], delta=1.7976931348623157e308, seed=0, true_tau=None)
+    @example(z=[1.0, 2.0, 3.0], delta=8.988465674311579e307, seed=0, true_tau=0.0)
     def test_round_trip_bit_exact(self, z, delta, seed, true_tau):
+        # a span (N - 1) delta that overflows is refused (tests/test_input_rules.py)
+        assume((len(z) - 1) * delta < math.inf)
         ds = Dataset(z=z, delta=delta, n_samples=len(z), noise_var=0.01, seed=seed,
                      true_tau=true_tau)
         with tempfile.TemporaryDirectory() as tmp:
@@ -313,25 +321,33 @@ class TestDatasetIO:
         assert back.seed == seed
         assert back.true_tau == true_tau
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
+        z=st.lists(st.floats(), min_size=1),
+        delta=st.floats(),
         noise_var=st.floats(),
         seed=st.none() | st.integers() | st.tuples(st.integers(), st.integers()),
         true_tau=st.none() | st.floats(),
     )
-    @example(noise_var=0.0, seed=0, true_tau=-0.2)
-    def test_every_constructed_dataset_loads_back(self, noise_var, seed, true_tau):
-        # whatever noise_var, seed and true_tau, the sidecar of a Dataset that
-        # constructs passes load_dataset's checks
+    @example(z=[0.5, -1.0, 2.0], delta=1e-3, noise_var=0.0, seed=0, true_tau=-0.2)
+    # each once saved a sidecar that load_dataset refused
+    @example(z=[0.0] * 3, delta=-1e-3, noise_var=0.0, seed=0, true_tau=None)
+    @example(z=[0.0] * 3, delta=1e308, noise_var=0.0, seed=0, true_tau=None)
+    def test_every_constructed_dataset_loads_back(self, z, delta, noise_var, seed, true_tau):
+        # whatever the values, the files of a Dataset that constructs load
+        # back to it
         try:
-            ds = Dataset(z=[0.5, -1.0, 2.0], delta=1e-3, n_samples=3, noise_var=noise_var,
-                         seed=seed, true_tau=true_tau)
-        except ValueError:
+            ds = Dataset(z=z, delta=delta, n_samples=len(z), noise_var=noise_var, seed=seed,
+                         true_tau=true_tau)
+        except (ValueError, InvalidDatasetError):
             return
         with tempfile.TemporaryDirectory() as tmp:
             save_dataset(ds, Path(tmp) / "data.csv")
             back = load_dataset(Path(tmp) / "data.csv")
-        assert (back.noise_var, back.seed, back.true_tau) == (noise_var, seed, true_tau)
+        assert _bits(back.z) == _bits(ds.z)
+        assert (back.delta, back.n_samples, back.noise_var, back.seed, back.true_tau) == (
+            delta, len(z), noise_var, seed, true_tau
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(
