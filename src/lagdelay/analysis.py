@@ -28,7 +28,7 @@ from .delay_ops import (
     markov_params,
     reciprocal_series,
 )
-from .errors import DegenerateBError, IllConditionedError, LagDelayError, _require
+from .errors import DegenerateBError, LagDelayError, _require
 from .estimators import (
     ESTIMATORS, _block_stage, _check_scan_range, build_replicate_tables, estimate_delay,
     markov_order,
@@ -100,8 +100,10 @@ class BenchmarkConfig:
     ``n_samples`` and ``tau_max`` left at None are resolved at construction,
     in that order, to ``design.n_samples`` and ``default_tau_max(design,
     n_samples)``.  true_tau and noise_var must be finite and nonnegative,
-    K and M pass ``markov_order`` for the design's input order, and N and
-    tau_max the ML scan's rule: N >= 1 and tau_max in (0, (N - 1) delta].
+    K and M pass ``markov_order`` for the design's input order, N and
+    tau_max the ML scan's rule: N >= 1 and tau_max in (0, (N - 1) delta],
+    and N reaches max(K + 1, 4), what the basis and the spline need, for
+    every method.
     """
 
     design: InputDesign
@@ -120,6 +122,11 @@ class BenchmarkConfig:
         if self.tau_max is None:
             object.__setattr__(self, "tau_max", default_tau_max(self.design, self.n_samples))
         _check_scan_range(self.tau_max, self.design.delta, self.n_samples)
+        if self.n_samples < max(self.k_model + 1, 4):
+            raise ValueError(
+                f"n_samples must be at least max(k_model + 1, 4) = "
+                f"{max(self.k_model + 1, 4)}, got {self.n_samples}"
+            )
 
     def to_dict(self) -> dict:
         return {**vars(self), "design": self.design.to_dict()}
@@ -152,20 +159,18 @@ class MarkovErrorModel:
     T^{-1}(U) is applied as T(v), v the reciprocal power series of u, which
     the caller passes in: v depends on u alone, so one T(v) serves every p.
     Only cond(Phi) is kept from the basis, not the basis; a flagged basis
-    raises IllConditionedError.
+    raises IllConditionedError from ``SampledBasis.r_inv``.
     """
 
     def __init__(self, p: float, k_model: int, delta: float, n_samples: int,
                  tau: float, i_order: int):
         k1 = k_model + 1
         phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n_samples)
-        if phi.ill_conditioned:
-            raise IllConditionedError(phi.cond, phi.cond_threshold)
+        self.r_inv = phi.r_inv()
         self.cond = phi.cond
         t = np.arange(n_samples) * delta
         delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
         self.projector = np.linalg.solve(phi.r, phi.q.T @ delayed)
-        self.r_inv = np.linalg.solve(phi.r, np.eye(k1))
         self.h_true = markov_params(2.0 * p * tau, k1)
         self.k1 = k1
 

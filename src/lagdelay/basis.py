@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _require
+from .errors import IllConditionedError, _require
 
 # Default ceiling on cond(Phi) before the basis is flagged as unusable for
 # least squares.
@@ -59,6 +59,14 @@ class SampledBasis:
     cond_threshold: float
     q: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
+
+    def r_inv(self) -> np.ndarray:
+        """R^{-1}, or IllConditionedError for a flagged basis: the one place
+        that refuses it.  ``proposed``'s spectrum map Phi^+ = R^{-1} Q^T and
+        the Markov error model take R^{-1} from here."""
+        if self.ill_conditioned:
+            raise IllConditionedError(self.cond, self.cond_threshold)
+        return np.linalg.solve(self.r, np.eye(self.r.shape[0]))
 
 
 def assoc_laguerre_sequence(xi: float, count: int) -> np.ndarray:
@@ -123,9 +131,10 @@ def build_phi(
     closed form, and its thin QR factorization.
 
     cond(Phi) is read from R, which has the same singular values.  A
-    condition number above ``cond_threshold`` flags the basis; downstream
-    least squares refuses a flagged basis with IllConditionedError,
-    signalling that delta, n_samples or p must be revised.
+    condition number above ``cond_threshold`` flags the basis; ``r_inv``,
+    and so every least-squares use of it, refuses a flagged basis with
+    IllConditionedError, signalling that delta, n_samples or p must be
+    revised.
     """
     _require("positive", delta=delta)
     if not cond_threshold > 0:  # NaN too

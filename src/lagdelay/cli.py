@@ -205,11 +205,13 @@ def cmd_benchmark(args) -> int:
     if args.seed is None and cfg.get("seed") is None:
         print("error: benchmark seed is mandatory (config 'seed' or --seed)", file=sys.stderr)
         return EXIT_ERROR
-    seed = args.seed if args.seed is not None else _json_int(cfg, "seed")
-    replicates = args.replicates
-    if replicates is None:
-        replicates = _json_int(cfg, "replicates") if "replicates" in cfg else 1000
-    methods = _parse_methods(args.methods or cfg.get("methods", "all"))
+    # a flag wins over its config key; a refused config value names the file
+    seed = args.seed if args.seed is not None else _read(
+        lambda d: _json_int(d, "seed"), args.config, cfg)
+    replicates = args.replicates if args.replicates is not None else _read(
+        lambda d: _json_int(d, "replicates") if "replicates" in d else 1000, args.config, cfg)
+    methods = _parse_methods(args.methods) if args.methods else _read(
+        lambda d: _parse_methods(d.get("methods", "all")), args.config, cfg)
     resolved = {"benchmark": bench.to_dict(), "methods": list(methods),
                 "replicates": replicates, "seed": seed}
     started = time.perf_counter()

@@ -17,19 +17,21 @@ Four estimators share one interface, ``(Dataset, ReplicateTables)``:
                      power-weighted phase-slope interpolation.
 
 What an estimator needs besides the data depends only on the design, the
-sampling (N, delta), K, M and tau_max: the sampled basis Phi, the reciprocal
-input series v (T(v) = T(U)^{-1}), the ML scan grid, model bank and row
-norms, the spline projection matrix (spline and quadrature are both linear
-in the samples), and the reference input with its plain and zero-padded
-FFTs.  ``build_replicate_tables`` is the only place these are built, once
-for one dataset or for many; every estimator takes the resulting
+sampling (N, delta), K, M and tau_max: the sampled basis Phi, the spectrum
+map L of each Laguerre-domain method (its output spectrum is linear in the
+samples, y = L z: L = R^{-1} Q^T for the least squares of ``proposed``,
+the spline projection matrix for ``lag_spline``), the reciprocal input
+series v (T(v) = T(U)^{-1}), the ML scan grid, model bank and row norms,
+and the reference input with its plain and zero-padded FFTs.
+``build_replicate_tables`` is the only place these are built, once for one
+dataset or for many; every estimator takes the resulting
 ``ReplicateTables`` and reads the design, K, M and tau_max from it, and
 ``estimate_delay`` checks that the data are sampled as the tables were
-built.  Per dataset only the data-dependent work runs: a QR solve, a
-matrix-vector product or an FFT, the ML refine's one pass over the
-samples, and the scalar steps.  The ML scan and the FFT stage of
-``freq_interp`` also run over a block of datasets at once, as the benchmark
-does (``_block_stage``), and each row equals the single row bitwise.
+built.  Per dataset only the data-dependent work runs: the product L z or
+an FFT, the ML refine's one pass over the samples, and the scalar steps.
+The ML scan and the FFT stage of ``freq_interp`` also run over a block of
+datasets at once, as the benchmark does (``_block_stage``), and each row
+equals the single row bitwise.
 
 Nothing here imports scipy: the FFTs are numpy's, and the spline slope
 system is solved through the Green's function of its tridiagonal matrix,
@@ -56,7 +58,6 @@ from .delay_ops import assemble_ab, closed_form_delay, reciprocal_series
 from .errors import (
     DelayOutOfRangeError,
     FlatCorrelationError,
-    IllConditionedError,
     LagDelayError,
     NoImprovementWarning,
     ZeroInformationError,
@@ -97,19 +98,16 @@ class CrlbReport:
     window: tuple[int, int]
 
 
-def estimate_spectrum_ls(data: Dataset, phi: SampledBasis) -> np.ndarray:
-    """Least-squares output spectrum: argmin_Y ||Z - Phi Y||_2.
+def estimate_spectrum_ls(data: Dataset, spectrum_map: np.ndarray) -> np.ndarray:
+    """Output spectrum Y = L z of one dataset, for a (K + 1) x N spectrum map
+    L from ``ReplicateTables.spectrum``; the one place a map is applied.
 
-    Solved with the thin QR factors stored on the basis (never the normal
-    equations).  Refuses a basis flagged as ill-conditioned.
+    For ``proposed`` L = R^{-1} Q^T = Phi^+ from the thin QR factors of the
+    basis (never the normal equations), so Y = argmin_Y ||z - Phi Y||_2;
+    for ``lag_spline`` L is the spline projection of ``spline_table``.  One
+    dataset at a time: a batched product rounds differently by block size.
     """
-    if data.n_samples != phi.n_samples:
-        raise ValueError(
-            f"dataset has {data.n_samples} samples but basis was built for {phi.n_samples}"
-        )
-    if phi.ill_conditioned:
-        raise IllConditionedError(phi.cond, phi.cond_threshold)
-    return np.linalg.solve(phi.r, phi.q.T @ data.z)
+    return spectrum_map @ data.z
 
 
 def estimate_markov(y_hat: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,12 +148,12 @@ def _laguerre_delay(y_hat: np.ndarray, tables: ReplicateTables) -> tuple[np.ndar
 def estimate_delay_proposed(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
     """Two-step Laguerre-domain delay estimate.
 
-    Chains the sampled basis, the least-squares spectrum, the Markov
-    parameters T(U)^{-1} Y and the closed-form ratio on the first M of them,
-    with Phi, v and M from ``tables``.
+    Chains the least-squares spectrum Y = Phi^+ z, the Markov parameters
+    T(U)^{-1} Y and the closed-form ratio on the first M of them, with
+    Phi^+, Phi, v and M from ``tables``.
     """
     phi = tables.phi
-    y_hat = estimate_spectrum_ls(data, phi)
+    y_hat = estimate_spectrum_ls(data, tables.spectrum["proposed"])
     h_hat, tau_hat = _laguerre_delay(y_hat, tables)
     residual = float(np.linalg.norm(data.z - phi.matrix @ y_hat))
     return DelayEstimate(
@@ -589,9 +587,10 @@ def project_spectrum_spline(data: Dataset, tables: ReplicateTables) -> np.ndarra
     sample interval, which integrates the piecewise-cubic factor exactly and
     the smooth basis factor to machine precision for p * delta << 1.  Both
     steps are linear in z, so the spectrum is one matrix-vector product
-    with the projection matrix ``tables.spline`` of ``spline_table``.
+    with the projection matrix of ``spline_table``,
+    ``tables.spectrum["lag_spline"]``.
     """
-    return tables.spline @ data.z
+    return estimate_spectrum_ls(data, tables.spectrum["lag_spline"])
 
 
 def estimate_delay_lag_spline(data: Dataset, tables: ReplicateTables) -> DelayEstimate:
@@ -742,9 +741,12 @@ class ReplicateTables:
     design, the sampling (delta, N), the Markov order M (None unless
     ``proposed`` or ``lag_spline`` is among them) and each method's tables,
     which carry K and tau_max; ``markov`` is the reciprocal series v of u to
-    K + 1 terms and ``spline`` the projection matrix of ``spline_table``.  A
-    part is None when no method needs it.  ``errors`` maps a method to the
-    LagDelayError that building one of its parts raised."""
+    K + 1 terms and ``spectrum`` maps ``proposed`` and ``lag_spline`` to
+    their (K + 1) x N spectrum maps, R^{-1} Q^T and the projection matrix
+    of ``spline_table``.  A part is None, and a map absent, when no method
+    needs it or it failed to build.  ``errors`` maps a method to the
+    LagDelayError that building one of its parts raised, IllConditionedError
+    for ``proposed`` on a flagged basis among them."""
 
     methods: tuple
     design: InputDesign
@@ -754,7 +756,7 @@ class ReplicateTables:
     phi: SampledBasis | None
     markov: np.ndarray | None
     ml: MlTable | None
-    spline: np.ndarray | None
+    spectrum: dict
     corr: CorrTable | None
     errors: dict
 
@@ -799,12 +801,19 @@ def build_replicate_tables(
             return None
 
     k1 = k_model + 1
+    phi = part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples)
+    markov = part(("proposed", "lag_spline"), reciprocal_series, design.u, k1)
+    # L = R^{-1} Q^T is one small product; np.linalg.solve(R, Q^T) gives the
+    # same map to about 3e-16 relative at about eight times the cost (0.34
+    # against 0.04 ms at K = 12, N = 1667), and estimate builds per call
+    spectrum = {
+        "proposed": part(("proposed",), lambda: phi.r_inv() @ phi.q.T),
+        "lag_spline": part(("lag_spline",), spline_table, design.p, k1, delta, n_samples),
+    }
     return ReplicateTables(
-        methods=methods, design=design, delta=delta, n_samples=n_samples, m_markov=m,
-        phi=part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples),
-        markov=part(("proposed", "lag_spline"), reciprocal_series, design.u, k1),
-        ml=part(("ml",), ml_table, design, delta, n_samples, tau_max),
-        spline=part(("lag_spline",), spline_table, design.p, k1, delta, n_samples),
+        methods=methods, design=design, delta=delta, n_samples=n_samples, m_markov=m, phi=phi,
+        markov=markov, ml=part(("ml",), ml_table, design, delta, n_samples, tau_max),
+        spectrum={method: mat for method, mat in spectrum.items() if mat is not None},
         corr=part(("freq_interp",), corr_table, design, delta, n_samples),
         errors=errors,
     )

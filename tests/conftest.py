@@ -80,6 +80,13 @@ def state_space_basis(
     )
 
 
+def qr_solve_spectrum(z: np.ndarray, phi: SampledBasis) -> np.ndarray:
+    """Least-squares spectrum of the samples z by a solve with the stored QR
+    factors, R Y = Q^T z, one general LU per dataset and no flag check: the
+    route ``proposed`` took before it applied its prebuilt map R^{-1} Q^T."""
+    return np.linalg.solve(phi.r, phi.q.T @ z)
+
+
 def cubic_spline_projection(z: np.ndarray, p: float, num_funcs: int, delta: float) -> np.ndarray:
     """Spline projection by its definition: scipy's not-a-knot CubicSpline
     through the samples, evaluated at composite 6-point Gauss-Legendre nodes

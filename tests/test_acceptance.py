@@ -318,9 +318,8 @@ def test_criterion_7c_bias_ratio(sec72_benchmark):
 def test_criterion_8_bias_predictor(bench_design):
     started = time.perf_counter()
     lam, tau, k_model = 1e-4, 1.33e-3, 12
-    phi = build_phi(
-        BasisConfig(bench_design.p, k_model + 1), bench_design.delta, bench_design.n_samples
-    )
+    tables = tables_for(bench_design, ("proposed",), k_model=k_model)
+    phi = tables.phi
     h_true = markov_params(2 * bench_design.p * tau, k_model + 1)
     y_true = build_toeplitz(bench_design.u, k_model + 1) @ h_true
     clean = phi.matrix @ y_true  # spectrum exactly inside the model: no truncation
@@ -329,7 +328,7 @@ def test_criterion_8_bias_predictor(bench_design):
     v = reciprocal_series(bench_design.u, k_model + 1)
     for r in range(reps):
         ds = add_noise(clean, lam, (2024, r), delta=bench_design.delta)
-        y_hat = estimate_spectrum_ls(ds, phi)
+        y_hat = estimate_spectrum_ls(ds, tables.spectrum["proposed"])
         h_hat = estimate_markov(y_hat, v)
         taus[r] = closed_form_delay(*assemble_ab(h_hat), bench_design.p)
     empirical = taus.mean() - tau

@@ -18,12 +18,10 @@ from lagdelay.analysis import (
 from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
-from lagdelay.estimators import (
-    ESTIMATORS, DelayEstimate, build_replicate_tables, estimate_spectrum_ls,
-)
+from lagdelay.estimators import ESTIMATORS, DelayEstimate, build_replicate_tables
 from lagdelay.simulate import Dataset, InputDesign, default_tau_max, sample_delayed
 
-from conftest import state_space_basis
+from conftest import qr_solve_spectrum, state_space_basis
 
 TAU = 1.33e-3
 REF72 = json.loads(
@@ -41,7 +39,7 @@ def substitution_markov_mse(design, k_model, noise_var, tau_check):
         z=sample_delayed(design, tau_check, n), delta=design.delta, n_samples=n,
         noise_var=0.0, seed=None,
     )
-    y_hat = estimate_spectrum_ls(clean, phi)
+    y_hat = qr_solve_spectrum(clean.z, phi)
     t_u = build_toeplitz(design.u, k_model + 1)
     h_hat = solve_triangular(t_u, y_hat, lower=True)
     bias = h_hat - markov_params(2.0 * design.p * tau_check, k_model + 1)

@@ -745,22 +745,25 @@ class TestBenchmarkCommand:
         ({"k_model": 6.5}, ["--replicates", "2"], "k_model must be an integer, got 6.5"),
         ({"seed": 1.5}, ["--replicates", "2"], "seed must be an integer, got 1.5"),
         ({"seed": True}, ["--replicates", "2"], "seed must be an integer, got True"),
+        ({"seed": "x"}, ["--replicates", "2"], "seed must be an integer, got 'x'"),
         ({"replicates": 2.5}, [], "replicates must be an integer, got 2.5"),
         ({"replicates": "2"}, [], "replicates must be an integer, got '2'"),
+        ({"methods": ["bogus"]}, ["--replicates", "2"], "unknown method 'bogus'"),
         ({"noise_var": float("inf")}, ["--replicates", "2"],
          "noise_var must be finite and nonnegative, got inf"),
-    ], ids=["k_model", "seed=1.5", "seed=true", "replicates=2.5", "replicates=str",
-            "noise_var=inf"])
+    ], ids=["k_model", "seed=1.5", "seed=true", "seed=str", "replicates=2.5", "replicates=str",
+            "methods=bogus", "noise_var=inf"])
     def test_wrong_config_value_exit_1_without_report(
         self, bench_config, tmp_path, capsys, bad, flags, message
     ):
+        # seed, replicates and methods, read outside BenchmarkConfig, were
+        # once refused without the file
         cfg_path = tmp_path / "bench.json"
         cfg_path.write_text(json.dumps({**json.loads(bench_config.read_text()), **bad}))
         out = tmp_path / "mc"
         rc = main(["benchmark", "--config", str(cfg_path), *flags, "--out", str(out)])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "ValueError" in err and message in err
+        assert capsys.readouterr().err.startswith(f"error: ValueError: {cfg_path}: {message}")
         assert not out.exists()
 
     def test_committed_config_keys_known(self):

@@ -840,17 +840,19 @@ class TestMinimizeBounded:
 class TestSpectrumSolve:
     def test_solve_within_1e14_of_triangular_solve(self):
         # 300 replicates of the section 7.2 configuration; the triangular
-        # solve is the route np.linalg.solve replaced
+        # solve is the route that np.linalg.solve, and then the prebuilt map
+        # R^{-1} Q^T, replaced
         from scipy.linalg import solve_triangular
 
         design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
-        phi = build_replicate_tables(
+        tables = build_replicate_tables(
             ("proposed",), design, delta=design.delta, n_samples=design.n_samples,
             k_model=K, tau_max=TAU_MAX,
-        ).phi
+        )
+        phi = tables.phi
         for r in range(300):
             ds = make_dataset(design, 1.33e-3, NOISE_VAR, (0, r))
-            got = estimate_spectrum_ls(ds, phi)
+            got = estimate_spectrum_ls(ds, tables.spectrum["proposed"])
             want = solve_triangular(phi.r, phi.q.T @ ds.z, lower=False)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -859,7 +861,7 @@ class TestMarkovTable:
     def test_table_v_is_the_per_call_series(self, ref):
         design, tables, data = ref
         assert _bits(tables.markov) == _bits(reciprocal_series(design.u, K + 1))
-        y_hat = tables.spline @ data[0].z
+        y_hat = estimate_spectrum_ls(data[0], tables.spectrum["lag_spline"])
         assert _bits(estimate_markov(y_hat, tables.markov)) == _bits(
             estimate_markov(y_hat, reciprocal_series(design.u, K + 1))
         )

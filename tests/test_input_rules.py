@@ -198,6 +198,31 @@ class TestBenchmarkConfigRules:
         assert err == f"error: ValueError: {path}: {message}\n"
         assert not out.exists()
 
+    # N below K + 1 (the basis of proposed) or 4 (the spline of lag_spline),
+    # with tau_max left to its default, once failed inside run_monte_carlo
+    # naming neither the file nor the key
+    @pytest.mark.parametrize("k_model, n_samples, least", [(12, 5, 13), (3, 3, 4), (12, 12, 13)])
+    def test_too_few_samples_for_the_tables(self, tmp_path, capsys, monkeypatch, k_model,
+                                            n_samples, least):
+        fields = {**BENCH, "k_model": k_model, "n_samples": n_samples}
+        del fields["tau_max"]
+        message = f"n_samples must be at least max(k_model + 1, 4) = {least}, got {n_samples}"
+        with pytest.raises(ValueError) as info:
+            BenchmarkConfig(design=InputDesign.from_dict(DESIGN72), **fields)
+        assert str(info.value) == message
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_monte_carlo ran on a refused config")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"design_path": str(INPUTS / "design72_ref.json"), **fields}))
+        out = tmp_path / "mc"
+        err = _cli_error(capsys, ["benchmark", "--config", str(path), "--seed", "1",
+                                  "--replicates", "4", "--out", str(out)])
+        assert err == f"error: ValueError: {path}: {message}\n"
+        assert not out.exists()
+
     @settings(max_examples=100, deadline=None)
     @given(
         true_tau=NONNEGATIVE,

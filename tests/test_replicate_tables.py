@@ -213,7 +213,7 @@ def _other_design(design, u):
 class TestBuilder:
     def test_builds_only_requested_parts(self, bench_design):
         tables = tables_for(bench_design, ("ml", "freq_interp"), k_model=K, tau_max=TAU_MAX)
-        assert tables.phi is None and tables.spline is None
+        assert tables.phi is None and tables.spectrum == {}
         assert tables.ml.model.shape == (tables.ml.grid.size, bench_design.n_samples)
         assert tables.markov is None and tables.m_markov is None
         assert tables.corr.u_spectrum_conj.shape == (bench_design.n_samples // 2 + 1,)
