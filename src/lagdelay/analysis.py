@@ -100,10 +100,10 @@ class BenchmarkConfig:
     ``n_samples`` and ``tau_max`` left at None are resolved at construction,
     in that order, to ``design.n_samples`` and ``default_tau_max(design,
     n_samples)``.  true_tau and noise_var must be finite and nonnegative,
-    K and M pass ``markov_order`` for the design's input order, N and
-    tau_max the ML scan's rule: N >= 1 and tau_max in (0, (N - 1) delta],
-    and N reaches max(K + 1, 4), what the basis and the spline need, for
-    every method.
+    K and M pass ``markov_order`` for the design's input order.  N must be
+    at least 1 and reach max(K + 1, 4), what the basis and the spline need,
+    for every method; these rules run before tau_max is resolved.  tau_max
+    then passes the ML scan's rule, tau_max in (0, (N - 1) delta].
     """
 
     design: InputDesign
@@ -119,14 +119,18 @@ class BenchmarkConfig:
         markov_order(self.k_model, self.m_markov, len(self.design.u) - 1)
         if self.n_samples is None:
             object.__setattr__(self, "n_samples", self.design.n_samples)
-        if self.tau_max is None:
-            object.__setattr__(self, "tau_max", default_tau_max(self.design, self.n_samples))
-        _check_scan_range(self.tau_max, self.design.delta, self.n_samples)
+        # the N rules come first: the tau_max default is read from N, and a
+        # default made from too few samples would be refused in its place
+        if self.n_samples < 1:
+            raise ValueError(f"n_samples must be at least 1, got {self.n_samples!r}")
         if self.n_samples < max(self.k_model + 1, 4):
             raise ValueError(
                 f"n_samples must be at least max(k_model + 1, 4) = "
                 f"{max(self.k_model + 1, 4)}, got {self.n_samples}"
             )
+        if self.tau_max is None:
+            object.__setattr__(self, "tau_max", default_tau_max(self.design, self.n_samples))
+        _check_scan_range(self.tau_max, self.design.delta, self.n_samples)
 
     def to_dict(self) -> dict:
         return {**vars(self), "design": self.design.to_dict()}

@@ -89,23 +89,44 @@ def assoc_laguerre_sequence(xi: float, count: int) -> np.ndarray:
     return out
 
 
-def _std_laguerre_table(x: np.ndarray, j_max: int) -> np.ndarray:
-    """Standard Laguerre polynomials L_j(x), j = 0..j_max, shape (len(x), j_max+1).
+def _std_laguerre_rows(x: np.ndarray, j_max: int) -> np.ndarray:
+    """Standard Laguerre polynomials L_j(x), j = 0..j_max, shape
+    (j_max + 1,) + x.shape: one contiguous row per function.
 
-    Upward recurrence (j+1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}.
+    Upward recurrence (j+1) L_{j+1} = (2j + 1 - x) L_j - j L_{j-1}, each row
+    written in place from the two before it.  Every entry takes the same
+    IEEE operations in the same order as it would in a column-per-function
+    table, so the values are the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    table = np.empty(x.shape + (j_max + 1,))
-    table[..., 0] = 1.0
+    table = np.empty((j_max + 1,) + x.shape)
+    table[0] = 1.0
     if j_max >= 1:
-        table[..., 1] = 1.0 - x
+        np.subtract(1.0, x, out=table[1])
+    scratch = np.empty(x.shape)
     for j in range(1, j_max):
-        table[..., j + 1] = ((2 * j + 1 - x) * table[..., j] - j * table[..., j - 1]) / (j + 1)
+        np.subtract(2 * j + 1, x, out=scratch)
+        scratch *= table[j]
+        np.multiply(j, table[j - 1], out=table[j + 1])
+        np.subtract(scratch, table[j + 1], out=table[j + 1])
+        table[j + 1] /= j + 1
     return table
 
 
+def _basis_rows(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
+    """ell_j(t) for j = 0..K, shape (K+1,) + t.shape: the transpose of
+    ``eval_basis_matrix``, one contiguous row per function."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pos = t >= 0
+    t = np.where(pos, t, 0.0)
+    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
+    rows = _std_laguerre_rows(np.where(envelope != 0, 2.0 * cfg.p * t, 0.0), cfg.k_max)
+    rows *= envelope
+    return rows
+
+
 def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
-    """Analytic basis values ell_j(t) for j = 0..K, shape (len(t), K+1).
+    """Analytic basis values ell_j(t) for j = 0..K, shape (len(t), K+1), in
+    C order.
 
     ell_j(t) = sqrt(2p) e^{-pt} L_j(2pt) for t >= 0 and 0 for t < 0, with
     L_j the standard Laguerre polynomial.  Negative times are set to 0
@@ -113,12 +134,7 @@ def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     is 0, negative or underflowed, are exactly 0: L_j is evaluated at 0
     there, since L_j(2pt) may overflow where e^{-pt} has underflowed.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    pos = t >= 0
-    t = np.where(pos, t, 0.0)
-    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
-    table = _std_laguerre_table(np.where(envelope != 0, 2.0 * cfg.p * t, 0.0), cfg.k_max)
-    return envelope[..., None] * table
+    return np.moveaxis(_basis_rows(cfg, t), 0, -1).copy()
 
 
 def build_phi(
@@ -143,15 +159,17 @@ def build_phi(
         raise ValueError(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"
         )
-    matrix = eval_basis_matrix(cfg, np.arange(n_samples) * delta)
-    q, r = np.linalg.qr(matrix, mode="reduced")
+    rows = _basis_rows(cfg, np.arange(n_samples) * delta)
+    # rows.T is Phi in Fortran order, the layout LAPACK works in, so the QR
+    # takes it without a transposing copy; the stored matrix stays in C order
+    q, r = np.linalg.qr(rows.T, mode="reduced")
     # a BLAS product such as Q^T z rounds differently by memory layout, so Q
     # is kept in the Fortran order that LAPACK itself returns it in
     q = np.asfortranarray(q)
     cond = float(np.linalg.cond(r))
     return SampledBasis(
         n_samples=n_samples,
-        matrix=matrix,
+        matrix=rows.T.copy(),
         cond=cond,
         ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
         cond_threshold=cond_threshold,

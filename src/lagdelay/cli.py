@@ -214,15 +214,17 @@ def cmd_benchmark(args) -> int:
         lambda d: _parse_methods(d.get("methods", "all")), args.config, cfg)
     resolved = {"benchmark": bench.to_dict(), "methods": list(methods),
                 "replicates": replicates, "seed": seed}
-    started = time.perf_counter()
-    stats = run_monte_carlo(bench, methods=methods, replicates=replicates,
-                            seed=seed, workers=args.workers)
-    runtime = time.perf_counter() - started
+    # taken first, so an input with no information at the samples is
+    # refused before any replicate runs
     crlb_value = None
     if bench.noise_var > 0:
         crlb_value = crlb(
             bench.design, bench.true_tau, bench.noise_var, n_samples=bench.n_samples
         ).bound
+    started = time.perf_counter()
+    stats = run_monte_carlo(bench, methods=methods, replicates=replicates,
+                            seed=seed, workers=args.workers)
+    runtime = time.perf_counter() - started
     # wall-clock runtime is the single nondeterministic report field; the
     # rest is bit-identical for any worker count
     report = {

@@ -9,6 +9,8 @@ estimate from any (noisy) Markov sequence.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .basis import assoc_laguerre_sequence
@@ -36,12 +38,23 @@ def _leading_coefficients(u: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(u, dtype=float)
     u0 = np.asarray(coeffs[..., 0])
     small = np.abs(u0) < U0_TOLERANCE
-    if np.any(small):
+    if small.any():
         raise SingularInputError(
             f"leading input coefficient u_0 = {u0[small].flat[0]:.3e} is below "
             f"{U0_TOLERANCE:.0e}; the input design must satisfy u_0 != 0"
         )
     return coeffs
+
+
+@functools.lru_cache(maxsize=8)
+def _toeplitz_index(size: int) -> np.ndarray:
+    """Gather index of a size x size lower-triangular Toeplitz operator over
+    a column padded with one zero: j - k on and below the diagonal, the
+    padding slot ``size`` above it.  Read-only, since every call shares it."""
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    index = np.where(lag >= 0, lag, size)
+    index.flags.writeable = False
+    return index
 
 
 def build_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
@@ -55,11 +68,38 @@ def build_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
     if size < 1:
         raise ValueError("size must be >= 1")
     u = _leading_coefficients(input_spec)
-    col = np.zeros(u.shape[:-1] + (size,))
+    col = np.zeros(u.shape[:-1] + (size + 1,))
     n = min(size, u.shape[-1])
     col[..., :n] = u[..., :n]
-    lag = np.subtract.outer(np.arange(size), np.arange(size))
-    return np.where(lag >= 0, col[..., np.maximum(lag, 0)], 0.0)
+    return col[..., _toeplitz_index(size)]
+
+
+def _pairwise_sum(terms: list):
+    """Sum of ``terms`` (floats, or arrays added elementwise) in the order
+    numpy's pairwise summation adds a contiguous run: one by one from 0.0
+    below 8 terms, else 8 interleaved partial sums combined as a tree, then
+    the rest one by one; a run over 128 terms is split in two at a multiple
+    of 8."""
+    n = len(terms)
+    if n < 8:
+        acc = 0.0
+        for term in terms:
+            acc += term
+        return acc
+    if n <= 128:
+        end = n - n % 8
+        partial = terms[:8]
+        for i in range(8, end, 8):
+            partial = [a + b for a, b in zip(partial, terms[i : i + 8])]
+        acc = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
+            (partial[4] + partial[5]) + (partial[6] + partial[7])
+        )
+        for term in terms[end:]:
+            acc += term
+        return acc
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
@@ -67,20 +107,24 @@ def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
 
     The inverse of a lower-triangular Toeplitz matrix is lower-triangular
     Toeplitz, so T(v) = T(U)^{-1} (Commenges & Monsion, IEEE TAC 1984).
-    v solves T(U) v = e_0 by forward substitution.  Accepts the same
-    shapes as build_toeplitz and raises SingularInputError under the same
-    u_0 rule.
+    v solves T(U) v = e_0 by forward substitution,
+    v_n = -(u_1 v_{n-1} + ... + u_k v_{n-k}) / u_0 with k = min(n, I), the
+    sum taken as ``np.add.reduce`` takes it: 0.0 plus the pairwise sum of
+    the products.  One row runs on Python floats, a batch on its coefficient
+    columns; each step is the same IEEE operation on every element, so a
+    batch row is bitwise the row alone.  Accepts the same shapes as
+    build_toeplitz and raises SingularInputError under the same u_0 rule.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     u = _leading_coefficients(input_spec)
-    v = np.zeros(u.shape[:-1] + (size,))
-    v[..., 0] = 1.0 / u[..., 0]
-    for n in range(1, size):
-        k = min(n, u.shape[-1] - 1)
-        acc = np.add.reduce(u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1], axis=-1)
-        v[..., n] = -acc / u[..., 0]
-    return v
+    u0, *tail = u.tolist() if u.ndim == 1 else np.moveaxis(u, -1, 0)
+    v = [1.0 / u0]
+    for _ in range(1, size):
+        # u_i pairs with v_{n-i}; zip stops after min(n, I) products
+        terms = [a * b for a, b in zip(tail, v[::-1])]
+        v.append(-(0.0 + _pairwise_sum(terms)) / u0)
+    return np.array(v) if u.ndim == 1 else np.stack(v, axis=-1)
 
 
 def assemble_ab(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

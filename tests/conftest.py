@@ -33,6 +33,58 @@ def exact_assoc_laguerre(m: int, xi: float) -> float:
     return float(acc)
 
 
+def std_laguerre_table(x: np.ndarray, j_max: int) -> np.ndarray:
+    """Standard Laguerre polynomials L_j(x), j = 0..j_max, shape
+    (len(x), j_max+1), by the upward recurrence (j+1) L_{j+1} =
+    (2j + 1 - x) L_j - j L_{j-1}, written one strided column per function:
+    the table ``eval_basis_matrix`` took before its row-per-function one."""
+    x = np.asarray(x, dtype=float)
+    table = np.empty(x.shape + (j_max + 1,))
+    table[..., 0] = 1.0
+    if j_max >= 1:
+        table[..., 1] = 1.0 - x
+    for j in range(1, j_max):
+        table[..., j + 1] = ((2 * j + 1 - x) * table[..., j] - j * table[..., j - 1]) / (j + 1)
+    return table
+
+
+def column_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
+    """``eval_basis_matrix`` on ``std_laguerre_table``, as it was before the
+    row-per-function table: the bitwise oracle of the closed-form basis."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pos = t >= 0
+    t = np.where(pos, t, 0.0)
+    envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
+    table = std_laguerre_table(np.where(envelope != 0, 2.0 * cfg.p * t, 0.0), cfg.k_max)
+    return envelope[..., None] * table
+
+
+def numpy_reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
+    """``reciprocal_series`` as it was before its scalar recurrence: forward
+    substitution with one ``np.add.reduce`` per coefficient over the whole
+    batch, and no u_0 check.  The bitwise oracle of the summation order."""
+    u = np.asarray(input_spec, dtype=float)
+    v = np.zeros(u.shape[:-1] + (size,))
+    v[..., 0] = 1.0 / u[..., 0]
+    for n in range(1, size):
+        k = min(n, u.shape[-1] - 1)
+        acc = np.add.reduce(u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1], axis=-1)
+        v[..., n] = -acc / u[..., 0]
+    return v
+
+
+def where_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
+    """``build_toeplitz`` as it was before its cached gather index: the lag
+    table rebuilt per call and the upper triangle masked by ``np.where``,
+    no u_0 check."""
+    u = np.asarray(input_spec, dtype=float)
+    col = np.zeros(u.shape[:-1] + (size,))
+    n = min(size, u.shape[-1])
+    col[..., :n] = u[..., :n]
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    return np.where(lag >= 0, col[..., np.maximum(lag, 0)], 0.0)
+
+
 def state_space_realization(cfg: BasisConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lower-triangular realization (A_c, b_c) of the basis: diagonal -p,
     strictly lower entries -2p, input vector all sqrt(2p).  State j of

@@ -28,6 +28,7 @@ from lagdelay.estimators import crlb
 from lagdelay.simulate import InputDesign, input_derivative, sample_delayed
 
 from conftest import (
+    column_basis_matrix,
     exact_assoc_laguerre,
     impulse_invariant,
     state_space_phi,
@@ -361,6 +362,43 @@ class TestBasisFactors:
         phi = build_phi(BasisConfig(p=p, num_funcs=13), 3e-4, 1667)
         assert phi.ill_conditioned
         assert phi.cond == pytest.approx(1.0106e8, rel=1e-4)
+
+
+class TestRowTable:
+    """The recurrence is written one contiguous row per function; the
+    column-per-function table it replaced is the bitwise oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1e-3, 1e30),
+        k_max=st.integers(0, 40),
+        t=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+    )
+    @example(p=37.3, k_max=12, t=[-1e-3, -0.0, 0.0, 3e-4, 0.5])
+    # every row after the first has an underflowed envelope
+    @example(p=1e27, k_max=40, t=[0.0, 3e-4, 0.5, -3e-4])
+    def test_matrix_bitwise_equals_column_table(self, p, k_max, t):
+        cfg = BasisConfig(p=p, num_funcs=k_max + 1)
+        got = eval_basis_matrix(cfg, np.array(t))
+        want = column_basis_matrix(cfg, np.array(t))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("delta,n,k1", [*SECTION7_SAMPLINGS, (1e-3, 60, 41)])
+    def test_factors_equal_a_qr_of_the_c_ordered_matrix(self, delta, n, k1):
+        # build_phi hands LAPACK the Fortran-ordered transpose of its row
+        # table; the factors and cond are those of the C-ordered Phi
+        for p in [1.0, 7.674, 37.3, 200.0]:
+            phi = build_phi(BasisConfig(p=p, num_funcs=k1), delta, n)
+            matrix = column_basis_matrix(BasisConfig(p=p, num_funcs=k1), np.arange(n) * delta)
+            assert phi.matrix.flags.c_contiguous
+            assert phi.matrix.tobytes() == matrix.tobytes()
+            q, r = np.linalg.qr(matrix, mode="reduced")
+            assert phi.q.tobytes() == q.tobytes() and phi.q.flags.f_contiguous
+            assert phi.r.tobytes() == r.tobytes()
+            assert phi.r.flags.c_contiguous == r.flags.c_contiguous
+            assert phi.cond == float(np.linalg.cond(r))
 
 
 class TestConfigValidation:

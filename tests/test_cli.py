@@ -714,6 +714,28 @@ class TestBenchmarkCommand:
         assert 0 < report["config"]["benchmark"]["tau_max"] <= 499 * 3e-4
         assert report["per_method"]["ml"]["failures"] == 0
 
+    def test_zero_information_refused_before_any_replicate(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # at N = 4 the input derivative has no energy at the samples; the
+        # CRLB once ran after every replicate, which warned before the error
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_monte_carlo ran before the CRLB")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run)
+        cfg = {
+            "design_path": str(INPUTS / "design72_ref.json"), "true_tau": 0.00133,
+            "noise_var": 0.01, "k_model": 3, "n_samples": 4, "seed": 0,
+        }
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "mc"
+        rc = main(["benchmark", "--config", str(cfg_path), "--replicates", "4", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: ZeroInformationError: input derivative has no energy at the sample instants\n"
+        )
+        assert not out.exists()
+
     # hist_bins included: the histogram has a fixed 40 bins
     @pytest.mark.parametrize("key", ["replicate", "noise_variance", "workers", "hist_bins"])
     def test_unknown_config_key_exit_1(self, bench_config, tmp_path, capsys, key):

@@ -21,7 +21,9 @@ from conftest import (
     convolution_oracle,
     delay_spectrum,
     exact_assoc_laguerre,
+    numpy_reciprocal_series,
     quadrature_delay_projection,
+    where_toeplitz,
 )
 
 
@@ -181,6 +183,70 @@ class TestReciprocalSeries:
         with pytest.raises(SingularInputError):
             reciprocal_series(rows, 4)
         reciprocal_series(rows[:2], 4)  # the regular rows alone are fine
+
+
+@st.composite
+def coefficient_rows(draw, orders):
+    """One row (1-D) or a batch of up to 5 rows of an input of order I drawn
+    from ``orders``: u_0 away from zero, the rest often exactly +-0.0."""
+    i_order = draw(st.sampled_from(orders))
+    lead = st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a]))
+    rest = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, -0.0]))
+    row = st.tuples(lead, *[rest] * i_order)
+    n_rows = draw(st.integers(0, 5))
+    return np.array(draw(row) if n_rows == 0 else draw(st.lists(row, min_size=n_rows,
+                                                               max_size=n_rows)))
+
+
+def _strides(a):
+    """Strides of the axes longer than 1, the ones that order memory."""
+    return [stride for stride, dim in zip(a.strides, a.shape) if dim > 1]
+
+
+class TestBitwiseOracles:
+    """The scalar recurrence of ``reciprocal_series`` sums as numpy's
+    reduce does, and ``build_toeplitz`` gathers from a cached index; the
+    numpy loop and the masked table they replaced are bitwise oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=coefficient_rows([1, 3, 5, 7]), size=st.integers(1, 41))
+    # a product of -0.0 alone sums to +0.0, since the reduce starts at 0.0
+    @example(u=np.array([2.0, -0.0, 0.0, -0.0]), size=6)
+    def test_reciprocal_series_bitwise(self, u, size):
+        got, want = reciprocal_series(u, size), numpy_reciprocal_series(u, size)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(u=coefficient_rows([9, 15, 40]), size=st.integers(1, 60))
+    # at n = 9 all nine products are -0.0, whose pairwise sum is -0.0
+    @example(u=np.array([1.0, *[0.0] * 8, -0.0]), size=12)
+    def test_reciprocal_series_bitwise_past_eight_terms(self, u, size):
+        # from 8 products on, numpy's reduce adds 8 interleaved partial sums
+        got, want = reciprocal_series(u, size), numpy_reciprocal_series(u, size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_reciprocal_series_bitwise_past_128_terms(self):
+        # above 128 products numpy's reduce splits the run in two
+        rng = np.random.default_rng(2)
+        u = rng.uniform(-1e-3, 1e-3, (3, 301))
+        u[:, 0] = 1.0
+        u[:, 1::7] = -0.0
+        assert reciprocal_series(u, 320).tobytes() == numpy_reciprocal_series(u, 320).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(u=coefficient_rows([1, 3, 5, 7]), size=st.integers(1, 41))
+    def test_build_toeplitz_bitwise(self, u, size):
+        got, want = build_toeplitz(u, size), where_toeplitz(u, size)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert _strides(got) == _strides(want)
+
+    def test_writing_an_operator_leaves_the_next_one_alone(self):
+        # every size reuses one cached index; an operator is a fresh array
+        u = np.array([1.0, 2.0])
+        build_toeplitz(u, 4)[...] = 7.0
+        assert build_toeplitz(u, 4).tobytes() == where_toeplitz(u, 4).tobytes()
 
 
 def _omega(m_count):

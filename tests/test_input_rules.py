@@ -200,8 +200,10 @@ class TestBenchmarkConfigRules:
 
     # N below K + 1 (the basis of proposed) or 4 (the spline of lag_spline),
     # with tau_max left to its default, once failed inside run_monte_carlo
-    # naming neither the file nor the key
-    @pytest.mark.parametrize("k_model, n_samples, least", [(12, 5, 13), (3, 3, 4), (12, 12, 13)])
+    # naming neither the file nor the key; at N = 1 and 2 the default made
+    # from N was then refused in its place, naming a key the file leaves out
+    @pytest.mark.parametrize("k_model, n_samples, least",
+                             [(12, 5, 13), (3, 3, 4), (12, 12, 13), (12, 1, 13), (3, 2, 4)])
     def test_too_few_samples_for_the_tables(self, tmp_path, capsys, monkeypatch, k_model,
                                             n_samples, least):
         fields = {**BENCH, "k_model": k_model, "n_samples": n_samples}

@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from lagdelay import simulate
-from lagdelay.basis import BasisConfig, _std_laguerre_table, eval_basis_matrix
+from lagdelay.basis import BasisConfig, eval_basis_matrix
 from lagdelay.cli import main
 from lagdelay.errors import InvalidDatasetError
 from lagdelay.simulate import (
@@ -35,7 +35,7 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import csv_writer_save_dataset
+from conftest import csv_writer_save_dataset, std_laguerre_table
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 
@@ -162,7 +162,7 @@ def _basis_derivative_matrix(cfg, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     pos = t >= 0
     t = np.where(pos, t, 0.0)
-    table = _std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
+    table = std_laguerre_table(2.0 * cfg.p * t, cfg.k_max)
     partial = np.zeros_like(table)
     partial[..., 1:] = np.cumsum(table[..., :-1], axis=-1)
     envelope = np.where(pos, np.sqrt(2.0 * cfg.p) * np.exp(-cfg.p * t), 0.0)
