@@ -21,13 +21,7 @@ from functools import partial
 import numpy as np
 
 from .basis import BasisConfig, build_phi, eval_basis_matrix
-from .delay_ops import (
-    BTB_TOLERANCE,
-    assemble_ab,
-    build_toeplitz,
-    markov_params,
-    reciprocal_series,
-)
+from .delay_ops import BTB_TOLERANCE, assemble_ab, inverse_toeplitz, markov_params
 from .errors import DegenerateBError, LagDelayError, _require
 from .estimators import (
     ESTIMATORS, _block_stage, _check_scan_range, build_replicate_tables, estimate_delay,
@@ -160,8 +154,9 @@ class MarkovErrorModel:
     delayed input is linear in u: P u with the projector P = R^{-1} Q^T D, D
     the order-I basis sampled at t_n - tau.  The Markov estimate is
     T^{-1}(U) P u, with covariance noise_var G G^T for G = T^{-1}(U) R^{-1}.
-    T^{-1}(U) is applied as T(v), v the reciprocal power series of u, which
-    the caller passes in: v depends on u alone, so one T(v) serves every p.
+    T^{-1}(U) is applied as T(v) = ``inverse_toeplitz(u, k1)``, v the
+    reciprocal power series of u, which the caller passes in: v depends on u
+    alone, so one T(v) serves every p.
     Only cond(Phi) is kept from the basis, not the basis; a flagged basis
     raises IllConditionedError from ``SampledBasis.r_inv``.
     """
@@ -181,8 +176,7 @@ class MarkovErrorModel:
     def errors(self, u: np.ndarray, t_inv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bias of the Markov estimate and the covariance factor
         G = T(v) R^{-1} of each input; u has shape (..., I + 1) and t_inv,
-        T(v) = ``build_toeplitz(reciprocal_series(u, k1), k1)``, shape
-        (..., k1, k1)."""
+        T(v) = ``inverse_toeplitz(u, k1)``, shape (..., k1, k1)."""
         bias = np.einsum("...ij,...j->...i", t_inv, u @ self.projector.T) - self.h_true
         return bias, t_inv @ self.r_inv
 
@@ -213,8 +207,7 @@ def markov_mse(
     _require("nonnegative", tau_check=tau_check, noise_var=noise_var)
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
-    t_inv = build_toeplitz(reciprocal_series(design.u, model.k1), model.k1)
-    bias_vec, g = model.errors(design.u, t_inv)
+    bias_vec, g = model.errors(design.u, inverse_toeplitz(design.u, model.k1))
     cov_factor = np.sqrt(noise_var) * g
     covariance = cov_factor @ cov_factor.T
     mse = float(bias_vec @ bias_vec + np.trace(covariance))

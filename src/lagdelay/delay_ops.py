@@ -32,20 +32,6 @@ def markov_params(kappa: float, m_count: int) -> np.ndarray:
     return np.exp(-kappa / 2.0) * assoc_laguerre_sequence(kappa, m_count)
 
 
-def _leading_coefficients(u: np.ndarray) -> np.ndarray:
-    """A (batch of) coefficient rows as a float array, after checking every
-    leading coefficient against U0_TOLERANCE."""
-    coeffs = np.asarray(u, dtype=float)
-    u0 = np.asarray(coeffs[..., 0])
-    small = np.abs(u0) < U0_TOLERANCE
-    if small.any():
-        raise SingularInputError(
-            f"leading input coefficient u_0 = {u0[small].flat[0]:.3e} is below "
-            f"{U0_TOLERANCE:.0e}; the input design must satisfy u_0 != 0"
-        )
-    return coeffs
-
-
 @functools.lru_cache(maxsize=8)
 def _toeplitz_index(size: int) -> np.ndarray:
     """Gather index of a size x size lower-triangular Toeplitz operator over
@@ -62,44 +48,16 @@ def build_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
 
     The last axis of ``input_spec`` holds the coefficients; leading axes
     are a batch and give a stack of operators of shape (..., size, size).
-    Coefficients beyond the stored spectrum are zero.  Raises
-    SingularInputError when any u_0 is numerically zero.
+    Coefficients beyond the stored spectrum are zero.  Only lays the
+    coefficients out; ``reciprocal_series`` owns the u_0 rule.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    u = _leading_coefficients(input_spec)
+    u = np.asarray(input_spec, dtype=float)
     col = np.zeros(u.shape[:-1] + (size + 1,))
     n = min(size, u.shape[-1])
     col[..., :n] = u[..., :n]
     return col[..., _toeplitz_index(size)]
-
-
-def _pairwise_sum(terms: list):
-    """Sum of ``terms`` (floats, or arrays added elementwise) in the order
-    numpy's pairwise summation adds a contiguous run: one by one from 0.0
-    below 8 terms, else 8 interleaved partial sums combined as a tree, then
-    the rest one by one; a run over 128 terms is split in two at a multiple
-    of 8."""
-    n = len(terms)
-    if n < 8:
-        acc = 0.0
-        for term in terms:
-            acc += term
-        return acc
-    if n <= 128:
-        end = n - n % 8
-        partial = terms[:8]
-        for i in range(8, end, 8):
-            partial = [a + b for a, b in zip(partial, terms[i : i + 8])]
-        acc = ((partial[0] + partial[1]) + (partial[2] + partial[3])) + (
-            (partial[4] + partial[5]) + (partial[6] + partial[7])
-        )
-        for term in terms[end:]:
-            acc += term
-        return acc
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
@@ -109,22 +67,36 @@ def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     Toeplitz, so T(v) = T(U)^{-1} (Commenges & Monsion, IEEE TAC 1984).
     v solves T(U) v = e_0 by forward substitution,
     v_n = -(u_1 v_{n-1} + ... + u_k v_{n-k}) / u_0 with k = min(n, I), the
-    sum taken as ``np.add.reduce`` takes it: 0.0 plus the pairwise sum of
-    the products.  One row runs on Python floats, a batch on its coefficient
-    columns; each step is the same IEEE operation on every element, so a
-    batch row is bitwise the row alone.  Accepts the same shapes as
-    build_toeplitz and raises SingularInputError under the same u_0 rule.
+    products summed left to right from 0.0.  One row runs on Python floats,
+    a batch on its coefficient columns; each step is the same IEEE
+    operation on every element, so a batch row is bitwise the row alone.
+    Accepts the same shapes as build_toeplitz.  Raises SingularInputError
+    when any |u_0| is below U0_TOLERANCE.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
-    u = _leading_coefficients(input_spec)
+    u = np.asarray(input_spec, dtype=float)
+    small = np.abs(u[..., 0]) < U0_TOLERANCE
+    if small.any():
+        raise SingularInputError(
+            f"leading input coefficient u_0 = {u[..., 0][small].flat[0]:.3e} is below "
+            f"{U0_TOLERANCE:.0e}; the input design must satisfy u_0 != 0"
+        )
     u0, *tail = u.tolist() if u.ndim == 1 else np.moveaxis(u, -1, 0)
     v = [1.0 / u0]
     for _ in range(1, size):
+        acc = 0.0
         # u_i pairs with v_{n-i}; zip stops after min(n, I) products
-        terms = [a * b for a, b in zip(tail, v[::-1])]
-        v.append(-(0.0 + _pairwise_sum(terms)) / u0)
+        for a, b in zip(tail, v[::-1]):
+            acc += a * b
+        v.append(-acc / u0)
     return np.array(v) if u.ndim == 1 else np.stack(v, axis=-1)
+
+
+def inverse_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
+    """T(U)^{-1} = T(v) of each coefficient row, shape (..., size, size);
+    raises SingularInputError under the u_0 rule of ``reciprocal_series``."""
+    return build_toeplitz(reciprocal_series(input_spec, size), size)
 
 
 def assemble_ab(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import MarkovErrorModel
-from .delay_ops import build_toeplitz, reciprocal_series
+from .delay_ops import inverse_toeplitz
 from .errors import IllConditionedError, InfeasibleDesignError, _require
 from .estimators import minimize_bounded
 from .simulate import InputDesign, _json_int, _json_number, sample_count
@@ -175,12 +175,6 @@ def _model(p: float, problem: DesignProblem) -> MarkovErrorModel:
     )
 
 
-def _t_inv(u: np.ndarray, problem: DesignProblem) -> np.ndarray:
-    """T(U)^{-1} = T(v) of each coefficient row, as the error models take it."""
-    k1 = problem.k_model + 1
-    return build_toeplitz(reciprocal_series(u, k1), k1)
-
-
 def optimize_design(problem: DesignProblem) -> InputDesign:
     """Exhaustive grid search over (p, free coefficients), optionally
     refined by coordinate descent; deterministic first-minimum tie-break.
@@ -193,7 +187,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         raise InfeasibleDesignError(
             "the coefficient grid has no candidate with u_0 > 0; raise u_grid_points"
         )
-    cand_t_inv = _t_inv(cand_u, problem)
+    cand_t_inv = inverse_toeplitz(cand_u, problem.k_model + 1)
     best = None  # (objective, cand_index, p)
     unusable = 0
     for p in problem.p_grid:
@@ -271,7 +265,7 @@ def _refine(problem, p, u0, odds, obj):
 
     def objective(p_val, u0_val, odds_val):
         u = _coefficients(u0_val, odds_val, problem)
-        return score(p_val, u, _t_inv(u, problem))
+        return score(p_val, u, inverse_toeplitz(u, problem.k_model + 1))
 
     def descend(fn, x, f_x, lo, hi, rtol):
         # x lies in [lo, hi] and fn(x) = f_x is known, so keeping x costs no
@@ -282,7 +276,7 @@ def _refine(problem, p, u0, odds, obj):
     for _ in range(20):
         prev = obj
         u = _coefficients(u0, odds, problem)
-        t_inv = _t_inv(u, problem)
+        t_inv = inverse_toeplitz(u, problem.k_model + 1)
         p, obj = descend(
             lambda x: score(x, u, t_inv), p, obj, p / p_ratio, p * p_ratio, 1e-3
         )

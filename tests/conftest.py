@@ -73,6 +73,22 @@ def numpy_reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     return v
 
 
+def sequential_reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
+    """``numpy_reciprocal_series`` with each sum taken left to right:
+    ``0.0`` plus the last running sum of ``np.cumsum``, which adds one
+    product at a time at any length.  The bitwise oracle of the summation
+    order past 7 products, where ``np.add.reduce`` turns pairwise."""
+    u = np.asarray(input_spec, dtype=float)
+    v = np.zeros(u.shape[:-1] + (size,))
+    v[..., 0] = 1.0 / u[..., 0]
+    for n in range(1, size):
+        k = min(n, u.shape[-1] - 1)
+        products = u[..., 1 : k + 1] * v[..., n - k : n][..., ::-1]
+        acc = 0.0 + np.cumsum(products, axis=-1)[..., -1] if k else 0.0
+        v[..., n] = -acc / u[..., 0]
+    return v
+
+
 def where_toeplitz(input_spec: np.ndarray, size: int) -> np.ndarray:
     """``build_toeplitz`` as it was before its cached gather index: the lag
     table rebuilt per call and the upper triangle masked by ``np.where``,

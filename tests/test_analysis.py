@@ -1,10 +1,13 @@
 """Analysis tests: Markov-MSE budget, bias prediction, Monte-Carlo harness."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
@@ -114,6 +117,23 @@ class TestMarkovMse:
         scaled = markov_mse(half, 12, 0.01, TAU)
         assert np.trace(scaled.covariance) == pytest.approx(4 * np.trace(full.covariance), rel=1e-9)
         assert_allclose(scaled.bias_vec, full.bias_vec, rtol=1e-8, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(1e-6, 1e20))
+    # 1e13 once raised SingularInputError: u_0 was checked on v = 1/u too
+    @example(c=1e13)
+    def test_scale_property(self, bench_design, c):
+        # T(v) R^{-1} of c u is that of u over c: the bias is unchanged and
+        # the covariance falls by c^2, with no u_0 refusal on the way
+        scaled = dataclasses.replace(
+            bench_design, u=c * bench_design.u, energy_bound=c**2 * bench_design.energy_bound
+        )
+        ref = markov_mse(bench_design, 12, 0.01, TAU)
+        acc = markov_mse(scaled, 12, 0.01, TAU)
+        ref_bias = np.max(np.abs(ref.bias_vec))
+        assert np.max(np.abs(acc.bias_vec - ref.bias_vec)) <= 1e-12 * ref_bias
+        ref_trace = np.trace(ref.covariance)
+        assert abs(c**2 * np.trace(acc.covariance) - ref_trace) <= 1e-14 * ref_trace
 
 
     @pytest.mark.parametrize("k_model", [3, 6, 12])

@@ -1,6 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, schemas, reproducibility."""
 
 import json
+import math
 import re
 import warnings
 from importlib import resources
@@ -160,6 +161,17 @@ class TestDesignCommand:
         err = capsys.readouterr().err
         assert "ValueError" in err and message in err
         assert not out.exists()
+
+    def test_large_energy_bound_designs(self, tmp_path, capsys):
+        # every candidate's u_0 is 1e13 times the warm-up's; the u_0 rule
+        # once ran on v = 1/u as well and refused u_0 = 3.5e12 as 2.8e-13
+        cfg = json.loads((INPUTS / "design_warmup_problem.json").read_text())
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps({**cfg, "energy_bound": 2e26}))
+        out = tmp_path / "d.json"
+        assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["constraints"]["ok"]
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -993,6 +1005,22 @@ class TestBiasPredictCommand:
         with pytest.raises(ValueError, match="model order must cover") as exc:
             predict_bias_tau(design, 0.01, 1.33e-3, 2)
         assert capsys.readouterr().err == f"error: ValueError: {exc.value}\n"
+
+    def test_scaled_design_predicts(self, tmp_path, capsys):
+        # the §7.2 design scaled by 1e13 once exited 1 with
+        # "u_0 = 1.000e-13 is below 1e-12", the u_0 of its reciprocal series
+        design = json.loads((INPUTS / "design72_ref.json").read_text())
+        design.update(u=[1e13 * x for x in design["u"]], eta=1e26 * design["eta"])
+        design_path = tmp_path / "scaled.json"
+        design_path.write_text(json.dumps(design))
+        out = tmp_path / "b.json"
+        rc = main([
+            "bias-predict", "--design", str(design_path), "--tau-check", "1.33e-3",
+            "--noise-var", "0.01", "--out", str(out),
+        ])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        assert math.isfinite(json.loads(out.read_text())["predicted_bias"])
 
     def test_too_few_mc_samples_exit_1(self, design_file, tmp_path, capsys):
         out = tmp_path / "b.json"

@@ -14,13 +14,12 @@ from lagdelay import design as design_module
 from lagdelay.analysis import markov_mse
 from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import main
-from lagdelay.delay_ops import build_toeplitz, markov_params, reciprocal_series
+from lagdelay.delay_ops import build_toeplitz, inverse_toeplitz, markov_params, reciprocal_series
 from lagdelay.design import (
     DesignProblem,
     _candidates,
     _coefficients,
     _model,
-    _t_inv,
     optimize_design,
     validate_constraints,
 )
@@ -166,7 +165,7 @@ class TestOptimizeDesign:
             except IllConditionedError:
                 continue
             for u in _candidates(problem):
-                t_inv = _t_inv(u, problem)
+                t_inv = inverse_toeplitz(u, problem.k_model + 1)
                 assert best <= model.mse(u, t_inv, problem.noise_var) * (1 + 1e-9)
 
     def test_deterministic(self):
@@ -179,7 +178,7 @@ class TestOptimizeDesign:
         problem = tiny_problem()
         model = _model(35.0, problem)
         u = _coefficients(0.9, np.array([0.3]), problem)
-        fast = model.mse(u, _t_inv(u, problem), problem.noise_var)
+        fast = model.mse(u, inverse_toeplitz(u, problem.k_model + 1), problem.noise_var)
         from lagdelay.simulate import InputDesign
 
         design = InputDesign(
@@ -386,7 +385,7 @@ class TestRefine:
 
         def objective(design):
             model = triangular_model(design.p, problem)
-            t_inv = _t_inv(design.u, problem)
+            t_inv = inverse_toeplitz(design.u, problem.k_model + 1)
             return float(model.mse(design.u, t_inv, problem.noise_var))
 
         got = optimize_design(problem)
@@ -435,7 +434,7 @@ class TestBatchedObjective:
         problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
         cand_u = _candidates(problem)
         assert len(cand_u) == 576
-        t_inv = _t_inv(cand_u, problem)
+        t_inv = inverse_toeplitz(cand_u, problem.k_model + 1)
         usable = 0
         for p in problem.p_grid:
             try:
@@ -465,7 +464,7 @@ class TestBatchedObjective:
         sampling, usable_expected = SECTION7_PROBLEMS[section]
         problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
         cand_u = _candidates(problem)
-        t_inv = _t_inv(cand_u, problem)
+        t_inv = inverse_toeplitz(cand_u, problem.k_model + 1)
         usable = 0
         for p in problem.p_grid:
             try:
@@ -481,11 +480,11 @@ class TestBatchedObjective:
     def test_candidates_t_inv_built_once_per_problem(self, section, monkeypatch):
         calls = []
 
-        def counting(*args):
-            calls.append(args[0].shape)
-            return build_toeplitz(*args)
+        def counting(u, size):
+            calls.append((len(u), size))
+            return inverse_toeplitz(u, size)
 
-        monkeypatch.setattr(design_module, "build_toeplitz", counting)
+        monkeypatch.setattr(design_module, "inverse_toeplitz", counting)
         sampling, _ = SECTION7_PROBLEMS[section]
         optimize_design(DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01,
                                       refine=False, **sampling))
@@ -495,9 +494,9 @@ class TestBatchedObjective:
         problem = tiny_problem()
         model = _model(35.0, problem)
         cand_u = _candidates(problem)
-        batched = model.mse(cand_u, _t_inv(cand_u, problem), problem.noise_var)
+        batched = model.mse(cand_u, inverse_toeplitz(cand_u, model.k1), problem.noise_var)
         for i, u in enumerate(cand_u):
-            single = model.mse(u, _t_inv(u, problem), problem.noise_var)
+            single = model.mse(u, inverse_toeplitz(u, model.k1), problem.noise_var)
             assert single == pytest.approx(batched[i], rel=1e-14)
 
 
