@@ -157,8 +157,9 @@ class MarkovErrorModel:
     T^{-1}(U) is applied as T(v) = ``inverse_toeplitz(u, k1)``, v the
     reciprocal power series of u, which the caller passes in: v depends on u
     alone, so one T(v) serves every p.
-    Only cond(Phi) is kept from the basis, not the basis; a flagged basis
-    raises IllConditionedError from ``SampledBasis.r_inv``.
+    R^{-1} comes from ``SampledBasis.r_inv`` and serves both P and G; of the
+    basis only it and cond(Phi) are kept.  A flagged basis raises
+    IllConditionedError from ``r_inv``.
     """
 
     def __init__(self, p: float, k_model: int, delta: float, n_samples: int,
@@ -169,7 +170,7 @@ class MarkovErrorModel:
         self.cond = phi.cond
         t = np.arange(n_samples) * delta
         delayed = eval_basis_matrix(BasisConfig(p=p, num_funcs=i_order + 1), t - tau)
-        self.projector = np.linalg.solve(phi.r, phi.q.T @ delayed)
+        self.projector = self.r_inv @ (phi.q.T @ delayed)
         self.h_true = markov_params(2.0 * p * tau, k1)
         self.k1 = k1
 
@@ -201,18 +202,19 @@ def markov_mse(
     noise_var * T^{-1}(U) (Phi^T Phi)^{-1} T^{-T}(U).  The bias term is the
     Markov estimate from the noise-free output at ``tau_check`` minus the
     exact Markov parameters; the spectrum tail beyond K makes it nonzero.
-    Both come from one ``MarkovErrorModel``.  Raises IllConditionedError
-    when the sampled basis is flagged.
+    Both come from one ``MarkovErrorModel``, and ``mse`` is its ``mse``, the
+    objective that ``optimize_design`` minimizes.  Raises
+    IllConditionedError when the sampled basis is flagged.
     """
     _require("nonnegative", tau_check=tau_check, noise_var=noise_var)
     n = design.n_samples if n_samples is None else n_samples
     model = MarkovErrorModel(design.p, k_model, design.delta, n, tau_check, len(design.u) - 1)
-    bias_vec, g = model.errors(design.u, inverse_toeplitz(design.u, model.k1))
+    t_inv = inverse_toeplitz(design.u, model.k1)
+    bias_vec, g = model.errors(design.u, t_inv)
     cov_factor = np.sqrt(noise_var) * g
-    covariance = cov_factor @ cov_factor.T
-    mse = float(bias_vec @ bias_vec + np.trace(covariance))
     return MarkovAccuracy(
-        bias_vec=bias_vec, covariance=covariance, mse=mse, cov_factor=cov_factor
+        bias_vec=bias_vec, covariance=cov_factor @ cov_factor.T,
+        mse=float(model.mse(design.u, t_inv, noise_var)), cov_factor=cov_factor,
     )
 
 

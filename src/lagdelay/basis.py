@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import IllConditionedError, _require
 
-# Default ceiling on cond(Phi) before the basis is flagged as unusable for
-# least squares.
-DEFAULT_COND_THRESHOLD = 1e8
+# Ceiling on cond(Phi) above which a basis is flagged unusable for least squares.
+COND_THRESHOLD = 1e8
 
 
 @dataclass(frozen=True)
@@ -52,20 +51,19 @@ class SampledBasis:
     solve against this basis reuses them.
     """
 
-    n_samples: int
     matrix: np.ndarray
     cond: float
     ill_conditioned: bool
-    cond_threshold: float
     q: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
 
     def r_inv(self) -> np.ndarray:
-        """R^{-1}, or IllConditionedError for a flagged basis: the one place
-        that refuses it.  ``proposed``'s spectrum map Phi^+ = R^{-1} Q^T and
-        the Markov error model take R^{-1} from here."""
+        """R^{-1}, the package's one inverse of R, or IllConditionedError for
+        a flagged basis: the one place that refuses it.  ``proposed``'s
+        spectrum map Phi^+ = R^{-1} Q^T and the Markov error model take
+        R^{-1} from here."""
         if self.ill_conditioned:
-            raise IllConditionedError(self.cond, self.cond_threshold)
+            raise IllConditionedError(self.cond, COND_THRESHOLD)
         return np.linalg.solve(self.r, np.eye(self.r.shape[0]))
 
 
@@ -137,24 +135,17 @@ def eval_basis_matrix(cfg: BasisConfig, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(_basis_rows(cfg, t), 0, -1).copy()
 
 
-def build_phi(
-    cfg: BasisConfig,
-    delta: float,
-    n_samples: int,
-    cond_threshold: float = DEFAULT_COND_THRESHOLD,
-) -> SampledBasis:
+def build_phi(cfg: BasisConfig, delta: float, n_samples: int) -> SampledBasis:
     """Sampled basis matrix Phi with rows ell(t_n), t_n = n*delta, from the
     closed form, and its thin QR factorization.
 
     cond(Phi) is read from R, which has the same singular values.  A
-    condition number above ``cond_threshold`` flags the basis; ``r_inv``,
+    condition number above COND_THRESHOLD flags the basis; ``r_inv``,
     and so every least-squares use of it, refuses a flagged basis with
     IllConditionedError, signalling that delta, n_samples or p must be
     revised.
     """
     _require("positive", delta=delta)
-    if not cond_threshold > 0:  # NaN too
-        raise ValueError(f"cond_threshold must be positive, got {cond_threshold!r}")
     if n_samples < cfg.num_funcs:
         raise ValueError(
             f"need at least {cfg.num_funcs} samples for {cfg.num_funcs} basis functions"
@@ -168,11 +159,6 @@ def build_phi(
     q = np.asfortranarray(q)
     cond = float(np.linalg.cond(r))
     return SampledBasis(
-        n_samples=n_samples,
-        matrix=rows.T.copy(),
-        cond=cond,
-        ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
-        cond_threshold=cond_threshold,
-        q=q,
-        r=r,
+        matrix=rows.T.copy(), cond=cond, q=q, r=r,
+        ill_conditioned=not np.isfinite(cond) or cond > COND_THRESHOLD,
     )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import BenchmarkConfig, markov_mse, predict_bias_tau, run_monte_carlo
-from .basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi
+from .basis import BasisConfig, build_phi
 from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
 from .estimators import ESTIMATORS, build_replicate_tables, crlb, estimate_delay
@@ -292,9 +292,10 @@ def cmd_bias_predict(args) -> int:
 
 def cmd_basis_check(args) -> int:
     """Build Phi for the given sampling, print its Gram deviation and
-    cond(Phi); exit 1 when cond(Phi) exceeds the threshold."""
+    cond(Phi); exit 1 when the basis is flagged, that is exactly when
+    ``proposed``, ``markov_mse`` and ``design`` refuse it."""
     cfg = BasisConfig(p=args.p, num_funcs=args.num_funcs)
-    phi = build_phi(cfg, args.delta, args.n_samples, args.cond_threshold)
+    phi = build_phi(cfg, args.delta, args.n_samples)
     gram_dev = np.abs(args.delta * phi.matrix.T @ phi.matrix - np.eye(cfg.num_funcs)).max()
     print(f"  [INFO] Gram deviation from identity: {gram_dev:.3e}")
     print(f"  [INFO] cond(Phi) = {phi.cond:.6e}" + (" (flagged)" if phi.ill_conditioned else ""))
@@ -354,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--num-funcs", type=int, required=True)
     p_check.add_argument("--delta", type=float, required=True)
     p_check.add_argument("--n-samples", type=int, required=True)
-    p_check.add_argument("--cond-threshold", type=float, default=DEFAULT_COND_THRESHOLD)
     return parser
 
 

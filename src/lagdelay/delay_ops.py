@@ -16,7 +16,8 @@ import numpy as np
 from .basis import assoc_laguerre_sequence
 from .errors import DegenerateBError, SingularInputError, _require
 
-# |u_0| below this is treated as a singular input operator.
+# |u_0| at or below this times the row's largest |u_k| is treated as a
+# singular input operator; the rule reads the same on u and on c u.
 U0_TOLERANCE = 1e-12
 
 # B^T B below this means every usable Markov parameter is numerically zero.
@@ -71,16 +72,18 @@ def reciprocal_series(input_spec: np.ndarray, size: int) -> np.ndarray:
     a batch on its coefficient columns; each step is the same IEEE
     operation on every element, so a batch row is bitwise the row alone.
     Accepts the same shapes as build_toeplitz.  Raises SingularInputError
-    when any |u_0| is below U0_TOLERANCE.
+    when any row has |u_0| <= U0_TOLERANCE max_k |u_k|.
     """
     if size < 1:
         raise ValueError("size must be >= 1")
     u = np.asarray(input_spec, dtype=float)
-    small = np.abs(u[..., 0]) < U0_TOLERANCE
+    largest = np.abs(u).max(axis=-1, keepdims=True)
+    small = np.abs(u[..., :1]) <= U0_TOLERANCE * largest
     if small.any():
         raise SingularInputError(
-            f"leading input coefficient u_0 = {u[..., 0][small].flat[0]:.3e} is below "
-            f"{U0_TOLERANCE:.0e}; the input design must satisfy u_0 != 0"
+            f"leading input coefficient u_0 = {u[..., :1][small][0]:.3e} is not above "
+            f"{U0_TOLERANCE:.0e} times the row's largest |u_k| = {largest[small][0]:.3e}; "
+            "the input design must satisfy u_0 != 0"
         )
     u0, *tail = u.tolist() if u.ndim == 1 else np.moveaxis(u, -1, 0)
     v = [1.0 / u0]

@@ -153,15 +153,19 @@ def _candidates(problem: DesignProblem) -> np.ndarray:
     """Candidate coefficient rows: every grid point of (u_0 raw, u_I raw,
     interior odds) with u_0 > 0 after the continuity projection, put on the
     energy ball, duplicates removed in first-occurrence grid order."""
-    axis = np.linspace(0.0, np.sqrt(problem.energy_bound), problem.u_grid_points)
+    root = np.sqrt(problem.energy_bound)
+    axis = np.linspace(0.0, root, problem.u_grid_points)
     n_free = 2 + (problem.i_order - 1) // 2  # u0 raw, uI raw, interior odds
     raw = np.stack(np.meshgrid(*[axis] * n_free, indexing="ij"), axis=-1).reshape(-1, n_free)
     u0 = (raw[:, 0] - raw[:, 1]) / 2.0  # continuity projection of (u0, uI)
     keep = u0 > 0
     u = _coefficients(u0[keep], raw[keep, 2:], problem)
-    # rows compared by their bytes, so 0.0 and -0.0 differ; the stable sort
-    # puts each row's first occurrence at the head of its run of equals
-    bits = np.round(u, 12).view(np.int64)
+    # rows compared in units of sqrt(eta) rounded to 1e-10 (far above the
+    # ulps between grid points that scale onto one row, far below the ~4e-4
+    # between distinct rows), then by their bytes, so 0.0 and -0.0 differ;
+    # the stable sort puts each row's first occurrence at the head of its
+    # run of equals
+    bits = np.round(u / root, 10).view(np.int64)
     order = np.lexsort(bits.T[::-1])
     ranked = bits[order]
     head = np.ones(len(order), dtype=bool)

@@ -803,9 +803,9 @@ def build_replicate_tables(
     k1 = k_model + 1
     phi = part(("proposed",), build_phi, BasisConfig(p=design.p, num_funcs=k1), delta, n_samples)
     markov = part(("proposed", "lag_spline"), reciprocal_series, design.u, k1)
-    # L = R^{-1} Q^T is one small product; np.linalg.solve(R, Q^T) gives the
-    # same map to about 3e-16 relative at about eight times the cost (0.34
-    # against 0.04 ms at K = 12, N = 1667), and estimate builds per call
+    # L = R^{-1} Q^T is one small product; a general solve of R against Q^T
+    # gives the same map to about 3e-16 relative at about eight times the cost
+    # (0.34 against 0.04 ms at K = 12, N = 1667), and estimate builds per call
     spectrum = {
         "proposed": part(("proposed",), lambda: phi.r_inv() @ phi.q.T),
         "lag_spline": part(("lag_spline",), spline_table, design.p, k1, delta, n_samples),

@@ -13,7 +13,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import expm, qr
 
 from lagdelay.analysis import BiasPrediction, markov_mse
-from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
+from lagdelay.basis import COND_THRESHOLD, BasisConfig, SampledBasis, eval_basis_matrix
 from lagdelay.delay_ops import BTB_TOLERANCE, assemble_ab, markov_params
 from lagdelay.design import DesignProblem, optimize_design
 from lagdelay.errors import DegenerateBError
@@ -132,9 +132,7 @@ def state_space_phi(cfg: BasisConfig, delta: float, n_samples: int) -> np.ndarra
     return states[:, :n_samples].T
 
 
-def state_space_basis(
-    cfg: BasisConfig, delta: float, n_samples: int, cond_threshold: float = DEFAULT_COND_THRESHOLD
-) -> SampledBasis:
+def state_space_basis(cfg: BasisConfig, delta: float, n_samples: int) -> SampledBasis:
     """``build_phi`` on the state-space matrix: the same thin QR, cond read
     from R and threshold flag (no warning).  Stands in for ``build_phi`` to
     compare a downstream result with the one the state-space Phi gives."""
@@ -142,9 +140,8 @@ def state_space_basis(
     q, r = qr(matrix, mode="economic", check_finite=False)
     cond = float(np.linalg.cond(r))
     return SampledBasis(
-        n_samples=n_samples, matrix=matrix, cond=cond,
-        ill_conditioned=not np.isfinite(cond) or cond > cond_threshold,
-        cond_threshold=cond_threshold, q=q, r=r,
+        matrix=matrix, cond=cond,
+        ill_conditioned=not np.isfinite(cond) or cond > COND_THRESHOLD, q=q, r=r,
     )
 
 

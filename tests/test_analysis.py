@@ -18,7 +18,7 @@ from lagdelay.analysis import (
     predict_bias_tau,
     run_monte_carlo,
 )
-from lagdelay.basis import DEFAULT_COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.basis import COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.delay_ops import build_toeplitz, markov_params
 from lagdelay.errors import DegenerateBError, IllConditionedError
 from lagdelay.estimators import ESTIMATORS, DelayEstimate, build_replicate_tables
@@ -201,7 +201,7 @@ class TestMarkovErrorModel:
         # p = 0.05 cannot separate 13 functions over 200 samples
         with pytest.raises(IllConditionedError) as exc:
             analysis.MarkovErrorModel(0.05, 12, 3e-4, 200, 3e-4, 3)
-        assert exc.value.cond > exc.value.threshold == DEFAULT_COND_THRESHOLD
+        assert exc.value.cond > exc.value.threshold == COND_THRESHOLD
 
     @pytest.mark.parametrize("delta,n,k_model", [(3e-4, 1667, 12), (1e-4, 5001, 6)])
     def test_solve_within_1e13_of_triangular_solve(self, delta, n, k_model):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lagdelay.basis import (
-    DEFAULT_COND_THRESHOLD,
+    COND_THRESHOLD,
     BasisConfig,
     assoc_laguerre_sequence,
     build_phi,
@@ -269,14 +269,15 @@ class TestBuildPhi:
         assert dev == pytest.approx(0.32973, rel=1e-3)
 
     def test_ill_conditioned_flag_and_warning(self):
-        # the flag is the basis's only signal: nothing is warned
-        cfg = BasisConfig(p=20.0, num_funcs=7)
+        # the flag is the basis's only signal: nothing is warned; p = 2 cannot
+        # separate 13 functions over 0.5 s (cond(Phi) 1.8e15)
+        cfg = BasisConfig(p=2.0, num_funcs=13)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            phi = build_phi(cfg, 1e-4, 5001, cond_threshold=1.0)
+            phi = build_phi(cfg, 3e-4, 1667)
         assert not caught
         assert phi.ill_conditioned
-        assert phi.cond > 1.0
+        assert phi.cond > COND_THRESHOLD
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
@@ -288,12 +289,6 @@ class TestBuildPhi:
         # one gave a basis full of NaN
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             build_phi(BasisConfig(p=20.0, num_funcs=7), delta, 5001)
-
-    @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
-    def test_unusable_cond_threshold_rejected(self, threshold):
-        # cond > nan is always false, so a NaN threshold once flagged nothing
-        with pytest.raises(ValueError, match="cond_threshold must be positive"):
-            build_phi(BasisConfig(p=20.0, num_funcs=26), 1e-4, 5001, cond_threshold=threshold)
 
 
 # (delta, n_samples, num_funcs) of the section 7.2 and 7.1 design problems,
@@ -319,7 +314,7 @@ class TestBasisFactors:
             phi = build_phi(BasisConfig(p=float(p), num_funcs=k1), delta, n)
             svd_cond = np.linalg.cond(phi.matrix)
             assert phi.cond == pytest.approx(svd_cond, rel=1e-12)
-            assert phi.ill_conditioned == (svd_cond > DEFAULT_COND_THRESHOLD)
+            assert phi.ill_conditioned == (svd_cond > COND_THRESHOLD)
 
     @pytest.mark.parametrize("delta,n,k1", SECTION7_SAMPLINGS)
     def test_cond_and_flag_match_state_space_oracle(self, delta, n, k1):
@@ -329,8 +324,8 @@ class TestBasisFactors:
             cfg = BasisConfig(p=float(p), num_funcs=k1)
             phi = build_phi(cfg, delta, n)
             oracle_cond = np.linalg.cond(state_space_phi(cfg, delta, n))
-            assert phi.ill_conditioned == (oracle_cond > DEFAULT_COND_THRESHOLD)
-            if oracle_cond <= DEFAULT_COND_THRESHOLD:
+            assert phi.ill_conditioned == (oracle_cond > COND_THRESHOLD)
+            if oracle_cond <= COND_THRESHOLD:
                 assert phi.cond == pytest.approx(oracle_cond, rel=1e-9)
 
     @pytest.mark.parametrize("delta,n", [(3e-4, 1667), (1e-4, 5000)])

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: subcommands, exit codes, schemas, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -10,11 +12,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lagdelay import cli, estimators
-from lagdelay.analysis import BenchmarkConfig, predict_bias_tau
+from lagdelay.analysis import BenchmarkConfig, MarkovErrorModel, predict_bias_tau
 from lagdelay.cli import main
-from lagdelay.errors import NoImprovementWarning
+from lagdelay.errors import IllConditionedError, NoImprovementWarning
 from lagdelay.simulate import InputDesign
 
 from conftest import OUT_OF_RECORD
@@ -170,6 +174,20 @@ class TestDesignCommand:
         cfg_path.write_text(json.dumps({**cfg, "energy_bound": 2e26}))
         out = tmp_path / "d.json"
         assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out.read_text())["constraints"]["ok"]
+
+    @pytest.mark.parametrize("name", ["design_warmup_problem", "design72_problem"])
+    def test_small_energy_bound_designs(self, name, tmp_path, capsys):
+        # every candidate is 1e-13 times one at energy bound 2; the absolute
+        # rule |u_0| < 1e-12 once refused u_0 = 3.5e-14 (warm-up) and 2.9e-15
+        cfg = json.loads((INPUTS / f"{name}.json").read_text())
+        cfg_path = tmp_path / "p.json"
+        cfg_path.write_text(json.dumps({**cfg, "energy_bound": 2e-26}))
+        out = tmp_path / "d.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(out.read_text())["constraints"]["ok"]
 
@@ -1146,6 +1164,37 @@ class TestBasisCheck:
         assert not lines[1].endswith("(flagged)")
         assert lines[2] == "  [PASS] condition number below threshold"
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.floats(0.5, 500.0),
+        k_model=st.integers(3, 24),
+        delta=st.floats(1e-5, 1e-2),
+        extra=st.integers(0, 2000),
+    )
+    @example(p=2.0, k_model=12, delta=3e-4, extra=1654)  # cond(Phi) 1.8e15
+    @example(p=37.3, k_model=12, delta=3e-4, extra=1654)
+    def test_exit_1_exactly_when_estimators_refuse(self, p, k_model, delta, extra):
+        # one threshold: basis-check fails the basis that proposed's tables
+        # and the Markov error model (markov_mse, design) refuse
+        n = k_model + 1 + extra
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["basis-check", "--p", repr(p), "--num-funcs", str(k_model + 1),
+                       "--delta", repr(delta), "--n-samples", str(n)])
+        design = InputDesign(p=p, u=np.array([0.8, 0.4, -0.4, -0.8]), energy_bound=2.0,
+                             horizon=(n - 1) * delta, delta=delta, tau_guess=delta)
+        tables = estimators.build_replicate_tables(
+            ("proposed",), design, delta=delta, n_samples=n, k_model=k_model,
+            tau_max=(n - 1) * delta,
+        )
+        try:
+            MarkovErrorModel(p, k_model, delta, n, delta, 3)
+            model_refused = False
+        except IllConditionedError:
+            model_refused = True
+        assert rc in (0, 1)
+        table_refused = isinstance(tables.errors.get("proposed"), IllConditionedError)
+        assert (rc == 1) == table_refused == model_refused
+
     @pytest.mark.parametrize("argv", [
         ["--p", "1e300", "--num-funcs", "3", "--delta", "1e-3", "--n-samples", "100"],
         ["--p", "1e27", "--num-funcs", "13", "--delta", "3e-4", "--n-samples", "1667"],
@@ -1162,9 +1211,6 @@ class TestBasisCheck:
         assert captured.err == ""
 
     @pytest.mark.parametrize("flag, message", [
-        # cond > nan is always false: a NaN threshold once passed this
-        # configuration, which exits 1 without the flag
-        (["--cond-threshold", "nan"], "cond_threshold must be positive"),
         # an infinite delta once ended in "SVD did not converge", a NaN one
         # printed FAIL lines for a basis full of NaN
         (["--delta", "inf"], "delta must be finite and positive"),
@@ -1172,7 +1218,7 @@ class TestBasisCheck:
         # an infinite p ended the same way, after two numpy RuntimeWarnings
         (["--p", "inf"], "p must be finite and positive"),
         (["--p", "1e308"], "p = 1e+308 is too large: 2p overflows"),
-    ], ids=["threshold=nan", "delta=inf", "delta=nan", "p=inf", "p=1e308"])
+    ], ids=["delta=inf", "delta=nan", "p=inf", "p=1e308"])
     def test_unusable_argument_exit_1(self, capsys, flag, message):
         rc = main([
             "basis-check", "--p", "20", "--num-funcs", "26", "--delta", "1e-4",

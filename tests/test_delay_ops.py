@@ -186,6 +186,38 @@ class TestReciprocalSeries:
             reciprocal_series(rows, 4)
         reciprocal_series(rows[:2], 4)  # the regular rows alone are fine
 
+    # |v(c u) - v(u) / c| against w / c, w = reciprocal_series(|u_0|, -|u_1|,
+    # ...), which bounds |v| termwise; the worst seen was 2.9e-15 (13 eps)
+    # over 20000 random rows with c in [1e-30, 1e30] and size <= 16
+    SCALE_RTOL = 1e-13
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lead=st.one_of(st.floats(0.1, 10.0), st.just(0.0), st.floats(1e-20, 1e-14))
+        .flatmap(lambda a: st.sampled_from([a, -a])),
+        big=st.floats(0.1, 10.0).flatmap(lambda a: st.sampled_from([a, -a])),
+        rest=st.lists(st.floats(-10.0, 10.0), max_size=5),
+        c=st.floats(1e-30, 1e30),
+        size=st.integers(1, 16),
+    )
+    # the warm-up design's u_0 at energy bound 2e-26, 3.5e-14, which the
+    # absolute rule |u_0| < 1e-12 refused
+    @example(lead=0.3535533905932738, big=0.7071067811865476, rest=[], c=1e-13, size=13)
+    @example(lead=0.0, big=1.0, rest=[], c=1e30, size=4)
+    def test_scale_free(self, lead, big, rest, c, size):
+        # the u_0 rule compares u_0 with the row's own largest |u_k|, so c u
+        # is refused exactly when u is: a lead at or below 1e-14 against a
+        # coefficient of at least 0.1 is refused, one of 0.1 or more is not
+        u = np.array([lead, big, *rest])
+        if abs(lead) < 0.1:
+            for row in (u, c * u):
+                with pytest.raises(SingularInputError, match="largest"):
+                    reciprocal_series(row, size)
+            return
+        v = reciprocal_series(u, size)
+        w = reciprocal_series(np.r_[abs(lead), -np.abs(u[1:])], size)
+        assert np.all(np.abs(reciprocal_series(c * u, size) - v / c) <= self.SCALE_RTOL * w / c)
+
 
 @st.composite
 def coefficient_rows(draw, orders):

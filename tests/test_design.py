@@ -56,7 +56,8 @@ SECTION7_PROBLEMS = {
 
 def loop_candidates(problem: DesignProblem) -> np.ndarray:
     """The candidate-at-a-time grid walk: one row per grid point, energy
-    from u @ u, duplicates dropped through a set of rounded tuples."""
+    from u @ u, duplicates dropped through a set of tuples rounded in units
+    of sqrt(eta)."""
     root = np.sqrt(problem.energy_bound)
     axis = np.linspace(0.0, root, problem.u_grid_points)
     n_pairs = (problem.i_order - 1) // 2
@@ -75,7 +76,7 @@ def loop_candidates(problem: DesignProblem) -> np.ndarray:
         energy = u @ u
         if energy > problem.energy_bound:
             u = u * np.sqrt(problem.energy_bound / energy)
-        key = tuple(np.round(u, 12))
+        key = tuple(np.round(u / root, 10))
         if key not in seen:
             seen.add(key)
             rows.append(u)
@@ -511,6 +512,15 @@ class TestCandidates:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("i_order, count", [(1, 24), (3, 576), (5, 14590)])
+    def test_count_independent_of_energy_bound(self, i_order, count):
+        # rounding u itself to 12 decimals kept 454 rows at I = 3, eta =
+        # 2e-20 (distinct rows merged) and 1413 at 2e13 (duplicates scored)
+        for eta in [2e-26, 0.37, 2.0, 11.0, 2e13, 2e26]:
+            problem = tiny_problem(i_order=i_order, k_model=6, u_grid_points=25,
+                                   energy_bound=eta)
+            assert len(_candidates(problem)) == count, eta
 
     def test_coefficients_batch_rows_equal_single_rows(self):
         problem = tiny_problem(i_order=5, energy_bound=0.5)

@@ -14,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
 
 from lagdelay import estimators
-from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
+from lagdelay.basis import COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import _sanitize
 from lagdelay.delay_ops import (
     assemble_ab,
@@ -195,16 +195,12 @@ class TestSpectrumLS:
         assert np.all(np.abs(h_samples.mean(axis=0) - h_true) < 5 * h_se)
 
     def test_flagged_basis_refused(self, bench_design):
-        # R^{-1}, from which proposed's map is built, is refused
-        phi = build_phi(
-            BasisConfig(bench_design.p, 13),
-            bench_design.delta,
-            bench_design.n_samples,
-            cond_threshold=1.0,
-        )
+        # R^{-1}, from which proposed's map is built, is refused; p = 2
+        # cannot separate 13 functions over the 1667 samples (cond 1.8e15)
+        phi = build_phi(BasisConfig(2.0, 13), bench_design.delta, bench_design.n_samples)
         with pytest.raises(IllConditionedError) as exc:
             phi.r_inv()
-        assert exc.value.cond == phi.cond and exc.value.threshold == 1.0
+        assert exc.value.cond == phi.cond and exc.value.threshold == COND_THRESHOLD
 
     # the worst ratio was 0.90 over 5500 random unflagged bases, 0.71 over
     # 3000 examples of this property steered toward it
