@@ -33,7 +33,6 @@ from .errors import (
     InfeasibleDesignError,
     InvalidDatasetError,
     LagDelayError,
-    NoImprovementWarning,
     SingularInputError,
     ZeroInformationError,
 )

@@ -28,7 +28,8 @@ from .design import DesignProblem, optimize_design, validate_constraints
 from .errors import DegenerateBError, InfeasibleDesignError, LagDelayError
 from .estimators import ESTIMATORS, build_replicate_tables, crlb, estimate_delay
 from .simulate import (
-    InputDesign, _json_int, default_tau_max, load_dataset, make_dataset, save_dataset,
+    InputDesign, _json_int, continuity_defect, default_tau_max, load_dataset, make_dataset,
+    save_dataset,
 )
 
 log = logging.getLogger("lagdelay")
@@ -118,7 +119,7 @@ def cmd_design(args) -> int:
     payload["constraints"] = {"ok": ok, "violations": violations}
     _write_json(args.out, payload)
     print(f"design written to {args.out}")
-    print(f"  p = {design.p:.6g}, u = {np.round(design.u, 6).tolist()}")
+    print(f"  p = {design.p:.6g}, u = [{', '.join(f'{c:.6g}' for c in design.u)}]")
     print(f"  objective (Markov MSE at tau_guess) = {objective:.6e}")
     print(f"  constraints ok = {ok}" + (f", violations = {violations}" if violations else ""))
     return EXIT_OK
@@ -185,6 +186,7 @@ def cmd_estimate(args) -> int:
         "estimates": estimates,
         "errors": errors,
         "crlb": crlb_report,
+        "continuity_defect": continuity_defect(design.u),
     }
     _write_json(args.out, report)
     for method, est in estimates.items():
@@ -235,6 +237,7 @@ def cmd_benchmark(args) -> int:
         "per_method": stats.per_method,
         "histogram": stats.histogram,
         "crlb": crlb_value,
+        "continuity_defect": continuity_defect(bench.design.u),
         "runtime_s": runtime,
     }
     out_dir = Path(args.out)
@@ -284,6 +287,7 @@ def cmd_bias_predict(args) -> int:
         "config_hash": config_hash(resolved),
         "tau_check": args.tau_check,
         "noise_var": args.noise_var,
+        "continuity_defect": continuity_defect(design.u),
     }
     _write_json(args.out, payload)
     print(f"predicted bias = {pred.predicted_bias:+.6e} (written to {args.out})")

@@ -19,11 +19,14 @@ from .analysis import MarkovErrorModel
 from .delay_ops import inverse_toeplitz
 from .errors import IllConditionedError, InfeasibleDesignError, _require
 from .estimators import minimize_bounded
-from .simulate import InputDesign, _json_int, _json_number, sample_count
+from .simulate import (
+    InputDesign, _json_int, _json_number, continuity_defect, energy_over, sample_count,
+)
 
 log = logging.getLogger("lagdelay.design")
 
-CONSTRAINT_ATOL = 1e-9
+# signs, pairings and the continuity defect hold to this, relative to ||u||
+CONSTRAINT_RTOL = 1e-9
 REFINE_REL_TOL = 1e-4
 
 # Geometric p grid of a problem that gives none, or gives only some keys.
@@ -110,25 +113,26 @@ def validate_constraints(u, eta: float):
     """Check the design constraints; returns (ok, violation list).
 
     Checks: u_0 > 0; u_k >= 0 for paired odd k (< I); u_k = -u_{k-1} for
-    even k >= 2; total energy <= eta; continuity sum_k u_k = 0 (the final
-    odd coefficient is exempt from the sign check because continuity pins
-    it to -u_0).  Equalities and signs hold to CONSTRAINT_ATOL.
+    even k >= 2; energy by ``energy_over``; continuity sum_k u_k = 0 by
+    ``continuity_defect`` (the final odd coefficient is exempt from the sign
+    check because continuity pins it to -u_0).  Signs, pairings and the
+    defect hold to CONSTRAINT_RTOL relative to ||u||: scale-free.
     """
     coeffs = np.asarray(u, dtype=float)
     i_last = coeffs.size - 1
-    scale = max(1.0, float(np.linalg.norm(coeffs)))
+    tol = CONSTRAINT_RTOL * float(np.linalg.norm(coeffs))
     violations = []
     if coeffs[0] <= 0:
         violations.append("u0_nonpositive")
     for k in range(1, i_last, 2):
-        if coeffs[k] < -CONSTRAINT_ATOL:
+        if coeffs[k] < -tol:
             violations.append(f"odd_sign(k={k})")
     for k in range(2, i_last + 1, 2):
-        if abs(coeffs[k] + coeffs[k - 1]) > CONSTRAINT_ATOL * scale:
+        if abs(coeffs[k] + coeffs[k - 1]) > tol:
             violations.append(f"even_pairing(k={k})")
-    if coeffs @ coeffs > eta * (1 + 1e-12) + CONSTRAINT_ATOL:
+    if energy_over(coeffs, eta) is not None:
         violations.append("energy")
-    if abs(coeffs.sum()) > CONSTRAINT_ATOL * scale:
+    if continuity_defect(coeffs) > CONSTRAINT_RTOL:
         violations.append("continuity")
     return (not violations, violations)
 

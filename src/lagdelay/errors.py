@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the range
+"""Exception types shared across the package, and the range
 rule that the constructors of its input types apply."""
 
 import math
@@ -67,8 +67,3 @@ class InvalidDatasetError(LagDelayError):
 
 class InfeasibleDesignError(LagDelayError):
     """No candidate in the design grid satisfies every constraint."""
-
-
-class NoImprovementWarning(UserWarning):
-    """Local refinement failed to improve on the best grid point; the grid
-    value is returned instead."""

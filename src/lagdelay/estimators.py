@@ -41,7 +41,6 @@ so no command pays for loading scipy (a test dependency only).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,6 @@ from .errors import (
     DelayOutOfRangeError,
     FlatCorrelationError,
     LagDelayError,
-    NoImprovementWarning,
     ZeroInformationError,
     _require,
 )
@@ -408,7 +406,9 @@ def estimate_delay_ml(
     outside it.
     There the refine first evaluates the objective ML_TAU_XATOL inside the
     end; unless that beats the scan, the estimate stays on the grid end
-    without Brent.  ``refine_evals`` counts every refine evaluation.
+    without Brent.  A refine that does not beat the scan minimum leaves the
+    estimate on that grid point with ``converged`` false.  ``refine_evals``
+    counts every refine evaluation.
     """
     table = tables.ml
     grid = table.grid
@@ -430,9 +430,6 @@ def estimate_delay_ml(
         evals += brent_evals
         converged = f_ref <= f_best
     if not converged:
-        warnings.warn(
-            NoImprovementWarning("refinement did not improve on the grid minimum")
-        )
         tau_ref, f_ref = grid[best], f_best
     return DelayEstimate(
         tau_hat=float(tau_ref),

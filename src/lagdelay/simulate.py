@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,11 +17,6 @@ import numpy as np
 
 from .basis import BasisConfig, eval_basis_matrix
 from .errors import InvalidDatasetError, _require
-
-# |u(0)| above this (relative to the coefficient norm) triggers the
-# discontinuity warning: a jump at t = tau in the delayed output produces a
-# slowly decaying spectrum tail and inflates truncation bias.
-CONTINUITY_TOLERANCE = 1e-9
 
 # Fraction of the input energy that defines its effective support T_u.
 SUPPORT_ENERGY_FRACTION = 0.999
@@ -80,18 +74,9 @@ class InputDesign:
         BasisConfig(p=self.p, num_funcs=self.u.size)  # its rules on p
         if self.u[0] <= 0:
             raise ValueError("leading input coefficient must be positive")
-        # an overflow is inf, which exceeds any bound and any tolerance
-        with np.errstate(over="ignore"):
-            energy = self.u @ self.u
-            defect = continuity_defect(self)
-        if energy - self.energy_bound > 1e-9 * self.energy_bound:
+        if (energy := energy_over(self.u, self.energy_bound)) is not None:
             raise ValueError(
                 f"input energy {energy:.6g} exceeds bound {self.energy_bound:.6g}"
-            )
-        if defect > CONTINUITY_TOLERANCE * max(1.0, np.linalg.norm(self.u)):
-            warnings.warn(
-                f"input does not vanish at t = 0 (u(0) = {defect:.3e}); the delayed "
-                "output is discontinuous and spectrum truncation bias will grow"
             )
 
     @property
@@ -196,9 +181,24 @@ def sample_count(horizon: float, delta: float) -> int:
     return int(np.floor(steps + 1e-9)) + 1
 
 
-def continuity_defect(design: InputDesign) -> float:
-    """|u(0)| = sqrt(2p) |sum_k u_k| under the adopted sign convention."""
-    return float(abs(np.sqrt(2.0 * design.p) * design.u.sum()))
+def energy_over(u, eta: float) -> float | None:
+    """u'u when it exceeds eta by more than 1e-9 eta (an overflow is inf),
+    else None: the one energy rule of an input."""
+    with np.errstate(over="ignore"):
+        energy = float(u @ u)
+    return energy if energy - eta > 1e-9 * eta else None
+
+
+def continuity_defect(u) -> float:
+    """|sum_k u_k| / ||u|| (0 for u = 0): the jump u(0) = sqrt(2p) sum_k u_k
+    relative to the input's size, unchanged when u or time is scaled; taken
+    on u / max |u_k|, so finite for every finite u.  A jump makes the delayed
+    output's spectrum decay slowly, and the truncation bias grows."""
+    u = np.asarray(u, dtype=float)
+    if not (top := np.abs(u).max()):
+        return 0.0
+    v = u / top
+    return float(abs(v.sum()) / np.linalg.norm(v))
 
 
 def synthesize_input(design: InputDesign, t) -> float | np.ndarray:

@@ -16,8 +16,8 @@ PUBLIC = {
     "DesignProblem", "optimize_design", "validate_constraints",
     # errors
     "DegenerateBError", "DelayOutOfRangeError", "FlatCorrelationError", "IllConditionedError",
-    "InfeasibleDesignError", "InvalidDatasetError", "LagDelayError", "NoImprovementWarning",
-    "SingularInputError", "ZeroInformationError",
+    "InfeasibleDesignError", "InvalidDatasetError", "LagDelayError", "SingularInputError",
+    "ZeroInformationError",
     # estimators
     "CrlbReport", "DelayEstimate", "ReplicateTables", "build_replicate_tables", "crlb",
     "estimate_delay", "estimate_delay_freq_interp", "estimate_delay_lag_spline",

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tempfile
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from lagdelay import cli, estimators
 from lagdelay.analysis import BenchmarkConfig, MarkovErrorModel, predict_bias_tau
 from lagdelay.cli import main
-from lagdelay.errors import IllConditionedError, NoImprovementWarning
+from lagdelay.errors import IllConditionedError
 from lagdelay.simulate import InputDesign
 
 from conftest import OUT_OF_RECORD
@@ -188,8 +189,15 @@ class TestDesignCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["design", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == ""
-        assert json.loads(out.read_text())["constraints"]["ok"]
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        payload = json.loads(out.read_text())
+        assert payload["constraints"]["ok"]
+        # u is printed relative to each coefficient, not rounded to 1e-6
+        # (which printed this design as zeros)
+        printed = re.search(r"u = \[(.*)\]", captured.out).group(1).split(", ")
+        assert [float(c) for c in printed] == pytest.approx(payload["u"], rel=1e-5)
+        assert float(printed[0]) > 0
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"
@@ -468,7 +476,9 @@ class TestEstimateCommand:
         assert rc == 0
         report = json.loads(report_path.read_text())
         _validate(report, "estimate_report.json")
-        assert list(report) == ["config_hash", "true_tau", "estimates", "errors", "crlb"]
+        assert list(report) == [
+            "config_hash", "true_tau", "estimates", "errors", "crlb", "continuity_defect",
+        ]
         for est in report["estimates"].values():
             assert list(est) == ["method", "tau_hat", "diagnostics"]
         assert list(report["crlb"]) == ["bound", "window"]
@@ -518,17 +528,18 @@ class TestEstimateCommand:
             "--out", str(data),
         ])
         report_path = tmp_path / "r.json"
-        # on pure noise the ML refine ends on its grid point
-        with pytest.warns(NoImprovementWarning):
-            rc = main([
-                "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
-                "--methods", "ml", "--out", str(report_path),
-            ])
+        rc = main([
+            "estimate", "--dataset", str(data / "dataset.csv"), "--design", str(design),
+            "--methods", "ml", "--out", str(report_path),
+        ])
         assert rc == 0
         report = json.loads(report_path.read_text())
         assert report["errors"]["crlb"].startswith("ZeroInformationError: ")
         assert report["crlb"] is None
         assert list(report["estimates"]) == ["ml"]
+        # on pure noise the ML refine ends on its grid point, which the
+        # report says and nothing warns
+        assert report["estimates"]["ml"]["diagnostics"]["converged"] is False
 
     @pytest.mark.parametrize("n_samples, k_model, method", OUT_OF_RECORD)
     def test_delay_beyond_record_fails_only_its_method(self, tmp_path, n_samples, k_model, method):
@@ -834,7 +845,7 @@ class TestBenchmarkCommand:
         _validate(report, "benchmark_report.json")
         assert list(report) == [
             "config", "config_hash", "seed", "replicates", "per_method", "histogram", "crlb",
-            "runtime_s",
+            "continuity_defect", "runtime_s",
         ]
         assert list(report["config"]["benchmark"]) == [
             "design", "true_tau", "noise_var", "k_model", "m_markov", "tau_max", "n_samples",
@@ -1006,7 +1017,7 @@ class TestBiasPredictCommand:
         _validate(payload, "bias_prediction.json")
         assert list(payload) == [
             "predicted_bias", "mc_samples", "eps1_mean", "eps2_mean", "seed", "config_hash",
-            "tau_check", "noise_var",
+            "tau_check", "noise_var", "continuity_defect",
         ]
 
     def test_model_order_below_input_order_exit_1(self, tmp_path, capsys):
@@ -1228,3 +1239,120 @@ class TestBasisCheck:
         captured = capsys.readouterr()
         assert f"ValueError: {message}" in captured.err
         assert captured.out == ""
+
+
+# what each command writes on exit 0 (and estimate and benchmark on exit 3),
+# under the example's directory, and the schema it must validate against
+CONTRACT_REPORTS = {
+    "design": [("design.json", "design_output.json")],
+    "simulate": [("sim/dataset.json", "dataset_meta.json")],
+    "estimate": [("estimate.json", "estimate_report.json")],
+    "benchmark": [("mc/report.json", "benchmark_report.json")],
+    "bias-predict": [("bias.json", "bias_prediction.json")],
+    "basis-check": [],
+}
+
+
+# the file and directory arguments of _cli_case, relative to the example's
+# directory
+CONTRACT_PATHS = {
+    "problem.json", "design_in.json", "bench.json", "design.json", "sim", "sim/dataset.csv",
+    "estimate.json", "mc", "bias.json",
+}
+
+
+def _no_constant(token):
+    raise AssertionError(f"report holds {token}")
+
+
+@st.composite
+def _cli_case(draw):
+    """A design problem, a design (continuous or not) and its dataset and
+    benchmark config, all at time scale a and amplitude c, with small N
+    and R; returns the files to write and argv of each command."""
+    a = 10.0 ** draw(st.floats(-4.0, 2.0))
+    c = 10.0 ** draw(st.floats(-12.0, 12.0))
+    delta = 1e-3 * a
+    n = draw(st.integers(20, 400))
+    i_order = draw(st.sampled_from([1, 3, 5]))
+    u = np.array([draw(st.floats(0.1, 1.0)),
+                  *draw(st.lists(st.floats(-1.0, 1.0), min_size=i_order, max_size=i_order))])
+    if draw(st.booleans()):
+        u[-1] -= u.sum()  # vanishes at t = 0
+    p = 10.0 ** draw(st.floats(0.0, 2.5)) / a
+    tau = delta * draw(st.floats(0.0, n / 2))
+    noise_var = c * c * draw(st.just(0.0) | st.floats(1e-4, 0.1))
+    k_model = i_order + draw(st.integers(-1, 6))
+    # at 0.5 the input's energy is twice its bound
+    energy_ratio = draw(st.sampled_from([1.0, 1.0, 1.5, 0.5]))
+    design = {
+        "p": p, "u": (c * u).tolist(), "eta": c * c * float(u @ u) * energy_ratio,
+        "delta": delta, "horizon": (n - 1) * delta, "tau_guess": delta * draw(st.floats(0, 10)),
+    }
+    problem = {
+        "delta": delta, "n_samples": n, "i_order": i_order, "energy_bound": 2.0 * c * c,
+        "tau_guess": design["tau_guess"], "noise_var": noise_var, "k_model": k_model,
+        "p_grid": {"min": p, "max": p * draw(st.floats(1.0, 4.0)),
+                   "count": draw(st.integers(1, 3))},
+        "u_grid_points": draw(st.integers(2, 5)), "refine": draw(st.booleans()),
+    }
+    bench = {"design": design, "true_tau": tau, "noise_var": noise_var, "k_model": k_model,
+             "seed": draw(st.integers(0, 2**16))}
+    tau_max_args, m_args = [], []
+    if tau_max := draw(st.none() | st.floats(0.01, 1.0)):
+        bench["tau_max"] = tau_max * (n - 1) * delta
+        tau_max_args = ["--tau-max", repr(bench["tau_max"])]
+    if m_markov := draw(st.none() | st.sampled_from(range(3, max(4, k_model + 3)))):
+        bench["m_markov"] = m_markov
+        m_args = ["--m-markov", str(m_markov)]
+    sim_n = draw(st.none() | st.integers(1, 400))
+    files = {"problem.json": problem, "design_in.json": design, "bench.json": bench}
+    argv = {
+        "design": ["design", "--config", "problem.json", "--out", "design.json"],
+        "simulate": ["simulate", "--design", "design_in.json", "--tau", repr(tau),
+                     "--noise-var", repr(noise_var), "--seed", str(draw(st.integers(0, 99))),
+                     *(["--n-samples", str(sim_n)] if sim_n else []), "--out", "sim"],
+        "estimate": ["estimate", "--dataset", "sim/dataset.csv", "--design", "design_in.json",
+                     "--k-model", str(k_model), *tau_max_args, *m_args, "--out", "estimate.json"],
+        "benchmark": ["benchmark", "--config", "bench.json",
+                      "--replicates", str(draw(st.sampled_from(range(1, 7)))), "--out", "mc"],
+        "bias-predict": ["bias-predict", "--design", "design_in.json", "--tau-check", repr(tau),
+                         "--noise-var", repr(noise_var), "--mc-samples", "1000",
+                         "--k-model", str(k_model), *m_args, "--out", "bias.json"],
+        "basis-check": ["basis-check", "--p", repr(p), "--num-funcs", str(k_model + 1),
+                        "--delta", repr(delta), "--n-samples", str(n)],
+    }
+    return files, argv
+
+
+class TestCliContract:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cli_case())
+    def test_report_or_one_error_line(self, case):
+        # every command ends in a report that validates against its schema
+        # (exit 0; exit 3 when estimate or benchmark has a method fail),
+        # basis-check's FAIL line (exit 1), or one "error:" line on stderr
+        # (exit 1 or 2); nothing is warned
+        files, argv = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, payload in files.items():
+                (tmp / name).write_text(json.dumps(payload))
+            for command, args in argv.items():
+                args = [str(tmp / arg) if arg in CONTRACT_PATHS else arg for arg in args]
+                out, err = io.StringIO(), io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("error")
+                    rc = main(args)
+                out, err = out.getvalue(), err.getvalue()
+                if rc == 0 or rc == 3 and command in ("estimate", "benchmark"):
+                    assert err == "", (command, err)
+                    for path, schema in CONTRACT_REPORTS[command]:
+                        text = (tmp / path).read_text()
+                        _validate(json.loads(text, parse_constant=_no_constant), schema)
+                elif rc == 1 and command == "basis-check" and not err:
+                    assert "[FAIL]" in out
+                else:
+                    assert rc in (1, 2), (command, rc)
+                    assert err.startswith("error: ") and err.count("\n") == 1, (command, err)

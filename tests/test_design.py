@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from lagdelay import analysis
@@ -24,7 +26,7 @@ from lagdelay.design import (
     validate_constraints,
 )
 from lagdelay.errors import IllConditionedError, InfeasibleDesignError
-from lagdelay.simulate import sample_count
+from lagdelay.simulate import continuity_defect, sample_count
 
 from conftest import state_space_basis
 
@@ -142,15 +144,48 @@ class TestValidateConstraints:
         ok, _ = validate_constraints(np.array([1.0, 0.0, 0.0, -1.0]), eta=2.0)
         assert ok
 
+    @pytest.mark.parametrize("u, eta, violations", [
+        # the odd sign and the pairing fail at scale 1; an absolute
+        # tolerance once passed them at 1e-13
+        ([1.0, -0.3, 0.5, -1.2], 10.0, ["odd_sign(k=1)", "even_pairing(k=2)"]),
+        (1e-13 * np.array([1.0, -0.3, 0.5, -1.2]), 1e-25,
+         ["odd_sign(k=1)", "even_pairing(k=2)"]),
+        # 1e16 times over the bound once passed by an absolute 1e-9
+        (1e-5 * np.array([1.0, 0.0, 0.0, -1.0]), 2e-26, ["energy"]),
+        # a step at t = 0 is discontinuous at any amplitude
+        (1e-13 * np.array([1.0, 0.0, 0.0, 0.0]), 2e-26, ["continuity"]),
+    ])
+    def test_small_amplitudes_judged_as_large(self, u, eta, violations):
+        assert validate_constraints(u, eta) == (False, violations)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        # each coefficient 0 or at least 1e-6 in size, so that c u_k stays a
+        # normal float for every c
+        raw=st.lists(st.just(0.0) | st.floats(-10.0, 10.0).filter(lambda x: abs(x) >= 1e-6),
+                     min_size=1, max_size=9),
+        paired=st.booleans(),
+        continuous=st.booleans(),
+        energy_ratio=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 2.0),
+        c=st.floats(1e-30, 1e30),
+    )
+    def test_verdict_scale_free(self, raw, paired, continuous, energy_ratio, c):
+        # (u, eta) and (c u, c^2 eta) get the same verdict and violations
+        u = np.array(raw)
+        if paired:
+            u[2::2] = -u[1::2][: u[2::2].size]
+        if continuous:
+            u[-1] -= u.sum()
+        eta = energy_ratio * (u @ u) or 1.0
+        assert validate_constraints(c * u, c * c * eta) == validate_constraints(u, eta)
+
 
 class TestOptimizeDesign:
     def test_returned_design_passes_constraints(self):
         design = optimize_design(tiny_problem())
         ok, violations = validate_constraints(design.u, design.energy_bound)
         assert ok, violations
-        from lagdelay.simulate import continuity_defect
-
-        assert continuity_defect(design) < 1e-10
+        assert continuity_defect(design.u) < 1e-10
 
     def test_argmin_contract(self):
         problem = tiny_problem()

@@ -35,7 +35,6 @@ import dataclasses
 import itertools
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ from lagdelay import analysis, estimators
 from lagdelay.analysis import BenchmarkConfig, run_monte_carlo
 from lagdelay.basis import assoc_laguerre_sequence, eval_basis_matrix
 from lagdelay.delay_ops import assemble_ab, closed_form_delay, reciprocal_series
-from lagdelay.errors import FlatCorrelationError, NoImprovementWarning
+from lagdelay.errors import FlatCorrelationError
 from lagdelay.estimators import (
     ESTIMATORS,
     FREQ_AMP_THRESHOLD,
@@ -410,7 +409,6 @@ def _einsum_scan(table, z, delta):
 SCAN_TAUS = (0.0, 3e-4, 1.33e-3, 4e-3, 1.05e-2, 1.2e-2)
 
 
-@pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
 class TestMlScan:
     def test_estimate_bitwise_equals_einsum_scan(self, ref, monkeypatch):
         # the tau = 0 replicates end on the grid point (converged false), so
@@ -544,14 +542,12 @@ class TestMlBank:
         coeffs = np.array([lead, *rest])
         delta = 10.0**log_delta
         span = (n - 1) * delta
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            design = InputDesign(
-                p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
-                horizon=span, delta=delta, tau_guess=delta,
-            )
-            table = ml_table(design, delta, n, frac * span)
-            grid, model = per_point_ml_bank(design, delta, n, frac * span)
+        design = InputDesign(
+            p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
+            horizon=span, delta=delta, tau_guess=delta,
+        )
+        table = ml_table(design, delta, n, frac * span)
+        grid, model = per_point_ml_bank(design, delta, n, frac * span)
         assert _bits(table.grid) == _bits(grid)
         scale = math.sqrt(2.0 * p) * np.abs(coeffs).sum() * (1.0 + p * span)
         assert np.max(np.abs(table.model - model)) <= 16 * np.finfo(float).eps * scale
@@ -584,20 +580,18 @@ class TestMlBank:
             tables.ml, grid=grid, model=model, model_sq=np.einsum("ij,ij->i", model, model)
         )
         scan = estimators._ml_scan
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NoImprovementWarning)
-            fast = [estimate_delay_ml(ds, tables) for ds in data]
-            monkeypatch.setattr(
-                estimators, "_ml_scan", lambda table, z, delta: scan(oracle, z, delta)
-            )
-            for ds, new in zip(data, fast):
-                old = estimate_delay_ml(ds, tables)
-                assert _bits(new.tau_hat) == _bits(old.tau_hat)
-                f_new, f_old = new.diagnostics.pop("negloglik"), old.diagnostics.pop("negloglik")
-                assert abs(f_new - f_old) <= 1e-14 * f_old
-                assert list(new.diagnostics) == list(old.diagnostics)
-                for key, val in new.diagnostics.items():
-                    assert _bits(val) == _bits(old.diagnostics[key]), key
+        fast = [estimate_delay_ml(ds, tables) for ds in data]
+        monkeypatch.setattr(
+            estimators, "_ml_scan", lambda table, z, delta: scan(oracle, z, delta)
+        )
+        for ds, new in zip(data, fast):
+            old = estimate_delay_ml(ds, tables)
+            assert _bits(new.tau_hat) == _bits(old.tau_hat)
+            f_new, f_old = new.diagnostics.pop("negloglik"), old.diagnostics.pop("negloglik")
+            assert abs(f_new - f_old) <= 1e-14 * f_old
+            assert list(new.diagnostics) == list(old.diagnostics)
+            for key, val in new.diagnostics.items():
+                assert _bits(val) == _bits(old.diagnostics[key]), key
 
     def test_basis_rows_evaluated(self, monkeypatch):
         # the per-point bank evaluated G N = 3101 x 1667 = 5.2M points at
@@ -674,7 +668,6 @@ def _brent_refine_ml(data, design, table):
     return tau, f_ref, True, evals
 
 
-@pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
 class TestMlRefineLaguerre:
     def test_grid_end_probe_agrees_with_brent(self, ref):
         # the benchmark's seed-1 streams at tau = 0, where 105 of 200 clamp
@@ -685,16 +678,12 @@ class TestMlRefineLaguerre:
         for tau, count in [(0.0, 200), (1.2 * TAU_MAX, 20)]:
             for r in range(count):
                 ds = make_dataset(design, tau, NOISE_VAR, (1, r))
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    est = estimate_delay_ml(ds, tables)
+                est = estimate_delay_ml(ds, tables)
                 diag = est.diagnostics
                 tau_old, f_old, converged_old, evals_old = _brent_refine_ml(ds, design, tables.ml)
                 assert _bits(est.tau_hat) == _bits(tau_old)
                 assert _bits(diag["negloglik"]) == _bits(f_old)
                 assert diag["converged"] == converged_old
-                warned = any(issubclass(w.category, NoImprovementWarning) for w in caught)
-                assert warned == (not converged_old)
                 if not diag["boundary_hit"]:
                     assert diag["refine_evals"] == evals_old
                 elif converged_old:
@@ -758,12 +747,10 @@ class TestMlRefineLaguerre:
         if continuous:
             coeffs[-1] -= coeffs.sum()
         delta, tau_max = 3e-4, 40 * 3e-4
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            design = InputDesign(
-                p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
-                horizon=0.15, delta=delta, tau_guess=delta,
-            )
+        design = InputDesign(
+            p=p, u=coeffs, energy_bound=float(coeffs @ coeffs) + 1.0,
+            horizon=0.15, delta=delta, tau_guess=delta,
+        )
         table = ml_table(design, delta, design.n_samples, tau_max)
         grid = table.grid
         assert grid.size == 161

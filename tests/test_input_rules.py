@@ -13,7 +13,6 @@ back unchanged.
 
 import json
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +112,11 @@ class TestInputDesignRules:
     def test_round_trip(self, p, u, eta, delta, horizon, tau_guess):
         # the JSON text of to_dict reads back to the same design, bitwise
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                design = InputDesign(p=p, u=u, energy_bound=eta, horizon=horizon, delta=delta,
-                                     tau_guess=tau_guess)
+            design = InputDesign(p=p, u=u, energy_bound=eta, horizon=horizon, delta=delta,
+                                 tau_guess=tau_guess)
         except ValueError:
             return
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            back = InputDesign.from_dict(json.loads(json.dumps(design.to_dict())))
+        back = InputDesign.from_dict(json.loads(json.dumps(design.to_dict())))
         assert _bits(back.u) == _bits(design.u)
         assert _bits([back.p, back.energy_bound, back.horizon, back.delta, back.tau_guess]) == (
             _bits([p, eta, horizon, delta, tau_guess])

@@ -61,7 +61,6 @@ def sec72_tables(sec72_design):
     return tables_for(sec72_design, k_model=K, tau_max=TAU_MAX)
 
 
-@pytest.mark.filterwarnings("ignore::lagdelay.errors.NoImprovementWarning")
 class TestPrebuiltEqualsPerCall:
     """"Prebuilt" tables serve a whole run, as in ``benchmark``; "per call"
     tables are built for each dataset at its own sampling, as in

@@ -99,7 +99,7 @@ class TestSynthesize:
         assert abs(tail) < 1e-8 * np.sqrt(bench_design.u @ bench_design.u)
 
     def test_continuity_defect_zero_for_balanced_design(self, bench_design):
-        assert continuity_defect(bench_design) < 1e-10
+        assert continuity_defect(bench_design.u) < 1e-10
 
     @pytest.mark.parametrize("u0", [0.0, -0.5])
     def test_nonpositive_leading_coefficient_refused(self, u0):
@@ -143,9 +143,12 @@ class TestSynthesize:
         with pytest.raises(ValueError, match=re.escape(named)):
             InputDesign.from_dict({**d, **bad})
 
-    def test_unbalanced_design_warns(self):
-        with pytest.warns(UserWarning, match="vanish"):
-            InputDesign(
+    def test_unbalanced_design_not_warned(self):
+        # a discontinuous design constructs silently; the reports carry
+        # its continuity_defect instead
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            design = InputDesign(
                 p=2.0,
                 u=np.array([1.0, 0.5]),
                 energy_bound=2.0,
@@ -153,6 +156,31 @@ class TestSynthesize:
                 delta=1e-3,
                 tau_guess=0.0,
             )
+        assert continuity_defect(design.u) == continuity_defect([1, 0.5]) == 1.5 / math.sqrt(1.25)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        u=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=8),
+        c=st.floats(1e-30, 1e30),
+    )
+    @example(u=[1e300, 1e300, -1e300], c=1.0)
+    @example(u=[1.0, 0.0, 0.0, 0.0], c=1e-13)
+    # c u underflows to zero, which is not a scaled copy of u
+    @example(u=[9.200680315666463e-305], c=1e-30)
+    def test_continuity_defect_scale_free(self, u, c):
+        # finite for every finite u, at most sqrt(len(u)) (Cauchy-Schwarz),
+        # and a step at t = 0 reads the same at any amplitude
+        defect = continuity_defect(u)
+        assert 0.0 <= defect <= math.sqrt(len(u)) * (1 + 1e-15)
+        u = np.asarray(u)
+        with np.errstate(over="ignore"):
+            scaled = u * c
+        # past the float range c u is another vector: inf, or rounded to
+        # subnormals or zeros
+        for v in (u, scaled):
+            assume(np.all(np.isfinite(v) & ((v == 0) | (np.abs(v) >= np.finfo(float).tiny))))
+        assume(np.array_equal(u == 0, scaled == 0))
+        assert continuity_defect(scaled) == pytest.approx(defect, rel=1e-12, abs=1e-14)
 
 
 def _basis_derivative_matrix(cfg, t):
