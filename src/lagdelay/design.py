@@ -28,6 +28,7 @@ log = logging.getLogger("lagdelay.design")
 # signs, pairings and the continuity defect hold to this, relative to ||u||
 CONSTRAINT_RTOL = 1e-9
 REFINE_REL_TOL = 1e-4
+REFINE_MAX_ROUNDS = 20
 
 # Geometric p grid of a problem that gives none, or gives only some keys.
 P_GRID_DEFAULT = {"min": 1.0, "max": 200.0, "count": 40}
@@ -216,21 +217,26 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     if best is None:
         raise InfeasibleDesignError(
             "no grid point satisfies the constraints with a usable basis; "
-            "revise the grids or the energy bound"
+            "revise the grids or the energy bound (the default p grid is an absolute "
+            "1-200 s^-1, so a problem at another time scale must give p_grid)"
         )
 
     obj, ci, p_star = best
     u0_star, odds_star = cand_u[ci, 0], cand_u[ci, 1 : problem.i_order : 2]
-    grid_obj, grid_p, refine_contexts = obj, p_star, 0
+    grid_obj, grid_p = obj, p_star
+    refine_contexts = rounds = 0
+    capped = False
     if problem.refine:
-        p_star, u0_star, odds_star, obj, refine_contexts = _refine(
+        p_star, u0_star, odds_star, obj, refine_contexts, rounds, capped = _refine(
             problem, p_star, u0_star, odds_star, obj
         )
     log.info(
         "design grid: %d of %d p unusable; best grid point p=%.6g candidate=%d "
-        "objective=%.6e; refined p=%.6g objective=%.6e with %d refinement contexts",
+        "objective=%.6e; refined p=%.6g objective=%.6e with %d refinement contexts "
+        "in %d rounds%s",
         unusable, len(problem.p_grid), grid_p, ci, grid_obj,
-        p_star, obj, refine_contexts,
+        p_star, obj, refine_contexts, rounds,
+        f" (stopped at the {REFINE_MAX_ROUNDS}-round cap)" if capped else "",
     )
 
     u = _coefficients(u0_star, odds_star, problem)
@@ -248,11 +254,15 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
 
 
 def _refine(problem, p, u0, odds, obj):
-    """Coordinate descent around the best grid point; each coordinate is
-    minimized by bounded Brent within one grid spacing and moves only when
-    that beats the current objective.  The p descent keeps u, and so its
-    T(v), fixed.  Also returns the number of per-p error models the descent
-    built."""
+    """Coordinate descent around the best grid point.  Each round moves p by
+    bounded Brent within one grid ratio either side, then searches each
+    coefficient once over its whole feasible range (u_0 over
+    [1e-6 sqrt(eta), sqrt(eta)], each interior odd coefficient over
+    [0, sqrt(eta)]); a coordinate moves only when its search beats the
+    current objective.  The p descent keeps u, and so its T(v), fixed.
+    Stops once a round gains no more than REFINE_REL_TOL relative, or after
+    REFINE_MAX_ROUNDS rounds.  Also returns the number of per-p error models
+    built, the number of rounds run and whether the round cap ended it."""
     p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
     root = np.sqrt(problem.energy_bound)
     step = root / max(problem.u_grid_points - 1, 1)
@@ -275,22 +285,21 @@ def _refine(problem, p, u0, odds, obj):
         u = _coefficients(u0_val, odds_val, problem)
         return score(p_val, u, inverse_toeplitz(u, problem.k_model + 1))
 
-    def descend(fn, x, f_x, lo, hi, rtol):
+    def descend(fn, x, f_x, lo, hi, xatol):
         # x lies in [lo, hi] and fn(x) = f_x is known, so keeping x costs no
         # evaluation; it may sit on a bound, which Brent never evaluates
-        x_new, f_new, _ = minimize_bounded(fn, lo, hi, rtol * max(abs(lo), abs(hi)))
+        x_new, f_new, _ = minimize_bounded(fn, lo, hi, xatol)
         return (x_new, f_new) if f_new < f_x else (x, f_x)
 
-    for _ in range(20):
+    for rounds in range(1, REFINE_MAX_ROUNDS + 1):
         prev = obj
         u = _coefficients(u0, odds, problem)
         t_inv = inverse_toeplitz(u, problem.k_model + 1)
-        p, obj = descend(
-            lambda x: score(x, u, t_inv), p, obj, p / p_ratio, p * p_ratio, 1e-3
-        )
+        p_hi = p * p_ratio
+        p, obj = descend(lambda x: score(x, u, t_inv), p, obj, p / p_ratio, p_hi, 1e-3 * p_hi)
+        # the coefficient tolerance is that of a one-step bracket around x
         u0, obj = descend(
-            lambda x: objective(p, x, odds),
-            u0, obj, max(u0 - step, 1e-6 * root), min(u0 + step, root), 1e-4,
+            lambda x: objective(p, x, odds), u0, obj, 1e-6 * root, root, 1e-4 * (u0 + step)
         )
         for j in range(odds.size):
             def fn(x, j=j):
@@ -298,9 +307,7 @@ def _refine(problem, p, u0, odds, obj):
                 trial[j] = x
                 return objective(p, u0, trial)
 
-            odds[j], obj = descend(
-                fn, odds[j], obj, max(odds[j] - step, 0.0), min(odds[j] + step, root), 1e-4
-            )
+            odds[j], obj = descend(fn, odds[j], obj, 0.0, root, 1e-4 * (odds[j] + step))
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
-            break
-    return p, u0, odds, obj, len(models)
+            return p, u0, odds, obj, len(models), rounds, False
+    return p, u0, odds, obj, len(models), rounds, True

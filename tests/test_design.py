@@ -18,6 +18,7 @@ from lagdelay.basis import BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import main
 from lagdelay.delay_ops import build_toeplitz, inverse_toeplitz, markov_params, reciprocal_series
 from lagdelay.design import (
+    REFINE_REL_TOL,
     DesignProblem,
     _candidates,
     _coefficients,
@@ -241,6 +242,25 @@ class TestOptimizeDesign:
         with pytest.raises(InfeasibleDesignError):
             optimize_design(problem)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_default_p_grid_is_absolute(self, scale):
+        # the 7.2 problem on a time scale `scale` times its own: the default
+        # grid is in s^-1, so the problem must give its own; the sample power
+        # of an input of fixed energy goes as 1 / scale, and so must noise_var
+        section72 = dict(delta=3e-4, n_samples=1667, i_order=3, energy_bound=2.0,
+                         tau_guess=3e-4, noise_var=0.01, k_model=12)
+        scaled = dict(section72, delta=3e-4 * scale, tau_guess=3e-4 * scale,
+                      noise_var=0.01 / scale)
+        with pytest.raises(InfeasibleDesignError, match=r"^no grid point satisfies .*"
+                           r"absolute 1-200 s\^-1, so a problem at another time scale "
+                           r"must give p_grid"):
+            optimize_design(DesignProblem(**scaled))
+        problem = DesignProblem(**section72)
+        want = optimize_design(problem)
+        got = optimize_design(DesignProblem(**scaled, p_grid=problem.p_grid / scale))
+        assert got.p * scale == pytest.approx(want.p, rel=1e-8)
+        np.testing.assert_allclose(got.u, want.u, atol=1e-12)
+
     def test_refinement_does_not_regress(self):
         coarse = optimize_design(tiny_problem(refine=False))
         fine = optimize_design(tiny_problem(refine=True))
@@ -462,6 +482,66 @@ class TestRefine:
         assert np.isfinite(objective(refined))
         assert objective(refined) <= objective(grid)
 
+    @pytest.mark.parametrize("name", ["design71", "design72"])
+    def test_error_models_built_per_problem(self, name, monkeypatch):
+        # 40 grid models plus the refine's; searches clamped to one grid
+        # step either side built 96 (7.2) and 83 (7.1) in all, the
+        # full-range coefficient searches 64 and 62
+        built = []
+
+        def counting_model(p, problem):
+            built.append(p)
+            return _model(p, problem)
+
+        monkeypatch.setattr(design_module, "_model", counting_model)
+        optimize_design(DesignProblem(**json.loads((INPUTS / f"{name}_problem.json").read_text())))
+        assert len(built) <= 70
+
+    @pytest.mark.parametrize("problem", [
+        pytest.param(DesignProblem(**json.loads((INPUTS / "design72_problem.json").read_text())),
+                     id="design72"),
+        pytest.param(DesignProblem(**json.loads((INPUTS / "design71_problem.json").read_text())),
+                     id="design71"),
+        pytest.param(tiny_problem(refine=True), id="tiny"),
+        pytest.param(tiny_problem(refine=True, tau_guess=4e-3, noise_var=1e-4), id="I3-tau4e-3"),
+        pytest.param(tiny_problem(refine=True, tau_guess=1e-3, noise_var=1e-4, k_model=12),
+                     id="I3-K12"),
+        pytest.param(tiny_problem(refine=True, i_order=5, tau_guess=4e-3, noise_var=1e-4),
+                     id="I5-tau4e-3"),
+        pytest.param(tiny_problem(refine=True, i_order=5, tau_guess=1e-3, noise_var=1e-4,
+                                  k_model=12), id="I5-K12"),
+    ])
+    def test_no_single_grid_step_improves(self, problem):
+        # p times or divided by the grid ratio, or one free coefficient
+        # plus or minus one coefficient grid step, clipped to its bounds;
+        # the last three refine to nonzero interior coefficients.  The best
+        # gain seen was 1.9e-6 relative (I5-K12), 0 on five of the seven
+        design = optimize_design(problem)
+        grid = problem.p_grid
+        ratio = (grid[-1] / grid[0]) ** (1.0 / (len(grid) - 1))
+        root = np.sqrt(problem.energy_bound)
+        step = root / (problem.u_grid_points - 1)
+
+        def objective(p, u0, odds):
+            try:
+                model = _model(p, problem)
+            except IllConditionedError:
+                return np.inf
+            u = _coefficients(u0, odds, problem)
+            return float(model.mse(u, inverse_toeplitz(u, problem.k_model + 1),
+                                   problem.noise_var))
+
+        u0, odds = design.u[0], design.u[1:-1:2]
+        moves = [(design.p * ratio, u0, odds), (design.p / ratio, u0, odds)]
+        for sign in (-1.0, 1.0):
+            moves.append((design.p, np.clip(u0 + sign * step, 1e-6 * root, root), odds))
+            for j in range(odds.size):
+                trial = odds.copy()
+                trial[j] = np.clip(odds[j] + sign * step, 0.0, root)
+                moves.append((design.p, u0, trial))
+        refined = objective(design.p, u0, odds)
+        assert refined - min(objective(*move) for move in moves) <= REFINE_REL_TOL * refined
+
 
 class TestBatchedObjective:
     @pytest.mark.parametrize("section", sorted(SECTION7_PROBLEMS))
@@ -582,5 +662,16 @@ class TestDesignLogging:
         assert len(info) == 1
         assert "1 of 5 p unusable" in info[0]
         assert f"refined p={design.p:.6g}" in info[0]
-        contexts = int(info[0].rsplit("with ", 1)[1].split()[0])
-        assert contexts > 0
+        contexts, rounds = re.search(r"with (\d+) refinement contexts in (\d+) rounds$",
+                                     info[0]).groups()
+        assert int(contexts) > 0
+        assert 1 <= int(rounds) < design_module.REFINE_MAX_ROUNDS
+
+    def test_round_cap_reported(self, caplog, monkeypatch):
+        # one round gains more than REFINE_REL_TOL here, so the cap ends it
+        monkeypatch.setattr(design_module, "REFINE_MAX_ROUNDS", 1)
+        with caplog.at_level(logging.INFO, logger="lagdelay.design"):
+            optimize_design(tiny_problem(refine=True))
+        info = [r.getMessage() for r in caplog.records
+                if r.name == "lagdelay.design" and r.levelno == logging.INFO]
+        assert info[0].endswith("in 1 rounds (stopped at the 1-round cap)")
