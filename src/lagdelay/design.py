@@ -5,11 +5,15 @@ Minimizes the Markov-estimate MSE at a rough delay guess over a grid of
 continuity constraints.  The continuity condition u(0) = 0 reduces, under
 the adopted sign convention, to the coefficients summing to zero; with the
 paired structure u_{2j} = -u_{2j-1} this pins the final odd coefficient to
--u_0, so it carries no sign constraint of its own.
+-u_0, so it carries no sign constraint of its own.  The MSE's bias does not
+change with the input's scale and its noise term falls as 1/c^2, so the
+optimum lies on the energy sphere u'u = eta, where u_0 follows from the
+interior odd coefficients: those are the only free coefficients.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, fields
 
@@ -75,6 +79,8 @@ class DesignProblem:
             raise ValueError("input order I must be odd and >= 1")
         if self.k_model < max(2, self.i_order):
             raise ValueError("k_model must cover the input order and allow M >= 3")
+        if self.u_grid_points < 1:
+            raise ValueError(f"u_grid_points must be at least 1, got {self.u_grid_points}")
         grid = _p_grid({}) if self.p_grid is None else np.asarray(self.p_grid, dtype=float)
         # NaN fails both comparisons
         if grid.ndim != 1 or not grid.size or not np.all((grid > 0) & (grid < np.inf)):
@@ -138,44 +144,30 @@ def validate_constraints(u, eta: float):
     return (not violations, violations)
 
 
-def _coefficients(u0, odds, problem: DesignProblem) -> np.ndarray:
-    """Coefficient rows from the free variables, continuity built in, scaled
-    back onto the energy ball; u0 has shape (...) and odds (..., (I-1)/2)."""
-    u0 = np.asarray(u0, dtype=float)
+def _coefficients(odds, problem: DesignProblem) -> np.ndarray:
+    """Coefficient rows on the energy sphere from the interior odd
+    coefficients, odds of shape (..., (I-1)/2): [u_0, o_1, -o_1, ..., -u_0]
+    with u_0 = sqrt(eta/2 - sum o^2), so that sum u = 0 and u'u = eta."""
     odds = np.asarray(odds, dtype=float)
-    u = np.zeros(u0.shape + (problem.i_order + 1,))
-    u[..., 0] = u0
+    u = np.zeros(odds.shape[:-1] + (problem.i_order + 1,))
+    u[..., 0] = np.sqrt(problem.energy_bound / 2.0 - np.sum(odds * odds, axis=-1))
     u[..., 1:-1:2] = odds
     u[..., 2:-1:2] = -odds
-    u[..., -1] = -u0
-    # the matmul form rounds each row's energy exactly as u @ u does
-    energy = (u[..., None, :] @ u[..., :, None])[..., 0, 0]
-    over = energy > problem.energy_bound
-    return np.where(over[..., None], u * np.sqrt(problem.energy_bound / energy)[..., None], u)
+    u[..., -1] = -u[..., 0]
+    return u
 
 
 def _candidates(problem: DesignProblem) -> np.ndarray:
-    """Candidate coefficient rows: every grid point of (u_0 raw, u_I raw,
-    interior odds) with u_0 > 0 after the continuity projection, put on the
-    energy ball, duplicates removed in first-occurrence grid order."""
-    root = np.sqrt(problem.energy_bound)
-    axis = np.linspace(0.0, root, problem.u_grid_points)
-    n_free = 2 + (problem.i_order - 1) // 2  # u0 raw, uI raw, interior odds
-    raw = np.stack(np.meshgrid(*[axis] * n_free, indexing="ij"), axis=-1).reshape(-1, n_free)
-    u0 = (raw[:, 0] - raw[:, 1]) / 2.0  # continuity projection of (u0, uI)
-    keep = u0 > 0
-    u = _coefficients(u0[keep], raw[keep, 2:], problem)
-    # rows compared in units of sqrt(eta) rounded to 1e-10 (far above the
-    # ulps between grid points that scale onto one row, far below the ~4e-4
-    # between distinct rows), then by their bytes, so 0.0 and -0.0 differ;
-    # the stable sort puts each row's first occurrence at the head of its
-    # run of equals
-    bits = np.round(u / root, 10).view(np.int64)
-    order = np.lexsort(bits.T[::-1])
-    ranked = bits[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    return u[np.sort(order[head])]
+    """Candidate coefficient rows: each interior odd coefficient on the grid
+    sqrt(eta/2) k / G, k = 0..G-1 (G = ``u_grid_points``), at every grid
+    point strictly inside the sphere (sum k^2 < G^2, so u_0 > 0), in grid
+    order with the last coefficient fastest."""
+    g = problem.u_grid_points
+    n_odds = (problem.i_order - 1) // 2
+    k = np.array(list(itertools.product(range(g), repeat=n_odds)), dtype=np.int64)
+    k = k.reshape(g**n_odds, n_odds)
+    k = k[np.sum(k * k, axis=1) < g * g]
+    return _coefficients(np.sqrt(problem.energy_bound / 2.0) * k / g, problem)
 
 
 def _model(p: float, problem: DesignProblem) -> MarkovErrorModel:
@@ -192,10 +184,6 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     infeasible (the design is free to move p, unlike the estimator).
     """
     cand_u = _candidates(problem)
-    if not len(cand_u):
-        raise InfeasibleDesignError(
-            "the coefficient grid has no candidate with u_0 > 0; raise u_grid_points"
-        )
     cand_t_inv = inverse_toeplitz(cand_u, problem.k_model + 1)
     best = None  # (objective, cand_index, p)
     unusable = 0
@@ -222,13 +210,13 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         )
 
     obj, ci, p_star = best
-    u0_star, odds_star = cand_u[ci, 0], cand_u[ci, 1 : problem.i_order : 2]
+    odds_star = cand_u[ci, 1 : problem.i_order : 2]
     grid_obj, grid_p = obj, p_star
     refine_contexts = rounds = 0
     capped = False
     if problem.refine:
-        p_star, u0_star, odds_star, obj, refine_contexts, rounds, capped = _refine(
-            problem, p_star, u0_star, odds_star, obj
+        p_star, odds_star, obj, refine_contexts, rounds, capped = _refine(
+            problem, p_star, odds_star, obj
         )
     log.info(
         "design grid: %d of %d p unusable; best grid point p=%.6g candidate=%d "
@@ -239,7 +227,7 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
         f" (stopped at the {REFINE_MAX_ROUNDS}-round cap)" if capped else "",
     )
 
-    u = _coefficients(u0_star, odds_star, problem)
+    u = _coefficients(odds_star, problem)
     ok, violations = validate_constraints(u, problem.energy_bound)
     if not ok:
         raise InfeasibleDesignError(f"optimizer produced invalid design: {violations}")
@@ -253,19 +241,21 @@ def optimize_design(problem: DesignProblem) -> InputDesign:
     )
 
 
-def _refine(problem, p, u0, odds, obj):
+def _refine(problem, p, odds, obj):
     """Coordinate descent around the best grid point.  Each round moves p by
     bounded Brent within one grid ratio either side, then searches each
-    coefficient once over its whole feasible range (u_0 over
-    [1e-6 sqrt(eta), sqrt(eta)], each interior odd coefficient over
-    [0, sqrt(eta)]); a coordinate moves only when its search beats the
+    interior odd coefficient over its whole range on the sphere,
+    [0, sqrt(eta/2 - sum of the others' squares)], and, when that does not
+    beat the current objective, over one grid step either side of it,
+    clipped to that range; a coordinate moves only when a search beats the
     current objective.  The p descent keeps u, and so its T(v), fixed.
     Stops once a round gains no more than REFINE_REL_TOL relative, or after
     REFINE_MAX_ROUNDS rounds.  Also returns the number of per-p error models
     built, the number of rounds run and whether the round cap ended it."""
-    p_ratio = (problem.p_grid[-1] / problem.p_grid[0]) ** (1.0 / max(len(problem.p_grid) - 1, 1))
-    root = np.sqrt(problem.energy_bound)
-    step = root / max(problem.u_grid_points - 1, 1)
+    grid = problem.p_grid
+    p_ratio = (grid.max() / grid.min()) ** (1.0 / max(grid.size - 1, 1))
+    half = problem.energy_bound / 2.0
+    step = np.sqrt(half) / problem.u_grid_points
     odds = np.asarray(odds, dtype=float).copy()
     # a p whose basis is refused is cached as None and scores infinite
     models: dict[float, MarkovErrorModel | None] = {}
@@ -281,33 +271,34 @@ def _refine(problem, p, u0, odds, obj):
             return np.inf
         return float(model.mse(u, t_inv, problem.noise_var))
 
-    def objective(p_val, u0_val, odds_val):
-        u = _coefficients(u0_val, odds_val, problem)
-        return score(p_val, u, inverse_toeplitz(u, problem.k_model + 1))
-
     def descend(fn, x, f_x, lo, hi, xatol):
-        # x lies in [lo, hi] and fn(x) = f_x is known, so keeping x costs no
-        # evaluation; it may sit on a bound, which Brent never evaluates
+        # fn(x) = f_x is known, so keeping x costs no evaluation; Brent
+        # evaluates only points at least its tolerance inside (lo, hi)
         x_new, f_new, _ = minimize_bounded(fn, lo, hi, xatol)
         return (x_new, f_new) if f_new < f_x else (x, f_x)
 
     for rounds in range(1, REFINE_MAX_ROUNDS + 1):
         prev = obj
-        u = _coefficients(u0, odds, problem)
+        u = _coefficients(odds, problem)
         t_inv = inverse_toeplitz(u, problem.k_model + 1)
         p_hi = p * p_ratio
         p, obj = descend(lambda x: score(x, u, t_inv), p, obj, p / p_ratio, p_hi, 1e-3 * p_hi)
-        # the coefficient tolerance is that of a one-step bracket around x
-        u0, obj = descend(
-            lambda x: objective(p, x, odds), u0, obj, 1e-6 * root, root, 1e-4 * (u0 + step)
-        )
         for j in range(odds.size):
             def fn(x, j=j):
                 trial = odds.copy()
                 trial[j] = x
-                return objective(p, u0, trial)
+                u = _coefficients(trial, problem)
+                return score(p, u, inverse_toeplitz(u, problem.k_model + 1))
 
-            odds[j], obj = descend(fn, odds[j], obj, 0.0, root, 1e-4 * (odds[j] + step))
+            rest = np.delete(odds, j)
+            top = np.sqrt(half - rest @ rest)
+            # the tolerance is that of a one-step bracket around odds[j]
+            xatol = 1e-4 * (odds[j] + step)
+            x, f_x = descend(fn, odds[j], obj, 0.0, top, xatol)
+            if f_x == obj:
+                x, f_x = descend(fn, odds[j], obj, max(odds[j] - step, 0.0),
+                                 min(odds[j] + step, top), xatol)
+            odds[j], obj = x, f_x
         if prev - obj <= REFINE_REL_TOL * max(abs(prev), 1e-300):
-            return p, u0, odds, obj, len(models), rounds, False
-    return p, u0, odds, obj, len(models), rounds, True
+            return p, odds, obj, len(models), rounds, False
+    return p, odds, obj, len(models), rounds, True

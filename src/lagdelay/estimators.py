@@ -63,8 +63,9 @@ from .errors import (
 )
 from .simulate import Dataset, InputDesign, input_derivative, synthesize_input
 
-# Absolute tolerance, in seconds, of the ML refinement of tau.
-ML_TAU_XATOL = 5e-11
+# Tolerance of the ML refinement of tau, as a fraction of delta: 5e-11 s
+# at delta = 3e-4 s, and the same fraction of the step at any time scale.
+ML_TAU_XATOL_FRACTION = 5e-11 / 3e-4
 
 # Cross-correlation bins participating in the phase fit must carry at least
 # this fraction of the peak spectral amplitude; weaker bins are treated as
@@ -394,7 +395,7 @@ def estimate_delay_ml(
 
     The objective ``ml_negloglik`` is non-convex, so a coarse scan at
     delta / 4 brackets the global minimum before ``minimize_bounded``
-    refines it to ML_TAU_XATOL seconds.  The refine evaluates the same
+    refines it to ML_TAU_XATOL_FRACTION delta.  The refine evaluates the same
     objective in the Laguerre domain (``_refine_objective``): a shift of the
     delay recombines the input's basis functions exactly, so after one pass
     over the samples each evaluation costs O(I^2).  The scan grid and model
@@ -404,7 +405,7 @@ def estimate_delay_ml(
     is an end of the grid, tau = 0 or tau = tau_max: the estimate is then
     clamped to the search range, and the unconstrained minimum may lie
     outside it.
-    There the refine first evaluates the objective ML_TAU_XATOL inside the
+    There the refine first evaluates the objective that tolerance inside the
     end; unless that beats the scan, the estimate stays on the grid end
     without Brent.  A refine that does not beat the scan minimum leaves the
     estimate on that grid point with ``converged`` false.  ``refine_evals``
@@ -418,15 +419,16 @@ def estimate_delay_ml(
     lo = grid[i_lo]
     hi = grid[min(best + 1, grid.size - 1)]
     fn = _refine_objective(data, table, i_lo)
+    xatol = ML_TAU_XATOL_FRACTION * data.delta
     evals = 0
     converged = True
     if boundary_hit:
         # Brent takes up to 31 evaluations to close in on a grid end; one
         # just inside it tells whether the refine can beat the scan at all
         evals = 1
-        converged = fn(grid[best] + (ML_TAU_XATOL if best == 0 else -ML_TAU_XATOL)) < f_best
+        converged = fn(grid[best] + (xatol if best == 0 else -xatol)) < f_best
     if converged:
-        tau_ref, f_ref, brent_evals = minimize_bounded(fn, lo, hi, ML_TAU_XATOL)
+        tau_ref, f_ref, brent_evals = minimize_bounded(fn, lo, hi, xatol)
         evals += brent_evals
         converged = f_ref <= f_best
     if not converged:

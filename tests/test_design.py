@@ -1,5 +1,6 @@
 """Design-module tests: constraint checks, grid optimizer contracts."""
 
+import itertools
 import json
 import logging
 import re
@@ -58,31 +59,24 @@ SECTION7_PROBLEMS = {
 
 
 def loop_candidates(problem: DesignProblem) -> np.ndarray:
-    """The candidate-at-a-time grid walk: one row per grid point, energy
-    from u @ u, duplicates dropped through a set of tuples rounded in units
-    of sqrt(eta)."""
-    root = np.sqrt(problem.energy_bound)
-    axis = np.linspace(0.0, root, problem.u_grid_points)
+    """The row-at-a-time grid walk: every k in {0..G-1}^((I-1)/2), the last
+    index fastest, kept when sum k^2 < G^2; odds sqrt(eta/2) k / G and u_0
+    from the energy sphere, written coefficient by coefficient."""
+    g = problem.u_grid_points
     n_pairs = (problem.i_order - 1) // 2
-    mesh = np.meshgrid(*[axis] * (2 + n_pairs), indexing="ij")
-    seen, rows = set(), []
-    for row in np.stack([m.ravel() for m in mesh], axis=-1):
-        u0 = (row[0] - row[1]) / 2.0
-        if u0 <= 0:
+    root = np.sqrt(problem.energy_bound / 2.0)
+    rows = []
+    for k in itertools.product(range(g), repeat=n_pairs):
+        if sum(kj * kj for kj in k) >= g * g:
             continue
+        odds = [root * kj / g for kj in k]
         u = np.zeros(problem.i_order + 1)
-        u[0] = u0
-        for j, val in enumerate(row[2:]):
+        u[0] = np.sqrt(problem.energy_bound / 2.0 - sum(o * o for o in odds))
+        for j, val in enumerate(odds):
             u[2 * j + 1] = val
             u[2 * j + 2] = -val
-        u[problem.i_order] = -u0
-        energy = u @ u
-        if energy > problem.energy_bound:
-            u = u * np.sqrt(problem.energy_bound / energy)
-        key = tuple(np.round(u / root, 10))
-        if key not in seen:
-            seen.add(key)
-            rows.append(u)
+        u[problem.i_order] = -u[0]
+        rows.append(u)
     return np.array(rows).reshape(-1, problem.i_order + 1)
 
 
@@ -214,7 +208,7 @@ class TestOptimizeDesign:
     def test_fast_objective_matches_public_op(self):
         problem = tiny_problem()
         model = _model(35.0, problem)
-        u = _coefficients(0.9, np.array([0.3]), problem)
+        u = _coefficients(np.array([0.3]), problem)
         fast = model.mse(u, inverse_toeplitz(u, problem.k_model + 1), problem.noise_var)
         from lagdelay.simulate import InputDesign
 
@@ -232,15 +226,39 @@ class TestOptimizeDesign:
         ).mse
         assert fast == pytest.approx(slow, rel=1e-9)
 
-    def test_infeasible_when_coefficient_grid_is_empty(self):
-        # one grid point per axis leaves only u_0 = 0, which the grid drops
-        with pytest.raises(InfeasibleDesignError):
-            optimize_design(tiny_problem(u_grid_points=1))
-
     def test_infeasible_when_every_p_ill_conditioned(self):
         problem = tiny_problem(p_grid=np.array([0.05]), k_model=12, n_samples=200)
         with pytest.raises(InfeasibleDesignError):
             optimize_design(problem)
+
+    def test_descending_p_grid_returns_the_ascending_design(self):
+        # a grid from 200 down to 1 once put the refine's p bracket upside
+        # down, and design exited 1 with "bounds must be finite with a <= b"
+        ascending = DesignProblem.from_dict({**REQUIRED, "p_grid": {"min": 1, "max": 200}})
+        descending = DesignProblem.from_dict({**REQUIRED, "p_grid": {"min": 200, "max": 1}})
+        want, got = optimize_design(ascending), optimize_design(descending)
+        assert got.p == want.p
+        assert np.array_equal(got.u, want.u)
+        objective = [markov_mse(d, 12, 0.01, 3e-4, n_samples=1667).mse for d in (got, want)]
+        assert objective[0] == objective[1]
+
+    @pytest.mark.parametrize("i_order", [1, 3, 5])
+    @pytest.mark.parametrize("eta", [1e-30, 2.0, 1e30])
+    def test_design_on_the_energy_sphere(self, i_order, eta):
+        # the MSE's bias does not change with the input's scale and its
+        # noise term falls as 1 / c^2, so the design spends the whole bound
+        design = optimize_design(tiny_problem(i_order=i_order, energy_bound=eta, refine=True))
+        assert abs(design.u @ design.u / eta - 1.0) <= 1e-12
+
+    def test_sweep_problem_ends_on_the_sphere(self):
+        # a free u_0 once left this problem inside the ball, at u'u = 0.758,
+        # where its own copy scaled onto the sphere scores better
+        problem = DesignProblem(
+            delta=3e-4, n_samples=600, i_order=5, energy_bound=2.0, tau_guess=3e-4,
+            noise_var=1e-4, k_model=12, p_grid=np.geomspace(1.0, 200.0, 20), u_grid_points=9,
+        )
+        design = optimize_design(problem)
+        assert abs(design.u @ design.u / 2.0 - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_default_p_grid_is_absolute(self, scale):
@@ -349,6 +367,10 @@ class TestFromDict:
         ({"p_grid": {"max": float("inf")}}, "p_grid max must be a finite positive number, got inf"),
         ({"p_grid": {"min": float("nan")}}, "p_grid min must be a finite positive number, got nan"),
         ({"p_grid": {"max": "200"}}, "p_grid max must be a finite positive number, got '200'"),
+        # 0 once ended in InfeasibleDesignError (exit 2), -1 in numpy's
+        # "Number of samples, -1, must be non-negative." (exit 1)
+        ({"u_grid_points": 0}, "u_grid_points must be at least 1, got 0"),
+        ({"u_grid_points": -1}, "u_grid_points must be at least 1, got -1"),
     ])
     def test_wrong_json_type_refused(self, bad, named):
         with pytest.raises(ValueError, match=re.escape(named)):
@@ -378,9 +400,9 @@ INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 GOLDEN_REFINE_OBJECTIVE = {
     "design72": 0.00015541995776297582,
     "design71": 1.2004818266307826e-05,
-    "design_warmup": 0.0002653670520551769,
+    "design_warmup": 0.00016029707392130376,
 }
-WARMUP_REFERENCE = {"p": 40.0, "u": [np.sqrt(0.5), 0.0, 0.0, -np.sqrt(0.5)], "eta": 2.0}
+WARMUP_REFERENCE = {"p": 40.0, "u": [1.0, 0.0, 0.0, -1.0], "eta": 2.0}
 
 
 def run_design_cli(config: dict, tmp_path, name: str) -> dict:
@@ -512,35 +534,73 @@ class TestRefine:
                                   k_model=12), id="I5-K12"),
     ])
     def test_no_single_grid_step_improves(self, problem):
-        # p times or divided by the grid ratio, or one free coefficient
-        # plus or minus one coefficient grid step, clipped to its bounds;
-        # the last three refine to nonzero interior coefficients.  The best
-        # gain seen was 1.9e-6 relative (I5-K12), 0 on five of the seven
+        # p times or divided by the grid ratio, or one interior odd
+        # coefficient plus or minus one coefficient grid step, clipped to
+        # its range on the energy sphere; the last three refine to nonzero
+        # interior coefficients
         design = optimize_design(problem)
         grid = problem.p_grid
         ratio = (grid[-1] / grid[0]) ** (1.0 / (len(grid) - 1))
-        root = np.sqrt(problem.energy_bound)
-        step = root / (problem.u_grid_points - 1)
+        half = problem.energy_bound / 2.0
+        step = np.sqrt(half) / problem.u_grid_points
 
-        def objective(p, u0, odds):
+        def objective(p, odds):
             try:
                 model = _model(p, problem)
             except IllConditionedError:
                 return np.inf
-            u = _coefficients(u0, odds, problem)
+            u = _coefficients(odds, problem)
             return float(model.mse(u, inverse_toeplitz(u, problem.k_model + 1),
                                    problem.noise_var))
 
-        u0, odds = design.u[0], design.u[1:-1:2]
-        moves = [(design.p * ratio, u0, odds), (design.p / ratio, u0, odds)]
-        for sign in (-1.0, 1.0):
-            moves.append((design.p, np.clip(u0 + sign * step, 1e-6 * root, root), odds))
-            for j in range(odds.size):
+        odds = design.u[1:-1:2]
+        moves = [(design.p * ratio, odds), (design.p / ratio, odds)]
+        for j in range(odds.size):
+            rest = np.delete(odds, j)
+            # just inside the range's end, as Brent's points are, so that
+            # u_0 > 0
+            top = np.sqrt(half - rest @ rest) * (1 - 1e-6)
+            for sign in (-1.0, 1.0):
                 trial = odds.copy()
-                trial[j] = np.clip(odds[j] + sign * step, 0.0, root)
-                moves.append((design.p, u0, trial))
-        refined = objective(design.p, u0, odds)
+                trial[j] = np.clip(odds[j] + sign * step, 0.0, top)
+                moves.append((design.p, trial))
+        refined = objective(design.p, odds)
         assert refined - min(objective(*move) for move in moves) <= REFINE_REL_TOL * refined
+
+
+class TestScaleOfTheInput:
+    MODEL_PROBLEM = tiny_problem()
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return _model(35.0, self.MODEL_PROBLEM)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # the rounding of c u grows through T(v) as o_1 / u_0 does: the
+        # bias moved by at most 6.5e-14 relative in 3000 draws up to 0.6,
+        # 4.5e-13 between 0.7 and 0.8
+        fraction=st.floats(0.0, 0.6),
+        # from 1e-30, where c u and its T(v) stay normal floats
+        c=st.floats(1e-30, 1.0),
+    )
+    def test_bias_scale_free_and_noise_falls_as_inverse_square(self, model, fraction, c):
+        # mse = bias'bias + noise_var sum(G^2): at c u the bias term is that
+        # of u and the noise term is 1 / c^2 times it, so the optimum under
+        # an energy bound lies on the sphere u'u = eta
+        problem = self.MODEL_PROBLEM
+        u = _coefficients(np.array([fraction * np.sqrt(problem.energy_bound / 2.0)]), problem)
+
+        def terms(x):
+            bias, g = model.errors(x, inverse_toeplitz(x, model.k1))
+            return bias @ bias, np.sum(g * g)
+
+        bias, noise = terms(u)
+        bias_c, noise_c = terms(c * u)
+        assert abs(bias_c - bias) <= 1e-12 * bias
+        assert abs(c * c * noise_c - noise) <= 1e-12 * noise
+        assert model.mse(c * u, inverse_toeplitz(c * u, model.k1), 0.01) == pytest.approx(
+            bias + 0.01 * noise / (c * c), rel=1e-12)
 
 
 class TestBatchedObjective:
@@ -549,7 +609,7 @@ class TestBatchedObjective:
         sampling, usable_expected = SECTION7_PROBLEMS[section]
         problem = DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01, **sampling)
         cand_u = _candidates(problem)
-        assert len(cand_u) == 576
+        assert len(cand_u) == 25
         t_inv = inverse_toeplitz(cand_u, problem.k_model + 1)
         usable = 0
         for p in problem.p_grid:
@@ -604,7 +664,7 @@ class TestBatchedObjective:
         sampling, _ = SECTION7_PROBLEMS[section]
         optimize_design(DesignProblem(i_order=3, energy_bound=2.0, noise_var=0.01,
                                       refine=False, **sampling))
-        assert calls == [(576, sampling["k_model"] + 1)]
+        assert calls == [(25, sampling["k_model"] + 1)]
 
     def test_single_candidate_matches_its_batch_row(self):
         problem = tiny_problem()
@@ -628,23 +688,40 @@ class TestCandidates:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("i_order, count", [(1, 24), (3, 576), (5, 14590)])
+    @pytest.mark.parametrize("i_order, count", [(1, 1), (3, 25), (5, 510)])
     def test_count_independent_of_energy_bound(self, i_order, count):
-        # rounding u itself to 12 decimals kept 454 rows at I = 3, eta =
-        # 2e-20 (distinct rows merged) and 1413 at 2e13 (duplicates scored)
-        for eta in [2e-26, 0.37, 2.0, 11.0, 2e13, 2e26]:
+        # the grid is in units of sqrt(eta / 2), and its rows are kept by an
+        # integer test, so no energy bound merges or drops one
+        for eta in [1e-30, 2e-26, 0.37, 2.0, 11.0, 2e13, 2e26, 1e30]:
             problem = tiny_problem(i_order=i_order, k_model=6, u_grid_points=25,
                                    energy_bound=eta)
             assert len(_candidates(problem)) == count, eta
 
+    def test_single_input_order_candidate(self):
+        # I = 1 has no free coefficient: the one row sqrt(eta / 2) [1, -1]
+        for eta in [1e-30, 2.0, 1e30]:
+            problem = tiny_problem(i_order=1, k_model=6, u_grid_points=25, energy_bound=eta)
+            np.testing.assert_array_equal(_candidates(problem),
+                                          [[np.sqrt(eta / 2.0), -np.sqrt(eta / 2.0)]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(i_order=st.sampled_from([1, 3, 5]), eta=st.floats(1e-30, 1e30))
+    def test_rows_on_the_energy_sphere(self, i_order, eta):
+        problem = tiny_problem(i_order=i_order, k_model=6, u_grid_points=25, energy_bound=eta)
+        cand_u = _candidates(problem)
+        assert len(cand_u) == {1: 1, 3: 25, 5: 510}[i_order]
+        energy = np.einsum("ij,ij->i", cand_u, cand_u)
+        assert np.all(np.abs(energy / eta - 1.0) <= 1e-12)
+        assert np.all(cand_u[:, 0] > 0)
+
     def test_coefficients_batch_rows_equal_single_rows(self):
         problem = tiny_problem(i_order=5, energy_bound=0.5)
         rng = np.random.default_rng(8)
-        u0 = rng.uniform(0.01, 1.0, size=40)
-        odds = rng.uniform(0.0, 1.0, size=(40, 2))
-        batch = _coefficients(u0, odds, problem)
+        # sum o^2 < 2 * 0.35^2 < eta / 2
+        odds = rng.uniform(0.0, 0.35, size=(40, 2))
+        batch = _coefficients(odds, problem)
         for i in range(40):
-            assert np.array_equal(batch[i], _coefficients(u0[i], odds[i], problem))
+            assert np.array_equal(batch[i], _coefficients(odds[i], problem))
 
 
 class TestDesignLogging:

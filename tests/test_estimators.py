@@ -650,11 +650,39 @@ class TestCrossMethod:
         # where the unshifted search stops and the shifted one does not
         assume(noise_var == 0.0 or base.tau_hat >= delta / 4)
         shifted = estimate_delay_ml(moved, tables)
-        assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 10 * estimators.ML_TAU_XATOL
+        assert (abs(shifted.tau_hat - base.tau_hat - k * delta)
+                <= 10 * estimators.ML_TAU_XATOL_FRACTION * delta)
         if noise_var == 0.0:
             base = estimate_delay_freq_interp(data, tables)
             shifted = estimate_delay_freq_interp(moved, tables)
             assert abs(shifted.tau_hat - base.tau_hat - k * delta) <= 5e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        j=st.integers(-10, 10),
+        tau=st.floats(0.0, 9e-3),
+        noise_var=st.sampled_from([0.0, 1e-2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ml_time_scale_property(self, sec72_ref, j, tau, noise_var, seed):
+        # time scaled by a = 4^j: delta, horizon, tau_max and tau_guess by a,
+        # p by 1 / a and z by a^(-1/2), all exact in floating point.  The ml
+        # refine tolerance is a fraction of delta, so tau_hat / a is tau_hat
+        # at a = 1 bitwise; an absolute 5e-11 s moved it by 9.3e-6 s at
+        # a = 4^-10 and by 1.8e-8 s at a = 4^-8
+        design, tables = sec72_ref
+        data = make_dataset(design, tau, noise_var, seed)
+        want = estimate_delay_ml(data, tables)
+        a = 4.0**j
+        scaled = InputDesign(p=design.p / a, u=design.u, energy_bound=design.energy_bound,
+                             horizon=design.horizon * a, delta=design.delta * a,
+                             tau_guess=design.tau_guess * a)
+        moved = Dataset(z=data.z / 2.0**j, delta=data.delta * a, n_samples=data.n_samples,
+                        noise_var=noise_var / a, seed=seed)
+        got = estimate_delay_ml(moved, tables_for(scaled, ("ml",), tau_max=0.01 * a))
+        assert got.tau_hat / a == want.tau_hat
+        assert got.diagnostics["converged"] == want.diagnostics["converged"]
+        assert got.diagnostics["refine_evals"] == want.diagnostics["refine_evals"]
 
     def test_estimate_serialization(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)

@@ -619,7 +619,8 @@ def _time_domain_ml(data, design, table):
     best, f_best = estimators._ml_scan(table, data.z[None], data.delta)[0]
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
     tau, f_ref, _ = estimators.minimize_bounded(
-        lambda x: ml_negloglik(data, design, x), lo, hi, estimators.ML_TAU_XATOL
+        lambda x: ml_negloglik(data, design, x), lo, hi,
+        estimators.ML_TAU_XATOL_FRACTION * data.delta,
     )
     converged = f_ref <= f_best
     return (tau if converged else float(grid[best])), {
@@ -662,7 +663,9 @@ def _brent_refine_ml(data, design, table):
     best, f_best = estimators._ml_scan(table, data.z[None], data.delta)[0]
     lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
     fn = estimators._refine_objective(data, table, max(best - 1, 0))
-    tau, f_ref, evals = estimators.minimize_bounded(fn, lo, hi, estimators.ML_TAU_XATOL)
+    tau, f_ref, evals = estimators.minimize_bounded(
+        fn, lo, hi, estimators.ML_TAU_XATOL_FRACTION * data.delta
+    )
     if f_ref > f_best:
         return float(grid[best]), f_best, False, evals
     return tau, f_ref, True, evals

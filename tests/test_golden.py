@@ -8,9 +8,9 @@ unless a rule below says otherwise:
   ``freq_interp``, the spectra, the CRLB, ``bias-predict``) are held at
   rounding level;
 - the two optimizer outputs are held at their stopping tolerances, since
-  another BLAS may take another Brent path: ``ml`` within 2 ML_TAU_XATOL,
-  design p and u within twice the refine's brackets, as the benchmark's
-  design check holds them;
+  another BLAS may take another Brent path: ``ml`` within twice its
+  refine tolerance at the golden delta, design p and u within twice the
+  refine's brackets, as the benchmark's design check holds them;
 - ``runtime_s`` and the ``estimate`` report's ``config_hash``, which hashes
   the dataset path, are skipped (null in the golden files).
 """
@@ -26,7 +26,7 @@ import pytest
 
 from lagdelay.analysis import markov_mse
 from lagdelay.design import REFINE_REL_TOL
-from lagdelay.estimators import ML_TAU_XATOL
+from lagdelay.estimators import ML_TAU_XATOL_FRACTION
 from lagdelay.simulate import InputDesign
 
 from conftest import full_draw_bias_prediction
@@ -37,9 +37,10 @@ generate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(generate)
 
 # a closed-form delay may move by this much (PR-to-PR rounding moves were
-# at most 5.2e-18 s); ml by twice its Brent tolerance
+# at most 5.2e-18 s); ml by twice its Brent tolerance at the delta of the
+# design that every golden estimate runs on
 TAU_ATOL = 1e-15
-ML_ATOL = 2.0 * ML_TAU_XATOL
+ML_ATOL = 2.0 * ML_TAU_XATOL_FRACTION * json.loads(Path(generate.DESIGN72).read_text())["delta"]
 # spectra y_hat, h_hat are O(1) at cond(Phi) = 2.6, their rounding ~1e-15
 SPECTRUM_ATOL = 1e-12
 CRLB_RTOL = 1e-14
