@@ -49,7 +49,6 @@ from .estimators import (
     estimate_delay_proposed,
     estimate_markov,
     estimate_spectrum_ls,
-    ml_negloglik,
 )
 from .simulate import (
     Dataset,

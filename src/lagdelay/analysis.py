@@ -31,7 +31,7 @@ from .simulate import (
     InputDesign, _json_int, _json_number, add_noise, default_tau_max, sample_delayed,
 )
 
-# Draws of predict_bias_tau pushed through the ratio terms at a time; the
+# Draws of _ratio_bias pushed through the ratio terms at a time; the
 # generator fills in C order, so blocks give the stream of one full draw.
 _BIAS_BLOCK_ROWS = 8192
 
@@ -226,54 +226,52 @@ def predict_bias_tau(
     m_markov: int | None = None,
     mc_samples: int = 100_000,
     seed=0,
-    include_truncation_bias: bool = True,
 ) -> BiasPrediction:
-    """Predict the delay estimator's bias at a known delay ``tau_check``.
+    """``_ratio_bias`` at the first M rows of ``markov_mse`` at ``tau_check``."""
+    _require("nonnegative", tau_check=tau_check)
+    m = markov_order(k_model, m_markov, len(design.u) - 1)
+    acc = markov_mse(design, k_model, noise_var, tau_check)
+    h_true = markov_params(2.0 * design.p * tau_check, m)
+    return _ratio_bias(design.p, tau_check, h_true, acc.bias_vec[:m], acc.cov_factor[:m],
+                       mc_samples, seed)
 
-    Markov-estimate errors are drawn from their Gaussian model (exact under
-    Gaussian measurement noise and an unbiased spectrum estimate, with the
-    deterministic truncation bias as mean shift) and pushed through the
-    perturbation expansion of the delay ratio:
+
+def _ratio_bias(p: float, tau: float, h_true: np.ndarray, mean: np.ndarray,
+                factor: np.ndarray, mc_samples: int, seed) -> BiasPrediction:
+    """Bias of the delay ratio at the M = ``h_true.size`` true Markov
+    parameters, for Markov errors mean + factor X, X one standard normal per
+    column of ``factor`` (exact under Gaussian measurement noise; the mean is
+    the truncation bias), pushed through the perturbation expansion:
 
         bias = E[eps1 / (B'B + eps2)] / (2p) - tau * E[eps2 / (B'B + eps2)]
 
     with eps1 = E_B'A + E_A'B + E_B'E_A and eps2 = 2 E_B'B + E_B'E_B.
     """
-    _require("nonnegative", tau_check=tau_check)
     if mc_samples < 1000:
         raise ValueError("need at least 1000 Monte-Carlo samples")
-    m = markov_order(k_model, m_markov, len(design.u) - 1)
-    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
-    vec_a, vec_b = assemble_ab(h_true[:m])
+    m = h_true.size
+    vec_a, vec_b = assemble_ab(h_true)
     btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
-
-    acc = markov_mse(design, k_model, noise_var, tau_check)
-    mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)
-    # [E_A | E_B] is linear in the first m Markov errors, so each block of
-    # draws needs one small product with the stacked map of assemble_ab
+    # [E_A | E_B] is linear in the Markov errors, so each block of draws
+    # needs one small product with the stacked map of assemble_ab
     ab_map = np.hstack(assemble_ab(np.eye(m)))
-    weights = acc.cov_factor[:m].T @ ab_map
-    shift = mean_shift[:m] @ ab_map
+    weights = factor.T @ ab_map
+    shift = mean @ ab_map
     rng = np.random.default_rng(seed)
     eps1, eps2 = np.empty(mc_samples), np.empty(mc_samples)
     for lo in range(0, mc_samples, _BIAS_BLOCK_ROWS):
         hi = min(lo + _BIAS_BLOCK_ROWS, mc_samples)
-        err = rng.standard_normal((hi - lo, k_model + 1)) @ weights + shift
+        err = rng.standard_normal((hi - lo, factor.shape[1])) @ weights + shift
         err_a, err_b = err[:, : m - 1], err[:, m - 1 :]
         eps1[lo:hi] = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
         eps2[lo:hi] = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
     denom = btb + eps2
-    predicted = float(
-        np.mean(eps1 / denom) / (2.0 * design.p) - tau_check * np.mean(eps2 / denom)
-    )
+    predicted = float(np.mean(eps1 / denom) / (2.0 * p) - tau * np.mean(eps2 / denom))
     return BiasPrediction(
-        predicted_bias=predicted,
-        mc_samples=mc_samples,
-        eps1_mean=float(eps1.mean()),
-        eps2_mean=float(eps2.mean()),
-        seed=seed,
+        predicted_bias=predicted, mc_samples=mc_samples, eps1_mean=float(eps1.mean()),
+        eps2_mean=float(eps2.mean()), seed=seed,
     )
 
 

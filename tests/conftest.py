@@ -209,42 +209,42 @@ def per_point_ml_bank(design: InputDesign, delta: float, n_samples: int, tau_max
     return grid, np.array([eval_basis_matrix(cfg, t - tau) @ design.u for tau in grid])
 
 
-def full_draw_bias_prediction(
-    design: InputDesign,
-    noise_var: float,
-    tau_check: float,
-    k_model: int,
+def ratio_bias_inputs(
+    design: InputDesign, noise_var: float, tau_check: float, k_model: int,
     m_markov: int | None = None,
-    mc_samples: int = 100_000,
-    seed=0,
-    include_truncation_bias: bool = True,
+) -> tuple:
+    """(p, tau, h_true, mean, factor) that ``predict_bias_tau`` hands its
+    ratio step: the first M Markov parameters at ``tau_check`` and the first
+    M rows of ``markov_mse``'s bias and covariance factor."""
+    m = markov_order(k_model, m_markov, len(design.u) - 1)
+    acc = markov_mse(design, k_model, noise_var, tau_check)
+    h_true = markov_params(2.0 * design.p * tau_check, m)
+    return design.p, tau_check, h_true, acc.bias_vec[:m], acc.cov_factor[:m]
+
+
+def full_draw_bias_prediction(
+    p: float, tau: float, h_true: np.ndarray, mean: np.ndarray, factor: np.ndarray,
+    mc_samples: int = 100_000, seed=0,
 ) -> tuple[BiasPrediction, dict]:
-    """``predict_bias_tau`` as it was before its blocked pass: every draw at
-    once, the Markov errors formed in full and (E_A, E_B) assembled from
-    them by ``assemble_ab``.  Also returns, per averaged field, the mean
+    """``analysis._ratio_bias`` as it was before its blocked pass: every
+    draw at once, the Markov errors formed in full and (E_A, E_B) assembled
+    from them by ``assemble_ab``.  Also returns, per averaged field, the mean
     absolute summand: the scale of the rounding error of that average, at
     least the field itself and far above it where the summands cancel."""
-    m = markov_order(k_model, m_markov, len(design.u) - 1)
-    h_true = markov_params(2.0 * design.p * tau_check, k_model + 1)
-    vec_a, vec_b = assemble_ab(h_true[:m])
+    vec_a, vec_b = assemble_ab(h_true)
     btb = float(vec_b @ vec_b)
     if btb < BTB_TOLERANCE:
         raise DegenerateBError("true Markov parameters vanish at tau_check")
-    acc = markov_mse(design, k_model, noise_var, tau_check)
-    mean_shift = acc.bias_vec if include_truncation_bias else np.zeros(k_model + 1)
-    draws = np.random.default_rng(seed).standard_normal((mc_samples, k_model + 1))
-    err = mean_shift + draws @ acc.cov_factor.T
-    err_a, err_b = assemble_ab(err[:, :m])
+    draws = np.random.default_rng(seed).standard_normal((mc_samples, factor.shape[1]))
+    err = mean + draws @ factor.T
+    err_a, err_b = assemble_ab(err)
     eps1 = err_b @ vec_a + err_a @ vec_b + np.einsum("ij,ij->i", err_b, err_a)
     eps2 = 2.0 * (err_b @ vec_b) + np.einsum("ij,ij->i", err_b, err_b)
     denom = btb + eps2
-    predicted = float(
-        np.mean(eps1 / denom) / (2.0 * design.p) - tau_check * np.mean(eps2 / denom)
-    )
+    predicted = float(np.mean(eps1 / denom) / (2.0 * p) - tau * np.mean(eps2 / denom))
     scales = {
         "predicted_bias": float(
-            np.mean(np.abs(eps1 / denom)) / (2.0 * design.p)
-            + tau_check * np.mean(np.abs(eps2 / denom))
+            np.mean(np.abs(eps1 / denom)) / (2.0 * p) + tau * np.mean(np.abs(eps2 / denom))
         ),
         "eps1_mean": float(np.mean(np.abs(eps1))),
         "eps2_mean": float(np.mean(np.abs(eps2))),

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lagdelay.analysis import BenchmarkConfig, predict_bias_tau, run_monte_carlo
+from lagdelay.analysis import BenchmarkConfig, _ratio_bias, markov_mse, run_monte_carlo
 from lagdelay.basis import BasisConfig, assoc_laguerre_sequence, build_phi
 from lagdelay.cli import main
 from lagdelay.delay_ops import (
@@ -333,9 +333,11 @@ def test_criterion_8_bias_predictor(bench_design):
         taus[r] = closed_form_delay(*assemble_ab(h_hat), bench_design.p)
     empirical = taus.mean() - tau
     se = taus.std(ddof=1) / np.sqrt(reps)
-    pred = predict_bias_tau(
-        bench_design, lam, tau, k_model,
-        mc_samples=400_000, seed=11, include_truncation_bias=False,
+    # the ratio step at the noise covariance alone, since the data carry
+    # no truncation bias
+    factor = markov_mse(bench_design, k_model, lam, tau).cov_factor
+    pred = _ratio_bias(
+        bench_design.p, tau, h_true, np.zeros(k_model + 1), factor, mc_samples=400_000, seed=11,
     )
     gap = abs(pred.predicted_bias - empirical)
     elapsed = time.perf_counter() - started

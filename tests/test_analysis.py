@@ -229,9 +229,9 @@ class TestMarkovErrorModel:
 
 class TestPredictBias:
     def test_zero_noise_no_truncation_is_zero(self, bench_design):
-        pred = predict_bias_tau(
-            bench_design, 0.0, TAU, 12, mc_samples=2000, include_truncation_bias=False
-        )
+        factor = markov_mse(bench_design, 12, 0.0, TAU).cov_factor
+        h_true = markov_params(2.0 * bench_design.p * TAU, 13)
+        pred = analysis._ratio_bias(bench_design.p, TAU, h_true, np.zeros(13), factor, 2000, 0)
         assert pred.predicted_bias == 0.0
         assert pred.eps1_mean == 0.0
         assert pred.eps2_mean == 0.0

@@ -22,7 +22,6 @@ PUBLIC = {
     "CrlbReport", "DelayEstimate", "ReplicateTables", "build_replicate_tables", "crlb",
     "estimate_delay", "estimate_delay_freq_interp", "estimate_delay_lag_spline",
     "estimate_delay_ml", "estimate_delay_proposed", "estimate_markov", "estimate_spectrum_ls",
-    "ml_negloglik",
     # simulate
     "Dataset", "InputDesign", "add_noise", "load_dataset", "make_dataset", "sample_delayed",
     "save_dataset", "synthesize_input",

@@ -1,5 +1,6 @@
 """Design-module tests: constraint checks, grid optimizer contracts."""
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -601,6 +602,34 @@ class TestScaleOfTheInput:
         assert abs(c * c * noise_c - noise) <= 1e-12 * noise
         assert model.mse(c * u, inverse_toeplitz(c * u, model.k1), 0.01) == pytest.approx(
             bias + 0.01 * noise / (c * c), rel=1e-12)
+
+
+class TestTimeScale:
+    SEC72 = DesignProblem(delta=3e-4, n_samples=1667, i_order=3, energy_bound=2.0,
+                          tau_guess=3e-4, noise_var=0.01, k_model=12)
+
+    @pytest.mark.parametrize("j", [-20, -5, 5, 20])
+    def test_scaled_problem_gives_the_scaled_design(self, sec72_design, j):
+        # the section 7.2 problem with time scaled by a = 4^j: delta and
+        # tau_guess by a, the p grid by 1 / a, and noise_var by 1 / a, which
+        # holds the noise term of the Markov MSE (R^-1 grows as a^(1/2)); all
+        # exact in floating point, so p a, u and the objective are bitwise
+        # those at a = 1 (sec72_design is the design of SEC72)
+        a = 4.0**j
+        base = self.SEC72
+        problem = dataclasses.replace(
+            base, delta=base.delta * a, tau_guess=base.tau_guess * a,
+            noise_var=base.noise_var / a, p_grid=base.p_grid / a,
+        )
+        got = optimize_design(problem)
+        assert got.p * a == sec72_design.p
+        assert got.u.tobytes() == sec72_design.u.tobytes()
+
+        def objective(design, pr):
+            return markov_mse(design, pr.k_model, pr.noise_var, pr.tau_guess,
+                              n_samples=pr.n_samples).mse
+
+        assert objective(got, problem) == objective(sec72_design, base)
 
 
 class TestBatchedObjective:

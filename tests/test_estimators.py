@@ -1,6 +1,8 @@
 """Estimator tests: LS spectrum, Markov solve, all four delay methods, CRLB."""
 
+import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_triangular
 
 from lagdelay import estimators
+from lagdelay.analysis import predict_bias_tau
 from lagdelay.basis import COND_THRESHOLD, BasisConfig, build_phi, eval_basis_matrix
 from lagdelay.cli import _sanitize
 from lagdelay.delay_ops import (
@@ -27,6 +30,7 @@ from lagdelay.errors import (
     FlatCorrelationError,
     IllConditionedError,
     InvalidDatasetError,
+    LagDelayError,
     ZeroInformationError,
 )
 from lagdelay.estimators import (
@@ -110,10 +114,26 @@ def wide_design():
 
 @pytest.fixture(scope="module")
 def sec72_ref():
-    """The committed section 7.2 reference design and its ml and
-    freq_interp tables at tau_max = 0.01."""
+    """The committed section 7.2 reference design and its tables for every
+    method at tau_max = 0.01."""
     design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
-    return design, tables_for(design, ("ml", "freq_interp"))
+    return design, tables_for(design)
+
+
+@functools.cache
+def _sec72_bias(noise_var: float, tau: float):
+    """predict_bias_tau on the section 7.2 reference design at 1e4 draws,
+    the unscaled side of the scale properties."""
+    design = InputDesign.from_dict(json.loads((INPUTS / "design72_ref.json").read_text()))
+    return predict_bias_tau(design, noise_var, tau, 12, mc_samples=10_000)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the class of the LagDelayError that it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except LagDelayError as exc:
+        return type(exc)
 
 
 class TestSpectrumLS:
@@ -659,30 +679,42 @@ class TestCrossMethod:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        j=st.integers(-10, 10),
+        j=st.integers(-20, 20),
         tau=st.floats(0.0, 9e-3),
         noise_var=st.sampled_from([0.0, 1e-2]),
+        # drawn apart from tau: a subnormal tau times 4^-1 rounds
+        bias_tau=st.sampled_from([3e-4, 1.33e-3, 4e-3, 9e-3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_ml_time_scale_property(self, sec72_ref, j, tau, noise_var, seed):
+    def test_ml_time_scale_property(self, sec72_ref, j, tau, noise_var, bias_tau, seed):
         # time scaled by a = 4^j: delta, horizon, tau_max and tau_guess by a,
-        # p by 1 / a and z by a^(-1/2), all exact in floating point.  The ml
-        # refine tolerance is a fraction of delta, so tau_hat / a is tau_hat
-        # at a = 1 bitwise; an absolute 5e-11 s moved it by 9.3e-6 s at
-        # a = 4^-10 and by 1.8e-8 s at a = 4^-8
+        # p by 1 / a, z by a^(-1/2) and noise_var by 1 / a, all exact in
+        # floating point.  Every method's tau_hat / a is its value at a = 1
+        # bitwise, or both raise the same error, and so is predict_bias_tau's
+        # predicted_bias / a at 1e4 draws.  The ml refine tolerance is a
+        # fraction of delta; an absolute 5e-11 s moved ml's tau_hat / a by
+        # 9.3e-6 s at a = 4^-10 and by 1.8e-8 s at a = 4^-8
         design, tables = sec72_ref
         data = make_dataset(design, tau, noise_var, seed)
-        want = estimate_delay_ml(data, tables)
         a = 4.0**j
         scaled = InputDesign(p=design.p / a, u=design.u, energy_bound=design.energy_bound,
                              horizon=design.horizon * a, delta=design.delta * a,
                              tau_guess=design.tau_guess * a)
         moved = Dataset(z=data.z / 2.0**j, delta=data.delta * a, n_samples=data.n_samples,
                         noise_var=noise_var / a, seed=seed)
-        got = estimate_delay_ml(moved, tables_for(scaled, ("ml",), tau_max=0.01 * a))
-        assert got.tau_hat / a == want.tau_hat
-        assert got.diagnostics["converged"] == want.diagnostics["converged"]
-        assert got.diagnostics["refine_evals"] == want.diagnostics["refine_evals"]
+        scaled_tables = tables_for(scaled, tau_max=0.01 * a)
+        for method in ESTIMATORS:
+            want = _outcome(estimate_delay, method, data, tables)
+            got = _outcome(estimate_delay, method, moved, scaled_tables)
+            if isinstance(want, type):
+                assert got is want, method
+                continue
+            assert got.tau_hat / a == want.tau_hat, method
+            if method == "ml":
+                assert got.diagnostics["converged"] == want.diagnostics["converged"]
+                assert got.diagnostics["refine_evals"] == want.diagnostics["refine_evals"]
+        got = predict_bias_tau(scaled, noise_var / a, bias_tau * a, 12, mc_samples=10_000)
+        assert got.predicted_bias / a == _sec72_bias(noise_var, bias_tau).predicted_bias
 
     def test_estimate_serialization(self, bench_design):
         ds = make_dataset(bench_design, TAU, 0.0, 0)
@@ -691,6 +723,60 @@ class TestCrossMethod:
         assert d["method"] == "proposed"
         assert isinstance(d["diagnostics"]["y_hat"], list)
         assert isinstance(d["tau_hat"], float)
+
+
+class TestAmplitudeScale:
+    # Bounds on the move of each output when u and z are scaled by c, and
+    # eta and noise_var by c^2.  Worst seen in two runs of 400 draws of c
+    # from 1e-30 to 1e30: proposed and lag_spline 4.0e-17 s, freq_interp
+    # 5.2e-18 s, ml 3.7e-11 s, predicted_bias 6.8e-18 s.  The bias is not held
+    # relative to itself: at tau = 3e-4 without noise it is -7.3e-7 s, a
+    # cancellation, and moved by 1.3e-12 of that.
+    CLOSED_FORM_ATOL = 1e-15  # s, the golden files' bound on these delays
+
+    @staticmethod
+    def ml_atol(tau_hat: float, delta: float) -> float:
+        """Two Brent runs on objectives that differ by rounding each stop
+        within 2 tol1 of the minimum, tol1 = sqrt(eps) |x| + xatol / 3."""
+        xatol = estimators.ML_TAU_XATOL_FRACTION * delta
+        return 4.0 * (math.sqrt(2.2e-16) * abs(tau_hat) + xatol / 3.0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log_c=st.floats(-30.0, 30.0),
+        tau=st.floats(0.0, 9e-3),
+        noise_var=st.sampled_from([0.0, 1e-2]),
+        bias_tau=st.sampled_from([3e-4, 1.33e-3, 4e-3, 9e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_amplitude_scale_property(self, sec72_ref, log_c, tau, noise_var, bias_tau, seed):
+        design, tables = sec72_ref
+        c = 10.0**log_c
+        scaled = InputDesign(p=design.p, u=c * design.u, energy_bound=c * c * design.energy_bound,
+                             horizon=design.horizon, delta=design.delta,
+                             tau_guess=design.tau_guess)
+        scaled_tables = tables_for(scaled)
+        data = make_dataset(design, tau, noise_var, seed)
+        # the constant dataset is compared by refusals only: its ml likelihood
+        # is flat, and tau_hat moved by 4.5e-10 s between c = 1 and 1e-30
+        constant = Dataset(z=np.full(data.n_samples, 0.5), delta=data.delta,
+                           n_samples=data.n_samples, noise_var=noise_var, seed=0)
+        for ds in (data, constant):
+            moved = Dataset(z=c * ds.z, delta=ds.delta, n_samples=ds.n_samples,
+                            noise_var=c * c * noise_var, seed=ds.seed)
+            for method in ESTIMATORS:
+                want = _outcome(estimate_delay, method, ds, tables)
+                got = _outcome(estimate_delay, method, moved, scaled_tables)
+                if isinstance(want, type) or isinstance(got, type):
+                    assert got is want, method
+                elif ds is data:
+                    tol = (self.ml_atol(want.tau_hat, ds.delta) if method == "ml"
+                           else self.CLOSED_FORM_ATOL)
+                    assert abs(got.tau_hat - want.tau_hat) <= tol, method
+        assert _outcome(estimate_delay, "freq_interp", constant, tables) is FlatCorrelationError
+        got = predict_bias_tau(scaled, c * c * noise_var, bias_tau, 12, mc_samples=10_000)
+        want = _sec72_bias(noise_var, bias_tau)
+        assert abs(got.predicted_bias - want.predicted_bias) <= self.CLOSED_FORM_ATOL
 
 
 class TestOutOfRecordDelay:

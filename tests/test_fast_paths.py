@@ -71,7 +71,9 @@ from lagdelay.simulate import (
     synthesize_input,
 )
 
-from conftest import cubic_spline_projection, full_draw_bias_prediction, per_point_ml_bank
+from conftest import (
+    cubic_spline_projection, full_draw_bias_prediction, per_point_ml_bank, ratio_bias_inputs,
+)
 
 INPUTS = Path(__file__).resolve().parents[1] / "lagbench" / "inputs"
 K = 12
@@ -858,29 +860,38 @@ class TestMarkovTable:
 
 
 class TestBlockedBiasPass:
-    """``predict_bias_tau`` draws and reduces its samples a block of rows at
-    a time and forms (E_A, E_B) by one product; the oracle draws them all
-    at once and assembles (E_A, E_B) from the Markov errors.  The averages
-    are taken over the whole vectors in both, so only E_A rounds
-    differently; the bound is relative to the mean absolute summand, since
-    the eps1 mean and the prediction can cancel to far below it."""
+    """``_ratio_bias`` draws and reduces its samples a block of rows at a
+    time and forms (E_A, E_B) by one product; the oracle draws them all at
+    once and assembles (E_A, E_B) from the Markov errors.  The averages are
+    taken over the whole vectors in both, so only E_A rounds differently;
+    the bound is relative to the mean absolute summand, since the eps1 mean
+    and the prediction can cancel to far below it.  Each case runs at the
+    Markov error of ``predict_bias_tau`` and at a zero mean."""
 
     @pytest.mark.parametrize("mc_samples", [1000, 20_000, 100_000, 100_003])
     @pytest.mark.parametrize("k_model", [3, 6, 12])
     def test_matches_full_draw_oracle(self, k_model, mc_samples):
         design = _design("design72_ref.json")
-        options = [{}, {"include_truncation_bias": False}]
+        options = [(None, False), (None, True)]
         if k_model == 12:  # an explicit Markov order below K + 1
-            options += [{"m_markov": 4}, {"m_markov": 4, "include_truncation_bias": False}]
-        for tau, opts in itertools.product((3e-4, 1.33e-3, 4e-3, 9e-3), options):
-            args = (design, NOISE_VAR, tau, k_model)
-            kw = dict(opts, mc_samples=mc_samples, seed=7)
-            got = analysis.predict_bias_tau(*args, **kw)
-            want, scale = full_draw_bias_prediction(*args, **kw)
-            assert got.eps2_mean == want.eps2_mean, (tau, opts)
+            options += [(4, False), (4, True)]
+        for tau, (m_markov, zero_mean) in itertools.product((3e-4, 1.33e-3, 4e-3, 9e-3), options):
+            p, _, h_true, mean, factor = ratio_bias_inputs(
+                design, NOISE_VAR, tau, k_model, m_markov
+            )
+            if zero_mean:
+                mean = np.zeros_like(mean)
+                got = analysis._ratio_bias(p, tau, h_true, mean, factor, mc_samples, 7)
+            else:
+                got = analysis.predict_bias_tau(
+                    design, NOISE_VAR, tau, k_model, m_markov, mc_samples=mc_samples, seed=7
+                )
+            want, scale = full_draw_bias_prediction(p, tau, h_true, mean, factor, mc_samples, 7)
+            case = (tau, m_markov, zero_mean)
+            assert got.eps2_mean == want.eps2_mean, case
             for name in ("predicted_bias", "eps1_mean"):
                 err = abs(getattr(got, name) - getattr(want, name))
-                assert err <= 1e-14 * scale[name], (name, tau, opts)
+                assert err <= 1e-14 * scale[name], (name, case)
             assert (got.mc_samples, got.seed) == (mc_samples, 7)
 
     def test_blocks_draw_the_full_stream(self):
